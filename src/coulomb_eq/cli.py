@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -87,16 +86,6 @@ def parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def default_threads() -> int:
-    env = os.environ.get("COULOMB_EQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False, sort_keys=False) + "\n"
 
@@ -139,9 +128,6 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
                      help="gradient norm accepted as stationary")
     sub.add_argument("--max-iters", type=int, default=100)
     sub.add_argument("--dedup-tol", type=float, default=1e-7)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="seed-polish parallelism; never affects output bytes "
-                          "(default: COULOMB_EQ_THREADS or logical cores)")
 
 
 def point_record(cp: CriticalPoint, index_of: dict[int, int | None]) -> dict:
@@ -200,8 +186,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     charges = parse_charges(args.charges, expected)
     spec = parse_potential(args.potential)
     settings = settings_from_args(args)
-    threads = args.threads or default_threads()
-    points = find_critical_points(space, charges, spec, settings, threads=threads)
+    points = find_critical_points(space, charges, spec, settings)
     payload = solve_payload(space, charges, spec, points)
     text = json_text(payload)
     if args.out:

@@ -120,10 +120,9 @@ def aligned_blocks(config: PolygonConfig, charges: ChargeVector,
     spec = spec or PotentialSpec.coulomb()
     pts = config.points
     zx, zy = pot.aligned_chart_basis(pts)
-    grad = pot.polygon_full_gradient(pts, charges, spec)
-    mult = -float(pts[1:].ravel() @ grad)
-    h = pot.polygon_full_hessian(pts, charges, spec) \
-        + mult * pot.perimeter_hessian(pts)
+    der = pot.polygon_derivatives(pts[None], charges, spec)
+    mult = -float(pts[1:].ravel() @ der.energy_grad[0])
+    h = der.energy_hess[0] + mult * der.perimeter_hess[0]
     return zx.T @ h @ zx, zy.T @ h @ zy, zx.T @ h @ zy
 
 

@@ -11,13 +11,17 @@ tangent space of the perimeter constraint intersected with the
 complement of the rotation direction.  That projected chart has
 dimension ``2*(n-2)`` and is also what the finite-difference oracles
 probe, via the scaling retraction ``y -> y / perimeter(y)``.
+
+Polygon derivatives are array-first: one core evaluates stacks of
+``(k, n, 2)`` configurations, row by row with no mixing between rows,
+and a single configuration is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,10 +89,12 @@ class PotentialSpec:
         return f"power:{self.exponent:g}" if self.kind == "power" else self.kind
 
 
-def kernel_eval(spec: PotentialSpec, d: float) -> tuple[float, float, float]:
-    """Kernel value and first two derivatives at distance ``d > 0``."""
-    if not d > 0.0:
-        raise ValueError(f"kernel needs a positive distance, got {d!r}")
+def kernel_terms(spec: PotentialSpec, d):
+    """Kernel value and first two derivatives, elementwise over distances.
+
+    The one kernel implementation: the batched derivative cores call it
+    on arrays of pair distances and ``kernel_eval`` on a single one.
+    """
     if spec.kind == "coulomb":
         inv = 1.0 / d
         return inv, -inv * inv, 2.0 * inv ** 3
@@ -96,7 +102,15 @@ def kernel_eval(spec: PotentialSpec, d: float) -> tuple[float, float, float]:
         k = spec.exponent
         v = d ** -k
         return v, -k * v / d, k * (k + 1.0) * v / (d * d)
-    return math.log(d), 1.0 / d, -1.0 / (d * d)
+    return np.log(d), 1.0 / d, -1.0 / (d * d)
+
+
+def kernel_eval(spec: PotentialSpec, d: float) -> tuple[float, float, float]:
+    """Kernel value and first two derivatives at distance ``d > 0``."""
+    if not d > 0.0:
+        raise ValueError(f"kernel needs a positive distance, got {d!r}")
+    phi, dphi, ddphi = kernel_terms(spec, float(d))
+    return float(phi), float(dphi), float(ddphi)
 
 
 @dataclass(frozen=True)
@@ -152,96 +166,117 @@ def _require_regular(config: Config) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polygon space: full-coordinate derivatives and the constrained chart
+# polygon space: batched derivatives and the constrained chart
 # ---------------------------------------------------------------------------
 
-def polygon_full_gradient(points: np.ndarray, charges: ChargeVector,
-                          spec: PotentialSpec) -> np.ndarray:
-    """Gradient of the energy w.r.t. the movable vertices, flattened."""
-    n = points.shape[0]
-    q = charges.array
-    grad = np.zeros((n, 2))
-    for i, j in _pair_terms(n):
-        delta = points[i] - points[j]
-        d = float(np.linalg.norm(delta))
-        _, dphi, _ = kernel_eval(spec, d)
-        pull = q[i] * q[j] * dphi / d * delta
-        grad[i] += pull
-        grad[j] -= pull
-    return grad[1:].ravel()
+class PolygonDerivatives(NamedTuple):
+    """Energy and perimeter derivatives of a stack of ``k`` polygons.
+
+    Gradients ``(k, m)`` and Hessians ``(k, m, m)`` are taken w.r.t. the
+    movable vertices (vertex 0 stays pinned), flattened as
+    ``x1, y1, ..., x_{n-1}, y_{n-1}``, so ``m = 2*(n-1)``.
+    """
+
+    energy_grad: np.ndarray
+    energy_hess: np.ndarray
+    perimeter: np.ndarray
+    perimeter_grad: np.ndarray
+    perimeter_hess: np.ndarray
 
 
-def polygon_full_hessian(points: np.ndarray, charges: ChargeVector,
-                         spec: PotentialSpec) -> np.ndarray:
-    """Hessian of the energy w.r.t. the movable vertices, flattened."""
-    n = points.shape[0]
+def _pair_geometry(points: np.ndarray, first: np.ndarray, second: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Separations, distances, unit vectors and their outer products of
+    the vertex pairs ``(first[p], second[p])`` of a stack ``(k, n, 2)``."""
+    delta = points[:, first] - points[:, second]
+    # vecdot rounds each distance like np.linalg.norm of the 2-vector
+    d = np.sqrt(np.vecdot(delta, delta))
+    u = delta / d[..., None]
+    return delta, d, u, u[..., :, None] * u[..., None, :]
+
+
+def _pair_sums(n: int, first: np.ndarray, second: np.ndarray,
+               pull: np.ndarray, block: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Movable-vertex gradient ``(k, m)`` and Hessian ``(k, m, m)`` of a
+    sum of pair terms, from each term's gradient w.r.t. its first vertex
+    ``pull`` ``(k, P, 2)`` and its 2x2 Hessian block ``(k, P, 2, 2)``."""
+    k = pull.shape[0]
+    grad = np.zeros((k, n, 2))
+    hess = np.zeros((k, n, n, 2, 2))
+    hess[:, first, second] = -block
+    hess[:, second, first] = -block
+    # accumulate pair by pair, vectorized over the stack only, so no row's
+    # sums depend on the other rows
+    for p, (a, b) in enumerate(zip(first, second)):
+        grad[:, a] += pull[:, p]
+        grad[:, b] -= pull[:, p]
+        hess[:, a, a] += block[:, p]
+        hess[:, b, b] += block[:, p]
+    m = 2 * n
+    hess = hess.transpose(0, 1, 3, 2, 4).reshape(k, m, m)
+    return grad.reshape(k, m)[:, 2:], hess[:, 2:, 2:]
+
+
+def _perimeter_terms(points: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = points.shape[1]
+    first = np.arange(n)
+    second = (first + 1) % n
+    _, d, u, uu = _pair_geometry(points, first, second)
+    block = (np.eye(2) - uu) / d[..., None, None]
+    return (d.sum(axis=1),) + _pair_sums(n, first, second, u, block)
+
+
+def polygon_derivatives(points: np.ndarray, charges: ChargeVector,
+                        spec: PotentialSpec) -> PolygonDerivatives:
+    """Energy gradient and Hessian plus perimeter value, gradient and
+    Hessian of a stack of raw polygons ``(k, n, 2)``.
+
+    Every other polygon derivative is computed from this one core; a
+    single configuration is a stack of one.
+    """
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[1]
+    first, second = np.triu_indices(n, 1)
+    delta, d, _, uu = _pair_geometry(pts, first, second)
+    _, dphi, ddphi = kernel_terms(spec, d)
     q = charges.array
-    hess = np.zeros((2 * n, 2 * n))
-    eye = np.eye(2)
-    for i, j in _pair_terms(n):
-        delta = points[i] - points[j]
-        d = float(np.linalg.norm(delta))
-        _, dphi, ddphi = kernel_eval(spec, d)
-        u = delta / d
-        block = q[i] * q[j] * (ddphi * np.outer(u, u) + dphi / d * (eye - np.outer(u, u)))
-        si, sj = 2 * i, 2 * j
-        hess[si:si + 2, si:si + 2] += block
-        hess[sj:sj + 2, sj:sj + 2] += block
-        hess[si:si + 2, sj:sj + 2] -= block
-        hess[sj:sj + 2, si:si + 2] -= block
-    return hess[2:, 2:]
+    qq = q[first] * q[second]
+    bend = (dphi / d)[..., None, None]
+    pull = (qq * dphi / d)[..., None] * delta
+    block = qq[:, None, None] * (ddphi[..., None, None] * uu + bend * (np.eye(2) - uu))
+    g_e, h_e = _pair_sums(n, first, second, pull, block)
+    return PolygonDerivatives(g_e, h_e, *_perimeter_terms(pts))
 
 
 def perimeter_value(points: np.ndarray) -> float:
     return float(np.linalg.norm(points - np.roll(points, -1, axis=0), axis=1).sum())
 
 
-def perimeter_gradient(points: np.ndarray) -> np.ndarray:
-    n = points.shape[0]
-    grad = np.zeros((n, 2))
-    for i in range(n):
-        j = (i + 1) % n
-        delta = points[i] - points[j]
-        u = delta / np.linalg.norm(delta)
-        grad[i] += u
-        grad[j] -= u
-    return grad[1:].ravel()
-
-
-def perimeter_hessian(points: np.ndarray) -> np.ndarray:
-    n = points.shape[0]
-    hess = np.zeros((2 * n, 2 * n))
-    eye = np.eye(2)
-    for i in range(n):
-        j = (i + 1) % n
-        delta = points[i] - points[j]
-        d = float(np.linalg.norm(delta))
-        u = delta / d
-        block = (eye - np.outer(u, u)) / d
-        si, sj = 2 * i, 2 * j
-        hess[si:si + 2, si:si + 2] += block
-        hess[sj:sj + 2, sj:sj + 2] += block
-        hess[si:si + 2, sj:sj + 2] -= block
-        hess[sj:sj + 2, si:si + 2] -= block
-    return hess[2:, 2:]
-
-
 def rotation_direction(points: np.ndarray) -> np.ndarray:
-    """Tangent of the rotation orbit at a configuration, flattened."""
-    rot = np.column_stack([-points[1:, 1], points[1:, 0]])
-    return rot.ravel()
+    """Tangent of the rotation orbit, flattened over the movable vertices
+    (one ``(n, 2)`` configuration or a stack ``(k, n, 2)``)."""
+    rot = np.stack([-points[..., 1:, 1], points[..., 1:, 0]], axis=-1)
+    return rot.reshape(*points.shape[:-2], -1)
 
 
 def chart_basis(points: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the constrained chart at a configuration.
+    """Orthonormal bases ``(k, m, m - 2)`` of the constrained chart at a
+    stack of configurations ``(k, n, 2)``.
 
     Columns span the null space of the perimeter-constraint normal and
     the rotation direction, i.e. the ``2*(n-2)``-dimensional tangent of
     the quotient space.
     """
-    rows = np.vstack([perimeter_gradient(points), rotation_direction(points)])
+    pts = np.asarray(points, dtype=float)
+    return _chart_basis(pts, _perimeter_terms(pts)[1])
+
+
+def _chart_basis(points: np.ndarray, perimeter_grad: np.ndarray) -> np.ndarray:
+    rows = np.stack([perimeter_grad, rotation_direction(points)], axis=1)
     _, _, vt = np.linalg.svd(rows)
-    return vt[2:].T
+    return np.swapaxes(vt[:, 2:], 1, 2)
 
 
 def aligned_chart_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +291,7 @@ def aligned_chart_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = 2 * (points.shape[0] - 1)
     x_idx = np.arange(0, m, 2)
     y_idx = np.arange(1, m, 2)
-    g_x = perimeter_gradient(points)[x_idx]
+    g_x = _perimeter_terms(points[None])[1][0, x_idx]
     r_y = rotation_direction(points)[y_idx]
     zx_small = np.linalg.svd(g_x[None, :])[2][1:].T
     zy_small = np.linalg.svd(r_y[None, :])[2][1:].T
@@ -267,19 +302,27 @@ def aligned_chart_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zx, zy
 
 
-def _polygon_chart_derivatives(config: PolygonConfig, charges: ChargeVector,
-                               spec: PotentialSpec,
-                               basis: np.ndarray | None = None,
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    pts = config.points
-    z = chart_basis(pts) if basis is None else basis
-    g_full = polygon_full_gradient(pts, charges, spec)
-    h_full = polygon_full_hessian(pts, charges, spec)
+def polygon_chart_derivatives(points: np.ndarray, charges: ChargeVector,
+                              spec: PotentialSpec,
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart gradients ``(k, m - 2)`` and Hessians ``(k, m - 2, m - 2)``
+    of a stack of gauge-fixed polygons ``(k, n, 2)``."""
+    pts = np.asarray(points, dtype=float)
+    der = polygon_derivatives(pts, charges, spec)
+    z = _chart_basis(pts, der.perimeter_grad)
+    zt = np.swapaxes(z, 1, 2)
     # multiplier of the scaling retraction; equals the Lagrange
     # multiplier of the perimeter constraint at critical points
-    mult = -float(pts[1:].ravel() @ g_full)
-    h_chart = z.T @ (h_full + mult * perimeter_hessian(pts)) @ z
-    return z.T @ g_full, 0.5 * (h_chart + h_chart.T)
+    mult = -np.vecdot(pts[:, 1:].reshape(pts.shape[0], -1), der.energy_grad)
+    h_chart = zt @ (der.energy_hess + mult[:, None, None] * der.perimeter_hess) @ z
+    grad = (zt @ der.energy_grad[..., None])[..., 0]
+    return grad, 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
+
+
+def _polygon_chart_derivatives(config: PolygonConfig, charges: ChargeVector,
+                               spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
+    grad, hess = polygon_chart_derivatives(config.points[None], charges, spec)
+    return grad[0], hess[0]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +421,8 @@ def dilation_derivative(config: PolygonConfig, charges: ChargeVector,
     spec = spec or PotentialSpec.coulomb()
     _require_regular(config)
     pts = config.points
-    return float(pts[1:].ravel() @ polygon_full_gradient(pts, charges, spec))
+    grad = polygon_derivatives(pts[None], charges, spec).energy_grad[0]
+    return float(pts[1:].ravel() @ grad)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +439,7 @@ def _chart_probe(config: Config, charges: ChargeVector, spec: PotentialSpec,
     """
     if isinstance(config, PolygonConfig):
         base = config.points
-        z = chart_basis(base)
+        z = chart_basis(base[None])[0]
         dim = z.shape[1]
 
         def probe(u: np.ndarray) -> float:
@@ -483,37 +527,40 @@ def polygon_free_indices(n: int) -> np.ndarray:
     return np.array([k for k in range(2 * (n - 1)) if k != 1])
 
 
-def polygon_stationarity(points: np.ndarray, multiplier: float,
+def polygon_stationarity(points: np.ndarray, multipliers: np.ndarray,
                          charges: ChargeVector, spec: PotentialSpec,
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Jacobian of the constrained stationarity system.
+    """Residuals ``(k, m)`` and Jacobians ``(k, m, m)`` of the constrained
+    stationarity system for a stack of polygons ``(k, n, 2)`` with their
+    perimeter multipliers ``(k,)``.
 
     Unknowns are the gauge-free vertex coordinates plus the perimeter
     multiplier; equations are the corresponding components of
     ``grad E + multiplier * grad perimeter`` plus the perimeter defect.
     """
-    n = points.shape[0]
-    keep = polygon_free_indices(n)
-    g_e = polygon_full_gradient(points, charges, spec)
-    g_l = perimeter_gradient(points)
-    res = np.empty(keep.size + 1)
-    res[:-1] = (g_e + multiplier * g_l)[keep]
-    res[-1] = perimeter_value(points) - 1.0
-    h = polygon_full_hessian(points, charges, spec) \
-        + multiplier * perimeter_hessian(points)
-    jac = np.zeros((keep.size + 1, keep.size + 1))
-    jac[:-1, :-1] = h[np.ix_(keep, keep)]
-    jac[:-1, -1] = g_l[keep]
-    jac[-1, :-1] = g_l[keep]
+    pts = np.asarray(points, dtype=float)
+    keep = polygon_free_indices(pts.shape[1])
+    der = polygon_derivatives(pts, charges, spec)
+    lam = np.asarray(multipliers, dtype=float)[:, None]
+    g_l = der.perimeter_grad[:, keep]
+    res = np.concatenate([(der.energy_grad + lam * der.perimeter_grad)[:, keep],
+                          (der.perimeter - 1.0)[:, None]], axis=1)
+    h = der.energy_hess + lam[..., None] * der.perimeter_hess
+    k, m = res.shape
+    jac = np.zeros((k, m, m))
+    jac[:, :-1, :-1] = h[:, keep[:, None], keep]
+    jac[:, :-1, -1] = g_l
+    jac[:, -1, :-1] = g_l
     return res, jac
 
 
 def least_squares_multiplier(points: np.ndarray, charges: ChargeVector,
-                             spec: PotentialSpec) -> float:
-    """Perimeter multiplier minimizing the stationarity residual."""
-    g_e = polygon_full_gradient(points, charges, spec)
-    g_l = perimeter_gradient(points)
-    return -float(g_e @ g_l) / float(g_l @ g_l)
+                             spec: PotentialSpec) -> np.ndarray:
+    """Perimeter multipliers ``(k,)`` minimizing the stationarity
+    residual of each polygon in a stack ``(k, n, 2)``."""
+    der = polygon_derivatives(points, charges, spec)
+    g_l = der.perimeter_grad
+    return -np.vecdot(der.energy_grad, g_l) / np.vecdot(g_l, g_l)
 
 
 def polygon_pole_radius() -> float:

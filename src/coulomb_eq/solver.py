@@ -6,6 +6,8 @@ whose side lengths are proportional to inverse square roots of the
 charges.  Everything else runs through multistart Newton polishing of
 the stationarity system: a Lagrange system with explicit perimeter
 constraint for polygons, the plain two-angle gradient for the torus.
+Both polishes are vectorized: all seeds of a search go through one
+damped Newton iteration as a single stack.
 Converged points are deduplicated modulo the rotation gauge, paired
 with their reflection partners, and classified by the spectrum of the
 constrained Hessian.
@@ -284,83 +286,130 @@ def enumerate_aligned(space: Space, charges: ChargeVector,
 # multistart machinery: polygon
 # ---------------------------------------------------------------------------
 
-def _pack(points: np.ndarray, lam: float) -> np.ndarray:
-    free = points[1:].ravel()
-    return np.concatenate([np.delete(free, 1), [lam]])
+def _min_gaps(points: np.ndarray) -> np.ndarray:
+    """Smallest vertex separation of each polygon in a stack ``(k, n, 2)``."""
+    first, second = np.triu_indices(points.shape[1], 1)
+    delta = points[:, first] - points[:, second]
+    return np.hypot(delta[..., 0], delta[..., 1]).min(axis=1)
 
 
-def _unpack(u: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    free = np.insert(u[:-1], 1, 0.0)
-    pts = np.vstack([np.zeros(2), free.reshape(n - 1, 2)])
-    return pts, float(u[-1])
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # vecdot rounds each row like np.linalg.norm of that row alone
+    return np.sqrt(np.vecdot(x, x))
 
 
-def _min_gap(points: np.ndarray) -> float:
-    # raw-array version so mid-iteration states need no config object
-    n = points.shape[0]
-    best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            best = min(best, float(np.hypot(*(points[i] - points[j]))))
-    return best
+def _unpack(u: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
+    """Vertex stacks ``(k, n, 2)`` from packed unknowns (the gauge-free
+    coordinates of the movable vertices, then the multiplier)."""
+    flat = np.zeros((u.shape[0], 2 * n))
+    flat[:, 2 + keep] = u[:, :-1]
+    return flat.reshape(-1, n, 2)
 
 
-def _polish_polygon(points0: np.ndarray, charges: ChargeVector,
+def _newton_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps where the damping is zero, Levenberg-Marquardt steps
+    elsewhere, from one stacked solve.  Returns the steps and a mask of
+    the systems that were not singular."""
+    a = jac.copy()
+    b = -res
+    lm = damping > 0.0
+    if lm.any():
+        j = jac[lm]
+        jt = np.swapaxes(j, 1, 2)
+        normal = jt @ j
+        diag = np.arange(normal.shape[1])
+        normal[:, diag, diag] += damping[lm, None]
+        a[lm] = normal
+        b[lm] = -(jt @ res[lm][..., None])[..., 0]
+    solved = np.ones(len(a), dtype=bool)
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], solved
+    except np.linalg.LinAlgError:
+        pass
+    # some system of the batch is singular: solve the seeds one by one
+    steps = np.zeros_like(b)
+    for r in range(len(a)):
+        try:
+            steps[r] = np.linalg.solve(a[r], b[r][:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            solved[r] = False
+    return steps, solved
+
+
+def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
                     spec: PotentialSpec, settings: SolveSettings,
-                    pole_radius: float) -> PolygonConfig | None:
-    """Levenberg-damped Newton on the Lagrange stationarity system."""
-    n = points0.shape[0]
-    pts = points0.copy()
-    if _min_gap(pts) < pole_radius:
-        return None
+                    pole_radius: float) -> list[PolygonConfig]:
+    """Levenberg-damped Newton on the Lagrange stationarity system, run on
+    a stack of gauge-fixed seeds ``(k, n, 2)`` at once.
+
+    Every seed keeps its own damping, residual norm and iteration count,
+    so it takes exactly the steps it would take alone.  Returns the
+    converged configurations in seed order.
+    """
+    pts = np.asarray(seeds, dtype=float)
+    if pts.size == 0:
+        return []
+    n = pts.shape[1]
+    pts = pts[~(_min_gaps(pts) < pole_radius)]
+    if not len(pts):
+        return []
+    keep = pot.polygon_free_indices(n)
     lam = pot.least_squares_multiplier(pts, charges, spec)
-    u = _pack(pts, lam)
+    u = np.concatenate([pts[:, 1:].reshape(len(pts), -1)[:, keep], lam[:, None]],
+                       axis=1)
     res, jac = pot.polygon_stationarity(pts, lam, charges, spec)
-    rnorm = float(np.linalg.norm(res))
-    damping = 0.0
+    rnorm = _row_norms(res)
+    damping = np.zeros(len(u))
+    running = np.ones(len(u), dtype=bool)
+    killed = np.zeros(len(u), dtype=bool)
     target = min(1e-13, 0.01 * settings.newton_tol)
     for _ in range(settings.max_iters):
-        if rnorm < target:
+        running &= ~(rnorm < target)
+        rows = np.flatnonzero(running)
+        if not rows.size:
             break
+        step, solved = _newton_steps(jac[rows], res[rows], damping[rows])
+        trial = u[rows] + step
+        trial_pts = _unpack(trial, n, keep)
+        blocked = solved & ((_min_gaps(trial_pts) < pole_radius)
+                            | ~np.isfinite(trial_pts).all(axis=(1, 2)))
+        tried = solved & ~blocked
+        res_t, jac_t = pot.polygon_stationarity(trial_pts[tried], trial[tried, -1],
+                                                charges, spec)
+        rnorm_t = _row_norms(res_t)
+        better = np.zeros(rows.size, dtype=bool)
+        better[tried] = rnorm_t < rnorm[rows[tried]]
+        won = better[tried]
+        acc = rows[better]
+        u[acc] = trial[better]
+        res[acc] = res_t[won]
+        jac[acc] = jac_t[won]
+        rnorm[acc] = rnorm_t[won]
+        damping[acc] = np.where(rnorm_t[won] < 1e-6, 0.0, damping[acc] / 3.0)
+        # a singular system, a trial at a pole and a rejected step all
+        # raise the damping; past 1e14 the last two end the seed's run
+        failed = solved & ~better
+        grow = rows[~better]
+        damping[grow] = np.maximum(damping[grow] * 10.0, 1e-8)
+        over = failed & (damping[rows] > 1e14)
+        killed[rows[over & blocked]] = True
+        running[rows[over]] = False
+    good = ~killed & ~(rnorm > math.sqrt(settings.newton_tol))
+    configs = []
+    for vertices in _unpack(u[good], n, keep):
         try:
-            if damping == 0.0:
-                step = np.linalg.solve(jac, -res)
-            else:
-                a = jac.T @ jac
-                a[np.diag_indices_from(a)] += damping
-                step = np.linalg.solve(a, -(jac.T @ res))
-        except np.linalg.LinAlgError:
-            damping = max(damping * 10.0, 1e-8)
+            cfg = PolygonConfig.from_points(vertices)
+        except ValueError:
             continue
-        trial = u + step
-        pts_t, lam_t = _unpack(trial, n)
-        if _min_gap(pts_t) < pole_radius or not np.isfinite(pts_t).all():
-            damping = max(damping * 10.0, 1e-8)
-            if damping > 1e14:
-                return None
-            continue
-        res_t, jac_t = pot.polygon_stationarity(pts_t, lam_t, charges, spec)
-        rnorm_t = float(np.linalg.norm(res_t))
-        if rnorm_t < rnorm:
-            u, res, jac, rnorm = trial, res_t, jac_t, rnorm_t
-            damping = 0.0 if rnorm_t < 1e-6 else damping / 3.0
-        else:
-            damping = max(damping * 10.0, 1e-8)
-            if damping > 1e14:
-                break
-    if rnorm > math.sqrt(settings.newton_tol):
-        return None
-    pts, _ = _unpack(u, n)
-    try:
-        cfg = PolygonConfig.from_points(pts)
-    except ValueError:
-        return None
-    if cfg.has_pole:
-        return None
-    grad = pot.gradient(cfg, charges, spec)
-    if float(np.linalg.norm(grad)) > settings.newton_tol:
-        return None
-    return cfg
+        if not cfg.has_pole:
+            configs.append(cfg)
+    if not configs:
+        return []
+    grad, _ = pot.polygon_chart_derivatives(
+        np.array([cfg.points for cfg in configs]), charges, spec)
+    return [cfg for cfg, g in zip(configs, _row_norms(grad))
+            if not g > settings.newton_tol]
 
 
 def _triangle_from_sides(l1: float, l2: float, l3: float,
@@ -411,11 +460,8 @@ def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
         ring = np.column_stack([np.cos(base + phase), np.sin(base + phase)])
         seeds.append(ring)
     rng = np.random.default_rng(MULTISTART_SEED + n)
-    count = settings.grid_density ** 2
-    for _ in range(count):
-        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
-        if _min_gap(pts) > 1e-3:
-            seeds.append(pts)
+    pool = rng.uniform(-1.0, 1.0, size=(settings.grid_density ** 2, n, 2))
+    seeds.extend(pool[_min_gaps(pool) > 1e-3])
     return seeds
 
 
@@ -459,15 +505,6 @@ def _sweep_position_seeds(n: int) -> list[np.ndarray]:
 # multistart machinery: torus (vectorized over seeds)
 # ---------------------------------------------------------------------------
 
-def _kernel_d1_d2_vec(spec: PotentialSpec, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if spec.kind == "coulomb":
-        return -1.0 / d ** 2, 2.0 / d ** 3
-    if spec.kind == "power":
-        k = spec.exponent
-        return -k * d ** -(k + 1.0), k * (k + 1.0) * d ** -(k + 2.0)
-    return 1.0 / d, -1.0 / d ** 2
-
-
 def _torus_batch_derivatives(radii: tuple[float, float, float],
                              charges: ChargeVector, spec: PotentialSpec,
                              angles: np.ndarray, floor: float,
@@ -497,7 +534,7 @@ def _torus_batch_derivatives(radii: tuple[float, float, float],
         d = np.sqrt(np.maximum(r[a] ** 2 + r[b] ** 2 - 2.0 * rr * cos_a, 0.0))
         dmin = np.minimum(dmin, d)
         safe = np.maximum(d, floor)
-        dphi, ddphi = _kernel_d1_d2_vec(spec, safe)
+        _, dphi, ddphi = pot.kernel_terms(spec, safe)
         d1 = rr * sin_a / safe
         d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
         u1.append(qq * dphi * d1)
@@ -700,32 +737,26 @@ def polish_candidates(space: Space, charges: ChargeVector,
                                           pole_radius, np.array(seeds))
     else:
         pole_radius = settings.pole_radius or 1e-7
-        for cand in candidates:
-            pts = cand.points if isinstance(cand, PolygonConfig) else np.asarray(cand)
-            seed = _gauge_seed(pts)
-            if seed is None:
-                continue
-            polished = _polish_polygon(seed, charges, spec, settings, pole_radius)
-            if polished is not None:
-                configs.append(polished)
+        seeds = [_gauge_seed(cand.points if isinstance(cand, PolygonConfig)
+                             else np.asarray(cand)) for cand in candidates]
+        configs = _polish_polygon([s for s in seeds if s is not None],
+                                  charges, spec, settings, pole_radius)
     return _finalize(configs, charges, spec, settings)
 
 
 def find_critical_points(space: Space, charges: ChargeVector,
                          spec: PotentialSpec | None = None,
                          settings: SolveSettings | None = None,
-                         threads: int = 1) -> list[CriticalPoint]:
+                         ) -> list[CriticalPoint]:
     """Multistart search for every stationary point of the energy.
 
     Grid seeds plus the closed-form and aligned configurations are
-    polished by damped Newton on the stationarity system; runs that do
-    not converge are dropped.  The survivors are deduplicated modulo
-    the rotation gauge, closed under the reflection involution (both
-    members of a mirror pair are reported and linked), classified by
-    their constrained Hessian spectrum and sorted by (energy, key).
-
-    ``threads`` parallelizes the independent seed polishes; the merge
-    is a deterministic sort, so the result does not depend on it.
+    polished by damped Newton on the stationarity system, all seeds of
+    the space as one batch; runs that do not converge are dropped.  The
+    survivors are deduplicated modulo the rotation gauge, closed under
+    the reflection involution (both members of a mirror pair are
+    reported and linked), classified by their constrained Hessian
+    spectrum and sorted by (energy, key).
     """
     spec = spec or PotentialSpec.coulomb()
     settings = settings or SolveSettings()
@@ -741,18 +772,7 @@ def find_critical_points(space: Space, charges: ChargeVector,
         seeds = [s for s in (_gauge_seed(raw) for raw in
                              _polygon_seeds(space, charges, spec, settings))
                  if s is not None]
-
-        def polish(seed: np.ndarray) -> PolygonConfig | None:
-            return _polish_polygon(seed, charges, spec, settings, pole_radius)
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(polish, seeds))
-        else:
-            results = [polish(s) for s in seeds]
-        configs = [cfg for cfg in results if cfg is not None]
+        configs = _polish_polygon(seeds, charges, spec, settings, pole_radius)
     return _finalize(configs, charges, spec, settings)
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -111,10 +110,9 @@ class TestSolveCommand:
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for target, threads in ((a, "1"), (b, "4")):
+        for target in (a, b):
             run_cli(["solve", "--space", "polygon:3", "--charges", "1,2,3",
-                     "--grid-density", "8", "--threads", threads,
-                     "--out", str(target)])
+                     "--grid-density", "8", "--out", str(target)])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -241,11 +239,3 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["space"] == "polygon:3"
-
-    def test_env_var_sets_default_threads(self):
-        env = dict(os.environ, COULOMB_EQ_THREADS="2")
-        proc = subprocess.run([sys.executable, "-m", "coulomb_eq.cli",
-                               "solve", "--space", "polygon:3",
-                               "--charges", "1,1,1", "--grid-density", "8"],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0

@@ -17,12 +17,20 @@ from coulomb_eq.potentials import (
     gradient,
     hessian,
     kernel_eval,
-    perimeter_gradient,
-    perimeter_hessian,
-    polygon_full_gradient,
-    polygon_full_hessian,
+    kernel_terms,
+    least_squares_multiplier,
+    polygon_chart_derivatives,
+    polygon_derivatives,
+    polygon_free_indices,
+    polygon_stationarity,
 )
-from coulomb_eq.spaces import ChargeVector, PolygonConfig, TorusConfig, apply_involution
+from coulomb_eq.spaces import (
+    ChargeVector,
+    PolygonConfig,
+    TorusConfig,
+    apply_involution,
+    gauge_fix,
+)
 
 COULOMB = PotentialSpec.coulomb()
 ALL_SPECS = [COULOMB, PotentialSpec.power(2.0), PotentialSpec.log()]
@@ -30,6 +38,12 @@ ALL_SPECS = [COULOMB, PotentialSpec.power(2.0), PotentialSpec.log()]
 EQUILATERAL = PolygonConfig.from_points(
     [[0.0, 0.0], [1 / 3, 0.0], [1 / 6, math.sqrt(3) / 6]])
 UNIT_Q3 = ChargeVector.of([1.0, 1.0, 1.0])
+
+
+def one_polygon(points, charges=UNIT_Q3, spec=COULOMB):
+    """Derivatives of a single configuration, as a stack of one."""
+    der = polygon_derivatives(np.asarray(points, dtype=float)[None], charges, spec)
+    return type(der)(*(field[0] for field in der))
 
 
 def random_triangle(rng):
@@ -54,6 +68,14 @@ class TestKernels:
     def test_log_kernel(self):
         assert kernel_eval(PotentialSpec.log(), 1.0) == pytest.approx(
             (0.0, 1.0, -1.0))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+    def test_scalar_view_matches_array_kernel(self, spec):
+        d = np.array([0.05, 1 / 3, 1.0, 2.7])
+        arrays = kernel_terms(spec, d)
+        for k, dk in enumerate(d):
+            assert kernel_eval(spec, float(dk)) == pytest.approx(
+                tuple(a[k] for a in arrays), rel=1e-15)
 
     @pytest.mark.parametrize("d", [0.0, -1.0])
     def test_nonpositive_distance_rejected(self, d):
@@ -124,17 +146,16 @@ class TestChartDerivatives:
         cfg = PolygonConfig.from_points([[0, 0], [0.21, 0], [0.5, 0]])
         q = ChargeVector.of([2.0, 0.7, 1.3])
         _, zy = aligned_chart_basis(cfg.points)
-        full = polygon_full_gradient(cfg.points, q, COULOMB)
+        full = one_polygon(cfg.points, q).energy_grad
         assert np.abs(zy.T @ full).max() < 1e-14
 
     def test_aligned_hessian_mixed_block_vanishes(self):
         cfg = PolygonConfig.from_points([[0, 0], [0.18, 0], [0.5, 0]])
         q = ChargeVector.of([3.0, 0.4, 1.1])
         zx, zy = aligned_chart_basis(cfg.points)
-        mult = -float(cfg.points[1:].ravel()
-                      @ polygon_full_gradient(cfg.points, q, COULOMB))
-        h = polygon_full_hessian(cfg.points, q, COULOMB) \
-            + mult * perimeter_hessian(cfg.points)
+        der = one_polygon(cfg.points, q)
+        mult = -float(cfg.points[1:].ravel() @ der.energy_grad)
+        h = der.energy_hess + mult * der.perimeter_hess
         assert np.abs(zx.T @ h @ zy).max() < 1e-8
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
@@ -223,8 +244,8 @@ class TestDilation:
     def test_perimeter_derivatives_match_fd(self):
         rng = np.random.default_rng(7)
         pts = random_triangle(rng).points
-        g = perimeter_gradient(pts)
-        h = perimeter_hessian(pts)
+        g = one_polygon(pts).perimeter_grad
+        h = one_polygon(pts).perimeter_hess
         eps = 1e-7
         flat = pts[1:].ravel().copy()
 
@@ -238,7 +259,80 @@ class TestDilation:
             e[k] = eps
             fd = (per(flat + e) - per(flat - e)) / (2 * eps)
             assert g[k] == pytest.approx(fd, abs=1e-7)
-            fd_row = (perimeter_gradient(np.vstack([np.zeros(2), (flat + e).reshape(-1, 2)]))
-                      - perimeter_gradient(np.vstack([np.zeros(2), (flat - e).reshape(-1, 2)]))) \
+            fd_row = (one_polygon(np.vstack([np.zeros(2), (flat + e).reshape(-1, 2)])).perimeter_grad
+                      - one_polygon(np.vstack([np.zeros(2), (flat - e).reshape(-1, 2)])).perimeter_grad) \
                 / (2 * eps)
             assert np.abs(h[k] - fd_row).max() < 1e-6
+
+
+STATIONARITY_SPECS = [COULOMB, PotentialSpec.power(2.5), PotentialSpec.log()]
+
+
+def random_polygons(rng, n, k):
+    """``k`` gauge-fixed perimeter-one n-gons with no two vertices close."""
+    out = []
+    while len(out) < k:
+        pts = gauge_fix(rng.uniform(-1.0, 1.0, size=(n, 2)))
+        gaps = [np.hypot(*(pts[i] - pts[j]))
+                for i in range(n) for j in range(i + 1, n)]
+        if min(gaps) > 0.04:
+            out.append(pts)
+    return np.array(out)
+
+
+def stationarity_at(u, n, charges, spec):
+    """Residual of the stationarity system at packed unknowns (gauge-free
+    movable coordinates, then the multiplier)."""
+    flat = np.zeros(2 * n)
+    flat[2 + polygon_free_indices(n)] = u[:-1]
+    res, _ = polygon_stationarity(flat.reshape(1, n, 2), u[-1:], charges, spec)
+    return res[0]
+
+
+class TestBatchedPolygonCore:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_jacobian_against_central_differences(self, n, spec):
+        rng = np.random.default_rng(10 * n)
+        q = ChargeVector.of(rng.uniform(0.3, 3.0, n))
+        stack = random_polygons(rng, n, 4)
+        lams = rng.uniform(-5.0, 5.0, 4)
+        res, jac = polygon_stationarity(stack, lams, q, spec)
+        keep = polygon_free_indices(n)
+        h = 1e-6
+        for r in range(len(stack)):
+            u = np.append(stack[r, 1:].ravel()[keep], lams[r])
+            assert np.array_equal(stationarity_at(u, n, q, spec), res[r])
+            fd = np.empty_like(jac[r])
+            for c in range(u.size):
+                e = np.zeros_like(u)
+                e[c] = h
+                fd[:, c] = (stationarity_at(u + e, n, q, spec)
+                            - stationarity_at(u - e, n, q, spec)) / (2 * h)
+            assert np.abs(jac[r] - fd).max() < 1e-6 * np.abs(jac[r]).max()
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_every_row_equals_a_batch_of_one(self, n, spec):
+        rng = np.random.default_rng(n)
+        q = ChargeVector.of(rng.uniform(0.3, 3.0, n))
+        stack = random_polygons(rng, n, 7)
+        lams = least_squares_multiplier(stack, q, spec)
+        res, jac = polygon_stationarity(stack, lams, q, spec)
+        grad, hess = polygon_chart_derivatives(stack, q, spec)
+        for r in range(len(stack)):
+            one = stack[r:r + 1]
+            assert np.array_equal(least_squares_multiplier(one, q, spec), lams[r:r + 1])
+            res1, jac1 = polygon_stationarity(one, lams[r:r + 1], q, spec)
+            assert np.array_equal(res1[0], res[r]) and np.array_equal(jac1[0], jac[r])
+            grad1, hess1 = polygon_chart_derivatives(one, q, spec)
+            assert np.array_equal(grad1[0], grad[r]) and np.array_equal(hess1[0], hess[r])
+
+    def test_multiplier_zeroes_the_projected_residual(self):
+        rng = np.random.default_rng(11)
+        q = ChargeVector.of([1.0, 2.0, 0.5, 1.5])
+        stack = random_polygons(rng, 4, 3)
+        der = polygon_derivatives(stack, q, COULOMB)
+        lams = least_squares_multiplier(stack, q, COULOMB)
+        full = der.energy_grad + lams[:, None] * der.perimeter_grad
+        assert np.abs(np.vecdot(full, der.perimeter_grad)).max() < 1e-9

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from coulomb_eq.morse import euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
 from coulomb_eq.solver import (
+    MULTISTART_SEED,
     PolygonSpace,
     SolveSettings,
     TorusSpace,
@@ -17,6 +19,8 @@ from coulomb_eq.solver import (
     solve_line_interior,
     solve_line_three,
     line_three_energies,
+    _gauge_seed,
+    _polish_polygon,
 )
 from coulomb_eq.spaces import (
     ChargeVector,
@@ -233,6 +237,71 @@ class TestPolishCandidates:
         wild = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
         pts = polish_candidates(PolygonSpace(3), Q111, [wild])
         assert pts == []
+
+
+POLE_LOCKED = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
+
+
+def polish(seeds, charges):
+    return _polish_polygon(np.array(seeds), charges, COULOMB, SolveSettings(), 1e-7)
+
+
+def mixed_seed_pool(n, charges):
+    """Converged closed forms, a pole-locked seed and random seeds."""
+    if n == 3:
+        closed = [cfg.points for cfg in solve_line_three(charges)]
+        closed.append(critical_triangle(charges).points)
+        locked = POLE_LOCKED
+    else:
+        closed = [line_config_from_positions(solve_line_interior(charges)[0]).points]
+        locked = np.vstack([POLE_LOCKED, [[0.3, 0.4]] * (n - 3)])
+    rng = np.random.default_rng(MULTISTART_SEED)
+    pool = closed[:1] + [locked] + closed[1:]
+    pool += [rng.uniform(-1.0, 1.0, size=(n, 2)) for _ in range(12)]
+    return [s for s in (_gauge_seed(p) for p in pool) if s is not None]
+
+
+class TestBatchedPolish:
+    @pytest.mark.parametrize("charges", [[1.0, 2.0, 3.0], [1.3, 0.6, 1.9, 1.1],
+                                         [1.2, 0.7, 1.8, 0.55, 1.5]])
+    def test_batch_equals_seeds_polished_alone(self, charges):
+        q = ChargeVector.of(charges)
+        seeds = mixed_seed_pool(len(charges), q)
+        together = polish(seeds, q)
+        alone = [cfg for seed in seeds for cfg in polish([seed], q)]
+        assert 0 < len(together) < len(seeds)
+        assert len(together) == len(alone)
+        for a, b in zip(together, alone):
+            assert np.array_equal(a.points, b.points)
+
+    def test_closed_forms_survive_unchanged_in_a_batch(self):
+        seeds = mixed_seed_pool(3, Q111)
+        polished = polish(seeds, Q111)
+        for closed in solve_line_three(Q111):
+            assert any(np.abs(cfg.points - closed.points).max() < 1e-15
+                       for cfg in polished)
+
+    def test_batch_with_no_seed_past_the_gap_check(self):
+        locked = [POLE_LOCKED, POLE_LOCKED[::-1] * 0.5, POLE_LOCKED + 1e-10]
+        assert polish([_gauge_seed(p) for p in locked], Q111) == []
+        assert polish(np.empty((0, 3, 2)), Q111) == []
+        assert polish_candidates(PolygonSpace(3), Q111, locked) == []
+
+
+class TestClosedFourCharge:
+    """Censuses of four charges whose alternating count closes at
+    (-1)**4 * 2! = 2."""
+
+    @pytest.mark.parametrize("charges,counts", [
+        ([1.0, 1.0, 1.0, 1.0], {0: 6, 1: 16, 2: 12}),
+        ([1.3, 0.6, 1.9, 1.1], {0: 2, 1: 10, 2: 10}),
+    ])
+    def test_grid_16_census(self, charges, counts):
+        pts = find_critical_points(PolygonSpace(4), ChargeVector.of(charges),
+                                   settings=SolveSettings(grid_density=16))
+        summary = euler_count_check(pts, PolygonSpace(4))
+        assert dict(summary.counts) == counts
+        assert sum((-1) ** k * c for k, c in counts.items()) == 2
 
 
 class TestSettings:
