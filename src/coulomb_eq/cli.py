@@ -92,8 +92,12 @@ def json_text(payload) -> str:
 
 def write_artifact(path: Path, text: str, manifest: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # unlink before writing: on ext4, truncating a file that already holds
+    # blocks flushes it at close, tens of milliseconds per rewrite
+    path.unlink(missing_ok=True)
     path.write_text(text, encoding="utf-8")
     manifest_path = path.with_name(path.name + ".manifest.json")
+    manifest_path.unlink(missing_ok=True)
     manifest_path.write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

@@ -12,9 +12,9 @@ complement of the rotation direction.  That projected chart has
 dimension ``2*(n-2)`` and is also what the finite-difference oracles
 probe, via the scaling retraction ``y -> y / perimeter(y)``.
 
-Polygon derivatives are array-first: one core evaluates stacks of
-``(k, n, 2)`` configurations, row by row with no mixing between rows,
-and a single configuration is a stack of one.
+Derivatives are array-first: one core per space evaluates stacks of
+``(k, n, 2)`` polygons or ``(k, 2)`` angle pairs, row by row with no
+mixing between rows, and a single configuration is a stack of one.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .spaces import (
+    TWO_PI,
     Config,
     ChargeVector,
     PolygonConfig,
@@ -329,43 +330,55 @@ def _polygon_chart_derivatives(config: PolygonConfig, charges: ChargeVector,
 # torus space: the (alpha1, alpha2) chart is global
 # ---------------------------------------------------------------------------
 
-def _torus_pair_data(config: TorusConfig, charges: ChargeVector,
-                     spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair energy derivatives w.r.t. the pair's own central angle.
+def torus_derivatives(radii: tuple[float, float, float], charges: ChargeVector,
+                      spec: PotentialSpec, angles: np.ndarray, floor: float = 0.0,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chart gradient ``(k, 2)``, chart Hessian ``(k, 2, 2)`` and smallest
+    pair distance ``(k,)`` for a stack of ``(k, 2)`` angle pairs.
 
     Pair ``i`` joins the two points other than point ``i``; its distance
-    depends only on ``alpha_i`` through the cosine rule.
+    depends only on ``alpha_i`` through the cosine rule, and the chart
+    derivatives are assembled from the per-pair angle derivatives.  Rows
+    are independent.  Distances are clamped at ``floor`` so pole-adjacent
+    seeds give finite garbage instead of overflow; callers reject those
+    rows by the returned minimum distance.
     """
-    r = np.array(config.radii)
+    r = np.array(radii)
     q = charges.array
-    alphas = np.array(config.alphas)
-    d = np.array(config.side_distances())
-    other = [(1, 2), (2, 0), (0, 1)]
-    u1 = np.empty(3)
-    u2 = np.empty(3)
-    vals = np.empty(3)
-    for i, (a, b) in enumerate(other):
+    a1 = angles[:, 0]
+    a2 = angles[:, 1]
+    alphas = (a1, a2, TWO_PI - a1 - a2)
+    other = ((1, 2), (2, 0), (0, 1))
+    u2 = []
+    u1 = []
+    dmin = np.full(angles.shape[0], np.inf)
+    for i in range(3):
+        a, b = other[i]
         rr = r[a] * r[b]
         qq = q[a] * q[b]
-        phi, dphi, ddphi = kernel_eval(spec, float(d[i]))
-        sin_a, cos_a = math.sin(alphas[i]), math.cos(alphas[i])
-        d1 = rr * sin_a / d[i]
-        d2 = rr * cos_a / d[i] - (rr * sin_a) ** 2 / d[i] ** 3
-        vals[i] = qq * phi
-        u1[i] = qq * dphi * d1
-        u2[i] = qq * (ddphi * d1 * d1 + dphi * d2)
-    return vals, u1, u2
+        cos_a = np.cos(alphas[i])
+        sin_a = np.sin(alphas[i])
+        d = np.sqrt(np.maximum(r[a] ** 2 + r[b] ** 2 - 2.0 * rr * cos_a, 0.0))
+        dmin = np.minimum(dmin, d)
+        safe = np.maximum(d, floor)
+        _, dphi, ddphi = kernel_terms(spec, safe)
+        d1 = rr * sin_a / safe
+        d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
+        u1.append(qq * dphi * d1)
+        u2.append(qq * (ddphi * d1 * d1 + dphi * d2))
+    grad = np.stack([u1[0] - u1[2], u1[1] - u1[2]], axis=1)
+    hess = np.empty((angles.shape[0], 2, 2))
+    hess[:, 0, 0] = u2[0] + u2[2]
+    hess[:, 1, 1] = u2[1] + u2[2]
+    hess[:, 0, 1] = hess[:, 1, 0] = u2[2]
+    return grad, hess, dmin
 
 
 def _torus_chart_derivatives(config: TorusConfig, charges: ChargeVector,
                              spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
-    _, u1, u2 = _torus_pair_data(config, charges, spec)
-    grad = np.array([u1[0] - u1[2], u1[1] - u1[2]])
-    hess = np.array([
-        [u2[0] + u2[2], u2[2]],
-        [u2[2], u2[1] + u2[2]],
-    ])
-    return grad, hess
+    grad, hess, _ = torus_derivatives(config.radii, charges, spec,
+                                      np.array([config.angles]))
+    return grad[0], hess[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,20 @@ charges.  Everything else runs through multistart Newton polishing of
 the stationarity system: a Lagrange system with explicit perimeter
 constraint for polygons, the plain two-angle gradient for the torus.
 Both polishes are vectorized: all seeds of a search go through one
-damped Newton iteration as a single stack.
-Converged points are deduplicated modulo the rotation gauge, paired
-with their reflection partners, and classified by the spectrum of the
-constrained Hessian.
+damped Newton iteration as a single stack, and only live seeds iterate
+(the torus polish evaluates derivatives only for the seeds its previous
+round stepped).  Converged points are deduplicated on raw coordinate
+rows, gauge-fixed vertices or angles embedded on the circle, in one
+vectorized first-wins pass, and configurations are built only for the
+representatives.  These are paired with their reflection partners and
+classified by the spectrum of the constrained Hessian.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -505,48 +508,6 @@ def _sweep_position_seeds(n: int) -> list[np.ndarray]:
 # multistart machinery: torus (vectorized over seeds)
 # ---------------------------------------------------------------------------
 
-def _torus_batch_derivatives(radii: tuple[float, float, float],
-                             charges: ChargeVector, spec: PotentialSpec,
-                             angles: np.ndarray, floor: float,
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient (k,2), Hessian (k,2,2) and min distance (k,) per seed.
-
-    Distances are clamped at ``floor`` so pole-adjacent seeds produce
-    finite garbage instead of overflow; callers kill those seeds by the
-    returned minimum distance.
-    """
-    r = np.array(radii)
-    q = charges.array
-    a1 = angles[:, 0]
-    a2 = angles[:, 1]
-    a3 = TWO_PI - a1 - a2
-    alphas = (a1, a2, a3)
-    other = ((1, 2), (2, 0), (0, 1))
-    u2 = []
-    u1 = []
-    dmin = np.full(angles.shape[0], np.inf)
-    for i in range(3):
-        a, b = other[i]
-        rr = r[a] * r[b]
-        qq = q[a] * q[b]
-        cos_a = np.cos(alphas[i])
-        sin_a = np.sin(alphas[i])
-        d = np.sqrt(np.maximum(r[a] ** 2 + r[b] ** 2 - 2.0 * rr * cos_a, 0.0))
-        dmin = np.minimum(dmin, d)
-        safe = np.maximum(d, floor)
-        _, dphi, ddphi = pot.kernel_terms(spec, safe)
-        d1 = rr * sin_a / safe
-        d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
-        u1.append(qq * dphi * d1)
-        u2.append(qq * (ddphi * d1 * d1 + dphi * d2))
-    grad = np.stack([u1[0] - u1[2], u1[1] - u1[2]], axis=1)
-    hess = np.empty((angles.shape[0], 2, 2))
-    hess[:, 0, 0] = u2[0] + u2[2]
-    hess[:, 1, 1] = u2[1] + u2[2]
-    hess[:, 0, 1] = hess[:, 1, 0] = u2[2]
-    return grad, hess, dmin
-
-
 def _torus_seeds(space: TorusSpace, settings: SolveSettings) -> np.ndarray:
     g = settings.grid_density
     ticks = TWO_PI * (np.arange(g) + 0.5) / g
@@ -561,95 +522,105 @@ def _torus_seeds(space: TorusSpace, settings: SolveSettings) -> np.ndarray:
     return np.vstack([*extra, grid])
 
 
-def _solve_torus(space: TorusSpace, charges: ChargeVector, spec: PotentialSpec,
-                 settings: SolveSettings, pole_radius: float) -> list[TorusConfig]:
-    return _polish_torus_seeds(space, charges, spec, settings, pole_radius,
-                               _torus_seeds(space, settings))
-
-
 def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
                         spec: PotentialSpec, settings: SolveSettings,
-                        pole_radius: float, seeds: np.ndarray,
-                        ) -> list[TorusConfig]:
-    angles = np.array(seeds, dtype=float)
+                        pole_radius: float, seeds: np.ndarray) -> np.ndarray:
+    """Newton on the two-angle gradient, run on a stack of ``(k, 2)`` seeds.
+
+    Only live seeds iterate: each round evaluates the derivatives of the
+    seeds the previous round stepped.  A seed that converged, hit a pole
+    or met a singular Hessian never moves again, so every seed takes
+    exactly the steps it would take alone.  Returns the converged angle
+    pairs in seed order, reduced to (-pi, pi].
+    """
+    angles = np.array(seeds, dtype=float).reshape(-1, 2)
     floor = 0.5 * pole_radius
     alive = np.ones(angles.shape[0], dtype=bool)
+    gnorm = np.zeros(angles.shape[0])
+    dmin = np.zeros(angles.shape[0])
+    live = np.arange(angles.shape[0])
     target = min(1e-13, 0.01 * settings.newton_tol)
-    for _ in range(settings.max_iters):
-        grad, hess, dmin = _torus_batch_derivatives(
-            space.radii, charges, spec, angles, floor)
-        alive &= dmin > pole_radius
-        gnorm = np.linalg.norm(grad, axis=1)
-        todo = alive & (gnorm > target)
-        if not todo.any():
+    for rounds in range(settings.max_iters + 1):
+        grad, hess, dmin[live] = pot.torus_derivatives(
+            space.radii, charges, spec, angles[live], floor)
+        gnorm[live] = np.linalg.norm(grad, axis=1)
+        alive[live] &= dmin[live] > pole_radius
+        todo = alive[live] & (gnorm[live] > target)
+        if rounds == settings.max_iters or not todo.any():
             break
         h = hess[todo]
         g = grad[todo]
         det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
         ok = np.abs(det) > 1e-14 * np.maximum(1.0, np.abs(h).max(axis=(1, 2)) ** 2)
-        step = np.zeros_like(g)
-        step[ok, 0] = (-g[ok, 0] * h[ok, 1, 1] + g[ok, 1] * h[ok, 0, 1]) / det[ok]
-        step[ok, 1] = (-g[ok, 1] * h[ok, 0, 0] + g[ok, 0] * h[ok, 1, 0]) / det[ok]
         # kill seeds with a singular Hessian, clamp wild steps
-        sub_alive = np.where(todo)[0]
-        alive[sub_alive[~ok]] = False
+        stepped = live[todo]
+        alive[stepped[~ok]] = False
+        live = stepped[ok]
+        h, g, det = h[ok], g[ok], det[ok]
+        step = np.stack([(-g[:, 0] * h[:, 1, 1] + g[:, 1] * h[:, 0, 1]) / det,
+                         (-g[:, 1] * h[:, 0, 0] + g[:, 0] * h[:, 1, 0]) / det], axis=1)
         norms = np.linalg.norm(step, axis=1)
         big = norms > 0.5
         step[big] *= (0.5 / norms[big])[:, None]
-        angles[todo] += step
-    grad, _, dmin = _torus_batch_derivatives(space.radii, charges, spec, angles, floor)
-    gnorm = np.linalg.norm(grad, axis=1)
+        angles[live] += step
     good = alive & (gnorm <= settings.newton_tol) & (dmin > pole_radius)
-    configs = []
-    for a1, a2 in angles[good]:
-        configs.append(TorusConfig(space.radii, (float(a1), float(a2))))
-    return configs
+    return _reduce_angles(angles[good])
+
+
+def _reduce_angles(angles: np.ndarray) -> np.ndarray:
+    """``spaces.reduce_angle`` applied elementwise."""
+    a = np.fmod(angles, TWO_PI)
+    a = np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
+    return a + 0.0  # normalize -0.0
 
 
 # ---------------------------------------------------------------------------
 # dedup, reflection pairing, classification
 # ---------------------------------------------------------------------------
 
-def _config_coords(config: Config) -> np.ndarray:
-    if isinstance(config, PolygonConfig):
-        return config.points.ravel()
-    return np.array(config.angles)
-
-
 def configs_match(a: Config, b: Config, tol: float = 1e-7) -> bool:
     """Whether two configurations coincide within ``tol`` (wrap-aware)."""
-    return _same_config(a, b, tol)
-
-
-def _same_config(a: Config, b: Config, tol: float) -> bool:
-    ca, cb = _config_coords(a), _config_coords(b)
     if isinstance(a, TorusConfig):
-        diff = np.abs(np.array([reduce_angle(x) for x in ca - cb]))
-        return bool(diff.max() < tol)
-    return bool(np.abs(ca - cb).max() < tol)
+        diff = np.subtract(a.angles, b.angles)
+        return bool(np.abs([reduce_angle(x) for x in diff]).max() < tol)
+    return bool(np.abs(a.points.ravel() - b.points.ravel()).max() < tol)
 
 
-def _compare_coords(config: Config) -> np.ndarray:
-    """Coordinates used for dedup comparisons; angles are embedded on the
-    circle so mirror-boundary values (+pi vs -pi) compare as equal."""
-    if isinstance(config, PolygonConfig):
-        return config.points.ravel()
-    a1, a2 = config.angles
-    return np.array([math.cos(a1), math.sin(a1), math.cos(a2), math.sin(a2)])
+def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
+    """Indices of the representatives of a first-wins dedup of ``rows``.
+
+    The first uncovered row becomes a representative and covers every
+    row within ``max|delta| < tol`` of it; repeat until no row is left.
+    That keeps exactly the rows a sequential scan against the accepted
+    representatives would keep.
+    """
+    left = np.arange(len(rows))
+    reps = []
+    while left.size:
+        rep = left[0]
+        reps.append(int(rep))
+        left = left[~(np.abs(rows[left] - rows[rep]).max(axis=1) < tol)]
+    return reps
 
 
-def _dedup_configs(configs: Iterable[Config], tol: float) -> list[Config]:
-    # the number of distinct critical points is tiny, so a linear scan
-    # against the accepted representatives is cheap and wrap-safe
-    unique: list[Config] = []
-    coords: list[np.ndarray] = []
-    for cfg in configs:
-        canon, _ = canonicalize(cfg)
-        c = _compare_coords(canon)
-        if not any(np.abs(c - other).max() < tol for other in coords):
-            unique.append(canon)
-            coords.append(c)
-    return unique
+def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
+                     settings: SolveSettings, seeds: Sequence[np.ndarray] | np.ndarray,
+                     ) -> list[Config]:
+    """Polish the seeds and keep one configuration per converged point,
+    deduplicating raw coordinate rows before any configuration is built."""
+    if isinstance(space, TorusSpace):
+        pole_radius = settings.pole_radius or 1e-7 * min(space.radii)
+        angles = _polish_torus_seeds(space, charges, spec, settings,
+                                     pole_radius, seeds)
+        # angles embedded on the circle, so +pi and -pi compare as equal
+        rows = np.stack([np.cos(angles), np.sin(angles)], axis=2).reshape(-1, 4)
+        return [TorusConfig(space.radii, (float(a1), float(a2)))
+                for a1, a2 in angles[_first_cover(rows, settings.dedup_tol)]]
+    pole_radius = settings.pole_radius or 1e-7
+    configs = _polish_polygon(seeds, charges, spec, settings, pole_radius)
+    # the polish returns gauge-fixed configurations, so raw points compare
+    rows = np.array([cfg.points.ravel() for cfg in configs])
+    return [configs[i] for i in _first_cover(rows, settings.dedup_tol)]
 
 
 def _build_point(config: Config, charges: ChargeVector, spec: PotentialSpec,
@@ -674,26 +645,25 @@ def _link_partners(points: list[CriticalPoint], tol: float) -> list[CriticalPoin
     for cp in points:
         mirror = apply_involution(cp.config)
         partner_key = None
-        if not _same_config(mirror, cp.config, tol):
+        if not configs_match(mirror, cp.config, tol):
             for other in points:
                 if other is cp:
                     continue
-                if _same_config(mirror, other.config, tol):
+                if configs_match(mirror, other.config, tol):
                     partner_key = other.key
                     break
         out.append(replace(cp, symmetry_partner=partner_key))
     return out
 
 
-def _finalize(configs: list[Config], charges: ChargeVector, spec: PotentialSpec,
+def _finalize(unique: list[Config], charges: ChargeVector, spec: PotentialSpec,
               settings: SolveSettings) -> list[CriticalPoint]:
-    """Dedup, mirror-close, classify and sort converged configurations."""
-    unique = _dedup_configs(configs, settings.dedup_tol)
+    """Mirror-close, classify and sort deduplicated configurations."""
     # close under the involution: the mirror of a critical point is
     # critical with the same spectrum, so synthesize missing partners
     for cfg in list(unique):
         mirror, _ = canonicalize(apply_involution(cfg))
-        if not any(_same_config(mirror, u, settings.dedup_tol) for u in unique):
+        if not any(configs_match(mirror, u, settings.dedup_tol) for u in unique):
             unique.append(mirror)
     points = []
     for cfg in unique:
@@ -722,26 +692,15 @@ def polish_candidates(space: Space, charges: ChargeVector,
     """
     spec = spec or PotentialSpec.coulomb()
     settings = settings or SolveSettings()
-    configs: list[Config] = []
     if isinstance(space, TorusSpace):
-        pole_radius = settings.pole_radius or 1e-7 * min(space.radii)
-        seeds = []
-        for cand in candidates:
-            if isinstance(cand, TorusConfig):
-                seeds.append(cand.angles)
-            else:
-                arr = np.asarray(cand, dtype=float).ravel()
-                seeds.append((arr[0], arr[1]))
-        if seeds:
-            configs = _polish_torus_seeds(space, charges, spec, settings,
-                                          pole_radius, np.array(seeds))
+        seeds = [cand.angles if isinstance(cand, TorusConfig)
+                 else np.asarray(cand, dtype=float).ravel()[:2] for cand in candidates]
     else:
-        pole_radius = settings.pole_radius or 1e-7
-        seeds = [_gauge_seed(cand.points if isinstance(cand, PolygonConfig)
-                             else np.asarray(cand)) for cand in candidates]
-        configs = _polish_polygon([s for s in seeds if s is not None],
-                                  charges, spec, settings, pole_radius)
-    return _finalize(configs, charges, spec, settings)
+        seeds = [s for s in (_gauge_seed(cand.points if isinstance(cand, PolygonConfig)
+                                         else np.asarray(cand)) for cand in candidates)
+                 if s is not None]
+    return _finalize(_representatives(space, charges, spec, settings, seeds),
+                     charges, spec, settings)
 
 
 def find_critical_points(space: Space, charges: ChargeVector,
@@ -752,28 +711,27 @@ def find_critical_points(space: Space, charges: ChargeVector,
 
     Grid seeds plus the closed-form and aligned configurations are
     polished by damped Newton on the stationarity system, all seeds of
-    the space as one batch; runs that do not converge are dropped.  The
-    survivors are deduplicated modulo the rotation gauge, closed under
-    the reflection involution (both members of a mirror pair are
-    reported and linked), classified by their constrained Hessian
-    spectrum and sorted by (energy, key).
+    the space as one batch in which only live seeds iterate; runs that
+    do not converge are dropped.  The survivors are deduplicated modulo
+    the rotation gauge on their raw coordinate rows (the first seed of
+    each point wins), closed under the reflection involution (both
+    members of a mirror pair are reported and linked), classified by
+    their constrained Hessian spectrum and sorted by (energy, key).
     """
     spec = spec or PotentialSpec.coulomb()
     settings = settings or SolveSettings()
     if isinstance(space, TorusSpace):
         if len(charges) != 3:
             raise ValueError("torus space carries exactly three charges")
-        pole_radius = settings.pole_radius or 1e-7 * min(space.radii)
-        configs = _solve_torus(space, charges, spec, settings, pole_radius)
+        seeds = _torus_seeds(space, settings)
     else:
         if len(charges) != space.n:
             raise ValueError(f"need {space.n} charges for {space.name}")
-        pole_radius = settings.pole_radius or 1e-7
         seeds = [s for s in (_gauge_seed(raw) for raw in
                              _polygon_seeds(space, charges, spec, settings))
                  if s is not None]
-        configs = _polish_polygon(seeds, charges, spec, settings, pole_radius)
-    return _finalize(configs, charges, spec, settings)
+    return _finalize(_representatives(space, charges, spec, settings, seeds),
+                     charges, spec, settings)
 
 
 def _gauge_seed(points: np.ndarray) -> np.ndarray | None:

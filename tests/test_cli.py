@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from coulomb_eq.cli import main
+from coulomb_eq.cli import main, write_artifact
 
 
 def run_cli(args, tmp_path=None, env=None):
@@ -107,6 +107,14 @@ class TestSolveCommand:
         assert manifest["command"] == "solve"
         assert manifest["tool_version"]
         assert "input_hash" in manifest and "wall_time_s" in manifest
+
+    def test_rewrite_replaces_artifact_and_manifest(self, tmp_path):
+        target = tmp_path / "out" / "census.json"
+        write_artifact(target, "first, longer text\n" * 50, {"run": 1})
+        write_artifact(target, "second\n", {"run": 2})
+        assert target.read_text() == "second\n"
+        manifest = json.loads((target.parent / "census.json.manifest.json").read_text())
+        assert manifest == {"run": 2}
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

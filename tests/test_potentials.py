@@ -23,6 +23,7 @@ from coulomb_eq.potentials import (
     polygon_derivatives,
     polygon_free_indices,
     polygon_stationarity,
+    torus_derivatives,
 )
 from coulomb_eq.spaces import (
     ChargeVector,
@@ -336,3 +337,52 @@ class TestBatchedPolygonCore:
         lams = least_squares_multiplier(stack, q, COULOMB)
         full = der.energy_grad + lams[:, None] * der.perimeter_grad
         assert np.abs(np.vecdot(full, der.perimeter_grad)).max() < 1e-9
+
+
+def torus_rows(rng, radii, k, min_gap=0.1):
+    """``k`` random angle pairs whose three pair distances exceed ``min_gap``."""
+    out = []
+    while len(out) < k:
+        a = rng.uniform(-math.pi, math.pi, 2)
+        if min(TorusConfig(radii, tuple(a)).side_distances()) > min_gap:
+            out.append(a)
+    return np.array(out)
+
+
+class TestTorusCore:
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (0.5, 1.7, 1.7)])
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_derivatives_against_central_differences(self, radii, spec):
+        rng = np.random.default_rng(5)
+        q = ChargeVector.of(rng.uniform(0.3, 3.0, 3))
+        angles = torus_rows(rng, radii, 6)
+        grad, hess, dmin = torus_derivatives(radii, q, spec, angles)
+        h = 1e-5
+        for r, a in enumerate(angles):
+            assert dmin[r] == pytest.approx(
+                min(TorusConfig(radii, tuple(a)).side_distances()), rel=1e-12)
+            scale = max(1.0, np.abs(hess[r]).max())
+            for c, e in enumerate(h * np.eye(2)):
+                fd_g = (energy(TorusConfig(radii, tuple(a + e)), q, spec)
+                        - energy(TorusConfig(radii, tuple(a - e)), q, spec)) / (2 * h)
+                fd_h = (torus_derivatives(radii, q, spec, (a + e)[None])[0][0]
+                        - torus_derivatives(radii, q, spec, (a - e)[None])[0][0]) / (2 * h)
+                assert abs(grad[r, c] - fd_g) < 1e-6 * max(1.0, np.abs(grad[r]).max())
+                assert np.abs(hess[r, :, c] - fd_h).max() < 1e-6 * scale
+
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_every_row_equals_a_batch_of_one(self, spec):
+        rng = np.random.default_rng(6)
+        radii = (1.0, 1.0, 1.0)
+        q = ChargeVector.of([0.7, 1.9, 1.2])
+        # random rows, the aligned labels, and rows at or next to a pole,
+        # where the floor clamps the distance
+        angles = np.vstack([torus_rows(rng, radii, 13),
+                            [[math.pi, math.pi], [0.0, math.pi], [math.pi, 0.0],
+                             [0.0, 0.0], [1e-9, 2.0], [2.0, -1e-12]]])
+        grad, hess, dmin = torus_derivatives(radii, q, spec, angles, floor=5e-8)
+        assert np.isfinite(grad).all() and np.isfinite(hess).all()
+        for r in range(len(angles)):
+            g1, h1, d1 = torus_derivatives(radii, q, spec, angles[r:r + 1], floor=5e-8)
+            assert np.array_equal(g1[0], grad[r]) and np.array_equal(h1[0], hess[r])
+            assert np.array_equal(d1, dmin[r:r + 1])

@@ -19,13 +19,19 @@ from coulomb_eq.solver import (
     solve_line_interior,
     solve_line_three,
     line_three_energies,
+    _first_cover,
     _gauge_seed,
     _polish_polygon,
+    _polish_torus_seeds,
+    _reduce_angles,
+    _torus_seeds,
 )
+from coulomb_eq import potentials as pot
 from coulomb_eq.spaces import (
     ChargeVector,
     apply_involution,
     pairwise_distances,
+    reduce_angle,
 )
 
 COULOMB = PotentialSpec.coulomb()
@@ -286,6 +292,103 @@ class TestBatchedPolish:
         assert polish([_gauge_seed(p) for p in locked], Q111) == []
         assert polish(np.empty((0, 3, 2)), Q111) == []
         assert polish_candidates(PolygonSpace(3), Q111, locked) == []
+
+
+def singular_hessian_seed(space, charges):
+    """An angle pair on the zero set of the Hessian determinant: the first
+    sign change along a grid line, bisected down to neighbouring floats."""
+    def det(a1, a2):
+        _, hess, _ = pot.torus_derivatives(space.radii, charges, COULOMB,
+                                           np.array([[a1, a2]]))
+        return np.linalg.det(hess[0]), hess[0]
+
+    ticks = np.linspace(-3.0, 3.0, 31)
+    lo, hi, a2 = next((lo, hi, a2) for a2 in ticks for lo, hi in zip(ticks, ticks[1:])
+                      if det(lo, a2)[0] * det(hi, a2)[0] < 0.0)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if det(mid, a2)[0] * det(lo, a2)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    value, hess = det(lo, a2)
+    # the polish treats this Hessian as singular and kills the seed
+    assert abs(value) <= 1e-14 * max(1.0, np.abs(hess).max() ** 2)
+    return [lo, a2]
+
+
+class TestCompactedTorusPolish:
+    def test_batch_equals_seeds_polished_alone(self):
+        space = TorusSpace((0.5, 1.7, 1.7))
+        q = ChargeVector.of([0.4, 1.3, 0.8])
+        settings = SolveSettings(grid_density=8)
+        third = 2.0 * math.pi / 3.0
+        # aligned labels and grid seeds, the equal-radii +-2pi/3 seeds, a
+        # seed inside the pole radius and one with a singular Hessian
+        seeds = np.vstack([_torus_seeds(space, settings), [[third, third]],
+                           [[-third, -third]], [[1e-9, 2.0]],
+                           [singular_hessian_seed(space, q)]])
+
+        def polish(batch):
+            return _polish_torus_seeds(space, q, COULOMB, settings,
+                                       1e-7 * min(space.radii), batch)
+
+        together = polish(seeds)
+        alone = np.vstack([polish(seed[None]) for seed in seeds])
+        assert 0 < len(together) < len(seeds)
+        assert polish(seeds[-2:]).shape == (0, 2)
+        assert np.array_equal(together, alone)
+
+    def test_reduced_angles_match_the_scalar_reduction(self):
+        rng = np.random.default_rng(9)
+        special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+                   3 * math.pi, math.pi + 1e-15, -math.pi - 1e-15]
+        angles = np.concatenate([rng.uniform(-20.0, 20.0, 201), special]).reshape(-1, 2)
+        reduced = _reduce_angles(angles)
+        expected = np.array([[reduce_angle(a) for a in row] for row in angles])
+        assert np.array_equal(reduced, expected)
+        assert np.array_equal(np.signbit(reduced), np.signbit(expected))
+
+
+def sequential_first_wins(rows, tol):
+    """Reference dedup: scan in order against the accepted representatives."""
+    kept = []
+    for i, row in enumerate(rows):
+        if not any(np.abs(row - rows[j]).max() < tol for j in kept):
+            kept.append(i)
+    return kept
+
+
+class TestFirstCover:
+    def test_matches_sequential_scan_on_torus_rows(self):
+        rng = np.random.default_rng(7)
+        tol = 1e-7
+        angles = rng.uniform(-math.pi, math.pi, (40, 2))
+        # planted near-duplicates and pairs on either side of the +-pi wrap
+        near = angles[rng.integers(0, 40, 25)] + rng.uniform(-3e-8, 3e-8, (25, 2))
+        wrap = np.array([[math.pi - 1e-12, 0.5], [-math.pi + 1e-12, 0.5],
+                         [1.0, math.pi], [1.0, -math.pi + 2e-12]])
+        pool = np.vstack([angles, near, wrap])[rng.permutation(69)]
+        rows = np.stack([np.cos(pool), np.sin(pool)], axis=2).reshape(-1, 4)
+        reps = _first_cover(rows, tol)
+        assert reps == sequential_first_wins(rows, tol)
+        assert len(reps) <= 42  # wrap pairs merge, near-duplicates merge
+
+    def test_matches_sequential_scan_on_raw_rows(self):
+        rng = np.random.default_rng(8)
+        tol = 2.0 ** -20
+        base = rng.uniform(-1.0, 1.0, (30, 6))
+        near = base[rng.integers(0, 30, 30)] + rng.uniform(-0.9, 0.9, (30, 6)) * tol
+        far = base[rng.integers(0, 30, 10)] + rng.uniform(1.1, 2.0, (10, 6)) * tol
+        rows = np.vstack([base, near, far])[rng.permutation(70)]
+        assert _first_cover(rows, tol) == sequential_first_wins(rows, tol)
+
+    def test_pair_exactly_tol_apart_stays_distinct(self):
+        tol = 2.0 ** -24
+        rows = np.array([[0.25, 0.5], [0.25, 0.5 + tol], [0.25, 0.5 + 0.5 * tol]])
+        assert rows[1, 1] - rows[0, 1] == tol
+        assert _first_cover(rows, tol) == sequential_first_wins(rows, tol) == [0, 1]
+        assert _first_cover(np.empty((0, 4)), tol) == []
 
 
 class TestClosedFourCharge:
