@@ -1,21 +1,28 @@
 #!/usr/bin/env python3
-"""Compare the ``solve`` artifacts of two source trees on a fixed corpus.
+"""Compare the ``solve``, ``bifurcate``, ``verify`` and ``inverse``
+outputs of two source trees on a fixed corpus.
 
 Usage:
     python scripts/census_equivalence.py OLD_SRC NEW_SRC
 
 Each tree runs the whole corpus through ``coulomb_eq.cli.main`` in its
-own interpreter.  For every census the script reports whether the two
-outputs are byte-identical and, where they differ, the largest absolute
-difference of each floating-point field.
+own interpreter and its own scratch directory.  For every run the
+script reports whether the two outputs (exit status, stdout and, for
+``bifurcate``, the four artifacts) are byte-identical and, where they
+differ, the largest absolute difference of each floating-point field.
+JSON outputs are compared field by field, CSV and plain-text outputs
+token by token.
 
 The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
-charges, and ten polygon censuses (n = 3, 4, 5) under the coulomb and
-log kernels.
+charges, ten polygon censuses (n = 3, 4, 5) under the coulomb and log
+kernels, the benchmark's two pitchfork sweeps (the polygon reference
+sweep and the torus sweep), ``verify --suite quick`` and three
+``inverse --sides`` cases (a unique ray, a collinear family and an
+infeasible triple).
 
 Exit status: 0 when every difference is a floating-point value, 1 when
-some census differs in structure or in any other value, 2 when a tree
+some run differs in structure or in any other value, 2 when a tree
 cannot run the corpus.
 """
 
@@ -24,8 +31,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,8 +64,16 @@ POLYGONS = [
     ("polygon:5", "1,1,1,1,1", 8),
 ]
 
-WORKER = """
+SWEEPS = (workloads.REFERENCE_SWEEP, workloads.TORUS_SWEEP)
+
+#: unique ray, collinear family, infeasible
+INVERSE_SIDES = ("0.4,0.4,0.2", "0.5,0.3,0.2", "0.7,0.2,0.1")
+
+ARTIFACTS = ("branches.csv", "curves.csv", "branches.json", "curves.json")
+
+WORKER = f"""
 import contextlib, io, json, sys
+from pathlib import Path
 import coulomb_eq
 from coulomb_eq.cli import main
 out = []
@@ -64,8 +81,14 @@ for argv in json.load(sys.stdin):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    out.append({"code": code, "stdout": buf.getvalue()})
-json.dump({"package": coulomb_eq.__file__, "runs": out}, sys.stdout)
+    run = {{"code": code, "stdout": buf.getvalue()}}
+    if argv[0] == "bifurcate":
+        outdir = Path(argv[argv.index("--outdir") + 1])
+        run["files"] = {{name: (outdir / name).read_text()
+                        if (outdir / name).exists() else None
+                        for name in {ARTIFACTS!r}}}
+    out.append(run)
+json.dump({{"package": coulomb_eq.__file__, "runs": out}}, sys.stdout)
 """
 
 
@@ -74,9 +97,18 @@ def _argv(space: str, charges: str, potential: str, grid: int) -> list[str]:
             "--potential", potential, "--grid-density", str(grid)]
 
 
+def _sweep_argv(sweep: dict, outdir: str) -> list[str]:
+    lo, hi = sweep["range"]
+    return ["bifurcate", "--space", sweep["space"],
+            "--charges", ",".join(repr(float(v)) for v in sweep["charges"]),
+            "--sweep", str(sweep["sweep"]), "--range", f"{lo!r}:{hi!r}",
+            "--steps", str(sweep["steps"]), "--outdir", outdir]
+
+
 def corpus() -> list[tuple[str, list[str]]]:
-    """(group, argv) of every census; charges of benchmark jobs are passed
-    as the benchmark passes them."""
+    """(group, argv) of every run; charges of benchmark jobs are passed
+    as the benchmark passes them.  Output directories are relative, so
+    stdout names the same path in both trees."""
     runs = []
     for seed in BENCHMARK_SEEDS:
         for job in workloads.generate("torus-census", seed):
@@ -86,19 +118,50 @@ def corpus() -> list[tuple[str, list[str]]]:
     for potential in ("coulomb", "log"):
         runs += [("polygon", _argv(space, charges, potential, grid))
                  for space, charges, grid in POLYGONS]
+    runs += [("bifurcate", _sweep_argv(sweep, f"bifurcate-{k}"))
+             for k, sweep in enumerate(SWEEPS)]
+    runs.append(("verify", ["verify", "--suite", "quick"]))
+    runs += [("inverse", ["inverse", "--sides", sides]) for sides in INVERSE_SIDES]
     return runs
 
 
 def run_tree(src: Path, argvs: list[list[str]]) -> list[dict]:
-    proc = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(argvs),
-                          env=dict(os.environ, PYTHONPATH=str(src)),
-                          capture_output=True, text=True, check=False)
+    src = src.resolve()
+    with tempfile.TemporaryDirectory() as workdir:
+        proc = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(argvs),
+                              env=dict(os.environ, PYTHONPATH=str(src)), cwd=workdir,
+                              capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{src}: worker failed\n{proc.stderr[-2000:]}")
     result = json.loads(proc.stdout)
-    if not Path(result["package"]).resolve().is_relative_to(src.resolve()):
+    if not Path(result["package"]).resolve().is_relative_to(src):
         raise RuntimeError(f"{src}: imported coulomb_eq from {result['package']}")
     return result["runs"]
+
+
+def _token(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def parse(text: str | None):
+    """A JSON text parsed, any other text as lines of comma- or
+    space-separated tokens with numbers as floats."""
+    if text is None:
+        return None
+    try:
+        return json.loads(text)
+    except ValueError:
+        return [[_token(t) for t in re.split(r"[,\s]+", line.strip())]
+                for line in text.splitlines()]
+
+
+def view(run: dict) -> dict:
+    """A run with every output text parsed for ``compare``."""
+    return {"code": run["code"], "stdout": parse(run["stdout"]),
+            "files": {name: parse(text) for name, text in run.get("files", {}).items()}}
 
 
 def compare(a, b, path: str, diffs: dict[str, float], mismatches: list[str]) -> None:
@@ -135,7 +198,7 @@ def main() -> int:
     overall: dict[str, float] = {}
     structural = 0
     for (group, argv), a, b in zip(runs, old, new):
-        label = " ".join(argv[2::2])
+        label = " ".join(argv)
         tally = identical.setdefault(group, [0, 0])
         tally[1] += 1
         if a == b:
@@ -144,12 +207,7 @@ def main() -> int:
             continue
         diffs: dict[str, float] = {}
         mismatches: list[str] = []
-        if a["code"] != b["code"]:
-            mismatches.append("exit status")
-        if a["stdout"] and b["stdout"]:
-            compare(json.loads(a["stdout"]), json.loads(b["stdout"]), "", diffs, mismatches)
-        else:
-            mismatches.append("output")
+        compare(view(a), view(b), "", diffs, mismatches)
         structural += bool(mismatches)
         for field, d in diffs.items():
             overall[field] = max(overall.get(field, 0.0), d)
@@ -158,7 +216,7 @@ def main() -> int:
         print(f"differs    {label}: {fields or 'no float field moved'}{other}")
     print()
     for group, (same, total) in identical.items():
-        print(f"{group}: {same}/{total} censuses byte-identical")
+        print(f"{group}: {same}/{total} runs byte-identical")
     moved = {f: d for f, d in overall.items() if d}
     print("largest float difference per field: "
           + (", ".join(f"{f} {d:.2g}" for f, d in sorted(moved.items())) or "none"))

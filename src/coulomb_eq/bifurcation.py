@@ -26,13 +26,13 @@ from .solver import (
     PolygonSpace,
     SolveSettings,
     Space,
-    TorusSpace,
     critical_triangle,
     polish_candidates,
     solve_line_three,
 )
 from .spaces import (
     ChargeVector,
+    Config,
     PolygonConfig,
     TorusConfig,
     TORUS_ALIGNED_LABELS,
@@ -214,37 +214,43 @@ def torus_bifurcation_set(radii: Sequence[float],
 # threshold detection along a charge path
 # ---------------------------------------------------------------------------
 
-def _polygon_transverse_eig(charges: ChargeVector, vertex: int,
-                            spec: PotentialSpec) -> float:
-    aligned = solve_line_three(charges, spec)[vertex]
-    return morse.transverse_min_eigenvalue(aligned, charges, spec)
+#: an aligned configuration a trace can follow: the intermediate vertex
+#: of a collinear polygon, or a torus angle label
+Tracked = int | tuple[float, float, float]
 
 
-def _torus_min_eig(space: TorusSpace, charges: ChargeVector,
-                   label: Sequence[float], spec: PotentialSpec) -> float:
-    cfg = morse.torus_label_config(space.radii, label)
-    h = pot.hessian(cfg, charges, spec)
-    return float(np.linalg.eigvalsh(h)[0])
+def _aligned_config(space: Space, tracked: Tracked, charges: ChargeVector,
+                    spec: PotentialSpec) -> Config:
+    if isinstance(space, PolygonSpace):
+        return solve_line_three(charges, spec)[tracked]
+    return morse.torus_label_config(space.radii, tracked)
+
+
+def _softest_eig(config: Config, charges: ChargeVector, spec: PotentialSpec) -> float:
+    """Smallest transverse Hessian eigenvalue of an aligned polygon, or
+    smallest Hessian eigenvalue of a torus configuration."""
+    if isinstance(config, PolygonConfig):
+        return morse.transverse_min_eigenvalue(config, charges, spec)
+    return float(np.linalg.eigvalsh(pot.hessian(config, charges, spec))[0])
 
 
 def _candidate_eig_functions(space: Space, spec: PotentialSpec,
-                             ) -> list[tuple[str, Callable[[ChargeVector], float]]]:
+                             ) -> list[tuple[Tracked, Callable[[ChargeVector], float]]]:
     if isinstance(space, PolygonSpace):
         if space.n != 3:
             raise ValueError("pitchfork tracing covers three charges only")
-        return [(f"q{v + 1}",
-                 lambda q, v=v: _polygon_transverse_eig(q, v, spec))
-                for v in range(3)]
-    return [(torus_label_name(lab),
-             lambda q, lab=lab: _torus_min_eig(space, q, lab, spec))
-            for lab in TORUS_ALIGNED_LABELS]
+        candidates: Sequence[Tracked] = range(3)
+    else:
+        candidates = TORUS_ALIGNED_LABELS
+    return [(t, lambda q, t=t: _softest_eig(_aligned_config(space, t, q, spec), q, spec))
+            for t in candidates]
 
 
 def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, float],
-                     spec: PotentialSpec) -> tuple[str, Callable[[float], float],
+                     spec: PotentialSpec) -> tuple[Tracked, Callable[[float], float],
                                                    float, float]:
     """Identify the unique candidate whose tracked eigenvalue changes sign
-    along the path and return (label, eig(lam), bracket_lo, bracket_hi)."""
+    along the path and return (tracked, eig(lam), bracket_lo, bracket_hi)."""
     lo, hi = lam_range
     if not lo < hi:
         raise ValueError("empty parameter range")
@@ -309,7 +315,7 @@ def _torus_amplitude(config: TorusConfig, label: Sequence[float]) -> float:
     return reduce_angle(config.alpha3 - label[2])
 
 
-def _kick_seeds(space: Space, tracked: str, charges: ChargeVector,
+def _kick_seeds(space: Space, tracked: Tracked, charges: ChargeVector,
                 spec: PotentialSpec, distance: float = 0.0) -> list:
     """Seed configurations nudged off the tracked aligned configuration
     along its softest transverse direction, one per sign.
@@ -323,9 +329,8 @@ def _kick_seeds(space: Space, tracked: str, charges: ChargeVector,
         root = math.sqrt(distance)
         kicks.update(min(1.5 * root, 0.5) * f for f in (0.3, 0.7, 1.4))
     seeds = []
-    if isinstance(space, PolygonSpace):
-        vertex = int(tracked[1]) - 1
-        aligned = solve_line_three(charges, spec)[vertex]
+    aligned = _aligned_config(space, tracked, charges, spec)
+    if isinstance(aligned, PolygonConfig):
         _, zy = pot.aligned_chart_basis(aligned.points)
         direction = zy[:, 0]
         for kick in sorted(kicks):
@@ -334,34 +339,22 @@ def _kick_seeds(space: Space, tracked: str, charges: ChargeVector,
                 pts[1:] += sign * kick * direction.reshape(-1, 2)
                 seeds.append(pts)
         return seeds
-    label = next(lab for lab in TORUS_ALIGNED_LABELS
-                 if torus_label_name(lab) == tracked)
-    cfg = morse.torus_label_config(space.radii, label)
-    h = pot.hessian(cfg, charges, spec)
-    _, vecs = np.linalg.eigh(h)
+    _, vecs = np.linalg.eigh(pot.hessian(aligned, charges, spec))
     soft = vecs[:, 0]
-    base = np.array(cfg.angles)
+    base = np.array(aligned.angles)
     for kick in sorted(kicks):
         for sign in (1.0, -1.0):
             seeds.append(base + sign * kick * soft)
     return seeds
 
 
-def _aligned_branch_point(space: Space, tracked: str, lam: float,
+def _aligned_branch_point(space: Space, tracked: Tracked, lam: float,
                           charges: ChargeVector, spec: PotentialSpec,
                           ) -> BranchPoint:
     control = tuple(float(v) for v in charges.normalized)
-    if isinstance(space, PolygonSpace):
-        vertex = int(tracked[1]) - 1
-        aligned = solve_line_three(charges, spec)[vertex]
-        eig = morse.transverse_min_eigenvalue(aligned, charges, spec)
-        energy = pot.energy(aligned, charges, spec)
-    else:
-        label = next(lab for lab in TORUS_ALIGNED_LABELS
-                     if torus_label_name(lab) == tracked)
-        cfg = morse.torus_label_config(space.radii, label)
-        eig = float(np.linalg.eigvalsh(pot.hessian(cfg, charges, spec))[0])
-        energy = pot.energy(cfg, charges, spec)
+    aligned = _aligned_config(space, tracked, charges, spec)
+    eig = _softest_eig(aligned, charges, spec)
+    energy = pot.energy(aligned, charges, spec)
     scale = max(1.0, abs(eig))
     if abs(eig) < 1e-9 * scale:
         stability = "degenerate"
@@ -403,14 +396,14 @@ def trace_pitchfork(space: Space, path: ChargePath,
     return BranchDiagram(space.name, threshold, branch_side, tuple(points))
 
 
-def _off_branch_points(space: Space, tracked: str, charges: ChargeVector,
-                       seeds: list, spec: PotentialSpec,
-                       settings: SolveSettings) -> list[CriticalPoint]:
+def _off_branch_points(space: Space, charges: ChargeVector, seeds: list,
+                       spec: PotentialSpec, settings: SolveSettings,
+                       ) -> list[CriticalPoint]:
     found = polish_candidates(space, charges, seeds, spec, settings)
     return [cp for cp in found if not cp.aligned]
 
 
-def _walk_branch(space: Space, tracked: str, path: ChargePath, threshold: float,
+def _walk_branch(space: Space, tracked: Tracked, path: ChargePath, threshold: float,
                  targets: Sequence[float], spec: PotentialSpec,
                  settings: SolveSettings) -> dict[float, list[BranchPoint]]:
     """Continuation along the mirror-pair branch.
@@ -433,8 +426,7 @@ def _walk_branch(space: Space, tracked: str, path: ChargePath, threshold: float,
                 dist = abs(trial - threshold)
                 seeds = carried + _kick_seeds(space, tracked, path(trial),
                                               spec, dist)
-                offs = _off_branch_points(space, tracked, path(trial), seeds,
-                                          spec, settings)
+                offs = _off_branch_points(space, path(trial), seeds, spec, settings)
                 if offs or abs(step) < 1e-6:
                     break
                 step *= 0.5
@@ -464,12 +456,10 @@ def _walk_branch(space: Space, tracked: str, path: ChargePath, threshold: float,
     return out
 
 
-def _amplitude(space: Space, tracked: str, cp: CriticalPoint) -> float:
+def _amplitude(space: Space, tracked: Tracked, cp: CriticalPoint) -> float:
     if isinstance(space, PolygonSpace):
-        return _polygon_amplitude(cp.config, int(tracked[1]) - 1)
-    label = next(lab for lab in TORUS_ALIGNED_LABELS
-                 if torus_label_name(lab) == tracked)
-    return _torus_amplitude(cp.config, label)
+        return _polygon_amplitude(cp.config, tracked)
+    return _torus_amplitude(cp.config, tracked)
 
 
 def fit_branch_exponent(diagram: BranchDiagram, window: float = 0.05) -> float:

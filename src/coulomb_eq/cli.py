@@ -80,7 +80,10 @@ def parse_range(text: str) -> tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
         raise CliError(f"bad range {text!r}; use LO:HI")
-    lo, hi = (float(p) for p in parts)
+    try:
+        lo, hi = (float(p) for p in parts)
+    except ValueError as exc:
+        raise CliError(f"bad range {text!r}: {exc}") from exc
     if not lo < hi:
         raise CliError("range must satisfy LO < HI")
     return lo, hi
@@ -134,7 +137,7 @@ def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dedup-tol", type=float, default=1e-7)
 
 
-def point_record(cp: CriticalPoint, index_of: dict[int, int | None]) -> dict:
+def point_record(cp: CriticalPoint) -> dict:
     return {
         "coords": serialize_config(cp.config),
         "energy": cp.energy,
@@ -143,31 +146,18 @@ def point_record(cp: CriticalPoint, index_of: dict[int, int | None]) -> dict:
         "index": cp.morse_index,
         "aligned": cp.aligned,
         "degenerate": cp.degenerate,
-        "partner": index_of[id(cp)],
+        "partner": cp.symmetry_partner,
     }
 
 
 def solve_payload(space: Space, charges: ChargeVector, spec: PotentialSpec,
                   points: list[CriticalPoint]) -> dict:
-    from .solver import configs_match
-    from .spaces import apply_involution
-
-    index_of: dict[int, int | None] = {}
-    for i, cp in enumerate(points):
-        partner = None
-        if cp.symmetry_partner is not None:
-            mirror = apply_involution(cp.config)
-            for j, other in enumerate(points):
-                if j != i and configs_match(mirror, other.config):
-                    partner = j
-                    break
-        index_of[id(cp)] = partner
     summary = euler_count_check(points, space)
     payload = {
         "space": space.name,
         "charges": [float(v) for v in charges.q],
         "potential": spec.label,
-        "points": [point_record(cp, index_of) for cp in points],
+        "points": [point_record(cp) for cp in points],
         "summary": {
             "counts": {str(k): v for k, v in sorted(summary.counts.items())},
             "poles_count": summary.poles_count,
@@ -236,14 +226,14 @@ def cmd_bifurcate(args: argparse.Namespace) -> int:
     lam_range = parse_range(args.range)
     path = bifurcation.charge_sweep_path(list(charges.q), args.sweep - 1)
     try:
+        if isinstance(space, PolygonSpace):
+            curves = bifurcation.polygon_bifurcation_set(args.resolution)
+        else:
+            curves = bifurcation.torus_bifurcation_set(space.radii, args.resolution)
         diagram = bifurcation.trace_pitchfork(space, path, lam_range,
                                               steps=args.steps, spec=spec)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if isinstance(space, PolygonSpace):
-        curves = bifurcation.polygon_bifurcation_set(args.resolution)
-    else:
-        curves = bifurcation.torus_bifurcation_set(space.radii, args.resolution)
     outdir = Path(args.outdir)
     params = {
         "space": args.space, "charges": args.charges, "potential": args.potential,

@@ -23,8 +23,7 @@ from .spaces import (
     Config,
     PolygonConfig,
     TorusConfig,
-    alignment_defect,
-    pairwise_distances,
+    triangle_vertices,
 )
 
 #: residual below which a configuration counts as stationary
@@ -59,39 +58,6 @@ class InverseResult:
     notes: str = ""
 
 
-def stationarity_relation_residual(config: Config, charges: ChargeVector,
-                                   spec: PotentialSpec | None = None) -> float:
-    """Residual of the closed-form stationarity proportions.
-
-    Zero when no closed-form relation applies (non-inverse-distance
-    kernels, polygons beyond three vertices).
-    """
-    spec = spec or PotentialSpec.coulomb()
-    if spec.kind != "coulomb":
-        return 0.0
-    q = charges.array
-    if isinstance(config, TorusConfig):
-        d = np.array(config.side_distances())
-        r = np.array(config.radii)
-        s = np.sin(np.array(config.alphas)) / (d ** 3 * r * q)
-        return float(np.abs(s - s.mean()).max() / max(1.0, abs(s.mean())))
-    if config.n != 3:
-        return 0.0
-    d = pairwise_distances(config)
-    if alignment_defect(config) == 0.0:
-        # collinear: outer distances around the intermediate vertex
-        # balance like the inverse root charges
-        order = np.argsort(config.points[:, 0])
-        mid = int(order[1])
-        left, right = int(order[0]), int(order[2])
-        lhs = d[left, mid] / math.sqrt(q[left])
-        rhs = d[mid, right] / math.sqrt(q[right])
-        return abs(lhs - rhs) / max(lhs, rhs)
-    sides = np.array([d[1, 2], d[0, 2], d[0, 1]])
-    vals = sides ** 2 * q
-    return float(np.abs(vals - vals.mean()).max() / vals.mean())
-
-
 @dataclass(frozen=True)
 class EquilibriumCheck:
     """Stationarity verdict for a (configuration, charges) pair."""
@@ -109,7 +75,7 @@ def verify_equilibrium(config: Config, charges: ChargeVector,
     if config.has_pole:
         raise pot.PoleError("cannot verify an equilibrium at a pole")
     grad_norm = float(np.linalg.norm(pot.gradient(config, charges, spec)))
-    relation = stationarity_relation_residual(config, charges, spec)
+    relation = pot.stationarity_relation_residual(config, charges, spec)
     return EquilibriumCheck(grad_norm, relation,
                             grad_norm < EQUILIBRIUM_TOL and relation < EQUILIBRIUM_TOL)
 
@@ -197,18 +163,10 @@ def stabilizing_charges_triangle(side_a: float, side_b: float,
     q = sides ** -2
     q /= q.sum()
     charges = ChargeVector.of(q)
-    scaled = sides / perimeter
-    config = _triangle_config(scaled)
+    config = PolygonConfig.from_points(triangle_vertices(sides / perimeter))
     check = verify_equilibrium(config, charges)
     return InverseResult("unique-ray", charges,
                          residual=max(check.grad_norm, check.relation_residual))
-
-
-def _triangle_config(sides: np.ndarray) -> PolygonConfig:
-    l1, l2, l3 = sides
-    x = (l3 * l3 + l2 * l2 - l1 * l1) / (2.0 * l3)
-    y = math.sqrt(max(l2 * l2 - x * x, 0.0))
-    return PolygonConfig.from_points([[0.0, 0.0], [l3, 0.0], [x, y]])
 
 
 def stabilizing_charges_torus(config: TorusConfig) -> InverseResult:

@@ -31,9 +31,10 @@ from .spaces import (
     ChargeVector,
     PolygonConfig,
     TorusConfig,
+    alignment_defect,
     pairwise_distances,
+    perimeter_value,
 )
-from .spaces import POLE_RADIUS_FACTOR
 
 EPS = float(np.finfo(float).eps)
 #: default relative step of the finite-difference gradient
@@ -249,10 +250,6 @@ def polygon_derivatives(points: np.ndarray, charges: ChargeVector,
     block = qq[:, None, None] * (ddphi[..., None, None] * uu + bend * (np.eye(2) - uu))
     g_e, h_e = _pair_sums(n, first, second, pull, block)
     return PolygonDerivatives(g_e, h_e, *_perimeter_terms(pts))
-
-
-def perimeter_value(points: np.ndarray) -> float:
-    return float(np.linalg.norm(points - np.roll(points, -1, axis=0), axis=1).sum())
 
 
 def rotation_direction(points: np.ndarray) -> np.ndarray:
@@ -516,14 +513,8 @@ def fd_hessian(config: Config, charges: ChargeVector,
 def _check_step(config: Config, step: float) -> None:
     if not step > 0.0:
         raise ValueError("finite-difference step must be positive")
-    if step >= 0.5 * _min_separation(config):
+    if step >= 0.5 * config.min_separation:
         raise ValueError("finite-difference step collides with the pole radius")
-
-
-def _min_separation(config: Config) -> float:
-    d = pairwise_distances(config)
-    n = d.shape[0]
-    return float(min(d[i, j] for i in range(n) for j in range(i + 1, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +567,38 @@ def least_squares_multiplier(points: np.ndarray, charges: ChargeVector,
     return -np.vecdot(der.energy_grad, g_l) / np.vecdot(g_l, g_l)
 
 
-def polygon_pole_radius() -> float:
-    return POLE_RADIUS_FACTOR
+# ---------------------------------------------------------------------------
+# closed-form stationarity relations
+# ---------------------------------------------------------------------------
 
+def stationarity_relation_residual(config: Config, charges: ChargeVector,
+                                   spec: PotentialSpec | None = None) -> float:
+    """Residual of the closed-form stationarity proportions.
+
+    Zero when no closed-form relation applies (non-inverse-distance
+    kernels, polygons beyond three vertices).
+    """
+    spec = spec or PotentialSpec.coulomb()
+    if spec.kind != "coulomb":
+        return 0.0
+    q = charges.array
+    if isinstance(config, TorusConfig):
+        d = np.array(config.side_distances())
+        r = np.array(config.radii)
+        s = np.sin(np.array(config.alphas)) / (d ** 3 * r * q)
+        return float(np.abs(s - s.mean()).max() / max(1.0, abs(s.mean())))
+    if config.n != 3:
+        return 0.0
+    d = pairwise_distances(config)
+    if alignment_defect(config) == 0.0:
+        # collinear: outer distances around the intermediate vertex
+        # balance like the inverse root charges
+        order = np.argsort(config.points[:, 0])
+        mid = int(order[1])
+        left, right = int(order[0]), int(order[2])
+        lhs = d[left, mid] / math.sqrt(q[left])
+        rhs = d[mid, right] / math.sqrt(q[right])
+        return abs(lhs - rhs) / max(lhs, rhs)
+    sides = np.array([d[1, 2], d[0, 2], d[0, 1]])
+    vals = sides ** 2 * q
+    return float(np.abs(vals - vals.mean()).max() / vals.mean())

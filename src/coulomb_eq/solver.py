@@ -12,8 +12,9 @@ damped Newton iteration as a single stack, and only live seeds iterate
 round stepped).  Converged points are deduplicated on raw coordinate
 rows, gauge-fixed vertices or angles embedded on the circle, in one
 vectorized first-wins pass, and configurations are built only for the
-representatives.  These are paired with their reflection partners and
-classified by the spectrum of the constrained Hessian.
+representatives.  These are classified by the spectrum of the
+constrained Hessian, sorted, and paired with their reflection partners
+by index.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from . import potentials as pot
-from .inverse import stationarity_relation_residual
 from .morse import classify_spectrum
 from .potentials import PotentialSpec
 from .spaces import (
@@ -33,12 +33,14 @@ from .spaces import (
     Config,
     PolygonConfig,
     TorusConfig,
+    POLE_RADIUS_FACTOR,
     TORUS_ALIGNED_LABELS,
     alignment_defect,
     apply_involution,
     canonicalize,
     distance_key,
     reduce_angle,
+    triangle_vertices,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -92,15 +94,15 @@ class SolveSettings:
     newton_tol: float = 1e-11
     max_iters: int = 100
     dedup_tol: float = 1e-7
-    pole_radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.grid_density < 8:
             raise ValueError("grid density below 8 gives useless coverage")
-        if min(self.newton_tol, self.dedup_tol, self.max_iters) <= 0:
-            raise ValueError("tolerances and iteration budget must be positive")
-        if self.pole_radius is not None and self.pole_radius <= 0:
-            raise ValueError("pole radius must be positive")
+        # written so that NaN fails too
+        if not all(0.0 < tol < math.inf for tol in (self.newton_tol, self.dedup_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        if self.max_iters <= 0:
+            raise ValueError("iteration budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,9 @@ class CriticalPoint:
     degenerate: bool
     aligned: bool
     key: tuple[int, ...]
-    symmetry_partner: tuple[int, ...] | None = None
+    #: index of the reflection partner in the list the search returned;
+    #: ``None`` for a configuration that is its own mirror image
+    symmetry_partner: int | None = None
 
     @property
     def kind(self) -> str:
@@ -185,7 +189,8 @@ def line_three_energies(charges: ChargeVector,
 def critical_triangle(charges: ChargeVector,
                       spec: PotentialSpec | None = None) -> PolygonConfig | None:
     """The non-collinear equilibrium triangle, or ``None`` if the side
-    proportion fails the strict triangle inequality (collinear regime).
+    proportion fails the strict triangle inequality or rounds to a zero
+    height (collinear regime).
 
     Sides opposite each vertex are proportional to ``q_i ** -p`` with
     the kernel exponent ``p``; for the inverse-distance kernel that is
@@ -194,15 +199,9 @@ def critical_triangle(charges: ChargeVector,
     if len(charges) != 3:
         raise ValueError("closed form needs exactly three charges")
     spec = spec or PotentialSpec.coulomb()
-    p = _ratio_exponent(spec)
-    sides = charges.array ** -p
-    sides = sides / sides.sum()
-    l1, l2, l3 = sides  # l1 opposite vertex 0, etc.
-    if not (l1 < l2 + l3 and l2 < l3 + l1 and l3 < l1 + l2):
-        return None
-    x = (l3 * l3 + l2 * l2 - l1 * l1) / (2.0 * l3)
-    y = math.sqrt(max(l2 * l2 - x * x, 0.0))
-    return PolygonConfig.from_points([[0.0, 0.0], [l3, 0.0], [x, y]])
+    sides = charges.array ** -_ratio_exponent(spec)
+    vertices = triangle_vertices(sides / sides.sum())
+    return None if vertices is None else PolygonConfig.from_points(vertices)
 
 
 def solve_line_interior(charges: ChargeVector,
@@ -415,19 +414,6 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
             if not g > settings.newton_tol]
 
 
-def _triangle_from_sides(l1: float, l2: float, l3: float,
-                         flip: bool = False) -> np.ndarray | None:
-    """Vertex coordinates of a triangle with side i opposite vertex i."""
-    if not (l1 < l2 + l3 and l2 < l3 + l1 and l3 < l1 + l2):
-        return None
-    x = (l3 * l3 + l2 * l2 - l1 * l1) / (2.0 * l3)
-    y2 = l2 * l2 - x * x
-    if y2 <= 0.0:
-        return None
-    y = math.sqrt(y2)
-    return np.array([[0.0, 0.0], [l3, 0.0], [x, -y if flip else y]])
-
-
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
                    spec: PotentialSpec, settings: SolveSettings) -> list[np.ndarray]:
     n = space.n
@@ -442,10 +428,9 @@ def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
         g = settings.grid_density
         for i in range(1, g):
             for j in range(1, g - i):
-                l1, l2 = i / g, j / g
-                l3 = 1.0 - l1 - l2
+                sides = (i / g, j / g, 1.0 - i / g - j / g)
                 for flip in (False, True):
-                    tri_pts = _triangle_from_sides(l1, l2, l3, flip)
+                    tri_pts = triangle_vertices(sides, flip)
                     if tri_pts is not None:
                         seeds.append(tri_pts)
         return seeds
@@ -609,15 +594,13 @@ def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
     """Polish the seeds and keep one configuration per converged point,
     deduplicating raw coordinate rows before any configuration is built."""
     if isinstance(space, TorusSpace):
-        pole_radius = settings.pole_radius or 1e-7 * min(space.radii)
         angles = _polish_torus_seeds(space, charges, spec, settings,
-                                     pole_radius, seeds)
+                                     POLE_RADIUS_FACTOR * min(space.radii), seeds)
         # angles embedded on the circle, so +pi and -pi compare as equal
         rows = np.stack([np.cos(angles), np.sin(angles)], axis=2).reshape(-1, 4)
         return [TorusConfig(space.radii, (float(a1), float(a2)))
                 for a1, a2 in angles[_first_cover(rows, settings.dedup_tol)]]
-    pole_radius = settings.pole_radius or 1e-7
-    configs = _polish_polygon(seeds, charges, spec, settings, pole_radius)
+    configs = _polish_polygon(seeds, charges, spec, settings, POLE_RADIUS_FACTOR)
     # the polish returns gauge-fixed configurations, so raw points compare
     rows = np.array([cfg.points.ravel() for cfg in configs])
     return [configs[i] for i in _first_cover(rows, settings.dedup_tol)]
@@ -641,24 +624,22 @@ def _build_point(config: Config, charges: ChargeVector, spec: PotentialSpec,
 
 
 def _link_partners(points: list[CriticalPoint], tol: float) -> list[CriticalPoint]:
+    """Set each point's ``symmetry_partner`` to the index in ``points`` of
+    the first other point its mirror image matches within ``tol``."""
     out = []
-    for cp in points:
+    for i, cp in enumerate(points):
         mirror = apply_involution(cp.config)
-        partner_key = None
+        partner = None
         if not configs_match(mirror, cp.config, tol):
-            for other in points:
-                if other is cp:
-                    continue
-                if configs_match(mirror, other.config, tol):
-                    partner_key = other.key
-                    break
-        out.append(replace(cp, symmetry_partner=partner_key))
+            partner = next((j for j, other in enumerate(points)
+                            if j != i and configs_match(mirror, other.config, tol)), None)
+        out.append(replace(cp, symmetry_partner=partner))
     return out
 
 
 def _finalize(unique: list[Config], charges: ChargeVector, spec: PotentialSpec,
               settings: SolveSettings) -> list[CriticalPoint]:
-    """Mirror-close, classify and sort deduplicated configurations."""
+    """Mirror-close, classify, sort and pair deduplicated configurations."""
     # close under the involution: the mirror of a critical point is
     # critical with the same spectrum, so synthesize missing partners
     for cfg in list(unique):
@@ -670,12 +651,11 @@ def _finalize(unique: list[Config], charges: ChargeVector, spec: PotentialSpec,
         cp = _build_point(cfg, charges, spec)
         if cp.grad_norm > settings.newton_tol:
             continue
-        if stationarity_relation_residual(cfg, charges, spec) > RELATION_TOL:
+        if pot.stationarity_relation_residual(cfg, charges, spec) > RELATION_TOL:
             continue
         points.append(cp)
-    points = _link_partners(points, settings.dedup_tol)
     points.sort(key=lambda cp: (cp.energy, cp.key))
-    return points
+    return _link_partners(points, settings.dedup_tol)
 
 
 def polish_candidates(space: Space, charges: ChargeVector,

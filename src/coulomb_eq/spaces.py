@@ -147,8 +147,7 @@ class PolygonConfig:
 
     @property
     def perimeter(self) -> float:
-        return float(np.linalg.norm(self.points - np.roll(self.points, -1, axis=0),
-                                    axis=1).sum())
+        return perimeter_value(self.points)
 
     @property
     def diameter(self) -> float:
@@ -157,7 +156,7 @@ class PolygonConfig:
 
     @property
     def pole_radius(self) -> float:
-        return POLE_RADIUS_FACTOR * 1.0
+        return POLE_RADIUS_FACTOR
 
     def pole_pairs(self) -> list[tuple[int, int]]:
         """Vertex pairs closer than the pole radius (energy diverges there)."""
@@ -167,8 +166,15 @@ class PolygonConfig:
                 if d[i, j] < self.pole_radius]
 
     @property
+    def min_separation(self) -> float:
+        """Smallest distance between two vertices."""
+        d = pairwise_distances(self)
+        n = self.n
+        return float(min(d[i, j] for i in range(n) for j in range(i + 1, n)))
+
+    @property
     def has_pole(self) -> bool:
-        return bool(self.pole_pairs())
+        return self.min_separation < self.pole_radius
 
 
 @dataclass(frozen=True)
@@ -237,8 +243,13 @@ class TorusConfig:
         return POLE_RADIUS_FACTOR * min(self.radii)
 
     @property
+    def min_separation(self) -> float:
+        """Smallest distance between two of the three points."""
+        return min(self.side_distances())
+
+    @property
     def has_pole(self) -> bool:
-        return min(self.side_distances()) < self.pole_radius
+        return self.min_separation < self.pole_radius
 
 
 def chord_distance(ra: float, rb: float, angle: float) -> float:
@@ -287,6 +298,29 @@ def pairwise_distances(config: Config) -> np.ndarray:
     ])
 
 
+def perimeter_value(points: np.ndarray) -> float:
+    """Cyclic perimeter of the vertices ``(n, 2)``."""
+    return float(np.linalg.norm(points - np.roll(points, -1, axis=0), axis=1).sum())
+
+
+def triangle_vertices(sides: Sequence[float], flip: bool = False) -> np.ndarray | None:
+    """Vertices of the triangle whose side ``i`` is opposite vertex ``i``.
+
+    Vertex 0 sits at the origin, vertex 1 on the positive x-axis and
+    vertex 2 above it (below with ``flip``).  Returns ``None`` unless the
+    sides satisfy the strict triangle inequality with a positive height.
+    """
+    l1, l2, l3 = sides
+    if not (l1 < l2 + l3 and l2 < l3 + l1 and l3 < l1 + l2):
+        return None
+    x = (l3 * l3 + l2 * l2 - l1 * l1) / (2.0 * l3)
+    y2 = l2 * l2 - x * x
+    if y2 <= 0.0:
+        return None
+    y = math.sqrt(y2)
+    return np.array([[0.0, 0.0], [l3, 0.0], [x, -y if flip else y]])
+
+
 def gauge_fix(points: np.ndarray, rescale: bool = True) -> np.ndarray:
     """Translate vertex 0 to the origin, rotate the gauge vertex onto the
     non-negative x half-axis and optionally renormalize the perimeter."""
@@ -306,7 +340,7 @@ def gauge_fix(points: np.ndarray, rescale: bool = True) -> np.ndarray:
         pts[gauge, 0] = r
         pts[gauge, 1] = 0.0
     if rescale:
-        per = float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
+        per = perimeter_value(pts)
         if per <= 0.0:
             raise ValueError("cannot rescale a fully coincident configuration")
         # skip the division for pure rounding dust so re-gauging an
@@ -350,10 +384,6 @@ def alignment_defect(config: Config) -> float:
     if diam == 0.0 or defect <= ALIGNMENT_TOL * diam:
         return 0.0
     return defect
-
-
-def is_aligned(config: Config) -> bool:
-    return alignment_defect(config) == 0.0
 
 
 def distance_key(config: Config, decimals: int = KEY_DECIMALS) -> tuple[int, ...]:

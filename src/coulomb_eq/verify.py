@@ -36,6 +36,7 @@ from .spaces import (
     TorusConfig,
     TORUS_ALIGNED_LABELS,
     pairwise_distances,
+    triangle_vertices,
 )
 
 
@@ -65,10 +66,6 @@ def _result(name: str, passed: bool, **details) -> CheckResult:
     return CheckResult(name, bool(passed), _clean(details))
 
 
-def _fmt(x: float) -> float:
-    return float(x)
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
@@ -92,8 +89,8 @@ def check_line_equilibrium() -> CheckResult:
     passed = err12 < 1e-9 and err23 < 1e-9 and spread < 1e-8 \
         and all(ok for _, ok in positions)
     return _result("line-equilibrium-closed-form", passed,
-                   split_error=_fmt(max(err12, err23)),
-                   position_spread=_fmt(spread))
+                   split_error=max(err12, err23),
+                   position_spread=spread)
 
 
 def check_triangle_taxonomy() -> CheckResult:
@@ -122,7 +119,7 @@ def check_triangle_taxonomy() -> CheckResult:
               and summary.euler_check == "passed" and side_err < 1e-8)
         details[label] = {"minima": len(minima), "saddles": len(saddles),
                           "euler": summary.euler_check,
-                          "side_error": _fmt(side_err)}
+                          "side_error": side_err}
         passed &= ok
     return _result("triangle-taxonomy", passed, **details)
 
@@ -153,7 +150,7 @@ def check_pitchfork() -> CheckResult:
     exponent = bifurcation.fit_branch_exponent(diagram)
     passed = abs(threshold - 0.25) < 1e-4 and 0.45 <= exponent <= 0.55
     return _result("pitchfork-quantitative", passed,
-                   threshold=_fmt(threshold), exponent=_fmt(exponent))
+                   threshold=threshold, exponent=exponent)
 
 
 def check_equal_radii_value() -> CheckResult:
@@ -173,7 +170,7 @@ def check_equal_radii_value() -> CheckResult:
     paired = hit.symmetry_partner is not None
     passed = det_err < 1e-9 and hit.morse_index == 0 and paired and len(pts) == 2
     return _result("equal-radii-hessian", passed,
-                   det_error=_fmt(det_err), minimum=hit.morse_index == 0,
+                   det_error=det_err, minimum=hit.morse_index == 0,
                    mirror_pair=paired)
 
 
@@ -200,7 +197,7 @@ def check_aligned_sign_forms() -> CheckResult:
             sign_ok &= (det > 0) == (form > 0)
     passed = ratio_err < 1e-12 and sign_ok
     return _result("aligned-sign-forms", passed,
-                   ratio_error=_fmt(ratio_err), sign_flip_consistent=sign_ok)
+                   ratio_error=ratio_err, sign_flip_consistent=sign_ok)
 
 
 def check_torus_census(samples: int = 25) -> CheckResult:
@@ -263,7 +260,7 @@ def check_fixing_effect_n4() -> CheckResult:
     return _result("aligned-fixing-effect", passed,
                    one_d_index=one_d_index, full_index=full_index,
                    transverse_definite=transverse_definite,
-                   mixed_block=_fmt(mixed), convex_checked=convex_checked,
+                   mixed_block=mixed, convex_checked=convex_checked,
                    no_collinear_triples=triple_ok)
 
 
@@ -313,8 +310,8 @@ def check_derivative_oracles(per_case: int = 100) -> CheckResult:
             worst_hess = max(worst_hess, _hess_err(cfg, q, spec))
     passed = worst_grad < 1e-6 and worst_hess < 1e-4
     return _result("derivative-oracles", passed,
-                   worst_gradient_rel_err=_fmt(worst_grad),
-                   worst_hessian_rel_err=_fmt(worst_hess))
+                   worst_gradient_rel_err=worst_grad,
+                   worst_hessian_rel_err=worst_hess)
 
 
 def _random_triangle(rng: np.random.Generator) -> PolygonConfig:
@@ -322,12 +319,7 @@ def _random_triangle(rng: np.random.Generator) -> PolygonConfig:
         sides = rng.dirichlet((2.0, 2.0, 2.0))
         if sides.min() > 0.12 and sides.max() < 0.47:
             break
-    l1, l2, l3 = sides
-    x = (l3 * l3 + l2 * l2 - l1 * l1) / (2.0 * l3)
-    y = math.sqrt(max(l2 * l2 - x * x, 0.0))
-    if rng.random() < 0.5:
-        y = -y
-    return PolygonConfig.from_points([[0.0, 0.0], [l3, 0.0], [x, y]])
+    return PolygonConfig.from_points(triangle_vertices(sides, flip=rng.random() < 0.5))
 
 
 def _grad_err(cfg, q, spec) -> float:
@@ -362,7 +354,7 @@ def check_inverse_roundtrip(samples: int = 100) -> CheckResult:
         got = result.charges.normalized
         worst = max(worst, float(np.abs(got - charges.normalized).max()))
     return _result("inverse-roundtrip", worst < 1e-8,
-                   worst_recovery_err=_fmt(worst), samples=samples)
+                   worst_recovery_err=worst, samples=samples)
 
 
 def check_control_triangle_scan(grid: int = 50) -> CheckResult:

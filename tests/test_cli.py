@@ -77,6 +77,8 @@ class TestSolveCommand:
          "--potential", "power:1"],
         ["solve", "--space", "polygon:3", "--charges", "1,1,1",
          "--grid-density", "2"],
+        ["solve", "--space", "torus:1,2,3", "--charges", "1,2,3",
+         "--newton-tol", "nan"],
     ])
     def test_invalid_input_exits_two(self, args):
         code, _ = run_cli(args)
@@ -169,6 +171,16 @@ class TestBifurcateCommand:
                            "--charges", "1,1,1", "--sweep", "2",
                            "--range", "0.3:0.6", "--outdir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--range", "a:b"],
+        ["--range", "0.05:0.6", "--resolution", "4"],
+    ])
+    def test_malformed_flags_exit_two(self, tmp_path, capsys, flags):
+        code, _ = run_cli(["bifurcate", "--space", "polygon:3", "--charges", "1,1,1",
+                           "--sweep", "2", "--outdir", str(tmp_path), *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestInverseCommand:

@@ -8,11 +8,10 @@ from coulomb_eq.inverse import (
     stabilizing_charges_aligned,
     stabilizing_charges_torus,
     stabilizing_charges_triangle,
-    stationarity_relation_residual,
     verify_equilibrium,
 )
 from coulomb_eq.morse import classify_spectrum
-from coulomb_eq.potentials import hessian
+from coulomb_eq.potentials import hessian, stationarity_relation_residual
 from coulomb_eq.solver import TorusSpace, critical_triangle, find_critical_points, solve_line_three
 from coulomb_eq.spaces import ChargeVector, PolygonConfig, TorusConfig, pairwise_distances
 

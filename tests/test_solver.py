@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulomb_eq.cli import solve_payload
 from coulomb_eq.morse import euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
 from coulomb_eq.solver import (
@@ -170,6 +171,27 @@ class TestFindCriticalPointsPolygon:
             assert any(configs_match(cp.config, other.config) for other in base)
 
 
+class TestPartnerIndex:
+    @pytest.mark.parametrize("space,charges,settings", [
+        (PolygonSpace(4), [1.0, 1.0, 1.0, 1.0], SolveSettings(grid_density=16)),
+        (TorusSpace((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0], SolveSettings()),
+    ])
+    def test_partner_is_the_index_of_the_mirror_image(self, space, charges, settings):
+        q = ChargeVector.of(charges)
+        pts = find_critical_points(space, q, settings=settings)
+        payload = solve_payload(space, q, COULOMB, pts)
+        assert any(cp.aligned for cp in pts) and not all(cp.aligned for cp in pts)
+        for i, cp in enumerate(pts):
+            assert payload["points"][i]["partner"] == cp.symmetry_partner
+            if cp.aligned:
+                assert cp.symmetry_partner is None
+                continue
+            j = cp.symmetry_partner
+            assert j is not None and j != i
+            assert pts[j].symmetry_partner == i
+            assert configs_match(apply_involution(cp.config), pts[j].config)
+
+
 class TestFindCriticalPointsTorus:
     def test_equal_radii_equilateral_pair(self):
         pts = find_critical_points(TorusSpace((1.0, 1.0, 1.0)), Q111)
@@ -208,7 +230,7 @@ class TestFindCriticalPointsTorus:
 
     def test_relation_residual_of_reported_points(self):
         # proportion residual of reported points stays at solver precision
-        from coulomb_eq.inverse import stationarity_relation_residual
+        from coulomb_eq.potentials import stationarity_relation_residual
         pts = find_critical_points(TorusSpace((1.0, 2.0, 3.0)), Q111)
         for cp in pts:
             assert stationarity_relation_residual(cp.config, Q111, COULOMB) < 1e-9
@@ -411,6 +433,12 @@ class TestSettings:
     def test_grid_density_floor(self):
         with pytest.raises(ValueError):
             SolveSettings(grid_density=4)
+
+    @pytest.mark.parametrize("field", ["newton_tol", "dedup_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-7])
+    def test_tolerances_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(ValueError):
+            SolveSettings(**{field: value})
 
     def test_charge_count_must_match_space(self):
         with pytest.raises(ValueError):
