@@ -1,25 +1,32 @@
 #!/usr/bin/env python3
 """Compare the ``solve``, ``bifurcate``, ``verify`` and ``inverse``
-outputs of two source trees on a fixed corpus.
+outputs and the control-triangle and fixing-effect results of two
+source trees on a fixed corpus.
 
 Usage:
     python scripts/census_equivalence.py OLD_SRC NEW_SRC
 
-Each tree runs the whole corpus through ``coulomb_eq.cli.main`` in its
-own interpreter and its own scratch directory.  For every run the
-script reports whether the two outputs (exit status, stdout and, for
-``bifurcate``, the four artifacts) are byte-identical and, where they
-differ, the largest absolute difference of each floating-point field.
-JSON outputs are compared field by field, CSV and plain-text outputs
-token by token.
+Each tree runs the whole corpus in its own interpreter and its own
+scratch directory: commands through ``coulomb_eq.cli.main``, and the
+control-triangle cells and fixing-effect probes through
+``bifurcation.three_charge_equilibria`` and
+``bifurcation.fixing_effect_probe``, whose results are written out as
+JSON (every field of every critical point, the distance key included).
+For every run the script reports whether the two outputs (exit status,
+stdout and, for ``bifurcate``, the four artifacts) are byte-identical
+and, where they differ, the largest absolute difference of each
+floating-point field.  JSON outputs are compared field by field, CSV
+and plain-text outputs token by token.
 
 The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
 charges, ten polygon censuses (n = 3, 4, 5) under the coulomb and log
 kernels, the benchmark's two pitchfork sweeps (the polygon reference
-sweep and the torus sweep), ``verify --suite quick`` and three
+sweep and the torus sweep), ``verify --suite quick``, three
 ``inverse --sides`` cases (a unique ray, a collinear family and an
-infeasible triple).
+infeasible triple), the 400 control-triangle cells of the benchmark's
+analysis workload for seed 1 and its fixing-effect probes for seeds 1,
+2, 3 and the held-out seed.
 
 Exit status: 0 when every difference is a floating-point value, 1 when
 some run differs in structure or in any other value, 2 when a tree
@@ -71,13 +78,29 @@ INVERSE_SIDES = ("0.4,0.4,0.2", "0.5,0.3,0.2", "0.7,0.2,0.1")
 
 ARTIFACTS = ("branches.csv", "curves.csv", "branches.json", "curves.json")
 
+#: seed of the analysis workload whose control-triangle cells are compared
+CELL_SEED = 1
+
 WORKER = f"""
-import contextlib, io, json, sys
+import contextlib, dataclasses, io, json, sys
 from pathlib import Path
 import coulomb_eq
-from coulomb_eq.cli import main
+from coulomb_eq import bifurcation
+from coulomb_eq.cli import main, point_record
+from coulomb_eq.spaces import ChargeVector
+
+def call(job):
+    if job["kind"] == "cell":
+        points = bifurcation.three_charge_equilibria(ChargeVector.of(job["charges"]))
+        return [dict(point_record(cp), key=list(cp.key)) for cp in points]
+    probe = bifurcation.fixing_effect_probe(job["q1"], job["q3"], job["q2_samples"])
+    return dataclasses.asdict(probe)
+
 out = []
 for argv in json.load(sys.stdin):
+    if isinstance(argv, dict):
+        out.append({{"code": 0, "stdout": json.dumps(call(argv))}})
+        continue
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -105,10 +128,11 @@ def _sweep_argv(sweep: dict, outdir: str) -> list[str]:
             "--steps", str(sweep["steps"]), "--outdir", outdir]
 
 
-def corpus() -> list[tuple[str, list[str]]]:
-    """(group, argv) of every run; charges of benchmark jobs are passed
-    as the benchmark passes them.  Output directories are relative, so
-    stdout names the same path in both trees."""
+def corpus() -> list[tuple[str, list[str] | dict]]:
+    """(group, argv) of every run, or (group, job) for the cells and
+    probes; charges of benchmark jobs are passed as the benchmark passes
+    them.  Output directories are relative, so stdout names the same
+    path in both trees."""
     runs = []
     for seed in BENCHMARK_SEEDS:
         for job in workloads.generate("torus-census", seed):
@@ -122,10 +146,21 @@ def corpus() -> list[tuple[str, list[str]]]:
              for k, sweep in enumerate(SWEEPS)]
     runs.append(("verify", ["verify", "--suite", "quick"]))
     runs += [("inverse", ["inverse", "--sides", sides]) for sides in INVERSE_SIDES]
+    runs += [("cell", job) for job in workloads.generate("analysis-mix", CELL_SEED)
+             if job["kind"] == "cell"]
+    for seed in BENCHMARK_SEEDS:
+        runs += [("probe", job) for job in workloads.generate("analysis-mix", seed)
+                 if job["kind"] == "probe"]
     return runs
 
 
-def run_tree(src: Path, argvs: list[list[str]]) -> list[dict]:
+def label(job: list[str] | dict) -> str:
+    if isinstance(job, list):
+        return " ".join(job)
+    return " ".join(f"{key}={value}" for key, value in job.items() if key != "id")
+
+
+def run_tree(src: Path, argvs: list[list[str] | dict]) -> list[dict]:
     src = src.resolve()
     with tempfile.TemporaryDirectory() as workdir:
         proc = subprocess.run([sys.executable, "-c", WORKER], input=json.dumps(argvs),
@@ -198,12 +233,12 @@ def main() -> int:
     overall: dict[str, float] = {}
     structural = 0
     for (group, argv), a, b in zip(runs, old, new):
-        label = " ".join(argv)
+        name = label(argv)
         tally = identical.setdefault(group, [0, 0])
         tally[1] += 1
         if a == b:
             tally[0] += 1
-            print(f"identical  {label}")
+            print(f"identical  {name}")
             continue
         diffs: dict[str, float] = {}
         mismatches: list[str] = []
@@ -213,7 +248,7 @@ def main() -> int:
             overall[field] = max(overall.get(field, 0.0), d)
         fields = ", ".join(f"{f} {d:.2g}" for f, d in sorted(diffs.items()) if d)
         other = f"; other mismatches: {', '.join(sorted(set(mismatches)))}" if mismatches else ""
-        print(f"differs    {label}: {fields or 'no float field moved'}{other}")
+        print(f"differs    {name}: {fields or 'no float field moved'}{other}")
     print()
     for group, (same, total) in identical.items():
         print(f"{group}: {same}/{total} runs byte-identical")

@@ -296,15 +296,18 @@ def cmd_inverse(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"cannot read configuration file: {exc}") from exc
         from .spaces import TorusConfig
-        if isinstance(config, TorusConfig):
-            result = inverse_mod.stabilizing_charges_torus(config)
-        else:
-            if config.n != 3:
-                raise CliError("inverse problem is solved for three charges only")
-            from .spaces import pairwise_distances
-            d = pairwise_distances(config)
-            result = inverse_mod.stabilizing_charges_triangle(
-                d[1, 2], d[0, 2], d[0, 1])
+        if not isinstance(config, TorusConfig) and config.n != 3:
+            raise CliError("inverse problem is solved for three charges only")
+        try:
+            if isinstance(config, TorusConfig):
+                result = inverse_mod.stabilizing_charges_torus(config)
+            else:
+                from .spaces import pairwise_distances
+                d = pairwise_distances(config)
+                result = inverse_mod.stabilizing_charges_triangle(
+                    d[1, 2], d[0, 2], d[0, 1])
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         params = {"points": str(args.points)}
     payload = {
         "kind": result.kind,

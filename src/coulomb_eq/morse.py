@@ -33,11 +33,16 @@ class DegenerateCriticalPointError(ValueError):
 
 def classify_spectrum(eigenvalues: Sequence[float]) -> tuple[int, bool]:
     """(index, degenerate) from a constrained-Hessian spectrum."""
-    eigs = np.asarray(eigenvalues, dtype=float)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    degenerate = bool(np.abs(eigs).min() < DEGENERACY_TOL * scale)
-    index = int((eigs < 0.0).sum())
-    return index, degenerate
+    index, degenerate = classify_spectra(np.asarray(eigenvalues, dtype=float)[None])
+    return int(index[0]), bool(degenerate[0])
+
+
+def classify_spectra(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Morse indices ``(k,)`` and degeneracy flags ``(k,)`` of a stack of
+    constrained-Hessian spectra ``(k, m)``."""
+    size = np.abs(eigenvalues)
+    scale = np.maximum(1.0, size.max(axis=1))
+    return (eigenvalues < 0.0).sum(axis=1), size.min(axis=1) < DEGENERACY_TOL * scale
 
 
 def morse_index(cp: "CriticalPoint") -> int:
@@ -91,7 +96,7 @@ def torus_aligned_hessian_form(radii: Sequence[float],
     lab = tuple(float(v) for v in label)
     AlignedLabel("torus", lab)
     pair = ((1, 2), (2, 0), (0, 1))
-    d = [(chord_distance(r[a], r[b], lab[i])) for i, (a, b) in enumerate(pair)]
+    d = [float(chord_distance(r[a], r[b], lab[i])) for i, (a, b) in enumerate(pair)]
     cos = [math.cos(a) for a in lab]
     coeffs = np.empty(3)
     for i in range(3):

@@ -31,9 +31,12 @@ from .spaces import (
     ChargeVector,
     PolygonConfig,
     TorusConfig,
-    alignment_defect,
-    pairwise_distances,
+    alignment_defects,
+    config_rows,
+    pair_distances,
+    pair_indices,
     perimeter_value,
+    torus_alphas,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -125,17 +128,13 @@ class EnergyReport:
     pole_flag: bool
 
 
-def _pair_terms(n: int):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def energy_of_points(points: np.ndarray, charges: ChargeVector,
                      spec: PotentialSpec | None = None) -> float:
     """Energy of raw planar points (no perimeter normalization applied)."""
     spec = spec or PotentialSpec.coulomb()
     q = charges.array
     total = 0.0
-    for i, j in _pair_terms(points.shape[0]):
+    for i, j in zip(*pair_indices(points.shape[0])):
         d = float(np.linalg.norm(points[i] - points[j]))
         total += q[i] * q[j] * kernel_eval(spec, d)[0]
     return total
@@ -148,12 +147,24 @@ def energy(config: Config, charges: ChargeVector,
     _check_charges(config, charges)
     if config.has_pole:
         return math.inf
-    d = pairwise_distances(config)
+    return float(pair_energies(pair_distances(*config_rows(config)), charges, spec)[0])
+
+
+def pair_energies(pairs: np.ndarray, charges: ChargeVector,
+                  spec: PotentialSpec) -> np.ndarray:
+    """Energies ``(k,)`` of a stack of pair distances ``(k, P)`` (pairs
+    ``i < j`` in ``spaces.pair_indices`` order), summed pair by pair."""
+    if spec.kind == "power":
+        # libm pow, as kernel_eval rounds it: numpy's vectorized power
+        # can differ from it in the last bit
+        phi = np.array([[d ** -spec.exponent for d in row] for row in pairs.tolist()],
+                       dtype=float).reshape(pairs.shape)
+    else:
+        phi = kernel_terms(spec, pairs)[0]
     q = charges.array
-    total = 0.0
-    for i, j in _pair_terms(len(charges)):
-        total += q[i] * q[j] * kernel_eval(spec, float(d[i, j]))[0]
-    return total
+    first, second = pair_indices(len(q))
+    # a running sum adds the pair terms one by one, in pair order
+    return np.cumsum(q[first] * q[second] * phi, axis=1)[:, -1]
 
 
 def _check_charges(config: Config, charges: ChargeVector) -> None:
@@ -240,7 +251,7 @@ def polygon_derivatives(points: np.ndarray, charges: ChargeVector,
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[1]
-    first, second = np.triu_indices(n, 1)
+    first, second = pair_indices(n)
     delta, d, _, uu = _pair_geometry(pts, first, second)
     _, dphi, ddphi = kernel_terms(spec, d)
     q = charges.array
@@ -579,26 +590,36 @@ def stationarity_relation_residual(config: Config, charges: ChargeVector,
     kernels, polygons beyond three vertices).
     """
     spec = spec or PotentialSpec.coulomb()
-    if spec.kind != "coulomb":
-        return 0.0
+    return float(stationarity_relation_residuals(*config_rows(config), charges, spec)[0])
+
+
+def stationarity_relation_residuals(rows: np.ndarray,
+                                    radii: tuple[float, float, float] | None,
+                                    charges: ChargeVector,
+                                    spec: PotentialSpec) -> np.ndarray:
+    """``stationarity_relation_residual`` of each configuration of a stack
+    of polygon vertices ``(k, n, 2)`` (``radii`` is ``None``) or torus
+    chart points ``(k, 2)``."""
+    if spec.kind != "coulomb" or (radii is None and rows.shape[1] != 3):
+        return np.zeros(len(rows))
     q = charges.array
-    if isinstance(config, TorusConfig):
-        d = np.array(config.side_distances())
-        r = np.array(config.radii)
-        s = np.sin(np.array(config.alphas)) / (d ** 3 * r * q)
-        return float(np.abs(s - s.mean()).max() / max(1.0, abs(s.mean())))
-    if config.n != 3:
-        return 0.0
-    d = pairwise_distances(config)
-    if alignment_defect(config) == 0.0:
-        # collinear: outer distances around the intermediate vertex
-        # balance like the inverse root charges
-        order = np.argsort(config.points[:, 0])
-        mid = int(order[1])
-        left, right = int(order[0]), int(order[2])
-        lhs = d[left, mid] / math.sqrt(q[left])
-        rhs = d[mid, right] / math.sqrt(q[right])
-        return abs(lhs - rhs) / max(lhs, rhs)
-    sides = np.array([d[1, 2], d[0, 2], d[0, 1]])
-    vals = sides ** 2 * q
-    return float(np.abs(vals - vals.mean()).max() / vals.mean())
+    pairs = pair_distances(rows, radii)
+    if radii is not None:
+        # sides and angles of points 0, 1, 2: pairs (1, 2), (0, 2), (0, 1)
+        s = np.sin(torus_alphas(rows)) / (pairs[:, ::-1] ** 3 * np.array(radii) * q)
+        mean = s.mean(axis=1)
+        return np.abs(s - mean[:, None]).max(axis=1) / np.maximum(1.0, np.abs(mean))
+    # collinear: outer distances around the intermediate vertex balance
+    # like the inverse root charges
+    left, mid, right = np.argsort(rows[:, :, 0], axis=1).T
+    d = np.zeros((len(rows), 3, 3))
+    first, second = pair_indices(3)
+    d[:, first, second] = d[:, second, first] = pairs
+    at = np.arange(len(rows))
+    lhs = d[at, left, mid] / np.sqrt(q[left])
+    rhs = d[at, mid, right] / np.sqrt(q[right])
+    collinear = np.abs(lhs - rhs) / np.maximum(lhs, rhs)
+    vals = pairs[:, ::-1] ** 2 * q
+    mean = vals.mean(axis=1)
+    triangle = np.abs(vals - mean[:, None]).max(axis=1) / mean
+    return np.where(alignment_defects(rows, pairs) == 0.0, collinear, triangle)

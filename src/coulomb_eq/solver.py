@@ -6,27 +6,30 @@ whose side lengths are proportional to inverse square roots of the
 charges.  Everything else runs through multistart Newton polishing of
 the stationarity system: a Lagrange system with explicit perimeter
 constraint for polygons, the plain two-angle gradient for the torus.
-Both polishes are vectorized: all seeds of a search go through one
-damped Newton iteration as a single stack, and only live seeds iterate
-(the torus polish evaluates derivatives only for the seeds its previous
+The search is array-first from seed to report.  Polygon seeds are
+gauge-fixed as one stack; all seeds of a search go through one damped
+Newton iteration as a single stack, and only live seeds iterate (the
+torus polish evaluates derivatives only for the seeds its previous
 round stepped).  Converged points are deduplicated on raw coordinate
 rows, gauge-fixed vertices or angles embedded on the circle, in one
-vectorized first-wins pass, and configurations are built only for the
-representatives.  These are classified by the spectrum of the
-constrained Hessian, sorted, and paired with their reflection partners
-by index.
+vectorized first-wins pass.  The finalize works on the stack of
+representatives too: it closes it under the reflection involution by
+row comparisons, gates and classifies every row from one chart
+derivative call and one eigenvalue call, sorts, and pairs each point
+with its mirror by index.  A configuration object is built only for
+each reported point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import potentials as pot
-from .morse import classify_spectrum
+from .morse import classify_spectra
 from .potentials import PotentialSpec
 from .spaces import (
     ChargeVector,
@@ -35,11 +38,15 @@ from .spaces import (
     TorusConfig,
     POLE_RADIUS_FACTOR,
     TORUS_ALIGNED_LABELS,
-    alignment_defect,
+    alignment_defects,
     apply_involution,
     canonicalize,
-    distance_key,
-    reduce_angle,
+    config_rows,
+    gauge_fix,
+    pair_distances,
+    pair_indices,
+    plane_points,
+    reduce_angles,
     triangle_vertices,
 )
 
@@ -290,7 +297,7 @@ def enumerate_aligned(space: Space, charges: ChargeVector,
 
 def _min_gaps(points: np.ndarray) -> np.ndarray:
     """Smallest vertex separation of each polygon in a stack ``(k, n, 2)``."""
-    first, second = np.triu_indices(points.shape[1], 1)
+    first, second = pair_indices(points.shape[1])
     delta = points[:, first] - points[:, second]
     return np.hypot(delta[..., 0], delta[..., 1]).min(axis=1)
 
@@ -339,23 +346,29 @@ def _newton_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray,
     return steps, solved
 
 
+def _gauge_rows(vertices: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Gauge-fixed stack of raw polygon vertex rows, without the rows that
+    no configuration represents (all vertices coincident, or not finite)."""
+    fixed = gauge_fix(np.asarray(vertices, dtype=float))
+    return fixed[np.isfinite(fixed).all(axis=(1, 2))]
+
+
 def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
                     spec: PotentialSpec, settings: SolveSettings,
-                    pole_radius: float) -> list[PolygonConfig]:
+                    pole_radius: float) -> np.ndarray:
     """Levenberg-damped Newton on the Lagrange stationarity system, run on
     a stack of gauge-fixed seeds ``(k, n, 2)`` at once.
 
     Every seed keeps its own damping, residual norm and iteration count,
     so it takes exactly the steps it would take alone.  Returns the
-    converged configurations in seed order.
+    gauge-fixed vertices of the converged points in seed order.
     """
     pts = np.asarray(seeds, dtype=float)
-    if pts.size == 0:
-        return []
     n = pts.shape[1]
-    pts = pts[~(_min_gaps(pts) < pole_radius)]
+    # every gate is written so that NaN fails it
+    pts = pts[_min_gaps(pts) >= pole_radius]
     if not len(pts):
-        return []
+        return pts
     keep = pot.polygon_free_indices(n)
     lam = pot.least_squares_multiplier(pts, charges, spec)
     u = np.concatenate([pts[:, 1:].reshape(len(pts), -1)[:, keep], lam[:, None]],
@@ -397,21 +410,13 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
         over = failed & (damping[rows] > 1e14)
         killed[rows[over & blocked]] = True
         running[rows[over]] = False
-    good = ~killed & ~(rnorm > math.sqrt(settings.newton_tol))
-    configs = []
-    for vertices in _unpack(u[good], n, keep):
-        try:
-            cfg = PolygonConfig.from_points(vertices)
-        except ValueError:
-            continue
-        if not cfg.has_pole:
-            configs.append(cfg)
-    if not configs:
-        return []
-    grad, _ = pot.polygon_chart_derivatives(
-        np.array([cfg.points for cfg in configs]), charges, spec)
-    return [cfg for cfg, g in zip(configs, _row_norms(grad))
-            if not g > settings.newton_tol]
+    done = _gauge_rows(_unpack(u[~killed & (rnorm <= math.sqrt(settings.newton_tol))],
+                                n, keep))
+    done = done[_min_gaps(done) >= pole_radius]
+    if not len(done):
+        return done
+    grad, _ = pot.polygon_chart_derivatives(done, charges, spec)
+    return done[_row_norms(grad) <= settings.newton_tol]
 
 
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
@@ -549,14 +554,7 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
         step[big] *= (0.5 / norms[big])[:, None]
         angles[live] += step
     good = alive & (gnorm <= settings.newton_tol) & (dmin > pole_radius)
-    return _reduce_angles(angles[good])
-
-
-def _reduce_angles(angles: np.ndarray) -> np.ndarray:
-    """``spaces.reduce_angle`` applied elementwise."""
-    a = np.fmod(angles, TWO_PI)
-    a = np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
-    return a + 0.0  # normalize -0.0
+    return reduce_angles(angles[good])
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +563,27 @@ def _reduce_angles(angles: np.ndarray) -> np.ndarray:
 
 def configs_match(a: Config, b: Config, tol: float = 1e-7) -> bool:
     """Whether two configurations coincide within ``tol`` (wrap-aware)."""
-    if isinstance(a, TorusConfig):
-        diff = np.subtract(a.angles, b.angles)
-        return bool(np.abs([reduce_angle(x) for x in diff]).max() < tol)
-    return bool(np.abs(a.points.ravel() - b.points.ravel()).max() < tol)
+    (rows_a, radii), (rows_b, _) = config_rows(a), config_rows(b)
+    return bool(_close(rows_a, rows_b, radii is not None, tol)[0, 0])
+
+
+def _close(a: np.ndarray, b: np.ndarray, torus: bool, tol: float) -> np.ndarray:
+    """Whether each row of ``a`` coincides with each row of ``b`` within
+    ``tol``, as a ``(len(a), len(b))`` mask; torus angle rows compare
+    wrap-aware."""
+    diff = a[:, None] - b[None, :]
+    if torus:
+        diff = reduce_angles(diff)
+    return np.abs(diff).max(axis=tuple(range(2, diff.ndim))) < tol
+
+
+def _mirror_rows(rows: np.ndarray, torus: bool) -> np.ndarray:
+    """Canonical mirror images of a stack of representatives."""
+    if torus:
+        return reduce_angles(-rows)
+    mirrored = rows.copy()
+    mirrored[..., 1] = -mirrored[..., 1] + 0.0
+    return gauge_fix(mirrored)
 
 
 def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
@@ -589,73 +604,83 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
 
 
 def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
-                     settings: SolveSettings, seeds: Sequence[np.ndarray] | np.ndarray,
-                     ) -> list[Config]:
-    """Polish the seeds and keep one configuration per converged point,
-    deduplicating raw coordinate rows before any configuration is built."""
+                     settings: SolveSettings, seeds: np.ndarray) -> np.ndarray:
+    """Polish the seeds and keep one row per converged point: gauge-fixed
+    vertices ``(k, n, 2)`` or reduced angle pairs ``(k, 2)``."""
     if isinstance(space, TorusSpace):
         angles = _polish_torus_seeds(space, charges, spec, settings,
                                      POLE_RADIUS_FACTOR * min(space.radii), seeds)
         # angles embedded on the circle, so +pi and -pi compare as equal
         rows = np.stack([np.cos(angles), np.sin(angles)], axis=2).reshape(-1, 4)
-        return [TorusConfig(space.radii, (float(a1), float(a2)))
-                for a1, a2 in angles[_first_cover(rows, settings.dedup_tol)]]
-    configs = _polish_polygon(seeds, charges, spec, settings, POLE_RADIUS_FACTOR)
-    # the polish returns gauge-fixed configurations, so raw points compare
-    rows = np.array([cfg.points.ravel() for cfg in configs])
-    return [configs[i] for i in _first_cover(rows, settings.dedup_tol)]
+        return angles[_first_cover(rows, settings.dedup_tol)]
+    vertices = _polish_polygon(seeds, charges, spec, settings, POLE_RADIUS_FACTOR)
+    # the polish returns gauge-fixed vertices, so raw points compare
+    flat = vertices.reshape(-1, 2 * vertices.shape[1])
+    return vertices[_first_cover(flat, settings.dedup_tol)]
 
 
-def _build_point(config: Config, charges: ChargeVector, spec: PotentialSpec,
-                 ) -> CriticalPoint:
-    report = pot.energy_report(config, charges, spec)
-    eigs = np.linalg.eigvalsh(report.hessian)
-    index, degenerate = classify_spectrum(eigs)
-    return CriticalPoint(
-        config=config,
-        energy=float(report.value),
-        grad_norm=float(np.linalg.norm(report.gradient)),
-        hessian_eigenvalues=tuple(float(v) for v in eigs),
-        morse_index=index,
-        degenerate=degenerate,
-        aligned=alignment_defect(config) == 0.0,
-        key=distance_key(config),
-    )
+def _mirror_close(rows: np.ndarray, torus: bool, tol: float) -> np.ndarray:
+    """Close a stack of representatives under the reflection involution.
+
+    The mirror of a critical point is critical with the same spectrum.
+    Each mirror, in row order, is appended unless it matches a row or a
+    mirror appended before it.
+    """
+    mirrors = _mirror_rows(rows, torus)
+    known = _close(mirrors, rows, torus, tol).any(axis=1)
+    twins = _close(mirrors, mirrors, torus, tol)
+    added: list[int] = []
+    for i in np.flatnonzero(~known):
+        if not twins[i, added].any():
+            added.append(int(i))
+    return np.concatenate([rows, mirrors[added]])
 
 
-def _link_partners(points: list[CriticalPoint], tol: float) -> list[CriticalPoint]:
-    """Set each point's ``symmetry_partner`` to the index in ``points`` of
-    the first other point its mirror image matches within ``tol``."""
-    out = []
-    for i, cp in enumerate(points):
-        mirror = apply_involution(cp.config)
-        partner = None
-        if not configs_match(mirror, cp.config, tol):
-            partner = next((j for j, other in enumerate(points)
-                            if j != i and configs_match(mirror, other.config, tol)), None)
-        out.append(replace(cp, symmetry_partner=partner))
-    return out
+def _partners(rows: np.ndarray, torus: bool, tol: float) -> list[int | None]:
+    """Index of the first other row each row's mirror matches; ``None``
+    for a row that is its own mirror image or has no partner."""
+    match = _close(_mirror_rows(rows, torus), rows, torus, tol)
+    return [None if own[i] or not own.any() else int(own.argmax())
+            for i, own in enumerate(match)]
 
 
-def _finalize(unique: list[Config], charges: ChargeVector, spec: PotentialSpec,
-              settings: SolveSettings) -> list[CriticalPoint]:
-    """Mirror-close, classify, sort and pair deduplicated configurations."""
-    # close under the involution: the mirror of a critical point is
-    # critical with the same spectrum, so synthesize missing partners
-    for cfg in list(unique):
-        mirror, _ = canonicalize(apply_involution(cfg))
-        if not any(configs_match(mirror, u, settings.dedup_tol) for u in unique):
-            unique.append(mirror)
-    points = []
-    for cfg in unique:
-        cp = _build_point(cfg, charges, spec)
-        if cp.grad_norm > settings.newton_tol:
-            continue
-        if pot.stationarity_relation_residual(cfg, charges, spec) > RELATION_TOL:
-            continue
-        points.append(cp)
-    points.sort(key=lambda cp: (cp.energy, cp.key))
-    return _link_partners(points, settings.dedup_tol)
+def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
+              spec: PotentialSpec, settings: SolveSettings) -> list[CriticalPoint]:
+    """Mirror-close, gate, classify, sort and pair the stack of
+    deduplicated representatives ``rows``."""
+    torus = isinstance(space, TorusSpace)
+    radii = space.radii if torus else None
+    rows = _mirror_close(rows, torus, settings.dedup_tol)
+    pairs = pair_distances(rows, radii)
+    # every gate is written so that NaN fails it; first the pole check
+    pole_radius = POLE_RADIUS_FACTOR * (min(radii) if torus else 1.0)
+    regular = pairs.min(axis=1) >= pole_radius
+    if not regular.any():
+        return []
+    rows, pairs = rows[regular], pairs[regular]
+    if torus:
+        grad, hess, _ = pot.torus_derivatives(radii, charges, spec, rows)
+    else:
+        grad, hess = pot.polygon_chart_derivatives(rows, charges, spec)
+    grad_norm = _row_norms(grad)
+    residual = pot.stationarity_relation_residuals(rows, radii, charges, spec)
+    keep = np.flatnonzero((grad_norm <= settings.newton_tol) & (residual <= RELATION_TOL))
+    if not keep.size:
+        return []
+    energy = pot.pair_energies(pairs[keep], charges, spec)
+    eigs = np.linalg.eigvalsh(hess[keep])
+    index, degenerate = classify_spectra(eigs)
+    aligned = alignment_defects(plane_points(rows[keep], radii), pairs[keep]) == 0.0
+    built = [canonicalize(row, radii) for row in rows[keep]]
+    order = sorted(range(keep.size), key=lambda i: (energy[i], built[i][1]))
+    partners = _partners(rows[keep[order]], torus, settings.dedup_tol)
+    return [CriticalPoint(config=built[i][0], energy=float(energy[i]),
+                          grad_norm=float(grad_norm[keep[i]]),
+                          hessian_eigenvalues=tuple(eigs[i].tolist()),
+                          morse_index=int(index[i]), degenerate=bool(degenerate[i]),
+                          aligned=bool(aligned[i]), key=built[i][1],
+                          symmetry_partner=partner)
+            for i, partner in zip(order, partners)]
 
 
 def polish_candidates(space: Space, charges: ChargeVector,
@@ -672,14 +697,16 @@ def polish_candidates(space: Space, charges: ChargeVector,
     """
     spec = spec or PotentialSpec.coulomb()
     settings = settings or SolveSettings()
+    if not len(candidates):
+        return []
     if isinstance(space, TorusSpace):
-        seeds = [cand.angles if isinstance(cand, TorusConfig)
-                 else np.asarray(cand, dtype=float).ravel()[:2] for cand in candidates]
+        seeds = np.array([cand.angles if isinstance(cand, TorusConfig)
+                          else np.asarray(cand, dtype=float).ravel()[:2]
+                          for cand in candidates])
     else:
-        seeds = [s for s in (_gauge_seed(cand.points if isinstance(cand, PolygonConfig)
-                                         else np.asarray(cand)) for cand in candidates)
-                 if s is not None]
-    return _finalize(_representatives(space, charges, spec, settings, seeds),
+        seeds = _gauge_rows([cand.points if isinstance(cand, PolygonConfig) else cand
+                              for cand in candidates])
+    return _finalize(space, _representatives(space, charges, spec, settings, seeds),
                      charges, spec, settings)
 
 
@@ -707,15 +734,6 @@ def find_critical_points(space: Space, charges: ChargeVector,
     else:
         if len(charges) != space.n:
             raise ValueError(f"need {space.n} charges for {space.name}")
-        seeds = [s for s in (_gauge_seed(raw) for raw in
-                             _polygon_seeds(space, charges, spec, settings))
-                 if s is not None]
-    return _finalize(_representatives(space, charges, spec, settings, seeds),
+        seeds = _gauge_rows(_polygon_seeds(space, charges, spec, settings))
+    return _finalize(space, _representatives(space, charges, spec, settings, seeds),
                      charges, spec, settings)
-
-
-def _gauge_seed(points: np.ndarray) -> np.ndarray | None:
-    try:
-        return PolygonConfig.from_points(points).points.copy()
-    except ValueError:
-        return None

@@ -15,10 +15,16 @@ configuration across the gauge axis.  Helpers here compute pairwise
 distances, measure how far a configuration is from being collinear,
 and produce canonical representatives plus distance-multiset keys for
 deduplication.
+
+The gauge fix, the pair distances and the alignment defect are
+array-first: they work row by row on stacks of polygon vertices
+``(k, n, 2)`` or torus chart points ``(k, 2)``, and the methods on a
+single configuration are stacks of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -55,6 +61,23 @@ def reduce_angle(a: float) -> float:
         a -= TWO_PI
     elif a <= -math.pi:
         a += TWO_PI
+    return a + 0.0  # normalize -0.0
+
+
+@functools.cache
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(first, second)`` of the pairs ``i < j`` of ``n``
+    points, in ``np.triu_indices`` order (read-only)."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def reduce_angles(angles: np.ndarray) -> np.ndarray:
+    """``reduce_angle`` applied elementwise."""
+    a = np.fmod(angles, TWO_PI)
+    a = np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
     return a + 0.0  # normalize -0.0
 
 
@@ -112,6 +135,8 @@ class PolygonConfig:
         pts = _readonly(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
             raise ValueError("points must be an (n, 2) array with n >= 3")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
         if pts[0, 0] != 0.0 or pts[0, 1] != 0.0:
             raise ValueError("first vertex must be pinned at the origin")
@@ -147,7 +172,7 @@ class PolygonConfig:
 
     @property
     def perimeter(self) -> float:
-        return perimeter_value(self.points)
+        return float(perimeter_value(self.points))
 
     @property
     def diameter(self) -> float:
@@ -193,19 +218,20 @@ class TorusConfig:
         r = tuple(float(v) for v in self.radii)
         if len(r) != 3 or not all(math.isfinite(v) and v > 0.0 for v in r):
             raise ValueError(f"radii must be three positive reals, got {self.radii}")
-        a = tuple(reduce_angle(float(v)) for v in self.angles)
-        if len(a) != 2:
-            raise ValueError("angles must be the pair (alpha1, alpha2)")
+        raw = tuple(float(v) for v in self.angles)
+        if len(raw) != 2 or not all(math.isfinite(v) for v in raw):
+            raise ValueError(f"angles must be the finite pair (alpha1, alpha2), "
+                             f"got {self.angles}")
         object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "angles", a)
+        object.__setattr__(self, "angles", tuple(reduce_angle(v) for v in raw))
 
     @property
     def alpha3(self) -> float:
-        return reduce_angle(TWO_PI - self.angles[0] - self.angles[1])
+        return self.alphas[2]
 
     @property
     def alphas(self) -> tuple[float, float, float]:
-        return (self.angles[0], self.angles[1], self.alpha3)
+        return tuple(torus_alphas(np.array([self.angles]))[0].tolist())
 
     def side_distances(self) -> tuple[float, float, float]:
         """(d1, d2, d3) where d_i is the distance of the pair opposite point i.
@@ -213,26 +239,12 @@ class TorusConfig:
         Each side comes from the cosine rule on its own central angle,
         e.g. ``d3**2 = r1**2 + r2**2 - 2*r1*r2*cos(alpha3)``.
         """
-        r1, r2, r3 = self.radii
-        a1, a2, a3 = self.alphas
-        return (
-            chord_distance(r2, r3, a1),
-            chord_distance(r3, r1, a2),
-            chord_distance(r1, r2, a3),
-        )
+        alphas = torus_alphas(np.array([self.angles]))
+        return tuple(torus_side_distances(self.radii, alphas)[0].tolist())
 
     def embedded_points(self) -> np.ndarray:
         """Plane embedding with the first point on the positive x-axis."""
-        r1, r2, r3 = self.radii
-        a1, _, a3 = self.alphas
-        th1 = 0.0
-        th2 = a3          # angle between points 1 and 2 is alpha3
-        th3 = a3 + a1     # then alpha1 on to point 3
-        return np.array([
-            [r1 * math.cos(th1), r1 * math.sin(th1)],
-            [r2 * math.cos(th2), r2 * math.sin(th2)],
-            [r3 * math.cos(th3), r3 * math.sin(th3)],
-        ])
+        return torus_plane_points(self.radii, torus_alphas(np.array([self.angles])))[0]
 
     @property
     def diameter(self) -> float:
@@ -252,10 +264,42 @@ class TorusConfig:
         return self.min_separation < self.pole_radius
 
 
-def chord_distance(ra: float, rb: float, angle: float) -> float:
+def chord_distance(ra, rb, angle) -> np.ndarray:
+    """Distance of points on circles of radii ``ra`` and ``rb`` at the
+    central ``angle``, elementwise over arrays."""
     # cosine rule; the radicand is ((ra-rb)^2 + ...) >= 0, clip float dust
-    val = ra * ra + rb * rb - 2.0 * ra * rb * math.cos(angle)
-    return math.sqrt(max(val, 0.0))
+    val = ra * ra + rb * rb - 2.0 * ra * rb * np.cos(angle)
+    return np.sqrt(np.maximum(val, 0.0))
+
+
+def torus_alphas(angles: np.ndarray) -> np.ndarray:
+    """Central angles ``(k, 3)`` of a stack of chart points ``(k, 2)``:
+    the stored pair and the derived third, reduced to (-pi, pi]."""
+    alphas = np.empty((len(angles), 3))
+    alphas[:, :2] = angles
+    alphas[:, 2] = reduce_angles(TWO_PI - angles[:, 0] - angles[:, 1])
+    return alphas
+
+
+def torus_side_distances(radii: Sequence[float], alphas: np.ndarray) -> np.ndarray:
+    """Side distances ``(k, 3)`` of a stack of central-angle triples;
+    column ``i`` is the distance of the pair opposite point ``i``."""
+    r = np.asarray(radii, dtype=float)
+    return chord_distance(r[[1, 2, 0]], r[[2, 0, 1]], alphas)
+
+
+def torus_plane_points(radii: Sequence[float], alphas: np.ndarray) -> np.ndarray:
+    """Plane embeddings ``(k, 3, 2)`` of a stack of central-angle triples,
+    the first point on the positive x-axis."""
+    # point 2 sits alpha3 past point 1, then alpha1 on to point 3
+    theta = np.zeros_like(alphas)
+    theta[:, 1] = alphas[:, 2]
+    theta[:, 2] = alphas[:, 2] + alphas[:, 0]
+    r = np.asarray(radii, dtype=float)
+    points = np.empty(alphas.shape + (2,))
+    points[..., 0] = r * np.cos(theta)
+    points[..., 1] = r * np.sin(theta)
+    return points
 
 
 Config = PolygonConfig | TorusConfig
@@ -284,23 +328,47 @@ class AlignedLabel:
             raise ValueError(f"unknown space {self.space!r}")
 
 
+def config_rows(config: Config) -> tuple[np.ndarray, tuple[float, float, float] | None]:
+    """A configuration as a stack of one: vertex rows ``(1, n, 2)`` and
+    ``None``, or chart rows ``(1, 2)`` and the radii."""
+    if isinstance(config, PolygonConfig):
+        return config.points[None], None
+    return np.array([config.angles]), config.radii
+
+
+def pair_distances(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.ndarray:
+    """Pair distances ``(k, P)`` of a stack of polygon vertices
+    ``(k, n, 2)`` or, with ``radii``, torus chart points ``(k, 2)``;
+    pairs ``i < j`` run in ``pair_indices`` order."""
+    if radii is not None:
+        # pairs (0, 1), (0, 2), (1, 2) are the sides opposite points 2, 1, 0
+        return torus_side_distances(radii, torus_alphas(rows))[:, ::-1]
+    first, second = pair_indices(rows.shape[1])
+    diff = rows[:, first] - rows[:, second]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
+def plane_points(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.ndarray:
+    """Points in the plane ``(k, n, 2)`` of a stack of polygon vertices
+    (the rows themselves) or, with ``radii``, torus chart points."""
+    return rows if radii is None else torus_plane_points(radii, torus_alphas(rows))
+
+
 def pairwise_distances(config: Config) -> np.ndarray:
     """Symmetric matrix of pairwise distances, zero diagonal."""
-    if isinstance(config, PolygonConfig):
-        pts = config.points
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.sqrt((diff ** 2).sum(axis=2))
-    d1, d2, d3 = config.side_distances()
-    return np.array([
-        [0.0, d3, d2],
-        [d3, 0.0, d1],
-        [d2, d1, 0.0],
-    ])
+    pairs = pair_distances(*config_rows(config))[0]
+    n = config.n if isinstance(config, PolygonConfig) else 3
+    first, second = pair_indices(n)
+    d = np.zeros((n, n))
+    d[first, second] = d[second, first] = pairs
+    return d
 
 
-def perimeter_value(points: np.ndarray) -> float:
-    """Cyclic perimeter of the vertices ``(n, 2)``."""
-    return float(np.linalg.norm(points - np.roll(points, -1, axis=0), axis=1).sum())
+def perimeter_value(points: np.ndarray) -> np.ndarray:
+    """Cyclic perimeter of the vertices ``(n, 2)``, or of each polygon of
+    a stack ``(k, n, 2)``."""
+    edges = np.diff(points, axis=-2, append=points[..., :1, :])
+    return np.sqrt((edges ** 2).sum(axis=-1)).sum(axis=-1)
 
 
 def triangle_vertices(sides: Sequence[float], flip: bool = False) -> np.ndarray | None:
@@ -323,34 +391,50 @@ def triangle_vertices(sides: Sequence[float], flip: bool = False) -> np.ndarray 
 
 def gauge_fix(points: np.ndarray, rescale: bool = True) -> np.ndarray:
     """Translate vertex 0 to the origin, rotate the gauge vertex onto the
-    non-negative x half-axis and optionally renormalize the perimeter."""
-    pts = np.asarray(points, dtype=float).copy()
-    pts -= pts[0]
-    gauge = 0
-    for i in range(1, pts.shape[0]):
-        if pts[i, 0] != 0.0 or pts[i, 1] != 0.0:
-            gauge = i
-            break
-    if gauge:
-        x, y = pts[gauge]
-        r = math.hypot(x, y)
-        c, s = x / r, y / r
-        rot = np.array([[c, s], [-s, c]])
-        pts = pts @ rot.T
-        pts[gauge, 0] = r
-        pts[gauge, 1] = 0.0
+    non-negative x half-axis and optionally renormalize the perimeter.
+
+    Works row by row on a stack ``(k, n, 2)``; one configuration
+    ``(n, 2)`` is a stack of one.  The gauge vertex is the first vertex
+    off the origin.  A row that is not finite, or whose vertices all
+    coincide so that there is no perimeter to rescale by, comes back as
+    NaN, which ``PolygonConfig`` rejects.
+    """
+    pts = np.array(points, dtype=float)
+    single = pts.ndim == 2
+    if single:
+        pts = pts[None]
+    # NaN propagates quietly, where inf arithmetic would warn
+    pts[~np.isfinite(pts).all(axis=(1, 2))] = np.nan
+    pts -= pts[:, :1]
+    off = (pts[:, 1:] != 0.0).any(axis=2)
+    rows = np.flatnonzero(off.any(axis=1))
+    gauge = off[rows].argmax(axis=1) + 1
+    x = pts[rows, gauge, 0]
+    y = pts[rows, gauge, 1]
+    # math.hypot, not np.hypot: the two differ in the last bit
+    r = np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    rot = np.empty((len(rows), 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = x / r
+    rot[:, 0, 1] = y / r
+    rot[:, 1, 0] = -rot[:, 0, 1]
+    # multiply by the transposed view, which rounds like ``pts @ rot.T``
+    # on one configuration
+    pts[rows] = pts[rows] @ np.swapaxes(rot, 1, 2)
+    pts[rows, gauge, 0] = r
+    pts[rows, gauge, 1] = 0.0
+    flat = np.zeros(len(pts), dtype=bool)
     if rescale:
         per = perimeter_value(pts)
-        if per <= 0.0:
-            raise ValueError("cannot rescale a fully coincident configuration")
+        flat = per <= 0.0
         # skip the division for pure rounding dust so re-gauging an
         # already canonical configuration is a bitwise no-op
-        if abs(per - 1.0) > 4.0 * np.finfo(float).eps:
-            pts /= per
-    pts[0] = 0.0
+        scale = ~flat & (np.abs(per - 1.0) > 4.0 * np.finfo(float).eps)
+        np.divide(pts, per[:, None, None], out=pts, where=scale[:, None, None])
+    pts[:, 0] = 0.0
     # kill signed zeros so reflected copies compare bit-for-bit
     pts += 0.0
-    return pts
+    pts[flat] = np.nan
+    return pts[0] if single else pts
 
 
 def apply_involution(config: Config) -> Config:
@@ -368,22 +452,26 @@ def apply_involution(config: Config) -> Config:
 
 
 def alignment_defect(config: Config) -> float:
-    """Max distance of any point to the best-fit line, or 0 if collinear.
+    """Max distance of any point to the best-fit line, or 0 if collinear."""
+    rows, radii = config_rows(config)
+    return float(alignment_defects(plane_points(rows, radii), pair_distances(rows, radii))[0])
 
-    The fit line is the largest principal axis of the centered second
-    moment; a defect below ``ALIGNMENT_TOL`` times the diameter counts
-    as exactly collinear.
+
+def alignment_defects(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Alignment defects ``(k,)`` of a stack of plane points ``(k, n, 2)``
+    with their pair distances ``(k, P)``.
+
+    The defect is the max distance of a point to the best-fit line, the
+    largest principal axis of the centered second moment; a defect below
+    ``ALIGNMENT_TOL`` times the diameter counts as exactly collinear (0).
     """
-    pts = config.points if isinstance(config, PolygonConfig) else config.embedded_points()
-    centered = pts - pts.mean(axis=0)
-    moment = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(moment)
-    normal = eigvecs[:, 0]  # smallest-variance axis is the line normal
-    defect = float(np.abs(centered @ normal).max())
-    diam = pairwise_distances(config).max()
-    if diam == 0.0 or defect <= ALIGNMENT_TOL * diam:
-        return 0.0
-    return defect
+    centered = points - points.mean(axis=1, keepdims=True)
+    moment = np.swapaxes(centered, 1, 2) @ centered
+    _, eigvecs = np.linalg.eigh(moment)
+    normal = eigvecs[:, :, :1]  # smallest-variance axis is the line normal
+    defect = np.abs(centered @ normal)[..., 0].max(axis=1)
+    diam = pairs.max(axis=1)
+    return np.where((diam == 0.0) | (defect <= ALIGNMENT_TOL * diam), 0.0, defect)
 
 
 def distance_key(config: Config, decimals: int = KEY_DECIMALS) -> tuple[int, ...]:
@@ -392,10 +480,8 @@ def distance_key(config: Config, decimals: int = KEY_DECIMALS) -> tuple[int, ...
     Reflection partners share a key because reflections preserve all
     pairwise distances.
     """
-    d = pairwise_distances(config)
-    upper = d[np.triu_indices(d.shape[0], k=1)]
-    scale = 10 ** decimals
-    return tuple(sorted(int(round(v * scale)) for v in upper))
+    scaled = pair_distances(*config_rows(config))[0] * 10 ** decimals
+    return tuple(np.sort(np.rint(scaled)).astype(np.int64).tolist())
 
 
 def canonicalize(config: Config | np.ndarray,

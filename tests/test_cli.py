@@ -224,6 +224,18 @@ class TestInverseCommand:
         assert code == 0
         assert json.loads(out)["kind"] == "unique-ray"
 
+    @pytest.mark.parametrize("cfg", [
+        {"space": "polygon", "points": [[0.0, 0.0], [math.nan, 0.0], [0.5, 0.3]]},
+        {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": [math.nan, 1.0]},
+        {"space": "polygon", "points": [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]},
+    ])
+    def test_points_file_without_a_configuration_exits_two(self, tmp_path, cfg):
+        # json writes NaN as a bare token, which json.loads accepts
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, _ = run_cli(["inverse", "--points", str(path)])
+        assert code == 2
+
     def test_requires_exactly_one_input(self):
         code, _ = run_cli(["inverse"])
         assert code == 2

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from coulomb_eq.cli import solve_payload
-from coulomb_eq.morse import euler_count_check
+from coulomb_eq.morse import classify_spectrum, euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
 from coulomb_eq.solver import (
     MULTISTART_SEED,
+    RELATION_TOL,
     PolygonSpace,
     SolveSettings,
     TorusSpace,
@@ -20,19 +21,28 @@ from coulomb_eq.solver import (
     solve_line_interior,
     solve_line_three,
     line_three_energies,
+    _finalize,
     _first_cover,
-    _gauge_seed,
+    _gauge_rows,
     _polish_polygon,
     _polish_torus_seeds,
-    _reduce_angles,
+    _polygon_seeds,
+    _representatives,
     _torus_seeds,
 )
 from coulomb_eq import potentials as pot
 from coulomb_eq.spaces import (
     ChargeVector,
+    PolygonConfig,
+    TorusConfig,
+    alignment_defect,
     apply_involution,
+    canonicalize,
+    distance_key,
+    gauge_fix,
     pairwise_distances,
     reduce_angle,
+    reduce_angles,
 )
 
 COULOMB = PotentialSpec.coulomb()
@@ -271,7 +281,8 @@ POLE_LOCKED = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
 
 
 def polish(seeds, charges):
-    return _polish_polygon(np.array(seeds), charges, COULOMB, SolveSettings(), 1e-7)
+    vertices = _polish_polygon(np.array(seeds), charges, COULOMB, SolveSettings(), 1e-7)
+    return [PolygonConfig(v) for v in vertices]
 
 
 def mixed_seed_pool(n, charges):
@@ -286,7 +297,7 @@ def mixed_seed_pool(n, charges):
     rng = np.random.default_rng(MULTISTART_SEED)
     pool = closed[:1] + [locked] + closed[1:]
     pool += [rng.uniform(-1.0, 1.0, size=(n, 2)) for _ in range(12)]
-    return [s for s in (_gauge_seed(p) for p in pool) if s is not None]
+    return list(_gauge_rows(pool))
 
 
 class TestBatchedPolish:
@@ -311,7 +322,7 @@ class TestBatchedPolish:
 
     def test_batch_with_no_seed_past_the_gap_check(self):
         locked = [POLE_LOCKED, POLE_LOCKED[::-1] * 0.5, POLE_LOCKED + 1e-10]
-        assert polish([_gauge_seed(p) for p in locked], Q111) == []
+        assert polish(_gauge_rows(locked), Q111) == []
         assert polish(np.empty((0, 3, 2)), Q111) == []
         assert polish_candidates(PolygonSpace(3), Q111, locked) == []
 
@@ -366,7 +377,7 @@ class TestCompactedTorusPolish:
         special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
                    3 * math.pi, math.pi + 1e-15, -math.pi - 1e-15]
         angles = np.concatenate([rng.uniform(-20.0, 20.0, 201), special]).reshape(-1, 2)
-        reduced = _reduce_angles(angles)
+        reduced = reduce_angles(angles)
         expected = np.array([[reduce_angle(a) for a in row] for row in angles])
         assert np.array_equal(reduced, expected)
         assert np.array_equal(np.signbit(reduced), np.signbit(expected))
@@ -411,6 +422,109 @@ class TestFirstCover:
         assert rows[1, 1] - rows[0, 1] == tol
         assert _first_cover(rows, tol) == sequential_first_wins(rows, tol) == [0, 1]
         assert _first_cover(np.empty((0, 4)), tol) == []
+
+
+def per_point_finalize(space, rows, charges, settings):
+    """Reference finalize, one configuration at a time: mirror closure by
+    pairwise matching, classification from ``energy_report``, gates,
+    sort, then the partner scan."""
+    tol = settings.dedup_tol
+    if isinstance(space, TorusSpace):
+        unique = [TorusConfig(space.radii, tuple(row)) for row in rows]
+    else:
+        unique = [PolygonConfig(row) for row in rows]
+    for cfg in list(unique):
+        mirror, _ = canonicalize(apply_involution(cfg))
+        if not any(configs_match(mirror, u, tol) for u in unique):
+            unique.append(mirror)
+    points = []
+    for cfg in unique:
+        report = pot.energy_report(cfg, charges, COULOMB)
+        grad_norm = float(np.linalg.norm(report.gradient))
+        if (grad_norm > settings.newton_tol or pot.stationarity_relation_residual(
+                cfg, charges, COULOMB) > RELATION_TOL):
+            continue
+        eigs = np.linalg.eigvalsh(report.hessian)
+        index, degenerate = classify_spectrum(eigs)
+        points.append({"config": cfg, "energy": float(report.value),
+                       "grad_norm": grad_norm, "eigs": tuple(float(v) for v in eigs),
+                       "index": index, "degenerate": degenerate,
+                       "aligned": alignment_defect(cfg) == 0.0, "key": distance_key(cfg)})
+    points.sort(key=lambda p: (p["energy"], p["key"]))
+    for i, p in enumerate(points):
+        mirror = apply_involution(p["config"])
+        p["partner"] = None if configs_match(mirror, p["config"], tol) else next(
+            (j for j, o in enumerate(points)
+             if j != i and configs_match(mirror, o["config"], tol)), None)
+    return points
+
+
+def coords(cfg):
+    return cfg.points if isinstance(cfg, PolygonConfig) else np.array(cfg.angles)
+
+
+def closed_form_seeds(charges):
+    """Collinear equilibria and the triangle without its mirror image,
+    so the finalize has to synthesize the mirror."""
+    seeds = [cfg.points for cfg in solve_line_three(charges)]
+    tri = critical_triangle(charges)
+    return _gauge_rows(seeds + ([tri.points] if tri is not None else []))
+
+
+class TestArrayFinalize:
+    @pytest.mark.parametrize("space,charges,grid", [
+        (PolygonSpace(3), [1.0, 1.0, 1.0], None),
+        (PolygonSpace(3), [0.125, 1.0, 1.0], None),
+        (PolygonSpace(4), [1.0, 1.0, 1.0, 1.0], 16),
+        (TorusSpace((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0], 24),
+        (TorusSpace((1.0, 1.0, 1.0)), [1.0, 1.0, 1.0], 24),
+    ])
+    def test_matches_the_per_point_pipeline(self, space, charges, grid):
+        q = ChargeVector.of(charges)
+        settings = SolveSettings(grid_density=grid or 24)
+        if isinstance(space, TorusSpace):
+            seeds = _torus_seeds(space, settings)
+        elif grid is None:
+            seeds = closed_form_seeds(q)
+        else:
+            seeds = _gauge_rows(_polygon_seeds(space, q, COULOMB, settings))
+        rows = _representatives(space, q, COULOMB, settings, seeds)
+        expected = per_point_finalize(space, rows, q, settings)
+        got = _finalize(space, rows, q, COULOMB, settings)
+        assert len(got) == len(expected) > 0
+        for cp, ref in zip(got, expected):
+            assert np.array_equal(coords(cp.config), coords(ref["config"]))
+            assert (cp.energy, cp.grad_norm, cp.hessian_eigenvalues) == (
+                ref["energy"], ref["grad_norm"], ref["eigs"])
+            assert (cp.morse_index, cp.degenerate, cp.aligned, cp.key) == (
+                ref["index"], ref["degenerate"], ref["aligned"], ref["key"])
+            assert cp.symmetry_partner == ref["partner"]
+
+    def test_mirror_is_checked_against_mirrors_added_before_it(self):
+        # two rows closer than dedup_tol (the finalize does not dedup) have
+        # matching mirrors: only the first mirror is added
+        tri = critical_triangle(Q111).points
+        near = gauge_fix(tri + np.array([[0.0, 0.0], [0.0, 0.0], [1e-13, 0.0]]))
+        rows = np.stack([tri, near])
+        settings = SolveSettings()
+        got = _finalize(PolygonSpace(3), rows, Q111, COULOMB, settings)
+        expected = per_point_finalize(PolygonSpace(3), rows, Q111, settings)
+        assert len(got) == len(expected) == 3
+        for cp, ref in zip(got, expected):
+            assert np.array_equal(coords(cp.config), coords(ref["config"]))
+            assert cp.symmetry_partner == ref["partner"]
+
+    def test_nan_and_pole_rows_are_dropped(self):
+        tri = critical_triangle(Q111).points
+        rows = np.stack([np.full((3, 2), np.nan), gauge_fix(POLE_LOCKED), tri])
+        pts = _finalize(PolygonSpace(3), rows, Q111, COULOMB, SolveSettings())
+        # the triangle and its synthesized mirror image
+        assert len(pts) == 2 and pts[0].symmetry_partner == 1
+        assert all(math.isfinite(cp.energy) for cp in pts)
+        # torus:1,1,2 has a pole at the (pi, pi, 0) label
+        rows = np.array([[math.pi, math.pi], [math.nan, 0.5], [0.0, math.pi]])
+        pts = _finalize(TorusSpace((1.0, 1.0, 2.0)), rows, Q111, COULOMB, SolveSettings())
+        assert [cp.config.angles for cp in pts] == [(0.0, math.pi)]
 
 
 class TestClosedFourCharge:

@@ -14,6 +14,7 @@ from coulomb_eq.spaces import (
     canonicalize,
     deserialize_config,
     distance_key,
+    gauge_fix,
     pairwise_distances,
     reduce_angle,
     serialize_config,
@@ -70,6 +71,71 @@ class TestPolygonConfig:
         cfg = PolygonConfig.from_points([[0, 0], [0, 0], [0.3, 0.4]])
         assert cfg.gauge_index == 2
         assert cfg.points[2, 1] == 0.0
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0], [math.nan, 0.0], [0.5, 0.3]],
+        [[0.0, 0.0], [0.5, 0.0], [0.2, math.inf]],
+        [[0.3, 0.1], [0.3, 0.1], [0.3, 0.1]],  # fully coincident: no perimeter
+    ])
+    def test_rejects_non_finite_points(self, points):
+        with pytest.raises(ValueError):
+            PolygonConfig.from_points(points)
+
+
+class TestTorusConfig:
+    @pytest.mark.parametrize("angles", [(math.nan, 1.0), (0.5, math.inf), (-math.inf, 0.0)])
+    def test_rejects_non_finite_angles(self, angles):
+        with pytest.raises(ValueError):
+            TorusConfig((1.0, 2.0, 3.0), angles)
+
+
+def scalar_gauge_fix(points):
+    """Reference: the gauge fix of one configuration, step by step."""
+    pts = np.asarray(points, dtype=float).copy()
+    pts -= pts[0]
+    gauge = next((i for i in range(1, len(pts)) if pts[i, 0] != 0.0 or pts[i, 1] != 0.0), 0)
+    if gauge:
+        x, y = pts[gauge]
+        r = math.hypot(x, y)
+        c, s = x / r, y / r
+        pts = pts @ np.array([[c, s], [-s, c]]).T
+        pts[gauge] = (r, 0.0)
+    per = float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
+    if per <= 0.0:
+        raise ValueError("fully coincident")
+    if abs(per - 1.0) > 4.0 * np.finfo(float).eps:
+        pts /= per
+    pts[0] = 0.0
+    return pts + 0.0
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestStackedGaugeFix:
+    def stack(self):
+        rng = np.random.default_rng(11)
+        rows = list(rng.uniform(-1.0, 1.0, (40, 4, 2)))
+        coincident = rng.uniform(-1.0, 1.0, (4, 2))
+        coincident[1] = coincident[0]  # gauge falls back to vertex 2
+        canonical = gauge_fix(rng.uniform(-1.0, 1.0, (4, 2)))
+        signed = np.array([[-0.0, -0.0], [0.25, -0.0], [0.5, -0.0], [0.25, -0.0]])
+        flat = np.full((4, 2), 0.3)
+        return np.array(rows + [coincident, canonical, signed, flat])
+
+    def test_rows_match_the_scalar_reference_bitwise(self):
+        stack = self.stack()
+        fixed = gauge_fix(stack)
+        for row, out in zip(stack[:-1], fixed[:-1]):
+            assert same_bits(out, scalar_gauge_fix(row))
+            assert same_bits(out, gauge_fix(row))
+        assert fixed[-4, 1, 0] == 0.0 and fixed[-4, 2, 1] == 0.0
+        assert same_bits(fixed[-3], stack[-3])  # already canonical: a no-op
+        assert not np.signbit(fixed[-2]).any()
+        with pytest.raises(ValueError):
+            scalar_gauge_fix(stack[-1])
+        assert np.isnan(fixed[-1]).all() and np.isnan(gauge_fix(stack[-1])).all()
 
 
 class TestDistances:
