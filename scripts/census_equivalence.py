@@ -22,11 +22,13 @@ The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
 charges, ten polygon censuses (n = 3, 4, 5) under the coulomb and log
 kernels, the benchmark's two pitchfork sweeps (the polygon reference
-sweep and the torus sweep), ``verify --suite quick``, three
-``inverse --sides`` cases (a unique ray, a collinear family and an
-infeasible triple), the 400 control-triangle cells of the benchmark's
-analysis workload for seed 1 and its fixing-effect probes for seeds 1,
-2, 3 and the held-out seed.
+sweep and the torus sweep), ``verify --suite quick`` and ``verify
+--suite full`` (the only run that reads the resolution-256 boundary
+curves and the four-charge fixing check), three ``inverse --sides``
+cases (a unique ray, a collinear family and an infeasible triple), the
+400 control-triangle cells of the benchmark's analysis workload for
+seed 1 and its fixing-effect probes for seeds 1, 2, 3 and the held-out
+seed.
 
 Exit status: 0 when every difference is a floating-point value, 1 when
 some run differs in structure or in any other value, 2 when a tree
@@ -144,7 +146,7 @@ def corpus() -> list[tuple[str, list[str] | dict]]:
                  for space, charges, grid in POLYGONS]
     runs += [("bifurcate", _sweep_argv(sweep, f"bifurcate-{k}"))
              for k, sweep in enumerate(SWEEPS)]
-    runs.append(("verify", ["verify", "--suite", "quick"]))
+    runs += [("verify", ["verify", "--suite", suite]) for suite in ("quick", "full")]
     runs += [("inverse", ["inverse", "--sides", sides]) for sides in INVERSE_SIDES]
     runs += [("cell", job) for job in workloads.generate("analysis-mix", CELL_SEED)
              if job["kind"] == "cell"]

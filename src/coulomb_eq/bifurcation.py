@@ -141,7 +141,9 @@ def polygon_bifurcation_set(resolution: int = 200) -> list[BifurcationCurve]:
         samples = []
         for k in range(resolution):
             t = (k + 0.5) / resolution
-            s = _solve_boundary_share(vertex, t)
+            # share of the swept charge that zeroes the boundary defect:
+            # 1/sqrt(s) = (t**-0.5 + (1-t)**-0.5) / sqrt(1-s)
+            s = 1.0 / (1.0 + (t ** -0.5 + (1.0 - t) ** -0.5) ** 2)
             q = [0.0, 0.0, 0.0]
             q[vertex] = s
             j, l = [i for i in range(3) if i != vertex]
@@ -150,29 +152,6 @@ def polygon_bifurcation_set(resolution: int = 200) -> list[BifurcationCurve]:
             samples.append(ControlPoint(tuple(q)))
         curves.append(BifurcationCurve(f"q{vertex + 1}", tuple(samples)))
     return curves
-
-
-def _solve_boundary_share(vertex: int, t: float) -> float:
-    """Share of the swept charge on the boundary curve, by bisection."""
-
-    def defect(s: float) -> float:
-        q = [0.0, 0.0, 0.0]
-        q[vertex] = s
-        j, l = [i for i in range(3) if i != vertex]
-        q[j] = (1.0 - s) * t
-        q[l] = (1.0 - s) * (1.0 - t)
-        return polygon_boundary_equation(q, vertex)
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if defect(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16:
-            break
-    return 0.5 * (lo + hi)
 
 
 def torus_label_name(label: Sequence[float]) -> str:
@@ -279,6 +258,11 @@ def detect_threshold(space: Space, path: ChargePath,
     degenerate, located by bisection on its smallest transverse eigenvalue."""
     spec = spec or PotentialSpec.coulomb()
     _, eig, lo, hi = _locate_crossing(space, path, lam_range, spec)
+    return _bisect_crossing(eig, lo, hi)
+
+
+def _bisect_crossing(eig: Callable[[float], float], lo: float, hi: float) -> float:
+    """Zero of ``eig`` inside the bracket ``[lo, hi]`` of a sign change."""
     flo = eig(lo)
     lo, hi = float(lo), float(hi)
     for _ in range(200):
@@ -377,8 +361,8 @@ def trace_pitchfork(space: Space, path: ChargePath,
     """
     spec = spec or PotentialSpec.coulomb()
     settings = settings or LIGHT_SETTINGS
-    tracked, eig, *_ = _locate_crossing(space, path, lam_range, spec)
-    threshold = detect_threshold(space, path, lam_range, spec)
+    tracked, eig, lo, hi = _locate_crossing(space, path, lam_range, spec)
+    threshold = _bisect_crossing(eig, lo, hi)
     lams = [float(v) for v in np.linspace(lam_range[0], lam_range[1], steps)]
     branch_side = "above" if eig(lam_range[1]) < 0.0 else "below"
     # walk outward from the threshold on the branch side so each polished

@@ -62,8 +62,9 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("coulomb", "power", "log"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "power" and not self.exponent > 1.0:
-            raise ValueError("power-law exponent must exceed 1")
+        # written so that NaN fails too
+        if self.kind == "power" and not 1.0 < self.exponent < math.inf:
+            raise ValueError("power-law exponent must be finite and exceed 1")
 
     @classmethod
     def coulomb(cls) -> "PotentialSpec":
@@ -328,12 +329,6 @@ def polygon_chart_derivatives(points: np.ndarray, charges: ChargeVector,
     return grad, 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
 
 
-def _polygon_chart_derivatives(config: PolygonConfig, charges: ChargeVector,
-                               spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
-    grad, hess = polygon_chart_derivatives(config.points[None], charges, spec)
-    return grad[0], hess[0]
-
-
 # ---------------------------------------------------------------------------
 # torus space: the (alpha1, alpha2) chart is global
 # ---------------------------------------------------------------------------
@@ -382,16 +377,21 @@ def torus_derivatives(radii: tuple[float, float, float], charges: ChargeVector,
     return grad, hess, dmin
 
 
-def _torus_chart_derivatives(config: TorusConfig, charges: ChargeVector,
-                             spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
-    grad, hess, _ = torus_derivatives(config.radii, charges, spec,
-                                      np.array([config.angles]))
-    return grad[0], hess[0]
-
-
 # ---------------------------------------------------------------------------
 # public chart-derivative API
 # ---------------------------------------------------------------------------
+
+def chart_derivatives(rows: np.ndarray, radii: tuple[float, float, float] | None,
+                      charges: ChargeVector, spec: PotentialSpec,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart gradients and Hessians of a stack of gauge-fixed polygon
+    vertices ``(k, n, 2)`` (``radii`` is ``None``) or torus chart points
+    ``(k, 2)``; a single configuration is ``config_rows`` of it."""
+    if radii is None:
+        return polygon_chart_derivatives(rows, charges, spec)
+    grad, hess, _ = torus_derivatives(radii, charges, spec, rows)
+    return grad, hess
+
 
 def gradient(config: Config, charges: ChargeVector,
              spec: PotentialSpec | None = None) -> np.ndarray:
@@ -399,9 +399,7 @@ def gradient(config: Config, charges: ChargeVector,
     spec = spec or PotentialSpec.coulomb()
     _check_charges(config, charges)
     _require_regular(config)
-    if isinstance(config, PolygonConfig):
-        return _polygon_chart_derivatives(config, charges, spec)[0]
-    return _torus_chart_derivatives(config, charges, spec)[0]
+    return chart_derivatives(*config_rows(config), charges, spec)[0][0]
 
 
 def hessian(config: Config, charges: ChargeVector,
@@ -410,9 +408,7 @@ def hessian(config: Config, charges: ChargeVector,
     spec = spec or PotentialSpec.coulomb()
     _check_charges(config, charges)
     _require_regular(config)
-    if isinstance(config, PolygonConfig):
-        return _polygon_chart_derivatives(config, charges, spec)[1]
-    return _torus_chart_derivatives(config, charges, spec)[1]
+    return chart_derivatives(*config_rows(config), charges, spec)[1][0]
 
 
 def energy_report(config: Config, charges: ChargeVector,
@@ -424,11 +420,8 @@ def energy_report(config: Config, charges: ChargeVector,
         dim = 2 * (config.n - 2) if isinstance(config, PolygonConfig) else 2
         nan = np.full(dim, math.nan)
         return EnergyReport(math.inf, nan, np.full((dim, dim), math.nan), True)
-    if isinstance(config, PolygonConfig):
-        g, h = _polygon_chart_derivatives(config, charges, spec)
-    else:
-        g, h = _torus_chart_derivatives(config, charges, spec)
-    return EnergyReport(energy(config, charges, spec), g, h, False)
+    g, h = chart_derivatives(*config_rows(config), charges, spec)
+    return EnergyReport(energy(config, charges, spec), g[0], h[0], False)
 
 
 def dilation_derivative(config: PolygonConfig, charges: ChargeVector,

@@ -17,7 +17,9 @@ representatives too: it closes it under the reflection involution by
 row comparisons, gates and classifies every row from one chart
 derivative call and one eigenvalue call, sorts, and pairs each point
 with its mirror by index.  A configuration object is built only for
-each reported point.
+each reported point.  The representatives are canonical rows, and
+canonical rows are never re-gauged: mirrors and reported points are
+built from them as they stand.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ from .spaces import (
     canonicalize,
     config_rows,
     gauge_fix,
+    mirror_rows,
     pair_distances,
     pair_indices,
     plane_points,
     reduce_angles,
+    row_config,
     triangle_vertices,
 )
 
@@ -170,21 +174,19 @@ def solve_line_three(charges: ChargeVector,
     spec = spec or PotentialSpec.coulomb()
     p = _ratio_exponent(spec)
     q = charges.array
-    out = []
+    coords = np.zeros((3, 3, 2))
     for mid in range(3):
         left, right = [i for i in range(3) if i != mid]
         ratio = (q[left] / q[right]) ** p
         d_left = 0.5 * ratio / (1.0 + ratio)  # distance from left outer to mid
-        coords = np.zeros((3, 2))
         if mid == 0:
             # vertex 0 pinned at the origin sits between vertices 1 and 2
-            coords[left] = (-d_left, 0.0)
-            coords[right] = (0.5 - d_left, 0.0)
+            coords[mid, left] = (-d_left, 0.0)
+            coords[mid, right] = (0.5 - d_left, 0.0)
         else:
-            coords[mid] = (d_left, 0.0)
-            coords[right] = (0.5, 0.0)
-        out.append(PolygonConfig.from_points(coords))
-    return out
+            coords[mid, mid] = (d_left, 0.0)
+            coords[mid, right] = (0.5, 0.0)
+    return [PolygonConfig(row) for row in gauge_fix(coords)]
 
 
 def line_three_energies(charges: ChargeVector,
@@ -577,15 +579,6 @@ def _close(a: np.ndarray, b: np.ndarray, torus: bool, tol: float) -> np.ndarray:
     return np.abs(diff).max(axis=tuple(range(2, diff.ndim))) < tol
 
 
-def _mirror_rows(rows: np.ndarray, torus: bool) -> np.ndarray:
-    """Canonical mirror images of a stack of representatives."""
-    if torus:
-        return reduce_angles(-rows)
-    mirrored = rows.copy()
-    mirrored[..., 1] = -mirrored[..., 1] + 0.0
-    return gauge_fix(mirrored)
-
-
 def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
     """Indices of the representatives of a first-wins dedup of ``rows``.
 
@@ -619,14 +612,16 @@ def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
     return vertices[_first_cover(flat, settings.dedup_tol)]
 
 
-def _mirror_close(rows: np.ndarray, torus: bool, tol: float) -> np.ndarray:
+def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
+                  tol: float) -> np.ndarray:
     """Close a stack of representatives under the reflection involution.
 
     The mirror of a critical point is critical with the same spectrum.
     Each mirror, in row order, is appended unless it matches a row or a
     mirror appended before it.
     """
-    mirrors = _mirror_rows(rows, torus)
+    torus = radii is not None
+    mirrors = mirror_rows(rows, radii)
     known = _close(mirrors, rows, torus, tol).any(axis=1)
     twins = _close(mirrors, mirrors, torus, tol)
     added: list[int] = []
@@ -636,10 +631,11 @@ def _mirror_close(rows: np.ndarray, torus: bool, tol: float) -> np.ndarray:
     return np.concatenate([rows, mirrors[added]])
 
 
-def _partners(rows: np.ndarray, torus: bool, tol: float) -> list[int | None]:
+def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
+              tol: float) -> list[int | None]:
     """Index of the first other row each row's mirror matches; ``None``
     for a row that is its own mirror image or has no partner."""
-    match = _close(_mirror_rows(rows, torus), rows, torus, tol)
+    match = _close(mirror_rows(rows, radii), rows, radii is not None, tol)
     return [None if own[i] or not own.any() else int(own.argmax())
             for i, own in enumerate(match)]
 
@@ -648,20 +644,16 @@ def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
               spec: PotentialSpec, settings: SolveSettings) -> list[CriticalPoint]:
     """Mirror-close, gate, classify, sort and pair the stack of
     deduplicated representatives ``rows``."""
-    torus = isinstance(space, TorusSpace)
-    radii = space.radii if torus else None
-    rows = _mirror_close(rows, torus, settings.dedup_tol)
+    radii = space.radii if isinstance(space, TorusSpace) else None
+    rows = _mirror_close(rows, radii, settings.dedup_tol)
     pairs = pair_distances(rows, radii)
     # every gate is written so that NaN fails it; first the pole check
-    pole_radius = POLE_RADIUS_FACTOR * (min(radii) if torus else 1.0)
+    pole_radius = POLE_RADIUS_FACTOR * (1.0 if radii is None else min(radii))
     regular = pairs.min(axis=1) >= pole_radius
     if not regular.any():
         return []
     rows, pairs = rows[regular], pairs[regular]
-    if torus:
-        grad, hess, _ = pot.torus_derivatives(radii, charges, spec, rows)
-    else:
-        grad, hess = pot.polygon_chart_derivatives(rows, charges, spec)
+    grad, hess = pot.chart_derivatives(rows, radii, charges, spec)
     grad_norm = _row_norms(grad)
     residual = pot.stationarity_relation_residuals(rows, radii, charges, spec)
     keep = np.flatnonzero((grad_norm <= settings.newton_tol) & (residual <= RELATION_TOL))
@@ -671,9 +663,10 @@ def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
     eigs = np.linalg.eigvalsh(hess[keep])
     index, degenerate = classify_spectra(eigs)
     aligned = alignment_defects(plane_points(rows[keep], radii), pairs[keep]) == 0.0
-    built = [canonicalize(row, radii) for row in rows[keep]]
+    # the rows are canonical already; canonicalize only keys them
+    built = [canonicalize(row_config(row, radii)) for row in rows[keep]]
     order = sorted(range(keep.size), key=lambda i: (energy[i], built[i][1]))
-    partners = _partners(rows[keep[order]], torus, settings.dedup_tol)
+    partners = _partners(rows[keep[order]], radii, settings.dedup_tol)
     return [CriticalPoint(config=built[i][0], energy=float(energy[i]),
                           grad_norm=float(grad_norm[keep[i]]),
                           hessian_eigenvalues=tuple(eigs[i].tolist()),

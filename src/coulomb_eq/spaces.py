@@ -16,10 +16,13 @@ distances, measure how far a configuration is from being collinear,
 and produce canonical representatives plus distance-multiset keys for
 deduplication.
 
-The gauge fix, the pair distances and the alignment defect are
-array-first: they work row by row on stacks of polygon vertices
-``(k, n, 2)`` or torus chart points ``(k, 2)``, and the methods on a
-single configuration are stacks of one.
+The gauge fix, the mirror images, the pair distances and the
+alignment defect are array-first: they work row by row on stacks of
+polygon vertices ``(k, n, 2)`` or torus chart points ``(k, 2)``, and
+the methods on a single configuration are stacks of one.  A row that
+is canonical (gauge-fixed vertices, reduced angles) is never
+re-gauged: its mirror image and its configuration object are built
+from it as it stands.
 """
 
 from __future__ import annotations
@@ -119,8 +122,30 @@ class ChargeVector:
         return ChargeVector(tuple(factor * v for v in self.q))
 
 
+class _PairGeometry:
+    """Diameter, smallest separation and pole flag of a configuration,
+    read off its row of ``pair_distances``."""
+
+    @property
+    def _pairs(self) -> np.ndarray:
+        return pair_distances(*config_rows(self))[0]
+
+    @property
+    def diameter(self) -> float:
+        return float(self._pairs.max())
+
+    @property
+    def min_separation(self) -> float:
+        """Smallest distance between two points."""
+        return float(self._pairs.min())
+
+    @property
+    def has_pole(self) -> bool:
+        return self.min_separation < self.pole_radius
+
+
 @dataclass(frozen=True)
-class PolygonConfig:
+class PolygonConfig(_PairGeometry):
     """Gauge-fixed point of the fixed-perimeter polygon space.
 
     Invariants: the first vertex is the origin, the gauge vertex
@@ -175,35 +200,18 @@ class PolygonConfig:
         return float(perimeter_value(self.points))
 
     @property
-    def diameter(self) -> float:
-        d = pairwise_distances(self)
-        return float(d.max())
-
-    @property
     def pole_radius(self) -> float:
         return POLE_RADIUS_FACTOR
 
     def pole_pairs(self) -> list[tuple[int, int]]:
         """Vertex pairs closer than the pole radius (energy diverges there)."""
-        d = pairwise_distances(self)
-        n = self.n
-        return [(i, j) for i in range(n) for j in range(i + 1, n)
-                if d[i, j] < self.pole_radius]
-
-    @property
-    def min_separation(self) -> float:
-        """Smallest distance between two vertices."""
-        d = pairwise_distances(self)
-        n = self.n
-        return float(min(d[i, j] for i in range(n) for j in range(i + 1, n)))
-
-    @property
-    def has_pole(self) -> bool:
-        return self.min_separation < self.pole_radius
+        first, second = pair_indices(self.n)
+        close = self._pairs < self.pole_radius
+        return list(zip(first[close].tolist(), second[close].tolist()))
 
 
 @dataclass(frozen=True)
-class TorusConfig:
+class TorusConfig(_PairGeometry):
     """Central-angle chart point of the concentric-circle space.
 
     ``angles`` stores (alpha1, alpha2) reduced to (-pi, pi]; the third
@@ -239,29 +247,15 @@ class TorusConfig:
         Each side comes from the cosine rule on its own central angle,
         e.g. ``d3**2 = r1**2 + r2**2 - 2*r1*r2*cos(alpha3)``.
         """
-        alphas = torus_alphas(np.array([self.angles]))
-        return tuple(torus_side_distances(self.radii, alphas)[0].tolist())
+        return tuple(self._pairs[::-1].tolist())
 
     def embedded_points(self) -> np.ndarray:
         """Plane embedding with the first point on the positive x-axis."""
         return torus_plane_points(self.radii, torus_alphas(np.array([self.angles])))[0]
 
     @property
-    def diameter(self) -> float:
-        return float(max(self.side_distances()))
-
-    @property
     def pole_radius(self) -> float:
         return POLE_RADIUS_FACTOR * min(self.radii)
-
-    @property
-    def min_separation(self) -> float:
-        """Smallest distance between two of the three points."""
-        return min(self.side_distances())
-
-    @property
-    def has_pole(self) -> bool:
-        return self.min_separation < self.pole_radius
 
 
 def chord_distance(ra, rb, angle) -> np.ndarray:
@@ -334,6 +328,15 @@ def config_rows(config: Config) -> tuple[np.ndarray, tuple[float, float, float] 
     if isinstance(config, PolygonConfig):
         return config.points[None], None
     return np.array([config.angles]), config.radii
+
+
+def row_config(row: np.ndarray, radii: tuple[float, float, float] | None = None) -> Config:
+    """The configuration of one canonical row, the inverse of
+    ``config_rows``: gauge-fixed vertices ``(n, 2)`` (``radii`` is
+    ``None``) or a reduced chart point ``(2,)``.  Nothing is re-gauged."""
+    if radii is None:
+        return PolygonConfig(row)
+    return TorusConfig(radii, (row[0], row[1]))
 
 
 def pair_distances(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.ndarray:
@@ -437,18 +440,30 @@ def gauge_fix(points: np.ndarray, rescale: bool = True) -> np.ndarray:
     return pts[0] if single else pts
 
 
+def mirror_rows(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.ndarray:
+    """Mirror images across the gauge axis of a stack of canonical rows:
+    gauge-fixed polygon vertices ``(k, n, 2)`` (``radii`` is ``None``) or
+    reduced torus chart points ``(k, 2)``.
+
+    The reflection of a gauge-fixed polygon is gauge-fixed with the same
+    perimeter bits and the negated angles of a reduced chart point are
+    reduced again, so the mirrors are canonical as they stand.
+    """
+    if radii is not None:
+        return reduce_angles(-rows)
+    mirrored = rows.copy()
+    mirrored[..., 1] = -mirrored[..., 1] + 0.0
+    return mirrored
+
+
 def apply_involution(config: Config) -> Config:
-    """Reflect across the gauge axis and re-gauge.
+    """Reflect across the gauge axis, ``mirror_rows`` on a stack of one.
 
     Aligned configurations are fixed points; applying the involution
     twice returns the input exactly.
     """
-    if isinstance(config, PolygonConfig):
-        pts = config.points.copy()
-        pts[:, 1] = -pts[:, 1] + 0.0
-        return PolygonConfig(pts)
-    a1, a2 = config.angles
-    return TorusConfig(config.radii, (reduce_angle(-a1), reduce_angle(-a2)))
+    rows, radii = config_rows(config)
+    return row_config(mirror_rows(rows, radii)[0], radii)
 
 
 def alignment_defect(config: Config) -> float:
@@ -484,25 +499,17 @@ def distance_key(config: Config, decimals: int = KEY_DECIMALS) -> tuple[int, ...
     return tuple(np.sort(np.rint(scaled)).astype(np.int64).tolist())
 
 
-def canonicalize(config: Config | np.ndarray,
-                 radii: tuple[float, float, float] | None = None,
-                 ) -> tuple[Config, tuple[int, ...]]:
-    """Return the gauge-fixed representative and its symmetry key.
+def canonicalize(config: Config | np.ndarray) -> tuple[Config, tuple[int, ...]]:
+    """Return the canonical representative and its symmetry key.
 
-    Accepts a valid config, a raw (n, 2) vertex array (gauge and
-    perimeter are re-imposed), or a raw angle pair together with
-    ``radii``.  Idempotent: canonicalizing twice gives the same bits.
+    A ``PolygonConfig`` or ``TorusConfig`` is canonical by construction
+    and comes back as it is: canonical rows are never re-gauged.  A raw
+    (n, 2) vertex array is gauge-fixed and rescaled to perimeter one.
+    Idempotent: canonicalizing twice gives the same bits.
     """
-    if isinstance(config, PolygonConfig):
-        canon = PolygonConfig.from_points(config.points)
-    elif isinstance(config, TorusConfig):
-        canon = TorusConfig(config.radii, config.angles)
-    elif radii is not None:
-        a = np.asarray(config, dtype=float).ravel()
-        canon = TorusConfig(tuple(radii), (a[0], a[1]))
-    else:
-        canon = PolygonConfig.from_points(np.asarray(config, dtype=float))
-    return canon, distance_key(canon)
+    if not isinstance(config, (PolygonConfig, TorusConfig)):
+        config = PolygonConfig.from_points(np.asarray(config, dtype=float))
+    return config, distance_key(config)
 
 
 def serialize_config(config: Config, charges: ChargeVector | None = None) -> dict:

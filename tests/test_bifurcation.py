@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coulomb_eq import bifurcation
 from coulomb_eq.bifurcation import (
     ControlPoint,
     charge_sweep_path,
@@ -39,6 +40,13 @@ class TestPolygonBoundary:
             vertex = int(curve.label[1]) - 1
             for s in curve.samples:
                 assert abs(polygon_boundary_equation(s.charges, vertex)) < 1e-10
+
+    @pytest.mark.parametrize("resolution", [200, 256])
+    def test_closed_form_share_is_exact_to_rounding(self, resolution):
+        # the bisection it replaced left defects up to 3.6e-14
+        worst = max(abs(polygon_boundary_equation(s.charges, int(c.label[1]) - 1))
+                    for c in polygon_bifurcation_set(resolution) for s in c.samples)
+        assert worst < 1e-14
 
     def test_known_boundary_point(self):
         assert polygon_boundary_equation((1 / 9, 4 / 9, 4 / 9), 0) == pytest.approx(
@@ -189,6 +197,16 @@ class TestTrace:
         downs = dict(diag.branch_amplitudes("lower"))
         for lam, amp in ups:
             assert abs(amp + downs[lam]) < 1e-8
+
+    def test_trace_scans_for_the_crossing_once(self, monkeypatch):
+        calls = []
+        locate = bifurcation._locate_crossing
+        monkeypatch.setattr(bifurcation, "_locate_crossing",
+                            lambda *args: calls.append(args) or locate(*args))
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        diag = trace_pitchfork(PolygonSpace(3), path, (0.05, 0.6), steps=8)
+        assert len(calls) == 1
+        assert diag.threshold == detect_threshold(PolygonSpace(3), path, (0.05, 0.6))
 
     def test_path_crossing_twice_rejected(self):
         # with outer charges 1 and 25 the sweep leaves the middle-vertex

@@ -79,6 +79,8 @@ class TestSolveCommand:
          "--grid-density", "2"],
         ["solve", "--space", "torus:1,2,3", "--charges", "1,2,3",
          "--newton-tol", "nan"],
+        ["solve", "--space", "polygon:3", "--charges", "1,1,1",
+         "--potential", "power:inf"],
     ])
     def test_invalid_input_exits_two(self, args):
         code, _ = run_cli(args)

@@ -8,6 +8,7 @@ from coulomb_eq.potentials import (
     PoleError,
     PotentialSpec,
     aligned_chart_basis,
+    chart_derivatives,
     dilation_derivative,
     energy,
     energy_of_points,
@@ -87,6 +88,13 @@ class TestKernels:
         with pytest.raises(ValueError):
             PotentialSpec.power(1.0)
 
+    @pytest.mark.parametrize("text", ["power:inf", "power:-inf", "power:nan"])
+    def test_power_exponent_must_be_finite(self, text):
+        with pytest.raises(ValueError):
+            PotentialSpec.parse(text)
+        with pytest.raises(ValueError):
+            PotentialSpec.power(float(text.split(":")[1]))
+
     @pytest.mark.parametrize("text,label", [
         ("coulomb", "coulomb"), ("power:2", "power:2"), ("log", "log"),
         ("POWER:2.5", "power:2.5")])
@@ -138,6 +146,23 @@ class TestEnergy:
 
 
 class TestChartDerivatives:
+    def test_scalar_calls_are_rows_of_the_stacked_dispatch(self):
+        rng = np.random.default_rng(4)
+        q = ChargeVector.of([0.7, 1.3, 2.1])
+        triangles = [random_triangle(rng) for _ in range(4)]
+        tori = [TorusConfig((1.0, 2.0, 3.0), tuple(rng.uniform(-math.pi, math.pi, 2)))
+                for _ in range(4)]
+        for spec in ALL_SPECS:
+            for configs, radii in ((triangles, None), (tori, (1.0, 2.0, 3.0))):
+                rows = np.array([c.points if radii is None else c.angles for c in configs])
+                grads, hessians = chart_derivatives(rows, radii, q, spec)
+                for cfg, g, h in zip(configs, grads, hessians):
+                    report = energy_report(cfg, q, spec)
+                    assert np.array_equal(gradient(cfg, q, spec), g)
+                    assert np.array_equal(hessian(cfg, q, spec), h)
+                    assert np.array_equal(report.gradient, g)
+                    assert np.array_equal(report.hessian, h)
+
     def test_gradient_vanishes_at_equal_radii_equilateral(self):
         cfg = TorusConfig((1, 1, 1), (2 * math.pi / 3, 2 * math.pi / 3))
         assert np.linalg.norm(gradient(cfg, UNIT_Q3, COULOMB)) < 1e-14

@@ -434,7 +434,11 @@ def per_point_finalize(space, rows, charges, settings):
     else:
         unique = [PolygonConfig(row) for row in rows]
     for cfg in list(unique):
-        mirror, _ = canonicalize(apply_involution(cfg))
+        mirror = apply_involution(cfg)
+        if isinstance(mirror, PolygonConfig):
+            # re-gauged from raw vertices, so the finalize's mirrors, which
+            # are never re-gauged, must come out canonical as they stand
+            mirror, _ = canonicalize(mirror.points)
         if not any(configs_match(mirror, u, tol) for u in unique):
             unique.append(mirror)
     points = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coulomb_eq.spaces import (
     ChargeVector,
@@ -12,11 +13,16 @@ from coulomb_eq.spaces import (
     alignment_defect,
     apply_involution,
     canonicalize,
+    config_rows,
     deserialize_config,
     distance_key,
     gauge_fix,
+    mirror_rows,
     pairwise_distances,
+    perimeter_value,
     reduce_angle,
+    reduce_angles,
+    row_config,
     serialize_config,
 )
 
@@ -36,6 +42,21 @@ side_triples = st.tuples(
     lambda t: min(t) > 0.08 and max(t) < 0.5 * 0.97)
 
 angle_pairs = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi))
+
+# stacks of one to four raw n-gons, n = 3..8, with a perimeter well
+# clear of zero (below about 1e-154 the squared sides underflow); no
+# subnormal coordinates, which the rescale can round to zero and so
+# move the gauge to another vertex
+raw_polygon_stacks = st.tuples(st.integers(1, 4), st.integers(3, 8)).flatmap(
+    lambda shape: arrays(float, (shape[0], shape[1], 2),
+                         elements=st.floats(-1.0, 1.0, allow_subnormal=False))).filter(
+    lambda raw: perimeter_value(raw).min() > 1e-3)
+
+
+def rotated(points, theta):
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    return points @ rot.T
 
 
 class TestChargeVector:
@@ -249,14 +270,22 @@ class TestCanonicalize:
         keys = {distance_key(s) for s in segs}
         assert len(keys) == 3
 
-    @given(side_triples, st.booleans())
+    @given(side_triples, st.booleans(), st.floats(-math.pi, math.pi),
+           st.floats(0.2, 5.0), st.floats(-2.0, 2.0))
     @settings(max_examples=60)
-    def test_gauge_idempotence(self, sides, flip):
-        cfg = triangle_from_sides(*sides, flip=flip)
-        once, key1 = canonicalize(cfg)
-        twice, key2 = canonicalize(once)
+    def test_gauge_idempotence(self, sides, flip, theta, scale, shift):
+        # raw vertex arrays are re-gauged; a configuration comes back as it is
+        raw = rotated(triangle_from_sides(*sides, flip=flip).points, theta) * scale + shift
+        once, key1 = canonicalize(raw)
+        twice, key2 = canonicalize(once.points)
         assert np.array_equal(once.points, twice.points)
         assert key1 == key2
+
+    def test_configuration_comes_back_as_it_is(self):
+        for cfg in (triangle_from_sides(0.25, 0.35, 0.4), TorusConfig((1, 2, 3), (0.4, -2.2))):
+            canon, key = canonicalize(cfg)
+            assert canon is cfg
+            assert key == distance_key(cfg)
 
     @given(side_triples, st.booleans())
     @settings(max_examples=60)
@@ -265,6 +294,43 @@ class TestCanonicalize:
         assert abs(apply_involution(cfg).perimeter - 1.0) < 1e-12
         canon, _ = canonicalize(cfg)
         assert abs(canon.perimeter - 1.0) < 1e-12
+
+
+class TestCanonicalRows:
+    """The invariant that lets canonical rows skip re-gauging: the gauge
+    fix is idempotent bit for bit, and the mirror of a canonical stack is
+    canonical as it stands."""
+
+    @given(raw_polygon_stacks)
+    @settings(max_examples=200, deadline=None)
+    def test_gauge_fix_is_idempotent(self, raw):
+        fixed = gauge_fix(raw)
+        assert np.array_equal(gauge_fix(fixed), fixed)
+
+    @given(raw_polygon_stacks)
+    @settings(max_examples=200, deadline=None)
+    def test_mirrored_canonical_stack_is_canonical(self, raw):
+        mirrors = mirror_rows(gauge_fix(raw))
+        assert np.array_equal(gauge_fix(mirrors), mirrors)
+        assert not np.signbit(mirrors[..., 1][mirrors[..., 1] == 0.0]).any()
+
+    @given(st.lists(angle_pairs, min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_torus_mirrors_are_reduced(self, angles):
+        rows = reduce_angles(np.array(angles))
+        mirrors = mirror_rows(rows, (1.0, 2.0, 3.0))
+        assert np.array_equal(reduce_angles(mirrors), mirrors)
+        assert np.array_equal(mirror_rows(mirrors, (1.0, 2.0, 3.0)), rows)
+
+    def test_row_config_inverts_config_rows(self):
+        for cfg in (triangle_from_sides(0.25, 0.35, 0.4), TorusConfig((1, 2, 3), (0.4, -2.2))):
+            rows, radii = config_rows(cfg)
+            back = row_config(rows[0], radii)
+            assert type(back) is type(cfg)
+            assert np.array_equal(config_rows(back)[0], rows)
+            mirror = row_config(mirror_rows(rows, radii)[0], radii)
+            assert np.array_equal(config_rows(mirror)[0],
+                                  config_rows(apply_involution(cfg))[0])
 
 
 class TestSerialization:
