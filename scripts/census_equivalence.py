@@ -16,7 +16,8 @@ For every run the script reports whether the two outputs (exit status,
 stdout and, for ``bifurcate``, the four artifacts) are byte-identical
 and, where they differ, the largest absolute difference of each
 floating-point field.  JSON outputs are compared field by field, CSV
-and plain-text outputs token by token.
+and plain-text outputs token by token.  Last it prints the line count
+of ``coulomb_eq/*.py`` in each tree and the difference.
 
 The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
@@ -216,6 +217,12 @@ def compare(a, b, path: str, diffs: dict[str, float], mismatches: list[str]) -> 
         mismatches.append(path)
 
 
+def source_lines(src: Path) -> int:
+    """Lines of the package modules of a source tree, as ``wc -l`` counts."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (src / "coulomb_eq").glob("*.py"))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old_src", type=Path)
@@ -257,6 +264,8 @@ def main() -> int:
     moved = {f: d for f, d in overall.items() if d}
     print("largest float difference per field: "
           + (", ".join(f"{f} {d:.2g}" for f, d in sorted(moved.items())) or "none"))
+    old_lines, new_lines = source_lines(args.old_src), source_lines(args.new_src)
+    print(f"coulomb_eq/*.py lines: {old_lines} -> {new_lines} ({new_lines - old_lines:+d})")
     return 1 if structural else 0
 
 

@@ -24,7 +24,6 @@ from .potentials import PotentialSpec
 from .solver import (
     CriticalPoint,
     PolygonSpace,
-    SolveSettings,
     Space,
     critical_triangle,
     polish_candidates,
@@ -44,9 +43,8 @@ ChargePath = Callable[[float], ChargeVector]
 
 #: samples of the coarse scan used to bracket threshold crossings
 SCAN_SAMPLES = 65
-#: light solve settings for region scans and probes (closed-form and
-#: aligned seeds carry all the basins for three charges)
-LIGHT_SETTINGS = SolveSettings(grid_density=8)
+#: distance past the threshold within which the amplitude exponent is fit
+FIT_WINDOW = 0.05
 
 
 @dataclass(frozen=True)
@@ -349,8 +347,7 @@ def _aligned_branch_point(space: Space, tracked: Tracked, lam: float,
 
 def trace_pitchfork(space: Space, path: ChargePath,
                     lam_range: tuple[float, float], steps: int = 40,
-                    spec: PotentialSpec | None = None,
-                    settings: SolveSettings | None = None) -> BranchDiagram:
+                    spec: PotentialSpec | None = None) -> BranchDiagram:
     """Sample the aligned branch and the off-axis mirror pair along a
     charge path crossing one bifurcation curve.
 
@@ -360,7 +357,6 @@ def trace_pitchfork(space: Space, path: ChargePath,
     polishing nudged seeds, each step reusing the previous solutions.
     """
     spec = spec or PotentialSpec.coulomb()
-    settings = settings or LIGHT_SETTINGS
     tracked, eig, lo, hi = _locate_crossing(space, path, lam_range, spec)
     threshold = _bisect_crossing(eig, lo, hi)
     lams = [float(v) for v in np.linspace(lam_range[0], lam_range[1], steps)]
@@ -370,8 +366,7 @@ def trace_pitchfork(space: Space, path: ChargePath,
     on_side = [lam for lam in lams
                if (lam > threshold) == (branch_side == "above") and lam != threshold]
     on_side.sort(key=lambda lam: abs(lam - threshold))
-    branch_points = _walk_branch(space, tracked, path, threshold, on_side,
-                                 spec, settings)
+    branch_points = _walk_branch(space, tracked, path, threshold, on_side, spec)
     points: list[BranchPoint] = []
     for lam in lams:
         charges = path(lam)
@@ -381,15 +376,14 @@ def trace_pitchfork(space: Space, path: ChargePath,
 
 
 def _off_branch_points(space: Space, charges: ChargeVector, seeds: list,
-                       spec: PotentialSpec, settings: SolveSettings,
-                       ) -> list[CriticalPoint]:
-    found = polish_candidates(space, charges, seeds, spec, settings)
+                       spec: PotentialSpec) -> list[CriticalPoint]:
+    found = polish_candidates(space, charges, seeds, spec)
     return [cp for cp in found if not cp.aligned]
 
 
 def _walk_branch(space: Space, tracked: Tracked, path: ChargePath, threshold: float,
                  targets: Sequence[float], spec: PotentialSpec,
-                 settings: SolveSettings) -> dict[float, list[BranchPoint]]:
+                 ) -> dict[float, list[BranchPoint]]:
     """Continuation along the mirror-pair branch.
 
     Each polished pair seeds the next target; when a step loses the
@@ -410,7 +404,7 @@ def _walk_branch(space: Space, tracked: Tracked, path: ChargePath, threshold: fl
                 dist = abs(trial - threshold)
                 seeds = carried + _kick_seeds(space, tracked, path(trial),
                                               spec, dist)
-                offs = _off_branch_points(space, path(trial), seeds, spec, settings)
+                offs = _off_branch_points(space, path(trial), seeds, spec)
                 if offs or abs(step) < 1e-6:
                     break
                 step *= 0.5
@@ -446,12 +440,12 @@ def _amplitude(space: Space, tracked: Tracked, cp: CriticalPoint) -> float:
     return _torus_amplitude(cp.config, tracked)
 
 
-def fit_branch_exponent(diagram: BranchDiagram, window: float = 0.05) -> float:
+def fit_branch_exponent(diagram: BranchDiagram) -> float:
     """Least-squares slope of log amplitude vs log distance past the
-    threshold, over the upper branch within ``window`` of the threshold."""
+    threshold, over the upper branch within ``FIT_WINDOW`` of the threshold."""
     pts = [(abs(p.lam - diagram.threshold), abs(p.amplitude))
            for p in diagram.points
-           if p.branch == "upper" and 0.0 < abs(p.lam - diagram.threshold) <= window
+           if p.branch == "upper" and 0.0 < abs(p.lam - diagram.threshold) <= FIT_WINDOW
            and p.amplitude != 0.0]
     if len(pts) < 3:
         raise ValueError("not enough branch samples inside the fit window")
@@ -466,19 +460,16 @@ def fit_branch_exponent(diagram: BranchDiagram, window: float = 0.05) -> float:
 # ---------------------------------------------------------------------------
 
 def three_charge_equilibria(charges: ChargeVector,
-                            spec: PotentialSpec | None = None,
-                            settings: SolveSettings | None = None,
-                            ) -> list[CriticalPoint]:
+                            spec: PotentialSpec | None = None) -> list[CriticalPoint]:
     """All equilibria of three polygon charges via the closed-form seeds
     (triangle pair plus the three collinear arrangements)."""
     spec = spec or PotentialSpec.coulomb()
-    settings = settings or LIGHT_SETTINGS
     seeds: list = list(solve_line_three(charges, spec))
     tri = critical_triangle(charges, spec)
     if tri is not None:
         seeds.append(tri)
         seeds.append(apply_involution(tri))
-    return polish_candidates(PolygonSpace(3), charges, seeds, spec, settings)
+    return polish_candidates(PolygonSpace(3), charges, seeds, spec)
 
 
 def count_polygon_minima(charges: ChargeVector,

@@ -33,7 +33,13 @@ from .solver import (
     TorusSpace,
     find_critical_points,
 )
-from .spaces import ChargeVector, deserialize_config, serialize_config
+from .spaces import (
+    ChargeVector,
+    TorusConfig,
+    deserialize_config,
+    pairwise_distances,
+    serialize_config,
+)
 
 
 class CliError(Exception):
@@ -116,27 +122,6 @@ def build_manifest(command: str, params: dict, started: float) -> dict:
     }
 
 
-def settings_from_args(args: argparse.Namespace) -> SolveSettings:
-    try:
-        return SolveSettings(
-            grid_density=args.grid_density,
-            newton_tol=args.newton_tol,
-            max_iters=args.max_iters,
-            dedup_tol=args.dedup_tol,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _add_solve_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--grid-density", type=int, default=24,
-                     help="multistart seeds per chart dimension (default 24)")
-    sub.add_argument("--newton-tol", type=float, default=1e-11,
-                     help="gradient norm accepted as stationary")
-    sub.add_argument("--max-iters", type=int, default=100)
-    sub.add_argument("--dedup-tol", type=float, default=1e-7)
-
-
 def point_record(cp: CriticalPoint) -> dict:
     return {
         "coords": serialize_config(cp.config),
@@ -179,7 +164,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     expected = space.n if isinstance(space, PolygonSpace) else 3
     charges = parse_charges(args.charges, expected)
     spec = parse_potential(args.potential)
-    settings = settings_from_args(args)
+    try:
+        settings = SolveSettings(grid_density=args.grid_density)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     points = find_critical_points(space, charges, spec, settings)
     payload = solve_payload(space, charges, spec, points)
     text = json_text(payload)
@@ -240,10 +228,6 @@ def cmd_bifurcate(args: argparse.Namespace) -> int:
         "sweep": args.sweep, "range": args.range, "steps": args.steps,
         "resolution": args.resolution,
     }
-    write_artifact(outdir / "branches.csv", branch_csv(diagram),
-                   build_manifest("bifurcate", params, started))
-    write_artifact(outdir / "curves.csv", curves_csv(curves),
-                   build_manifest("bifurcate", params, started))
     branches_json = {
         "space": diagram.space,
         "threshold": diagram.threshold,
@@ -259,10 +243,12 @@ def cmd_bifurcate(args: argparse.Namespace) -> int:
                     "samples": [list(s.charges) for s in c.samples]}
                    for c in curves],
     }
-    write_artifact(outdir / "branches.json", json_text(branches_json),
-                   build_manifest("bifurcate", params, started))
-    write_artifact(outdir / "curves.json", json_text(curves_json),
-                   build_manifest("bifurcate", params, started))
+    manifest = build_manifest("bifurcate", params, started)
+    for name, text in (("branches.csv", branch_csv(diagram)),
+                       ("curves.csv", curves_csv(curves)),
+                       ("branches.json", json_text(branches_json)),
+                       ("curves.json", json_text(curves_json))):
+        write_artifact(outdir / name, text, manifest)
     print(f"threshold: {diagram.threshold!r}")
     try:
         exponent = bifurcation.fit_branch_exponent(diagram)
@@ -295,14 +281,12 @@ def cmd_inverse(args: argparse.Namespace) -> int:
             config, _ = deserialize_config(data)
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"cannot read configuration file: {exc}") from exc
-        from .spaces import TorusConfig
         if not isinstance(config, TorusConfig) and config.n != 3:
             raise CliError("inverse problem is solved for three charges only")
         try:
             if isinstance(config, TorusConfig):
                 result = inverse_mod.stabilizing_charges_torus(config)
             else:
-                from .spaces import pairwise_distances
                 d = pairwise_distances(config)
                 result = inverse_mod.stabilizing_charges_triangle(
                     d[1, 2], d[0, 2], d[0, 1])
@@ -353,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--charges", required=True, help="comma-separated charges")
     solve.add_argument("--potential", default="coulomb",
                        help="coulomb | power:K | log")
-    _add_solve_flags(solve)
+    solve.add_argument("--grid-density", type=int, default=24,
+                       help="multistart seeds per chart dimension, the one census "
+                            "setting (default 24)")
     solve.add_argument("--out", default=None, help="write JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 

@@ -146,9 +146,10 @@ def energy(config: Config, charges: ChargeVector,
     """Total pair energy; ``inf`` when the configuration sits on a pole."""
     spec = spec or PotentialSpec.coulomb()
     _check_charges(config, charges)
-    if config.has_pole:
+    pairs = pair_distances(*config_rows(config))
+    if pairs.min() < config.pole_radius:
         return math.inf
-    return float(pair_energies(pair_distances(*config_rows(config)), charges, spec)[0])
+    return float(pair_energies(pairs, charges, spec)[0])
 
 
 def pair_energies(pairs: np.ndarray, charges: ChargeVector,
@@ -416,12 +417,14 @@ def energy_report(config: Config, charges: ChargeVector,
     """Energy, chart gradient and chart Hessian in one pass."""
     spec = spec or PotentialSpec.coulomb()
     _check_charges(config, charges)
-    if config.has_pole:
+    rows, radii = config_rows(config)
+    pairs = pair_distances(rows, radii)
+    if pairs.min() < config.pole_radius:
         dim = 2 * (config.n - 2) if isinstance(config, PolygonConfig) else 2
         nan = np.full(dim, math.nan)
         return EnergyReport(math.inf, nan, np.full((dim, dim), math.nan), True)
-    g, h = chart_derivatives(*config_rows(config), charges, spec)
-    return EnergyReport(energy(config, charges, spec), g[0], h[0], False)
+    g, h = chart_derivatives(rows, radii, charges, spec)
+    return EnergyReport(float(pair_energies(pairs, charges, spec)[0]), g[0], h[0], False)
 
 
 def dilation_derivative(config: PolygonConfig, charges: ChargeVector,

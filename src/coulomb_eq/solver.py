@@ -20,6 +20,10 @@ with its mirror by index.  A configuration object is built only for
 each reported point.  The representatives are canonical rows, and
 canonical rows are never re-gauged: mirrors and reported points are
 built from them as they stand.
+
+The grid density is the one setting of a census (``SolveSettings``).
+The Newton tolerance, the iteration cap and the dedup distance are the
+module constants ``NEWTON_TOL``, ``MAX_ITERS`` and ``DEDUP_TOL``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,14 @@ TWO_PI = 2.0 * math.pi
 
 #: closed-form relation residual accepted for a reported critical point
 RELATION_TOL = 1e-9
+#: chart gradient norm accepted as stationary
+NEWTON_TOL = 1e-11
+#: Newton rounds a seed may take
+MAX_ITERS = 100
+#: coordinate distance below which two converged points are one point
+DEDUP_TOL = 1e-7
+#: gradient size at which a Newton polish stops stepping
+POLISH_TARGET = 1e-13
 #: deterministic seed for the low-discrepancy multistart pools
 MULTISTART_SEED = 20160
 
@@ -99,21 +111,13 @@ Space = PolygonSpace | TorusSpace
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """Knobs of the multistart search."""
+    """The one setting of a census: multistart seeds per chart dimension."""
 
     grid_density: int = 24
-    newton_tol: float = 1e-11
-    max_iters: int = 100
-    dedup_tol: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.grid_density < 8:
             raise ValueError("grid density below 8 gives useless coverage")
-        # written so that NaN fails too
-        if not all(0.0 < tol < math.inf for tol in (self.newton_tol, self.dedup_tol)):
-            raise ValueError("tolerances must be positive and finite")
-        if self.max_iters <= 0:
-            raise ValueError("iteration budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,6 @@ def critical_triangle(charges: ChargeVector,
 
 def solve_line_interior(charges: ChargeVector,
                         spec: PotentialSpec | None = None,
-                        tol: float = 1e-13,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Collinear equilibrium with the vertices in index order.
 
@@ -252,7 +255,7 @@ def solve_line_interior(charges: ChargeVector,
     for _ in range(80):
         g, h = grad_hess(x)
         gi = g[idx]
-        if np.abs(gi).max() < tol:
+        if np.abs(gi).max() < POLISH_TARGET:
             break
         step = np.linalg.solve(h[np.ix_(idx, idx)], -gi)
         # keep the ordering: damp steps that would cross a neighbour
@@ -272,7 +275,7 @@ def solve_line_interior(charges: ChargeVector,
 def line_config_from_positions(positions: np.ndarray) -> PolygonConfig:
     """Embed ordered line positions as an aligned polygon configuration."""
     pts = np.column_stack([positions - positions[0], np.zeros_like(positions)])
-    return PolygonConfig.from_points(pts, rescale=True)
+    return PolygonConfig.from_points(pts)
 
 
 def enumerate_aligned(space: Space, charges: ChargeVector,
@@ -356,8 +359,7 @@ def _gauge_rows(vertices: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
 
 
 def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
-                    spec: PotentialSpec, settings: SolveSettings,
-                    pole_radius: float) -> np.ndarray:
+                    spec: PotentialSpec) -> np.ndarray:
     """Levenberg-damped Newton on the Lagrange stationarity system, run on
     a stack of gauge-fixed seeds ``(k, n, 2)`` at once.
 
@@ -367,6 +369,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
     """
     pts = np.asarray(seeds, dtype=float)
     n = pts.shape[1]
+    pole_radius = POLE_RADIUS_FACTOR
     # every gate is written so that NaN fails it
     pts = pts[_min_gaps(pts) >= pole_radius]
     if not len(pts):
@@ -380,9 +383,8 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
     damping = np.zeros(len(u))
     running = np.ones(len(u), dtype=bool)
     killed = np.zeros(len(u), dtype=bool)
-    target = min(1e-13, 0.01 * settings.newton_tol)
-    for _ in range(settings.max_iters):
-        running &= ~(rnorm < target)
+    for _ in range(MAX_ITERS):
+        running &= ~(rnorm < POLISH_TARGET)
         rows = np.flatnonzero(running)
         if not rows.size:
             break
@@ -412,13 +414,12 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
         over = failed & (damping[rows] > 1e14)
         killed[rows[over & blocked]] = True
         running[rows[over]] = False
-    done = _gauge_rows(_unpack(u[~killed & (rnorm <= math.sqrt(settings.newton_tol))],
-                                n, keep))
+    done = _gauge_rows(_unpack(u[~killed & (rnorm <= math.sqrt(NEWTON_TOL))], n, keep))
     done = done[_min_gaps(done) >= pole_radius]
     if not len(done):
         return done
     grad, _ = pot.polygon_chart_derivatives(done, charges, spec)
-    return done[_row_norms(grad) <= settings.newton_tol]
+    return done[_row_norms(grad) <= NEWTON_TOL]
 
 
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
@@ -515,8 +516,7 @@ def _torus_seeds(space: TorusSpace, settings: SolveSettings) -> np.ndarray:
 
 
 def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
-                        spec: PotentialSpec, settings: SolveSettings,
-                        pole_radius: float, seeds: np.ndarray) -> np.ndarray:
+                        spec: PotentialSpec, seeds: np.ndarray) -> np.ndarray:
     """Newton on the two-angle gradient, run on a stack of ``(k, 2)`` seeds.
 
     Only live seeds iterate: each round evaluates the derivatives of the
@@ -526,19 +526,19 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
     pairs in seed order, reduced to (-pi, pi].
     """
     angles = np.array(seeds, dtype=float).reshape(-1, 2)
+    pole_radius = POLE_RADIUS_FACTOR * min(space.radii)
     floor = 0.5 * pole_radius
     alive = np.ones(angles.shape[0], dtype=bool)
     gnorm = np.zeros(angles.shape[0])
     dmin = np.zeros(angles.shape[0])
     live = np.arange(angles.shape[0])
-    target = min(1e-13, 0.01 * settings.newton_tol)
-    for rounds in range(settings.max_iters + 1):
+    for rounds in range(MAX_ITERS + 1):
         grad, hess, dmin[live] = pot.torus_derivatives(
             space.radii, charges, spec, angles[live], floor)
         gnorm[live] = np.linalg.norm(grad, axis=1)
         alive[live] &= dmin[live] > pole_radius
-        todo = alive[live] & (gnorm[live] > target)
-        if rounds == settings.max_iters or not todo.any():
+        todo = alive[live] & (gnorm[live] > POLISH_TARGET)
+        if rounds == MAX_ITERS or not todo.any():
             break
         h = hess[todo]
         g = grad[todo]
@@ -555,7 +555,7 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
         big = norms > 0.5
         step[big] *= (0.5 / norms[big])[:, None]
         angles[live] += step
-    good = alive & (gnorm <= settings.newton_tol) & (dmin > pole_radius)
+    good = alive & (gnorm <= NEWTON_TOL) & (dmin > pole_radius)
     return reduce_angles(angles[good])
 
 
@@ -563,20 +563,20 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
 # dedup, reflection pairing, classification
 # ---------------------------------------------------------------------------
 
-def configs_match(a: Config, b: Config, tol: float = 1e-7) -> bool:
-    """Whether two configurations coincide within ``tol`` (wrap-aware)."""
+def configs_match(a: Config, b: Config) -> bool:
+    """Whether two configurations coincide within ``DEDUP_TOL`` (wrap-aware)."""
     (rows_a, radii), (rows_b, _) = config_rows(a), config_rows(b)
-    return bool(_close(rows_a, rows_b, radii is not None, tol)[0, 0])
+    return bool(_close(rows_a, rows_b, radii is not None)[0, 0])
 
 
-def _close(a: np.ndarray, b: np.ndarray, torus: bool, tol: float) -> np.ndarray:
+def _close(a: np.ndarray, b: np.ndarray, torus: bool) -> np.ndarray:
     """Whether each row of ``a`` coincides with each row of ``b`` within
-    ``tol``, as a ``(len(a), len(b))`` mask; torus angle rows compare
-    wrap-aware."""
+    ``DEDUP_TOL``, as a ``(len(a), len(b))`` mask; torus angle rows
+    compare wrap-aware."""
     diff = a[:, None] - b[None, :]
     if torus:
         diff = reduce_angles(diff)
-    return np.abs(diff).max(axis=tuple(range(2, diff.ndim))) < tol
+    return np.abs(diff).max(axis=tuple(range(2, diff.ndim))) < DEDUP_TOL
 
 
 def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
@@ -597,23 +597,22 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
 
 
 def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
-                     settings: SolveSettings, seeds: np.ndarray) -> np.ndarray:
+                     seeds: np.ndarray) -> np.ndarray:
     """Polish the seeds and keep one row per converged point: gauge-fixed
     vertices ``(k, n, 2)`` or reduced angle pairs ``(k, 2)``."""
     if isinstance(space, TorusSpace):
-        angles = _polish_torus_seeds(space, charges, spec, settings,
-                                     POLE_RADIUS_FACTOR * min(space.radii), seeds)
+        angles = _polish_torus_seeds(space, charges, spec, seeds)
         # angles embedded on the circle, so +pi and -pi compare as equal
         rows = np.stack([np.cos(angles), np.sin(angles)], axis=2).reshape(-1, 4)
-        return angles[_first_cover(rows, settings.dedup_tol)]
-    vertices = _polish_polygon(seeds, charges, spec, settings, POLE_RADIUS_FACTOR)
+        return angles[_first_cover(rows, DEDUP_TOL)]
+    vertices = _polish_polygon(seeds, charges, spec)
     # the polish returns gauge-fixed vertices, so raw points compare
     flat = vertices.reshape(-1, 2 * vertices.shape[1])
-    return vertices[_first_cover(flat, settings.dedup_tol)]
+    return vertices[_first_cover(flat, DEDUP_TOL)]
 
 
 def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
-                  tol: float) -> np.ndarray:
+                  ) -> np.ndarray:
     """Close a stack of representatives under the reflection involution.
 
     The mirror of a critical point is critical with the same spectrum.
@@ -622,8 +621,8 @@ def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
     """
     torus = radii is not None
     mirrors = mirror_rows(rows, radii)
-    known = _close(mirrors, rows, torus, tol).any(axis=1)
-    twins = _close(mirrors, mirrors, torus, tol)
+    known = _close(mirrors, rows, torus).any(axis=1)
+    twins = _close(mirrors, mirrors, torus)
     added: list[int] = []
     for i in np.flatnonzero(~known):
         if not twins[i, added].any():
@@ -632,20 +631,20 @@ def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
 
 
 def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
-              tol: float) -> list[int | None]:
+              ) -> list[int | None]:
     """Index of the first other row each row's mirror matches; ``None``
     for a row that is its own mirror image or has no partner."""
-    match = _close(mirror_rows(rows, radii), rows, radii is not None, tol)
+    match = _close(mirror_rows(rows, radii), rows, radii is not None)
     return [None if own[i] or not own.any() else int(own.argmax())
             for i, own in enumerate(match)]
 
 
 def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
-              spec: PotentialSpec, settings: SolveSettings) -> list[CriticalPoint]:
+              spec: PotentialSpec) -> list[CriticalPoint]:
     """Mirror-close, gate, classify, sort and pair the stack of
     deduplicated representatives ``rows``."""
     radii = space.radii if isinstance(space, TorusSpace) else None
-    rows = _mirror_close(rows, radii, settings.dedup_tol)
+    rows = _mirror_close(rows, radii)
     pairs = pair_distances(rows, radii)
     # every gate is written so that NaN fails it; first the pole check
     pole_radius = POLE_RADIUS_FACTOR * (1.0 if radii is None else min(radii))
@@ -656,7 +655,7 @@ def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
     grad, hess = pot.chart_derivatives(rows, radii, charges, spec)
     grad_norm = _row_norms(grad)
     residual = pot.stationarity_relation_residuals(rows, radii, charges, spec)
-    keep = np.flatnonzero((grad_norm <= settings.newton_tol) & (residual <= RELATION_TOL))
+    keep = np.flatnonzero((grad_norm <= NEWTON_TOL) & (residual <= RELATION_TOL))
     if not keep.size:
         return []
     energy = pot.pair_energies(pairs[keep], charges, spec)
@@ -666,7 +665,7 @@ def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
     # the rows are canonical already; canonicalize only keys them
     built = [canonicalize(row_config(row, radii)) for row in rows[keep]]
     order = sorted(range(keep.size), key=lambda i: (energy[i], built[i][1]))
-    partners = _partners(rows[keep[order]], radii, settings.dedup_tol)
+    partners = _partners(rows[keep[order]], radii)
     return [CriticalPoint(config=built[i][0], energy=float(energy[i]),
                           grad_norm=float(grad_norm[keep[i]]),
                           hessian_eigenvalues=tuple(eigs[i].tolist()),
@@ -678,9 +677,7 @@ def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
 
 def polish_candidates(space: Space, charges: ChargeVector,
                       candidates: Sequence[np.ndarray | Config],
-                      spec: PotentialSpec | None = None,
-                      settings: SolveSettings | None = None,
-                      ) -> list[CriticalPoint]:
+                      spec: PotentialSpec | None = None) -> list[CriticalPoint]:
     """Polish explicit candidate configurations only (no grid multistart).
 
     Candidates are vertex arrays / configs (polygon) or angle pairs /
@@ -689,7 +686,6 @@ def polish_candidates(space: Space, charges: ChargeVector,
     the full search.
     """
     spec = spec or PotentialSpec.coulomb()
-    settings = settings or SolveSettings()
     if not len(candidates):
         return []
     if isinstance(space, TorusSpace):
@@ -699,8 +695,7 @@ def polish_candidates(space: Space, charges: ChargeVector,
     else:
         seeds = _gauge_rows([cand.points if isinstance(cand, PolygonConfig) else cand
                               for cand in candidates])
-    return _finalize(space, _representatives(space, charges, spec, settings, seeds),
-                     charges, spec, settings)
+    return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)
 
 
 def find_critical_points(space: Space, charges: ChargeVector,
@@ -728,5 +723,4 @@ def find_critical_points(space: Space, charges: ChargeVector,
         if len(charges) != space.n:
             raise ValueError(f"need {space.n} charges for {space.name}")
         seeds = _gauge_rows(_polygon_seeds(space, charges, spec, settings))
-    return _finalize(space, _representatives(space, charges, spec, settings, seeds),
-                     charges, spec, settings)
+    return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)

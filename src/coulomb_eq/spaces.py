@@ -174,9 +174,9 @@ class PolygonConfig(_PairGeometry):
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[float]] | np.ndarray,
-                    rescale: bool = True) -> "PolygonConfig":
-        """Pin, gauge-fix and (optionally) rescale raw vertices to perimeter one."""
-        return cls(gauge_fix(np.asarray(points, dtype=float), rescale=rescale))
+                    ) -> "PolygonConfig":
+        """Pin, gauge-fix and rescale raw vertices to perimeter one."""
+        return cls(gauge_fix(np.asarray(points, dtype=float)))
 
     @property
     def n(self) -> int:
@@ -392,9 +392,9 @@ def triangle_vertices(sides: Sequence[float], flip: bool = False) -> np.ndarray 
     return np.array([[0.0, 0.0], [l3, 0.0], [x, -y if flip else y]])
 
 
-def gauge_fix(points: np.ndarray, rescale: bool = True) -> np.ndarray:
+def gauge_fix(points: np.ndarray) -> np.ndarray:
     """Translate vertex 0 to the origin, rotate the gauge vertex onto the
-    non-negative x half-axis and optionally renormalize the perimeter.
+    non-negative x half-axis and renormalize the perimeter to one.
 
     Works row by row on a stack ``(k, n, 2)``; one configuration
     ``(n, 2)`` is a stack of one.  The gauge vertex is the first vertex
@@ -425,14 +425,17 @@ def gauge_fix(points: np.ndarray, rescale: bool = True) -> np.ndarray:
     pts[rows] = pts[rows] @ np.swapaxes(rot, 1, 2)
     pts[rows, gauge, 0] = r
     pts[rows, gauge, 1] = 0.0
-    flat = np.zeros(len(pts), dtype=bool)
-    if rescale:
-        per = perimeter_value(pts)
-        flat = per <= 0.0
-        # skip the division for pure rounding dust so re-gauging an
-        # already canonical configuration is a bitwise no-op
-        scale = ~flat & (np.abs(per - 1.0) > 4.0 * np.finfo(float).eps)
-        np.divide(pts, per[:, None, None], out=pts, where=scale[:, None, None])
+    per = perimeter_value(pts)
+    flat = per <= 0.0
+    # skip the division for pure rounding dust so re-gauging an
+    # already canonical configuration is a bitwise no-op
+    scale = ~flat & (np.abs(per - 1.0) > 4.0 * np.finfo(float).eps)
+    np.divide(pts, per[:, None, None], out=pts, where=scale[:, None, None])
+    # a subnormal gauge vertex can round to the origin in the division:
+    # fix those rows again, from their next vertex off the origin
+    again = rows[pts[rows, gauge, 0] == 0.0]
+    if again.size:
+        pts[again] = gauge_fix(pts[again])
     pts[:, 0] = 0.0
     # kill signed zeros so reflected copies compare bit-for-bit
     pts += 0.0
@@ -489,13 +492,14 @@ def alignment_defects(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.where((diam == 0.0) | (defect <= ALIGNMENT_TOL * diam), 0.0, defect)
 
 
-def distance_key(config: Config, decimals: int = KEY_DECIMALS) -> tuple[int, ...]:
-    """Sorted distance multiset rounded to 10**-decimals, as a hashable key.
+def distance_key(config: Config) -> tuple[int, ...]:
+    """Sorted distance multiset rounded to ``10**-KEY_DECIMALS``, as a
+    hashable key.
 
     Reflection partners share a key because reflections preserve all
     pairwise distances.
     """
-    scaled = pair_distances(*config_rows(config))[0] * 10 ** decimals
+    scaled = pair_distances(*config_rows(config))[0] * 10 ** KEY_DECIMALS
     return tuple(np.sort(np.rint(scaled)).astype(np.int64).tolist())
 
 

@@ -101,7 +101,7 @@ def test_criterion_04_pitchfork_quantitative():
     # beyond the check's 48-step trace: the exponent of a 60-step trace
     path = charge_sweep_path([1.0, 1.0, 1.0], 1)
     diagram = trace_pitchfork(PolygonSpace(3), path, (0.05, 0.6), steps=60)
-    exponent = fit_branch_exponent(diagram, window=0.05)
+    exponent = fit_branch_exponent(diagram)
     ok = (check.passed and abs(diagram.threshold - 0.25) < 1e-4
           and 0.45 <= exponent <= 0.55)
     _finish(4, "pitchfork threshold and exponent", ok,

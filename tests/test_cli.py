@@ -77,8 +77,7 @@ class TestSolveCommand:
          "--potential", "power:1"],
         ["solve", "--space", "polygon:3", "--charges", "1,1,1",
          "--grid-density", "2"],
-        ["solve", "--space", "torus:1,2,3", "--charges", "1,2,3",
-         "--newton-tol", "nan"],
+        ["solve", "--space", "torus:1,2,3", "--charges", "1,2,nan"],
         ["solve", "--space", "polygon:3", "--charges", "1,1,1",
          "--potential", "power:inf"],
     ])
@@ -86,12 +85,14 @@ class TestSolveCommand:
         code, _ = run_cli(args)
         assert code == 2
 
-    def test_failed_topological_count_exits_three(self):
-        # a dedup tolerance wide enough to merge distinct equilibria breaks
-        # the sphere-level count, which the exit code must surface
+    def test_failed_topological_count_exits_three(self, monkeypatch):
+        # a census that misses an equilibrium breaks the sphere-level
+        # count, which the exit code must surface
+        import coulomb_eq.cli as cli
+        census = cli.find_critical_points
+        monkeypatch.setattr(cli, "find_critical_points", lambda *args: census(*args)[1:])
         code, out = run_cli(["solve", "--space", "polygon:3",
-                             "--charges", "1,1,1", "--grid-density", "8",
-                             "--dedup-tol", "0.3"])
+                             "--charges", "1,1,1", "--grid-density", "8"])
         assert code == 3
         assert json.loads(out)["summary"]["euler_check"] == "failed"
 
@@ -109,6 +110,7 @@ class TestSolveCommand:
         assert target.exists()
         manifest = json.loads((tmp_path / "census.json.manifest.json").read_text())
         assert manifest["command"] == "solve"
+        assert manifest["parameters"]["settings"] == {"grid_density": 8}
         assert manifest["tool_version"]
         assert "input_hash" in manifest and "wall_time_s" in manifest
 

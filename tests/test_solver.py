@@ -8,6 +8,7 @@ from coulomb_eq.morse import classify_spectrum, euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
 from coulomb_eq.solver import (
     MULTISTART_SEED,
+    NEWTON_TOL,
     RELATION_TOL,
     PolygonSpace,
     SolveSettings,
@@ -281,7 +282,7 @@ POLE_LOCKED = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
 
 
 def polish(seeds, charges):
-    vertices = _polish_polygon(np.array(seeds), charges, COULOMB, SolveSettings(), 1e-7)
+    vertices = _polish_polygon(np.array(seeds), charges, COULOMB)
     return [PolygonConfig(v) for v in vertices]
 
 
@@ -363,8 +364,7 @@ class TestCompactedTorusPolish:
                            [singular_hessian_seed(space, q)]])
 
         def polish(batch):
-            return _polish_torus_seeds(space, q, COULOMB, settings,
-                                       1e-7 * min(space.radii), batch)
+            return _polish_torus_seeds(space, q, COULOMB, batch)
 
         together = polish(seeds)
         alone = np.vstack([polish(seed[None]) for seed in seeds])
@@ -424,11 +424,10 @@ class TestFirstCover:
         assert _first_cover(np.empty((0, 4)), tol) == []
 
 
-def per_point_finalize(space, rows, charges, settings):
+def per_point_finalize(space, rows, charges):
     """Reference finalize, one configuration at a time: mirror closure by
     pairwise matching, classification from ``energy_report``, gates,
     sort, then the partner scan."""
-    tol = settings.dedup_tol
     if isinstance(space, TorusSpace):
         unique = [TorusConfig(space.radii, tuple(row)) for row in rows]
     else:
@@ -439,13 +438,13 @@ def per_point_finalize(space, rows, charges, settings):
             # re-gauged from raw vertices, so the finalize's mirrors, which
             # are never re-gauged, must come out canonical as they stand
             mirror, _ = canonicalize(mirror.points)
-        if not any(configs_match(mirror, u, tol) for u in unique):
+        if not any(configs_match(mirror, u) for u in unique):
             unique.append(mirror)
     points = []
     for cfg in unique:
         report = pot.energy_report(cfg, charges, COULOMB)
         grad_norm = float(np.linalg.norm(report.gradient))
-        if (grad_norm > settings.newton_tol or pot.stationarity_relation_residual(
+        if (grad_norm > NEWTON_TOL or pot.stationarity_relation_residual(
                 cfg, charges, COULOMB) > RELATION_TOL):
             continue
         eigs = np.linalg.eigvalsh(report.hessian)
@@ -457,9 +456,9 @@ def per_point_finalize(space, rows, charges, settings):
     points.sort(key=lambda p: (p["energy"], p["key"]))
     for i, p in enumerate(points):
         mirror = apply_involution(p["config"])
-        p["partner"] = None if configs_match(mirror, p["config"], tol) else next(
+        p["partner"] = None if configs_match(mirror, p["config"]) else next(
             (j for j, o in enumerate(points)
-             if j != i and configs_match(mirror, o["config"], tol)), None)
+             if j != i and configs_match(mirror, o["config"])), None)
     return points
 
 
@@ -492,9 +491,9 @@ class TestArrayFinalize:
             seeds = closed_form_seeds(q)
         else:
             seeds = _gauge_rows(_polygon_seeds(space, q, COULOMB, settings))
-        rows = _representatives(space, q, COULOMB, settings, seeds)
-        expected = per_point_finalize(space, rows, q, settings)
-        got = _finalize(space, rows, q, COULOMB, settings)
+        rows = _representatives(space, q, COULOMB, seeds)
+        expected = per_point_finalize(space, rows, q)
+        got = _finalize(space, rows, q, COULOMB)
         assert len(got) == len(expected) > 0
         for cp, ref in zip(got, expected):
             assert np.array_equal(coords(cp.config), coords(ref["config"]))
@@ -505,14 +504,13 @@ class TestArrayFinalize:
             assert cp.symmetry_partner == ref["partner"]
 
     def test_mirror_is_checked_against_mirrors_added_before_it(self):
-        # two rows closer than dedup_tol (the finalize does not dedup) have
+        # two rows closer than DEDUP_TOL (the finalize does not dedup) have
         # matching mirrors: only the first mirror is added
         tri = critical_triangle(Q111).points
         near = gauge_fix(tri + np.array([[0.0, 0.0], [0.0, 0.0], [1e-13, 0.0]]))
         rows = np.stack([tri, near])
-        settings = SolveSettings()
-        got = _finalize(PolygonSpace(3), rows, Q111, COULOMB, settings)
-        expected = per_point_finalize(PolygonSpace(3), rows, Q111, settings)
+        got = _finalize(PolygonSpace(3), rows, Q111, COULOMB)
+        expected = per_point_finalize(PolygonSpace(3), rows, Q111)
         assert len(got) == len(expected) == 3
         for cp, ref in zip(got, expected):
             assert np.array_equal(coords(cp.config), coords(ref["config"]))
@@ -521,13 +519,13 @@ class TestArrayFinalize:
     def test_nan_and_pole_rows_are_dropped(self):
         tri = critical_triangle(Q111).points
         rows = np.stack([np.full((3, 2), np.nan), gauge_fix(POLE_LOCKED), tri])
-        pts = _finalize(PolygonSpace(3), rows, Q111, COULOMB, SolveSettings())
+        pts = _finalize(PolygonSpace(3), rows, Q111, COULOMB)
         # the triangle and its synthesized mirror image
         assert len(pts) == 2 and pts[0].symmetry_partner == 1
         assert all(math.isfinite(cp.energy) for cp in pts)
         # torus:1,1,2 has a pole at the (pi, pi, 0) label
         rows = np.array([[math.pi, math.pi], [math.nan, 0.5], [0.0, math.pi]])
-        pts = _finalize(TorusSpace((1.0, 1.0, 2.0)), rows, Q111, COULOMB, SolveSettings())
+        pts = _finalize(TorusSpace((1.0, 1.0, 2.0)), rows, Q111, COULOMB)
         assert [cp.config.angles for cp in pts] == [(0.0, math.pi)]
 
 
@@ -551,12 +549,6 @@ class TestSettings:
     def test_grid_density_floor(self):
         with pytest.raises(ValueError):
             SolveSettings(grid_density=4)
-
-    @pytest.mark.parametrize("field", ["newton_tol", "dedup_tol"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-7])
-    def test_tolerances_must_be_positive_and_finite(self, field, value):
-        with pytest.raises(ValueError):
-            SolveSettings(**{field: value})
 
     def test_charge_count_must_match_space(self):
         with pytest.raises(ValueError):
