@@ -11,6 +11,7 @@ import argparse
 from pathlib import Path
 
 from coulomb_eq.bifurcation import count_polygon_minima, polygon_bifurcation_set
+from coulomb_eq.cli import curves_csv
 from coulomb_eq.spaces import ChargeVector
 
 
@@ -24,12 +25,8 @@ def main() -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    lines = ["label,q1,q2,q3"]
-    for curve in polygon_bifurcation_set(args.resolution):
-        for s in curve.samples:
-            lines.append(f"{curve.label},{s.charges[0]!r},{s.charges[1]!r},"
-                         f"{s.charges[2]!r}")
-    (outdir / "boundary_curves.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "boundary_curves.csv").write_text(
+        curves_csv(polygon_bifurcation_set(args.resolution)))
 
     rows = ["q1,q2,q3,minima"]
     g = args.grid

@@ -16,6 +16,7 @@ from coulomb_eq.bifurcation import (
     fit_branch_exponent,
     trace_pitchfork,
 )
+from coulomb_eq.cli import branch_csv
 from coulomb_eq.solver import PolygonSpace
 
 
@@ -34,12 +35,7 @@ def main() -> None:
                               steps=args.steps)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = ["lambda,q1,q2,q3,branch,amplitude,stability,energy"]
-    for p in diagram.points:
-        rows.append(f"{p.lam!r},{p.control[0]!r},{p.control[1]!r},"
-                    f"{p.control[2]!r},{p.branch},{p.amplitude!r},"
-                    f"{p.stability},{p.energy!r}")
-    (outdir / "branches.csv").write_text("\n".join(rows) + "\n")
+    (outdir / "branches.csv").write_text(branch_csv(diagram))
     print(f"threshold: {diagram.threshold!r}")
     try:
         print(f"amplitude exponent: {fit_branch_exponent(diagram)!r}")

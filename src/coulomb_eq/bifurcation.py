@@ -25,9 +25,9 @@ from .solver import (
     CriticalPoint,
     PolygonSpace,
     Space,
-    critical_triangle,
+    closed_form_seeds,
+    enumerate_aligned,
     polish_candidates,
-    solve_line_three,
 )
 from .spaces import (
     ChargeVector,
@@ -35,7 +35,6 @@ from .spaces import (
     PolygonConfig,
     TorusConfig,
     TORUS_ALIGNED_LABELS,
-    apply_involution,
     reduce_angle,
 )
 
@@ -59,15 +58,6 @@ class ControlPoint:
             raise ValueError("control point needs three positive charges")
         total = sum(c)
         object.__setattr__(self, "charges", tuple(v / total for v in c))
-
-    @classmethod
-    def of(cls, charges: ChargeVector | Sequence[float]) -> "ControlPoint":
-        vals = charges.q if isinstance(charges, ChargeVector) else charges
-        return cls(tuple(vals))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.charges)
 
 
 @dataclass(frozen=True)
@@ -191,18 +181,6 @@ def torus_bifurcation_set(radii: Sequence[float],
 # threshold detection along a charge path
 # ---------------------------------------------------------------------------
 
-#: an aligned configuration a trace can follow: the intermediate vertex
-#: of a collinear polygon, or a torus angle label
-Tracked = int | tuple[float, float, float]
-
-
-def _aligned_config(space: Space, tracked: Tracked, charges: ChargeVector,
-                    spec: PotentialSpec) -> Config:
-    if isinstance(space, PolygonSpace):
-        return solve_line_three(charges, spec)[tracked]
-    return morse.torus_label_config(space.radii, tracked)
-
-
 def _softest_eig(config: Config, charges: ChargeVector, spec: PotentialSpec) -> float:
     """Smallest transverse Hessian eigenvalue of an aligned polygon, or
     smallest Hessian eigenvalue of a torus configuration."""
@@ -211,42 +189,45 @@ def _softest_eig(config: Config, charges: ChargeVector, spec: PotentialSpec) -> 
     return float(np.linalg.eigvalsh(pot.hessian(config, charges, spec))[0])
 
 
-def _candidate_eig_functions(space: Space, spec: PotentialSpec,
-                             ) -> list[tuple[Tracked, Callable[[ChargeVector], float]]]:
-    if isinstance(space, PolygonSpace):
-        if space.n != 3:
-            raise ValueError("pitchfork tracing covers three charges only")
-        candidates: Sequence[Tracked] = range(3)
-    else:
-        candidates = TORUS_ALIGNED_LABELS
-    return [(t, lambda q, t=t: _softest_eig(_aligned_config(space, t, q, spec), q, spec))
-            for t in candidates]
+def _tracked_eig(space: Space, path: ChargePath, tracked: int,
+                 spec: PotentialSpec) -> Callable[[float], float]:
+    """Softest eigenvalue of aligned configuration ``tracked`` (its index in
+    ``enumerate_aligned``) as a function of the path parameter."""
+    def eig(lam: float) -> float:
+        charges = path(lam)
+        return _softest_eig(enumerate_aligned(space, charges, spec)[tracked], charges, spec)
+    return eig
 
 
 def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, float],
-                     spec: PotentialSpec) -> tuple[Tracked, Callable[[float], float],
-                                                   float, float]:
-    """Identify the unique candidate whose tracked eigenvalue changes sign
-    along the path and return (tracked, eig(lam), bracket_lo, bracket_hi)."""
+                     spec: PotentialSpec) -> tuple[int, float, float, str]:
+    """Find the unique aligned configuration whose softest eigenvalue
+    changes sign along the path.
+
+    Every scan sample evaluates the softest eigenvalue of every
+    configuration of one ``enumerate_aligned`` call.  Returns ``(tracked,
+    lo, hi, branch_side)``: the index of the configuration in
+    ``enumerate_aligned``, the scan interval that brackets its sign
+    change, and ``"above"`` or ``"below"`` for the side of the threshold
+    where it is a saddle (the side that carries the mirror pair).
+    """
     lo, hi = lam_range
     if not lo < hi:
         raise ValueError("empty parameter range")
+    if isinstance(space, PolygonSpace) and space.n != 3:
+        raise ValueError("pitchfork tracing covers three charges only")
     lams = np.linspace(lo, hi, SCAN_SAMPLES)
-    crossings = []
-    for label, eig_of_q in _candidate_eig_functions(space, spec):
-        f = lambda lam, e=eig_of_q: e(path(lam))
-        vals = [f(lam) for lam in lams]
-        brackets = [(lams[i], lams[i + 1]) for i in range(len(lams) - 1)
-                    if vals[i] * vals[i + 1] < 0.0]
-        if len(brackets) >= 1:
-            crossings.append((label, f, brackets))
-    if not crossings:
+    vals = np.array([[_softest_eig(cfg, charges, spec)
+                      for cfg in enumerate_aligned(space, charges, spec)]
+                     for charges in map(path, lams)])
+    flips = np.argwhere(vals[:-1] * vals[1:] < 0.0)
+    if not len(flips):
         raise ValueError("path does not cross any bifurcation curve in range")
-    total = sum(len(b) for _, _, b in crossings)
-    if total != 1:
-        raise ValueError(f"path must cross exactly one bifurcation curve, found {total}")
-    label, f, brackets = crossings[0]
-    return label, f, brackets[0][0], brackets[0][1]
+    if len(flips) != 1:
+        raise ValueError(f"path must cross exactly one bifurcation curve, found {len(flips)}")
+    sample, tracked = flips[0]
+    branch_side = "above" if vals[-1, tracked] < 0.0 else "below"
+    return int(tracked), lams[sample], lams[sample + 1], branch_side
 
 
 def detect_threshold(space: Space, path: ChargePath,
@@ -255,8 +236,8 @@ def detect_threshold(space: Space, path: ChargePath,
     """Parameter value where the tracked aligned configuration turns
     degenerate, located by bisection on its smallest transverse eigenvalue."""
     spec = spec or PotentialSpec.coulomb()
-    _, eig, lo, hi = _locate_crossing(space, path, lam_range, spec)
-    return _bisect_crossing(eig, lo, hi)
+    tracked, lo, hi, _ = _locate_crossing(space, path, lam_range, spec)
+    return _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
 
 
 def _bisect_crossing(eig: Callable[[float], float], lo: float, hi: float) -> float:
@@ -281,24 +262,23 @@ def _bisect_crossing(eig: Callable[[float], float], lo: float, hi: float) -> flo
 # branch tracing
 # ---------------------------------------------------------------------------
 
-def _polygon_amplitude(config: PolygonConfig, vertex: int) -> float:
-    """Signed transverse coordinate: the height of the intermediate vertex
-    in the frame whose x-axis joins the two outer vertices."""
-    outer = [i for i in range(3) if i != vertex]
+def _amplitude(tracked: int, config: Config) -> float:
+    """Signed transverse coordinate of an off-axis point: for a polygon
+    the height of the intermediate vertex ``tracked`` in the frame whose
+    x-axis joins the two outer vertices, for the torus the deviation of
+    the derived angle from its value in aligned label ``tracked``."""
+    if isinstance(config, TorusConfig):
+        return reduce_angle(config.alpha3 - TORUS_ALIGNED_LABELS[tracked][2])
+    outer = [i for i in range(3) if i != tracked]
     a, b = config.points[outer[0]], config.points[outer[1]]
     axis = b - a
     axis = axis / np.linalg.norm(axis)
-    rel = config.points[vertex] - a
+    rel = config.points[tracked] - a
     return float(axis[0] * rel[1] - axis[1] * rel[0])
 
 
-def _torus_amplitude(config: TorusConfig, label: Sequence[float]) -> float:
-    """Signed deviation of the derived angle from its aligned value."""
-    return reduce_angle(config.alpha3 - label[2])
-
-
-def _kick_seeds(space: Space, tracked: Tracked, charges: ChargeVector,
-                spec: PotentialSpec, distance: float = 0.0) -> list:
+def _kick_seeds(space: Space, tracked: int, charges: ChargeVector,
+                spec: PotentialSpec, distance: float = 0.0) -> list[np.ndarray]:
     """Seed configurations nudged off the tracked aligned configuration
     along its softest transverse direction, one per sign.
 
@@ -310,31 +290,24 @@ def _kick_seeds(space: Space, tracked: Tracked, charges: ChargeVector,
     if distance > 0.0:
         root = math.sqrt(distance)
         kicks.update(min(1.5 * root, 0.5) * f for f in (0.3, 0.7, 1.4))
-    seeds = []
-    aligned = _aligned_config(space, tracked, charges, spec)
+    aligned = enumerate_aligned(space, charges, spec)[tracked]
     if isinstance(aligned, PolygonConfig):
-        _, zy = pot.aligned_chart_basis(aligned.points)
-        direction = zy[:, 0]
-        for kick in sorted(kicks):
-            for sign in (1.0, -1.0):
-                pts = aligned.points.copy()
-                pts[1:] += sign * kick * direction.reshape(-1, 2)
-                seeds.append(pts)
-        return seeds
-    _, vecs = np.linalg.eigh(pot.hessian(aligned, charges, spec))
-    soft = vecs[:, 0]
-    base = np.array(aligned.angles)
-    for kick in sorted(kicks):
-        for sign in (1.0, -1.0):
-            seeds.append(base + sign * kick * soft)
-    return seeds
+        base = aligned.points
+        _, zy = pot.aligned_chart_basis(base)
+        # the chart leaves vertex 0 pinned
+        direction = np.vstack([np.zeros((1, 2)), zy[:, 0].reshape(-1, 2)])
+    else:
+        base = np.array(aligned.angles)
+        direction = np.linalg.eigh(pot.hessian(aligned, charges, spec))[1][:, 0]
+    return [base + sign * kick * direction
+            for kick in sorted(kicks) for sign in (1.0, -1.0)]
 
 
-def _aligned_branch_point(space: Space, tracked: Tracked, lam: float,
+def _aligned_branch_point(space: Space, tracked: int, lam: float,
                           charges: ChargeVector, spec: PotentialSpec,
                           ) -> BranchPoint:
     control = tuple(float(v) for v in charges.normalized)
-    aligned = _aligned_config(space, tracked, charges, spec)
+    aligned = enumerate_aligned(space, charges, spec)[tracked]
     eig = _softest_eig(aligned, charges, spec)
     energy = pot.energy(aligned, charges, spec)
     scale = max(1.0, abs(eig))
@@ -357,10 +330,9 @@ def trace_pitchfork(space: Space, path: ChargePath,
     polishing nudged seeds, each step reusing the previous solutions.
     """
     spec = spec or PotentialSpec.coulomb()
-    tracked, eig, lo, hi = _locate_crossing(space, path, lam_range, spec)
-    threshold = _bisect_crossing(eig, lo, hi)
+    tracked, lo, hi, branch_side = _locate_crossing(space, path, lam_range, spec)
+    threshold = _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
     lams = [float(v) for v in np.linspace(lam_range[0], lam_range[1], steps)]
-    branch_side = "above" if eig(lam_range[1]) < 0.0 else "below"
     # walk outward from the threshold on the branch side so each polished
     # pair seeds the next parameter value
     on_side = [lam for lam in lams
@@ -375,20 +347,17 @@ def trace_pitchfork(space: Space, path: ChargePath,
     return BranchDiagram(space.name, threshold, branch_side, tuple(points))
 
 
-def _off_branch_points(space: Space, charges: ChargeVector, seeds: list,
-                       spec: PotentialSpec) -> list[CriticalPoint]:
-    found = polish_candidates(space, charges, seeds, spec)
-    return [cp for cp in found if not cp.aligned]
-
-
-def _walk_branch(space: Space, tracked: Tracked, path: ChargePath, threshold: float,
+def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
                  targets: Sequence[float], spec: PotentialSpec,
                  ) -> dict[float, list[BranchPoint]]:
     """Continuation along the mirror-pair branch.
 
     Each polished pair seeds the next target; when a step loses the
     branch (Newton slides back to the aligned saddle) the step is
-    halved, down to a floor of 1e-6 in the parameter.
+    halved, down to a floor of 1e-6 in the parameter.  A target that
+    even the floor step cannot reach gets no points, and the walk goes
+    on to the next target from the last target reached, seeded with
+    the pair of the last successful polish.
     """
     out: dict[float, list[BranchPoint]] = {}
     carried: list = []
@@ -404,12 +373,13 @@ def _walk_branch(space: Space, tracked: Tracked, path: ChargePath, threshold: fl
                 dist = abs(trial - threshold)
                 seeds = carried + _kick_seeds(space, tracked, path(trial),
                                               spec, dist)
-                offs = _off_branch_points(space, path(trial), seeds, spec)
+                offs = [cp for cp in polish_candidates(space, path(trial), seeds, spec)
+                        if not cp.aligned]
                 if offs or abs(step) < 1e-6:
                     break
                 step *= 0.5
             if not offs:
-                break  # branch lost for good; later targets get no points
+                break
             position = trial
             carried = [cp.config for cp in offs]
             reached = trial == target
@@ -420,7 +390,7 @@ def _walk_branch(space: Space, tracked: Tracked, path: ChargePath, threshold: fl
         control = tuple(float(v) for v in charges.normalized)
         entries = []
         for cp in offs:
-            amp = _amplitude(space, tracked, cp)
+            amp = _amplitude(tracked, cp.config)
             stability = "degenerate" if cp.degenerate else \
                 ("min" if cp.morse_index == 0 else "saddle")
             entries.append((amp, stability, cp))
@@ -432,12 +402,6 @@ def _walk_branch(space: Space, tracked: Tracked, path: ChargePath, threshold: fl
                                    cp.energy))
         out[target] = pts
     return out
-
-
-def _amplitude(space: Space, tracked: Tracked, cp: CriticalPoint) -> float:
-    if isinstance(space, PolygonSpace):
-        return _polygon_amplitude(cp.config, tracked)
-    return _torus_amplitude(cp.config, tracked)
 
 
 def fit_branch_exponent(diagram: BranchDiagram) -> float:
@@ -464,12 +428,7 @@ def three_charge_equilibria(charges: ChargeVector,
     """All equilibria of three polygon charges via the closed-form seeds
     (triangle pair plus the three collinear arrangements)."""
     spec = spec or PotentialSpec.coulomb()
-    seeds: list = list(solve_line_three(charges, spec))
-    tri = critical_triangle(charges, spec)
-    if tri is not None:
-        seeds.append(tri)
-        seeds.append(apply_involution(tri))
-    return polish_candidates(PolygonSpace(3), charges, seeds, spec)
+    return polish_candidates(PolygonSpace(3), charges, closed_form_seeds(charges, spec), spec)
 
 
 def count_polygon_minima(charges: ChargeVector,

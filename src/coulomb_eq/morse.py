@@ -18,7 +18,8 @@ import numpy as np
 
 from . import potentials as pot
 from .potentials import PotentialSpec
-from .spaces import AlignedLabel, ChargeVector, PolygonConfig, TorusConfig, chord_distance
+from .spaces import (ChargeVector, PolygonConfig, TorusConfig, TORUS_ALIGNED_LABELS,
+                     chord_distance)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import CriticalPoint, Space
@@ -64,16 +65,19 @@ class MorseSummary:
     exactness: bool
     reason: str = ""
 
-    @property
-    def minima(self) -> int:
-        return self.counts.get(0, 0)
+
+def _aligned_label(label: Sequence[float]) -> tuple[float, ...]:
+    """The label as floats, refused unless it is one of ``TORUS_ALIGNED_LABELS``."""
+    lab = tuple(float(v) for v in label)
+    if lab not in TORUS_ALIGNED_LABELS:
+        raise ValueError(f"not an aligned angle triple: {lab}")
+    return lab
 
 
 def torus_label_config(radii: Sequence[float],
                        label: Sequence[float]) -> TorusConfig:
     """The aligned torus configuration carrying the given angle label."""
-    lab = tuple(float(v) for v in label)
-    AlignedLabel("torus", lab)  # validates
+    lab = _aligned_label(label)
     return TorusConfig(tuple(radii), (lab[0], lab[1]))
 
 
@@ -93,8 +97,7 @@ def torus_aligned_hessian_form(radii: Sequence[float],
     if (abs(r[0] - r[1]) <= 1e-12 * spread or abs(r[1] - r[2]) <= 1e-12 * spread
             or abs(r[0] - r[2]) <= 1e-12 * spread):
         raise ValueError("aligned sign forms need pairwise distinct radii")
-    lab = tuple(float(v) for v in label)
-    AlignedLabel("torus", lab)
+    lab = _aligned_label(label)
     pair = ((1, 2), (2, 0), (0, 1))
     d = [float(chord_distance(r[a], r[b], lab[i])) for i, (a, b) in enumerate(pair)]
     cos = [math.cos(a) for a in lab]

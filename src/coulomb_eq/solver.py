@@ -136,17 +136,6 @@ class CriticalPoint:
     #: ``None`` for a configuration that is its own mirror image
     symmetry_partner: int | None = None
 
-    @property
-    def kind(self) -> str:
-        if self.degenerate:
-            return "degenerate"
-        dim = len(self.hessian_eigenvalues)
-        if self.morse_index == 0:
-            return "minimum"
-        if self.morse_index == dim:
-            return "maximum"
-        return "saddle"
-
 
 # ---------------------------------------------------------------------------
 # closed forms for three charges
@@ -278,13 +267,25 @@ def line_config_from_positions(positions: np.ndarray) -> PolygonConfig:
     return PolygonConfig.from_points(pts)
 
 
+def closed_form_seeds(charges: ChargeVector,
+                      spec: PotentialSpec | None = None) -> list[PolygonConfig]:
+    """Every closed-form equilibrium of three polygon charges: the three
+    collinear ones (``solve_line_three`` order), then the triangle and
+    its mirror image when the triangle exists."""
+    seeds = solve_line_three(charges, spec)
+    tri = critical_triangle(charges, spec)
+    return seeds if tri is None else seeds + [tri, apply_involution(tri)]
+
+
 def enumerate_aligned(space: Space, charges: ChargeVector,
                       spec: PotentialSpec | None = None) -> list[Config]:
     """All aligned critical configurations of the space.
 
-    Polygon (n=3): the three collinear equilibria.  Torus: the four
-    angle labels with every central angle zero or pi, all of which are
-    stationary for every positive charge vector.
+    Polygon (n=3): the three collinear equilibria, index = intermediate
+    vertex.  Torus: the four angle labels with every central angle zero
+    or pi, all of which are stationary for every positive charge vector,
+    index = position in ``TORUS_ALIGNED_LABELS``.  The pitchfork trace
+    names the aligned configuration it follows by this index.
     """
     spec = spec or PotentialSpec.coulomb()
     if isinstance(space, TorusSpace):
@@ -427,12 +428,7 @@ def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
     n = space.n
     seeds: list[np.ndarray] = []
     if n == 3:
-        for cfg in solve_line_three(charges, spec):
-            seeds.append(cfg.points.copy())
-        tri = critical_triangle(charges, spec)
-        if tri is not None:
-            seeds.append(tri.points.copy())
-            seeds.append(apply_involution(tri).points.copy())
+        seeds.extend(cfg.points for cfg in closed_form_seeds(charges, spec))
         g = settings.grid_density
         for i in range(1, g):
             for j in range(1, g - i):

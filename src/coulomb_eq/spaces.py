@@ -299,29 +299,6 @@ def torus_plane_points(radii: Sequence[float], alphas: np.ndarray) -> np.ndarray
 Config = PolygonConfig | TorusConfig
 
 
-@dataclass(frozen=True)
-class AlignedLabel:
-    """Identifies an aligned configuration.
-
-    For the polygon space ``value`` is the index (0-based) of the
-    intermediate vertex of the collinear arrangement; for the torus it
-    is one of the four ``TORUS_ALIGNED_LABELS`` angle triples.
-    """
-
-    space: str  # "polygon" | "torus"
-    value: int | tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if self.space == "torus":
-            if tuple(self.value) not in TORUS_ALIGNED_LABELS:
-                raise ValueError(f"not an aligned angle triple: {self.value}")
-        elif self.space == "polygon":
-            if not isinstance(self.value, int) or self.value < 0:
-                raise ValueError("polygon aligned label is the intermediate vertex index")
-        else:
-            raise ValueError(f"unknown space {self.space!r}")
-
-
 def config_rows(config: Config) -> tuple[np.ndarray, tuple[float, float, float] | None]:
     """A configuration as a stack of one: vertex rows ``(1, n, 2)`` and
     ``None``, or chart rows ``(1, 2)`` and the radii."""

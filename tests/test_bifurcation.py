@@ -18,7 +18,14 @@ from coulomb_eq.bifurcation import (
     trace_pitchfork,
 )
 from coulomb_eq.morse import torus_aligned_hessian_form
-from coulomb_eq.solver import PolygonSpace, TorusSpace
+from coulomb_eq.potentials import PotentialSpec
+from coulomb_eq.solver import (
+    PolygonSpace,
+    SolveSettings,
+    TorusSpace,
+    closed_form_seeds,
+    _polygon_seeds,
+)
 from coulomb_eq.spaces import ChargeVector, TORUS_ALIGNED_LABELS, alignment_defect
 
 PI = math.pi
@@ -146,6 +153,62 @@ class TestThreshold:
         path = charge_sweep_path([1.0, 1.0, 1.0], 1)
         with pytest.raises(ValueError):
             detect_threshold(PolygonSpace(3), path, (0.3, 0.6))
+
+    def test_polygon_beyond_three_charges_rejected(self):
+        path = charge_sweep_path([1.0, 1.0, 1.0, 1.0], 1)
+        for trace in (detect_threshold, trace_pitchfork):
+            with pytest.raises(ValueError, match="three charges only"):
+                trace(PolygonSpace(4), path, (0.05, 0.6))
+
+
+class TestLocateCrossing:
+    """The scan names the aligned configuration it tracks by its index in
+    ``enumerate_aligned``."""
+
+    def test_reference_sweep_tracks_the_middle_vertex(self):
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        tracked, lo, hi, side = bifurcation._locate_crossing(
+            PolygonSpace(3), path, (0.05, 0.6), PotentialSpec.coulomb())
+        assert (tracked, side) == (1, "above")
+        assert lo < 0.25 < hi
+
+    def test_torus_sweep_tracks_the_first_label(self):
+        path = charge_sweep_path([0.01, 0.01, 1.0], 2)
+        tracked, _, _, side = bifurcation._locate_crossing(
+            TorusSpace((1.0, 2.0, 3.0)), path, (0.2, 2.0), PotentialSpec.coulomb())
+        assert (tracked, side) == (0, "below")
+        assert TORUS_ALIGNED_LABELS[tracked] == (PI, PI, 0.0)
+
+    def test_one_enumeration_per_scan_sample(self, monkeypatch):
+        calls = []
+        enumerate_aligned = bifurcation.enumerate_aligned
+        monkeypatch.setattr(bifurcation, "enumerate_aligned",
+                            lambda *args: calls.append(args) or enumerate_aligned(*args))
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        bifurcation._locate_crossing(PolygonSpace(3), path, (0.05, 0.6),
+                                     PotentialSpec.coulomb())
+        assert len(calls) == bifurcation.SCAN_SAMPLES
+
+
+class TestClosedFormSeeds:
+    @pytest.mark.parametrize("charges,count", [([1.0, 1.0, 1.0], 5),
+                                               ([0.125, 1.0, 1.0], 3)])
+    def test_one_list_of_three_charge_seeds(self, monkeypatch, charges, count):
+        q = ChargeVector.of(charges)
+        expected = [cfg.points for cfg in closed_form_seeds(q)]
+        assert len(expected) == count
+        polished = []
+        polish = bifurcation.polish_candidates
+        monkeypatch.setattr(bifurcation, "polish_candidates",
+                            lambda *args: polished.append(args[2]) or polish(*args))
+        three_charge_equilibria(q)
+        assert len(polished) == 1
+        assert all(np.array_equal(cfg.points, want)
+                   for cfg, want in zip(polished[0], expected, strict=True))
+        grid = _polygon_seeds(PolygonSpace(3), q, PotentialSpec.coulomb(),
+                              SolveSettings(grid_density=8))
+        assert all(np.array_equal(seed, want)
+                   for seed, want in zip(grid[:count], expected, strict=True))
 
 
 @pytest.fixture(scope="module")

@@ -90,6 +90,13 @@ class TestAlignedSignForms:
         with pytest.raises(ValueError):
             torus_aligned_hessian_form((1.0, 1.0, 3.0), (PI, PI, 0.0))
 
+    @pytest.mark.parametrize("label", [(PI, 0.0, 0.0), (0.5, PI, 0.0), (PI, PI)])
+    def test_non_aligned_triple_rejected(self, label):
+        with pytest.raises(ValueError, match="not an aligned angle triple"):
+            torus_label_config((1.0, 2.0, 3.0), label)
+        with pytest.raises(ValueError, match="not an aligned angle triple"):
+            torus_aligned_hessian_form((1.0, 2.0, 3.0), label)
+
     def test_sign_matches_true_determinant_on_random_draws(self):
         rng = np.random.default_rng(8)
         checked = 0

@@ -1,0 +1,58 @@
+"""The experiment scripts under ``scripts/`` run end to end on small inputs."""
+
+import contextlib
+import io
+import runpy
+import sys
+from pathlib import Path
+
+from coulomb_eq.cli import main
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(monkeypatch, tmp_path, name, *args):
+    """Run one script as ``__main__`` in ``tmp_path`` and return its stdout."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return buf.getvalue()
+
+
+def header(path):
+    return path.read_text().splitlines()[0]
+
+
+def test_pitchfork_sweep_writes_the_cli_branches(monkeypatch, tmp_path):
+    out = run_script(monkeypatch, tmp_path, "pitchfork_sweep.py", "--steps", "8")
+    assert out.startswith("threshold: ")
+    written = tmp_path / "out" / "pitchfork" / "branches.csv"
+    assert header(written) == "lambda,q1,q2,q3,branch,amplitude,stability,energy"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["bifurcate", "--space", "polygon:3", "--charges", "1,1,1",
+                     "--sweep", "2", "--range", "0.05:0.6", "--steps", "8",
+                     "--outdir", str(tmp_path / "cli")])
+    assert code == 0
+    assert written.read_text() == (tmp_path / "cli" / "branches.csv").read_text()
+
+
+def test_control_triangle_scan_writes_curves_and_grid(monkeypatch, tmp_path):
+    run_script(monkeypatch, tmp_path, "control_triangle_scan.py",
+               "--grid", "8", "--resolution", "16")
+    outdir = tmp_path / "out" / "control_triangle"
+    curves = outdir / "boundary_curves.csv"
+    assert header(curves) == "label,q1,q2,q3"
+    assert len(curves.read_text().splitlines()) == 1 + 3 * 16
+    grid = outdir / "minima_grid.csv"
+    assert header(grid) == "q1,q2,q3,minima"
+    assert len(grid.read_text().splitlines()) == 1 + 21
+
+
+def test_concentric_census_prints_one_row_per_sample(monkeypatch, tmp_path):
+    out = run_script(monkeypatch, tmp_path, "concentric_census.py",
+                     "--samples", "1", "--grid-density", "8")
+    lines = out.splitlines()
+    assert lines[0] == "q1,q2,q3,total,minima,saddles,maxima,euler,exact"
+    assert len(lines) == 3 and lines[2].startswith("# minimal censuses: ")
