@@ -394,22 +394,37 @@ def chart_derivatives(rows: np.ndarray, radii: tuple[float, float, float] | None
     return grad, hess
 
 
+def _regular_chart_derivatives(config: Config, charges: ChargeVector,
+                               spec: PotentialSpec | None,
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart gradient and Hessian of one configuration; ``PoleError`` at a
+    pole.  A torus configuration takes the verdict from the smallest pair
+    distance of the derivative core, whose clamp at half the pole radius
+    leaves every regular configuration unclamped."""
+    spec = spec or PotentialSpec.coulomb()
+    _check_charges(config, charges)
+    rows, radii = config_rows(config)
+    if radii is None:
+        _require_regular(config)
+        grad, hess = polygon_chart_derivatives(rows, charges, spec)
+    else:
+        pole_radius = config.pole_radius
+        grad, hess, dmin = torus_derivatives(radii, charges, spec, rows, 0.5 * pole_radius)
+        if dmin[0] < pole_radius:
+            raise PoleError("configuration has coincident charges")
+    return grad[0], hess[0]
+
+
 def gradient(config: Config, charges: ChargeVector,
              spec: PotentialSpec | None = None) -> np.ndarray:
     """Analytic energy gradient in the chart of the configuration space."""
-    spec = spec or PotentialSpec.coulomb()
-    _check_charges(config, charges)
-    _require_regular(config)
-    return chart_derivatives(*config_rows(config), charges, spec)[0][0]
+    return _regular_chart_derivatives(config, charges, spec)[0]
 
 
 def hessian(config: Config, charges: ChargeVector,
             spec: PotentialSpec | None = None) -> np.ndarray:
     """Analytic energy Hessian in the chart of the configuration space."""
-    spec = spec or PotentialSpec.coulomb()
-    _check_charges(config, charges)
-    _require_regular(config)
-    return chart_derivatives(*config_rows(config), charges, spec)[1][0]
+    return _regular_chart_derivatives(config, charges, spec)[1]
 
 
 def energy_report(config: Config, charges: ChargeVector,

@@ -9,10 +9,11 @@ constraint for polygons, the plain two-angle gradient for the torus.
 The search is array-first from seed to report.  Polygon seeds are
 gauge-fixed as one stack; all seeds of a search go through one damped
 Newton iteration as a single stack, and only live seeds iterate (the
-torus polish evaluates derivatives only for the seeds its previous
-round stepped).  Converged points are deduplicated on raw coordinate
-rows, gauge-fixed vertices or angles embedded on the circle, in one
-vectorized first-wins pass.  The finalize works on the stack of
+torus polish carries a compact stack of the live angles and their seed
+indices, evaluates it once per round and shrinks it with one gather).
+Converged points are deduplicated on raw coordinate rows, gauge-fixed
+vertices or angles embedded on the circle, in one first-wins pass that
+compares column by column.  The finalize works on the stack of
 representatives too: it closes it under the reflection involution by
 row comparisons, gates and classifies every row from one chart
 derivative call and one eigenvalue call, sorts, and pairs each point
@@ -500,7 +501,8 @@ def _sweep_position_seeds(n: int) -> list[np.ndarray]:
 def _torus_seeds(space: TorusSpace, settings: SolveSettings) -> np.ndarray:
     g = settings.grid_density
     ticks = TWO_PI * (np.arange(g) + 0.5) / g
-    grid = np.array([(x, y) for x in ticks for y in ticks])
+    # x-major, the order the first-wins dedup sees the grid in
+    grid = np.column_stack([np.repeat(ticks, g), np.tile(ticks, g)])
     aligned = np.array([(lab[0], lab[1]) for lab in TORUS_ALIGNED_LABELS])
     extra = [aligned]
     r = space.radii
@@ -515,44 +517,48 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
                         spec: PotentialSpec, seeds: np.ndarray) -> np.ndarray:
     """Newton on the two-angle gradient, run on a stack of ``(k, 2)`` seeds.
 
-    Only live seeds iterate: each round evaluates the derivatives of the
-    seeds the previous round stepped.  A seed that converged, hit a pole
-    or met a singular Hessian never moves again, so every seed takes
-    exactly the steps it would take alone.  Returns the converged angle
-    pairs in seed order, reduced to (-pi, pi].
+    The iteration carries one compact stack, the angles of the live seeds
+    and their seed indices.  Each round evaluates that stack, writes the
+    seeds that converged into the result by seed index and shrinks the
+    stack, in one gather, to the seeds it steps.  A seed that converged,
+    hit a pole or met a singular Hessian is never evaluated again, so
+    every seed takes exactly the steps it would take alone.  Returns the
+    converged angle pairs in seed order, reduced to (-pi, pi].
     """
     angles = np.array(seeds, dtype=float).reshape(-1, 2)
     pole_radius = POLE_RADIUS_FACTOR * min(space.radii)
     floor = 0.5 * pole_radius
-    alive = np.ones(angles.shape[0], dtype=bool)
-    gnorm = np.zeros(angles.shape[0])
-    dmin = np.zeros(angles.shape[0])
+    converged = np.zeros(angles.shape[0], dtype=bool)
     live = np.arange(angles.shape[0])
+    at = angles.copy()
     for rounds in range(MAX_ITERS + 1):
-        grad, hess, dmin[live] = pot.torus_derivatives(
-            space.radii, charges, spec, angles[live], floor)
-        gnorm[live] = np.linalg.norm(grad, axis=1)
-        alive[live] &= dmin[live] > pole_radius
-        todo = alive[live] & (gnorm[live] > POLISH_TARGET)
-        if rounds == MAX_ITERS or not todo.any():
+        grad, hess, dmin = pot.torus_derivatives(space.radii, charges, spec, at, floor)
+        g0, g1 = grad[:, 0], grad[:, 1]
+        gnorm = np.sqrt(g0 * g0 + g1 * g1)
+        # every gate is written so that NaN fails it
+        regular = dmin > pole_radius
+        last = rounds == MAX_ITERS
+        done = regular & (gnorm <= (NEWTON_TOL if last else POLISH_TARGET))
+        angles[live[done]] = at[done]
+        converged[live[done]] = True
+        todo = regular & (gnorm > POLISH_TARGET)
+        if last or not todo.any():
             break
-        h = hess[todo]
-        g = grad[todo]
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        ok = np.abs(det) > 1e-14 * np.maximum(1.0, np.abs(h).max(axis=(1, 2)) ** 2)
-        # kill seeds with a singular Hessian, clamp wild steps
-        stepped = live[todo]
-        alive[stepped[~ok]] = False
-        live = stepped[ok]
-        h, g, det = h[ok], g[ok], det[ok]
-        step = np.stack([(-g[:, 0] * h[:, 1, 1] + g[:, 1] * h[:, 0, 1]) / det,
-                         (-g[:, 1] * h[:, 0, 0] + g[:, 0] * h[:, 1, 0]) / det], axis=1)
-        norms = np.linalg.norm(step, axis=1)
-        big = norms > 0.5
-        step[big] *= (0.5 / norms[big])[:, None]
-        angles[live] += step
-    good = alive & (gnorm <= NEWTON_TOL) & (dmin > pole_radius)
-    return reduce_angles(angles[good])
+        h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        # rows that stop here may divide by zero or overflow; their steps
+        # are dropped with them
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = h00 * h11 - h01 * h01
+            scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.abs(h11))
+            # drop seeds with a singular Hessian, clamp wild steps
+            keep = todo & (np.abs(det) > 1e-14 * np.maximum(1.0, scale ** 2))
+            s0 = (-g0 * h11 + g1 * h01) / det
+            s1 = (-g1 * h00 + g0 * h01) / det
+            clamp = np.minimum(1.0, 0.5 / np.sqrt(s0 * s0 + s1 * s1))
+            at[:, 0] += s0 * clamp
+            at[:, 1] += s1 * clamp
+        live, at = live[keep], at[keep]
+    return reduce_angles(angles[converged])
 
 
 # ---------------------------------------------------------------------------
@@ -581,14 +587,21 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
     The first uncovered row becomes a representative and covers every
     row within ``max|delta| < tol`` of it; repeat until no row is left.
     That keeps exactly the rows a sequential scan against the accepted
-    representatives would keep.
+    representatives would keep.  A row with a NaN or infinite entry
+    covers no row, itself included, and still leaves the pool once it
+    is a representative.
     """
+    columns = np.asarray(rows, dtype=float).T
     left = np.arange(len(rows))
     reps = []
     while left.size:
-        rep = left[0]
+        rep, left = left[0], left[1:]
         reps.append(int(rep))
-        left = left[~(np.abs(rows[left] - rows[rep]).max(axis=1) < tol)]
+        # max|delta| < tol column by column, so NaN fails it
+        near = np.ones(left.size, dtype=bool)
+        for col in columns:
+            near &= np.abs(col[left] - col[rep]) < tol
+        left = left[~near]
     return reps
 
 

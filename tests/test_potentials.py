@@ -126,6 +126,19 @@ class TestEnergy:
         with pytest.raises(PoleError):
             gradient(cfg, UNIT_Q3, COULOMB)
 
+    @pytest.mark.parametrize("function", [gradient, hessian])
+    def test_torus_pole_verdict_at_the_pole_radius(self, function):
+        # points 1 and 2 on the unit circles, 5e-8 and 2e-7 apart against a
+        # pole radius of 1e-7
+        radii = (1.0, 1.0, 3.0)
+        near = TorusConfig(radii, (1.0, -1.0 + 5e-8))
+        with pytest.raises(PoleError):
+            function(near, UNIT_Q3, COULOMB)
+        apart = TorusConfig(radii, (1.0, -1.0 + 2e-7))
+        value = function(apart, UNIT_Q3, COULOMB)
+        assert np.isfinite(value).all()
+        assert near.has_pole and not apart.has_pole
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_reflection_symmetry(self, spec):
         rng = np.random.default_rng(0)

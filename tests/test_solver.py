@@ -7,6 +7,7 @@ from coulomb_eq.cli import solve_payload
 from coulomb_eq.morse import classify_spectrum, euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
 from coulomb_eq.solver import (
+    MAX_ITERS,
     MULTISTART_SEED,
     NEWTON_TOL,
     RELATION_TOL,
@@ -35,6 +36,7 @@ from coulomb_eq import potentials as pot
 from coulomb_eq.spaces import (
     ChargeVector,
     PolygonConfig,
+    TORUS_ALIGNED_LABELS,
     TorusConfig,
     alignment_defect,
     apply_involution,
@@ -372,6 +374,54 @@ class TestCompactedTorusPolish:
         assert polish(seeds[-2:]).shape == (0, 2)
         assert np.array_equal(together, alone)
 
+    @pytest.mark.parametrize("radii, charges, extra, evals", [
+        # grid points of g = 96 whose iterates cycle up to the round cap
+        ((1.0, 2.0, 3.0), (1.0, 2.0, 3.0),
+         lambda space, q: 2.0 * math.pi * (np.array([[3, 44], [45, 45], [92, 1]]) + 0.5) / 96,
+         [MAX_ITERS + 1] * 3),
+        # a seed inside the pole radius and one with a singular Hessian
+        ((0.5, 1.7, 1.7), (0.4, 1.3, 0.8),
+         lambda space, q: [[1e-9, 2.0], singular_hessian_seed(space, q)], [1, 1]),
+    ], ids=["cycling", "pole-and-singular"])
+    def test_batch_evaluates_only_the_rows_of_seeds_polished_alone(
+            self, monkeypatch, radii, charges, extra, evals):
+        space = TorusSpace(radii)
+        q = ChargeVector.of(charges)
+        seeds = np.vstack([_torus_seeds(space, SolveSettings(grid_density=12)),
+                           extra(space, q)])
+        rows = []
+        core = pot.torus_derivatives
+
+        def counted(radii, charges, spec, angles, floor=0.0):
+            rows.append(len(angles))
+            return core(radii, charges, spec, angles, floor)
+
+        monkeypatch.setattr(pot, "torus_derivatives", counted)
+        _polish_torus_seeds(space, q, COULOMB, seeds)
+        together = sum(rows)
+        alone = []
+        for seed in seeds:
+            rows.clear()
+            _polish_torus_seeds(space, q, COULOMB, seed[None])
+            alone.append(sum(rows))
+        # a seed that stopped or died is never evaluated again
+        assert together == sum(alone)
+        assert alone[-len(evals):] == evals
+
+    @pytest.mark.parametrize("g", [8, 96])
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.5, 1.5, 1.5)])
+    def test_seed_order(self, g, radii):
+        seeds = _torus_seeds(TorusSpace(radii), SolveSettings(grid_density=g))
+        aligned = [(lab[0], lab[1]) for lab in TORUS_ALIGNED_LABELS]
+        third = 2.0 * math.pi / 3.0
+        # the first-wins dedup keeps the first seed of each point, so the
+        # exact seeds lead and the grid runs x-major
+        head = aligned + ([(third, third), (-third, -third)] if radii[0] == radii[1] else [])
+        ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
+        grid = [(x, y) for x in ticks for y in ticks]
+        assert np.array_equal(seeds, np.array(head + grid))
+        assert seeds.shape == (len(head) + g * g, 2)
+
     def test_reduced_angles_match_the_scalar_reduction(self):
         rng = np.random.default_rng(9)
         special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
@@ -422,6 +472,15 @@ class TestFirstCover:
         assert rows[1, 1] - rows[0, 1] == tol
         assert _first_cover(rows, tol) == sequential_first_wins(rows, tol) == [0, 1]
         assert _first_cover(np.empty((0, 4)), tol) == []
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_are_their_own_representatives(self, bad):
+        tol = 1e-7
+        assert _first_cover(np.array([[math.nan, 1.0], [0.0, 1.0]]), tol) == [0, 1]
+        rows = np.array([[bad, 1.0], [0.0, 1.0], [bad, 1.0], [0.0, 1.0 + 1e-9],
+                         [0.0, bad], [bad, bad], [0.5, 0.5]])
+        assert _first_cover(rows, tol) == sequential_first_wins(rows, tol) == [0, 1, 2, 4, 5, 6]
 
 
 def per_point_finalize(space, rows, charges):
