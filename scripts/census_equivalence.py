@@ -22,8 +22,10 @@ of ``coulomb_eq/*.py`` in each tree and the difference.
 The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
 charges, ten polygon censuses (n = 3, 4, 5) under the coulomb and log
-kernels, the benchmark's two pitchfork sweeps (the polygon reference
-sweep and the torus sweep), ``verify --suite quick`` and ``verify
+kernels, nine pitchfork sweeps (the benchmark's polygon reference sweep
+and torus sweep, and seven more: other charges, swept charges, ranges,
+radii and the power:2 kernel, four of which re-acquire the branch from
+nudged seeds), ``verify --suite quick`` and ``verify
 --suite full`` (the only run that reads the resolution-256 boundary
 curves and the four-charge fixing check), three ``inverse --sides``
 cases (a unique ray, a collinear family and an infeasible triple), the
@@ -74,7 +76,27 @@ POLYGONS = [
     ("polygon:5", "1,1,1,1,1", 8),
 ]
 
-SWEEPS = (workloads.REFERENCE_SWEEP, workloads.TORUS_SWEEP)
+
+def _sweep(space: str, charges: list[float], sweep: int, lo: float, hi: float,
+           steps: int, potential: str = "coulomb") -> dict:
+    return {"space": space, "charges": charges, "sweep": sweep, "range": [lo, hi],
+            "steps": steps, "potential": potential}
+
+
+#: the benchmark's two sweeps, then other charges, swept charges, ranges,
+#: radii and kernels; four of them re-acquire the branch from nudged seeds
+#: after the carried pair alone loses it
+SWEEPS = (
+    workloads.REFERENCE_SWEEP,
+    workloads.TORUS_SWEEP,
+    _sweep("polygon:3", [1.0, 1.0, 1.0], 2, 0.05, 0.6, 96),
+    _sweep("polygon:3", [4.0, 1.0, 1.0], 2, 0.05, 0.6, 40),
+    _sweep("polygon:3", [1.0, 1.0, 1.0], 1, 0.05, 0.6, 40),
+    _sweep("polygon:3", [1.0, 2.0, 3.0], 2, 0.01, 1.5, 40),
+    dict(workloads.REFERENCE_SWEEP, potential="power:2"),
+    _sweep("torus:0.5,1.7,2.9", [0.01, 0.01, 1.0], 3, 0.05, 5.0, 40),
+    _sweep("torus:1,2,3", [1.0, 0.01, 0.01], 1, 0.05, 5.0, 40),
+)
 
 #: unique ray, collinear family, infeasible
 INVERSE_SIDES = ("0.4,0.4,0.2", "0.5,0.3,0.2", "0.7,0.2,0.1")
@@ -127,6 +149,7 @@ def _sweep_argv(sweep: dict, outdir: str) -> list[str]:
     lo, hi = sweep["range"]
     return ["bifurcate", "--space", sweep["space"],
             "--charges", ",".join(repr(float(v)) for v in sweep["charges"]),
+            "--potential", sweep.get("potential", "coulomb"),
             "--sweep", str(sweep["sweep"]), "--range", f"{lo!r}:{hi!r}",
             "--steps", str(sweep["steps"]), "--outdir", outdir]
 

@@ -326,9 +326,12 @@ def trace_pitchfork(space: Space, path: ChargePath,
 
     The aligned branch is present at every parameter value (amplitude
     zero; its stability flips at the threshold); the mirror pair exists
-    only on the side where the aligned point is a saddle and is found by
-    polishing nudged seeds, each step reusing the previous solutions.
+    only on the side where the aligned point is a saddle.  It is acquired
+    from seeds nudged off the aligned point and continued by polishing
+    each step's pair at the next parameter value (``_walk_branch``).
     """
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     spec = spec or PotentialSpec.coulomb()
     tracked, lo, hi, branch_side = _locate_crossing(space, path, lam_range, spec)
     threshold = _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
@@ -347,13 +350,27 @@ def trace_pitchfork(space: Space, path: ChargePath,
     return BranchDiagram(space.name, threshold, branch_side, tuple(points))
 
 
+def _off_axis(space: Space, charges: ChargeVector, seeds: list,
+              spec: PotentialSpec) -> list[CriticalPoint]:
+    """The critical points off the aligned configurations that the seeds
+    polish to."""
+    return [cp for cp in polish_candidates(space, charges, seeds, spec) if not cp.aligned]
+
+
 def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
                  targets: Sequence[float], spec: PotentialSpec,
                  ) -> dict[float, list[BranchPoint]]:
     """Continuation along the mirror-pair branch.
 
-    Each polished pair seeds the next target; when a step loses the
-    branch (Newton slides back to the aligned saddle) the step is
+    A predictor-corrector walk: the pair polished at the last parameter
+    (the carried pair) is the predictor, and polishing it alone at the
+    trial parameter is the corrector.  When that gives the mirror pair
+    (two off-axis points) they are the step's result.  Otherwise, and
+    on the first step, where nothing is carried yet, the branch is
+    acquired again from the carried configurations followed by seeds
+    nudged off the aligned point (``_kick_seeds``); the carried seeds
+    come first, so their points win the dedup.  When even that loses
+    the branch (Newton slides back to the aligned saddle) the step is
     halved, down to a floor of 1e-6 in the parameter.  A target that
     even the floor step cannot reach gets no points, and the walk goes
     on to the next target from the last target reached, seeded with
@@ -370,11 +387,13 @@ def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
             offs: list[CriticalPoint] = []
             while True:
                 trial = position + step
-                dist = abs(trial - threshold)
-                seeds = carried + _kick_seeds(space, tracked, path(trial),
-                                              spec, dist)
-                offs = [cp for cp in polish_candidates(space, path(trial), seeds, spec)
-                        if not cp.aligned]
+                charges = path(trial)
+                offs = _off_axis(space, charges, carried, spec) if carried else []
+                if len(offs) == 2:
+                    break
+                seeds = carried + _kick_seeds(space, tracked, charges, spec,
+                                              abs(trial - threshold))
+                offs = _off_axis(space, charges, seeds, spec)
                 if offs or abs(step) < 1e-6:
                     break
                 step *= 0.5

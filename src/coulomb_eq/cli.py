@@ -211,6 +211,8 @@ def cmd_bifurcate(args: argparse.Namespace) -> int:
     spec = parse_potential(args.potential)
     if not 1 <= args.sweep <= expected:
         raise CliError(f"--sweep must pick one of the {expected} charges (1-based)")
+    if args.steps < 2:
+        raise CliError(f"--steps must be at least 2, got {args.steps}")
     lam_range = parse_range(args.range)
     path = bifurcation.charge_sweep_path(list(charges.q), args.sweep - 1)
     try:

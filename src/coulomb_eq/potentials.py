@@ -555,6 +555,7 @@ def polygon_free_indices(n: int) -> np.ndarray:
 
 def polygon_stationarity(points: np.ndarray, multipliers: np.ndarray,
                          charges: ChargeVector, spec: PotentialSpec,
+                         derivatives: PolygonDerivatives | None = None,
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Residuals ``(k, m)`` and Jacobians ``(k, m, m)`` of the constrained
     stationarity system for a stack of polygons ``(k, n, 2)`` with their
@@ -563,10 +564,12 @@ def polygon_stationarity(points: np.ndarray, multipliers: np.ndarray,
     Unknowns are the gauge-free vertex coordinates plus the perimeter
     multiplier; equations are the corresponding components of
     ``grad E + multiplier * grad perimeter`` plus the perimeter defect.
+    ``derivatives``, when given, is ``polygon_derivatives`` of the same
+    stack, already evaluated.
     """
     pts = np.asarray(points, dtype=float)
     keep = polygon_free_indices(pts.shape[1])
-    der = polygon_derivatives(pts, charges, spec)
+    der = polygon_derivatives(pts, charges, spec) if derivatives is None else derivatives
     lam = np.asarray(multipliers, dtype=float)[:, None]
     g_l = der.perimeter_grad[:, keep]
     res = np.concatenate([(der.energy_grad + lam * der.perimeter_grad)[:, keep],
@@ -581,10 +584,13 @@ def polygon_stationarity(points: np.ndarray, multipliers: np.ndarray,
 
 
 def least_squares_multiplier(points: np.ndarray, charges: ChargeVector,
-                             spec: PotentialSpec) -> np.ndarray:
+                             spec: PotentialSpec,
+                             derivatives: PolygonDerivatives | None = None,
+                             ) -> np.ndarray:
     """Perimeter multipliers ``(k,)`` minimizing the stationarity
-    residual of each polygon in a stack ``(k, n, 2)``."""
-    der = polygon_derivatives(points, charges, spec)
+    residual of each polygon in a stack ``(k, n, 2)``; ``derivatives`` as
+    in ``polygon_stationarity``."""
+    der = polygon_derivatives(points, charges, spec) if derivatives is None else derivatives
     g_l = der.perimeter_grad
     return -np.vecdot(der.energy_grad, g_l) / np.vecdot(g_l, g_l)
 

@@ -377,10 +377,12 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
     if not len(pts):
         return pts
     keep = pot.polygon_free_indices(n)
-    lam = pot.least_squares_multiplier(pts, charges, spec)
+    der = pot.polygon_derivatives(pts, charges, spec)
+    lam = pot.least_squares_multiplier(pts, charges, spec, der)
     u = np.concatenate([pts[:, 1:].reshape(len(pts), -1)[:, keep], lam[:, None]],
                        axis=1)
-    res, jac = pot.polygon_stationarity(pts, lam, charges, spec)
+    res, jac = pot.polygon_stationarity(pts, lam, charges, spec, der)
+    del der  # two Hessian stacks the Newton rounds no longer need
     rnorm = _row_norms(res)
     damping = np.zeros(len(u))
     running = np.ones(len(u), dtype=bool)

@@ -26,7 +26,12 @@ from coulomb_eq.solver import (
     closed_form_seeds,
     _polygon_seeds,
 )
-from coulomb_eq.spaces import ChargeVector, TORUS_ALIGNED_LABELS, alignment_defect
+from coulomb_eq.spaces import (
+    ChargeVector,
+    PolygonConfig,
+    TORUS_ALIGNED_LABELS,
+    alignment_defect,
+)
 
 PI = math.pi
 
@@ -282,6 +287,51 @@ class TestTrace:
         path = charge_sweep_path([1.0, 1.0, 1.0], 1)
         with pytest.raises(ValueError, match="does not cross"):
             trace_pitchfork(PolygonSpace(3), path, (0.3, 0.6), steps=8)
+
+    @pytest.mark.parametrize("steps", [1, 0, -3])
+    def test_fewer_than_two_steps_rejected(self, steps):
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            trace_pitchfork(PolygonSpace(3), path, (0.05, 0.6), steps=steps)
+
+
+def _reference_trace():
+    return trace_pitchfork(PolygonSpace(3), charge_sweep_path([1.0, 1.0, 1.0], 1),
+                           (0.05, 0.6), steps=48)
+
+
+class TestContinuation:
+    def test_steps_after_the_first_polish_the_carried_pair_alone(self, monkeypatch):
+        calls = []
+        polish = bifurcation.polish_candidates
+
+        def recording(*args):
+            calls.append((list(args[2]), polish(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bifurcation, "polish_candidates", recording)
+        diag = _reference_trace()
+        assert len(calls) == len(diag.branch_amplitudes("upper")) > 1
+        for (_, before), (seeds, _) in zip(calls, calls[1:]):
+            carried = [cp.config for cp in before if not cp.aligned]
+            assert len(seeds) == 2
+            assert all(seed is cfg for seed, cfg in zip(seeds, carried, strict=True))
+
+    def test_fallback_to_kicks_gives_the_same_diagram(self, monkeypatch):
+        expected = _reference_trace()
+        kinds = []
+        polish = bifurcation.polish_candidates
+
+        def carried_alone_fails(space, charges, seeds, spec):
+            carried_only = all(isinstance(seed, PolygonConfig) for seed in seeds)
+            kinds.append(carried_only)
+            return [] if carried_only else polish(space, charges, seeds, spec)
+
+        monkeypatch.setattr(bifurcation, "polish_candidates", carried_alone_fails)
+        assert _reference_trace() == expected
+        # every step after the first tried the carried pair, then fell back
+        steps = (len(kinds) - 1) // 2
+        assert steps > 1 and kinds == [False] + [True, False] * steps
 
 
 class TestFixingProbe:

@@ -186,6 +186,15 @@ class TestBifurcateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("steps", ["0", "1", "-3"])
+    def test_fewer_than_two_steps_exit_two(self, tmp_path, capsys, steps):
+        code, _ = run_cli(["bifurcate", "--space", "polygon:3", "--charges", "1,1,1",
+                           "--sweep", "2", "--range", "0.05:0.6", "--steps", steps,
+                           "--outdir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --steps must be at least 2")
+        assert not (tmp_path / "branches.csv").exists()
+
 
 class TestInverseCommand:
     def test_sides_unique_ray(self):

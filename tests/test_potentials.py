@@ -359,6 +359,11 @@ class TestBatchedPolygonCore:
         lams = least_squares_multiplier(stack, q, spec)
         res, jac = polygon_stationarity(stack, lams, q, spec)
         grad, hess = polygon_chart_derivatives(stack, q, spec)
+        # derivatives evaluated once up front give the same bits
+        der = polygon_derivatives(stack, q, spec)
+        assert np.array_equal(least_squares_multiplier(stack, q, spec, der), lams)
+        res_d, jac_d = polygon_stationarity(stack, lams, q, spec, der)
+        assert np.array_equal(res_d, res) and np.array_equal(jac_d, jac)
         for r in range(len(stack)):
             one = stack[r:r + 1]
             assert np.array_equal(least_squares_multiplier(one, q, spec), lams[r:r + 1])
