@@ -21,7 +21,7 @@ of ``coulomb_eq/*.py`` in each tree and the difference.
 
 The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
-charges, ten polygon censuses (n = 3, 4, 5) under the coulomb and log
+charges, twelve polygon censuses (n = 3 to 6) under the coulomb and log
 kernels, nine pitchfork sweeps (the benchmark's polygon reference sweep
 and torus sweep, and seven more: other charges, swept charges, ranges,
 radii and the power:2 kernel, four of which re-acquire the branch from
@@ -74,6 +74,8 @@ POLYGONS = [
     ("polygon:4", "1,2,3,4", 24),
     ("polygon:5", "1.2,0.7,1.8,0.55,1.5", 8),
     ("polygon:5", "1,1,1,1,1", 8),
+    ("polygon:6", "1,1,1,1,1,1", 8),
+    ("polygon:6", "1,2,3,4,5,6", 8),
 ]
 
 

@@ -111,14 +111,6 @@ def charge_sweep_path(base: Sequence[float], sweep_index: int) -> ChargePath:
 # bifurcation sets
 # ---------------------------------------------------------------------------
 
-def polygon_boundary_equation(q: Sequence[float], vertex: int) -> float:
-    """Defect of the aligned-minimum boundary for the given intermediate
-    vertex: zero when its inverse root charge equals the sum of the others."""
-    inv = [1.0 / math.sqrt(v) for v in q]
-    others = sum(inv) - inv[vertex]
-    return inv[vertex] - others
-
-
 def polygon_bifurcation_set(resolution: int = 200) -> list[BifurcationCurve]:
     """The three boundary curves of the two-minima region of the control
     triangle, one per choice of intermediate vertex."""
@@ -384,9 +376,8 @@ def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
         position = current
         while not reached:
             step = target - position
-            offs: list[CriticalPoint] = []
+            trial = target  # position + step may round one ulp off it
             while True:
-                trial = position + step
                 charges = path(trial)
                 offs = _off_axis(space, charges, carried, spec) if carried else []
                 if len(offs) == 2:
@@ -397,6 +388,7 @@ def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
                 if offs or abs(step) < 1e-6:
                     break
                 step *= 0.5
+                trial = position + step
             if not offs:
                 break
             position = trial

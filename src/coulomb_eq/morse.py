@@ -108,12 +108,6 @@ def torus_aligned_hessian_form(radii: Sequence[float],
     return coeffs
 
 
-def evaluate_aligned_form(radii: Sequence[float], label: Sequence[float],
-                          charges: ChargeVector) -> float:
-    """Sign form of the aligned Hessian determinant at given charges."""
-    return float(torus_aligned_hessian_form(radii, label) @ charges.array)
-
-
 def aligned_blocks(config: PolygonConfig, charges: ChargeVector,
                    spec: PotentialSpec | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

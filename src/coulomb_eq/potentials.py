@@ -15,11 +15,16 @@ probe, via the scaling retraction ``y -> y / perimeter(y)``.
 Derivatives are array-first: one core per space evaluates stacks of
 ``(k, n, 2)`` polygons or ``(k, 2)`` angle pairs, row by row with no
 mixing between rows, and a single configuration is a stack of one.
+The polygon core sums its pair terms by vertex incidence: a plan cached
+per ``n`` lists the pairs at each movable vertex in pair order, and each
+vertex adds its terms in that order, starting from 0.0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -46,6 +51,7 @@ FD_GRADIENT_STEP = 1e-5
 #: value keeps the double-difference rounding floor well below the
 #: advertised tolerances
 FD_HESSIAN_STEP = EPS ** 0.25
+_EYE2 = np.eye(2)
 
 
 class PoleError(ValueError):
@@ -210,37 +216,61 @@ def _pair_geometry(points: np.ndarray, first: np.ndarray, second: np.ndarray,
     return delta, d, u, u[..., :, None] * u[..., None, :]
 
 
-def _pair_sums(n: int, first: np.ndarray, second: np.ndarray,
-               pull: np.ndarray, block: np.ndarray,
+#: incidence of the pair terms of an ``n``-gon on its movable vertices
+_PairPlan = namedtuple("_PairPlan", "first second touching sign pair off diagonal")
+
+
+@functools.cache
+def _pair_plan(n: int, sides: bool) -> _PairPlan:
+    """The plan (read-only) of the sides ``(i, i + 1 mod n)`` or of the
+    pairs ``i < j`` in ``pair_indices`` order, ``(first[p], second[p])``.
+
+    ``touching[s]`` is the ``s``-th pair at each movable vertex in pair
+    order, ``sign[s]`` +1 where that vertex is the pair's first, else -1;
+    ``off`` and ``diagonal`` are the flat ``(m, m)`` Hessian slots of the
+    off-diagonal blocks of pairs ``pair`` and of the diagonal blocks."""
+    first, second = (np.arange(n), np.roll(np.arange(n), -1)) if sides else pair_indices(n)
+    movable = np.arange(1, n)[:, None]
+    touching = np.nonzero((first == movable) | (second == movable))[1].reshape(n - 1, -1).T
+    sign = np.where(first[touching] == movable.T, 1.0, -1.0)[..., None]
+    inner = np.flatnonzero((first > 0) & (second > 0))
+    ends = np.stack([first[inner], second[inner]]) - 1
+    # tiles[i, j] holds the flat slots of the 2x2 block (i, j)
+    tiles = np.arange(4 * (n - 1) ** 2).reshape(n - 1, 2, n - 1, 2).swapaxes(1, 2)
+    plan = _PairPlan(first, second, touching, sign, np.tile(inner, 2),
+                     tiles[ends.ravel(), ends[::-1].ravel()], tiles[range(n - 1), range(n - 1)])
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+def _pair_sums(plan: _PairPlan, pull: np.ndarray, block: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Movable-vertex gradient ``(k, m)`` and Hessian ``(k, m, m)`` of a
     sum of pair terms, from each term's gradient w.r.t. its first vertex
-    ``pull`` ``(k, P, 2)`` and its 2x2 Hessian block ``(k, P, 2, 2)``."""
-    k = pull.shape[0]
-    grad = np.zeros((k, n, 2))
-    hess = np.zeros((k, n, n, 2, 2))
-    hess[:, first, second] = -block
-    hess[:, second, first] = -block
-    # accumulate pair by pair, vectorized over the stack only, so no row's
-    # sums depend on the other rows
-    for p, (a, b) in enumerate(zip(first, second)):
-        grad[:, a] += pull[:, p]
-        grad[:, b] -= pull[:, p]
-        hess[:, a, a] += block[:, p]
-        hess[:, b, b] += block[:, p]
-    m = 2 * n
-    hess = hess.transpose(0, 1, 3, 2, 4).reshape(k, m, m)
-    return grad.reshape(k, m)[:, 2:], hess[:, 2:, 2:]
+    ``pull`` ``(k, P, 2)`` and its 2x2 Hessian block ``(k, P, 2, 2)``.
+
+    Incidence assembly: step ``s`` adds the ``s``-th pair at every
+    movable vertex at once, so each vertex sums its terms in pair order
+    starting from 0.0 and the only loop runs over the vertex degree; the
+    off-diagonal blocks are one scatter of ``-block``.  Rows are independent."""
+    k, v = pull.shape[0], plan.touching.shape[1]
+    grad, diag = np.zeros((k, v, 2)), np.zeros((k, v, 2, 2))
+    for at, sign in zip(plan.touching, plan.sign):
+        grad += pull[:, at] * sign
+        diag += block[:, at]
+    hess = np.zeros((k, 4 * v * v))
+    hess[:, plan.off] = -block[:, plan.pair]
+    hess[:, plan.diagonal] = diag
+    return grad.reshape(k, 2 * v), hess.reshape(k, 2 * v, 2 * v)
 
 
 def _perimeter_terms(points: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = points.shape[1]
-    first = np.arange(n)
-    second = (first + 1) % n
-    _, d, u, uu = _pair_geometry(points, first, second)
-    block = (np.eye(2) - uu) / d[..., None, None]
-    return (d.sum(axis=1),) + _pair_sums(n, first, second, u, block)
+    plan = _pair_plan(points.shape[1], True)
+    _, d, u, uu = _pair_geometry(points, plan.first, plan.second)
+    block = (_EYE2 - uu) / d[..., None, None]
+    return (d.sum(axis=1),) + _pair_sums(plan, u, block)
 
 
 def polygon_derivatives(points: np.ndarray, charges: ChargeVector,
@@ -252,16 +282,15 @@ def polygon_derivatives(points: np.ndarray, charges: ChargeVector,
     single configuration is a stack of one.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[1]
-    first, second = pair_indices(n)
-    delta, d, _, uu = _pair_geometry(pts, first, second)
+    plan = _pair_plan(pts.shape[1], False)
+    delta, d, _, uu = _pair_geometry(pts, plan.first, plan.second)
     _, dphi, ddphi = kernel_terms(spec, d)
     q = charges.array
-    qq = q[first] * q[second]
+    qq = q[plan.first] * q[plan.second]
     bend = (dphi / d)[..., None, None]
     pull = (qq * dphi / d)[..., None] * delta
-    block = qq[:, None, None] * (ddphi[..., None, None] * uu + bend * (np.eye(2) - uu))
-    g_e, h_e = _pair_sums(n, first, second, pull, block)
+    block = qq[:, None, None] * (ddphi[..., None, None] * uu + bend * (_EYE2 - uu))
+    g_e, h_e = _pair_sums(plan, pull, block)
     return PolygonDerivatives(g_e, h_e, *_perimeter_terms(pts))
 
 
@@ -300,16 +329,11 @@ def aligned_chart_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.abs(points[:, 1]).max() > 1e-9 * np.abs(points[:, 0]).max():
         raise ValueError("aligned basis requested at a non-aligned configuration")
     m = 2 * (points.shape[0] - 1)
-    x_idx = np.arange(0, m, 2)
-    y_idx = np.arange(1, m, 2)
-    g_x = _perimeter_terms(points[None])[1][0, x_idx]
-    r_y = rotation_direction(points)[y_idx]
-    zx_small = np.linalg.svd(g_x[None, :])[2][1:].T
-    zy_small = np.linalg.svd(r_y[None, :])[2][1:].T
-    zx = np.zeros((m, zx_small.shape[1]))
-    zy = np.zeros((m, zy_small.shape[1]))
-    zx[x_idx] = zx_small
-    zy[y_idx] = zy_small
+    zx, zy = np.zeros((2, m, m // 2 - 1))
+    # in-line block on the x coordinates, transverse block on the y ones
+    for z, axis, normal in ((zx, 0, _perimeter_terms(points[None])[1][0]),
+                            (zy, 1, rotation_direction(points))):
+        z[axis::2] = np.linalg.svd(normal[axis::2][None, :])[2][1:].T
     return zx, zy
 
 
@@ -543,14 +567,17 @@ def _check_step(config: Config, step: float) -> None:
 # stationarity system consumed by the solver
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def polygon_free_indices(n: int) -> np.ndarray:
-    """Indices of the flattened movable coordinates kept by the gauge.
+    """Indices (read-only) of the flattened movable coordinates the gauge keeps.
 
     The y-coordinate of vertex 1 is pinned to zero; rotation invariance
     makes its stationarity equation redundant whenever vertex 1 is off
     the origin.
     """
-    return np.array([k for k in range(2 * (n - 1)) if k != 1])
+    keep = np.delete(np.arange(2 * (n - 1)), 1)
+    keep.setflags(write=False)
+    return keep
 
 
 def polygon_stationarity(points: np.ndarray, multipliers: np.ndarray,

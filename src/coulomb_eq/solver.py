@@ -48,7 +48,6 @@ from .spaces import (
     alignment_defects,
     apply_involution,
     canonicalize,
-    config_rows,
     gauge_fix,
     mirror_rows,
     pair_distances,
@@ -181,12 +180,6 @@ def solve_line_three(charges: ChargeVector,
             coords[mid, mid] = (d_left, 0.0)
             coords[mid, right] = (0.5, 0.0)
     return [PolygonConfig(row) for row in gauge_fix(coords)]
-
-
-def line_three_energies(charges: ChargeVector,
-                        spec: PotentialSpec | None = None) -> list[float]:
-    spec = spec or PotentialSpec.coulomb()
-    return [pot.energy(cfg, charges, spec) for cfg in solve_line_three(charges, spec)]
 
 
 def critical_triangle(charges: ChargeVector,
@@ -566,12 +559,6 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
 # ---------------------------------------------------------------------------
 # dedup, reflection pairing, classification
 # ---------------------------------------------------------------------------
-
-def configs_match(a: Config, b: Config) -> bool:
-    """Whether two configurations coincide within ``DEDUP_TOL`` (wrap-aware)."""
-    (rows_a, radii), (rows_b, _) = config_rows(a), config_rows(b)
-    return bool(_close(rows_a, rows_b, radii is not None)[0, 0])
-
 
 def _close(a: np.ndarray, b: np.ndarray, torus: bool) -> np.ndarray:
     """Whether each row of ``a`` coincides with each row of ``b`` within

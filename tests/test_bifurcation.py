@@ -12,7 +12,6 @@ from coulomb_eq.bifurcation import (
     fit_branch_exponent,
     fixing_effect_probe,
     polygon_bifurcation_set,
-    polygon_boundary_equation,
     three_charge_equilibria,
     torus_bifurcation_set,
     trace_pitchfork,
@@ -32,6 +31,7 @@ from coulomb_eq.spaces import (
     TORUS_ALIGNED_LABELS,
     alignment_defect,
 )
+from helpers import polygon_boundary_equation
 
 PI = math.pi
 

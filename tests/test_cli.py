@@ -144,7 +144,7 @@ class TestBifurcateCommand:
         curves = (tmp_path / "curves.csv").read_text().splitlines()
         assert curves[0] == "label,q1,q2,q3"
         # every sampled boundary point satisfies its defining equality
-        from coulomb_eq.bifurcation import polygon_boundary_equation
+        from helpers import polygon_boundary_equation
         for line in curves[1:]:
             label, q1, q2, q3 = line.split(",")
             vertex = int(label[1]) - 1

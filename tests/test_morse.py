@@ -8,7 +8,6 @@ from coulomb_eq.morse import (
     aligned_blocks,
     classify_spectrum,
     euler_count_check,
-    evaluate_aligned_form,
     morse_index,
     torus_aligned_hessian_form,
     torus_label_config,
@@ -24,6 +23,7 @@ from coulomb_eq.solver import (
     solve_line_three,
 )
 from coulomb_eq.spaces import ChargeVector, TORUS_ALIGNED_LABELS, apply_involution
+from helpers import evaluate_aligned_form
 
 Q111 = ChargeVector.of([1.0, 1.0, 1.0])
 PI = math.pi
@@ -58,7 +58,7 @@ class TestClassification:
 
     def test_mirror_pairs_share_index(self):
         pts = find_critical_points(PolygonSpace(3), ChargeVector.of([1, 2, 3]))
-        from coulomb_eq.solver import configs_match
+        from helpers import configs_match
         for cp in pts:
             mirror = apply_involution(cp.config)
             partner = next(o for o in pts if configs_match(mirror, o.config))

@@ -328,7 +328,77 @@ def stationarity_at(u, n, charges, spec):
     return res[0]
 
 
+def _loop_pair_sums(n, first, second, pull, block):
+    """The pair-by-pair assembly the incidence plan replaced: a full
+    ``(k, n, n, 2, 2)`` Hessian with the pinned vertex, cut down after."""
+    k = pull.shape[0]
+    grad = np.zeros((k, n, 2))
+    hess = np.zeros((k, n, n, 2, 2))
+    hess[:, first, second] = -block
+    hess[:, second, first] = -block
+    for p, (a, b) in enumerate(zip(first, second)):
+        grad[:, a] += pull[:, p]
+        grad[:, b] -= pull[:, p]
+        hess[:, a, a] += block[:, p]
+        hess[:, b, b] += block[:, p]
+    m = 2 * n
+    hess = hess.transpose(0, 1, 3, 2, 4).reshape(k, m, m)
+    return grad.reshape(k, m)[:, 2:], hess[:, 2:, 2:]
+
+
+def _loop_geometry(points, first, second):
+    delta = points[:, first] - points[:, second]
+    d = np.sqrt(np.vecdot(delta, delta))
+    u = delta / d[..., None]
+    return delta, d, u, u[..., :, None] * u[..., None, :]
+
+
+def loop_polygon_derivatives(points, charges, spec):
+    """``polygon_derivatives`` summed pair by pair, as a reference."""
+    n = points.shape[1]
+    first, second = np.triu_indices(n, 1)
+    delta, d, _, uu = _loop_geometry(points, first, second)
+    _, dphi, ddphi = kernel_terms(spec, d)
+    q = charges.array
+    qq = q[first] * q[second]
+    bend = (dphi / d)[..., None, None]
+    pull = (qq * dphi / d)[..., None] * delta
+    block = qq[:, None, None] * (ddphi[..., None, None] * uu + bend * (np.eye(2) - uu))
+    g_e, h_e = _loop_pair_sums(n, first, second, pull, block)
+    sides = np.arange(n)
+    nxt = (sides + 1) % n
+    _, d, u, uu = _loop_geometry(points, sides, nxt)
+    p_block = (np.eye(2) - uu) / d[..., None, None]
+    return (g_e, h_e, d.sum(axis=1)) + _loop_pair_sums(n, sides, nxt, u, p_block)
+
+
+def awkward_polygons(rng, n, k):
+    """Random n-gons with collinear rows and signed zero coordinates."""
+    stack = rng.normal(size=(k, n, 2))
+    stack[0, :, 1] = 0.0
+    stack[1, :, 1] = -0.0
+    stack[2, :, 0] = -0.0
+    stack[3, :, 1] = 0.5 * stack[3, :, 0]
+    stack[4, 0] = (-0.0, 0.0)
+    stack[5] = gauge_fix(stack[5])
+    return stack
+
+
 class TestBatchedPolygonCore:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_incidence_assembly_matches_the_pair_loop_bit_for_bit(self, n, spec):
+        rng = np.random.default_rng(100 + n)
+        q = ChargeVector.of(rng.uniform(0.3, 3.0, n))
+        stack = awkward_polygons(rng, n, 9)
+        der = polygon_derivatives(stack, q, spec)
+        for field, ref in zip(der, loop_polygon_derivatives(stack, q, spec)):
+            assert field.shape == ref.shape
+            assert field.tobytes() == np.ascontiguousarray(ref).tobytes()
+        for r in range(len(stack)):
+            for field, one in zip(der, polygon_derivatives(stack[r:r + 1], q, spec)):
+                assert field[r:r + 1].tobytes() == one.tobytes()
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
     def test_jacobian_against_central_differences(self, n, spec):

@@ -14,7 +14,6 @@ from coulomb_eq.solver import (
     PolygonSpace,
     SolveSettings,
     TorusSpace,
-    configs_match,
     critical_triangle,
     enumerate_aligned,
     find_critical_points,
@@ -22,7 +21,6 @@ from coulomb_eq.solver import (
     polish_candidates,
     solve_line_interior,
     solve_line_three,
-    line_three_energies,
     _finalize,
     _first_cover,
     _gauge_rows,
@@ -47,6 +45,7 @@ from coulomb_eq.spaces import (
     reduce_angle,
     reduce_angles,
 )
+from helpers import configs_match, line_three_energies
 
 COULOMB = PotentialSpec.coulomb()
 Q111 = ChargeVector.of([1.0, 1.0, 1.0])
