@@ -22,10 +22,10 @@ of ``coulomb_eq/*.py`` in each tree and the difference.
 The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
 charges, twelve polygon censuses (n = 3 to 6) under the coulomb and log
-kernels, nine pitchfork sweeps (the benchmark's polygon reference sweep
-and torus sweep, and seven more: other charges, swept charges, ranges,
-radii and the power:2 kernel, four of which re-acquire the branch from
-nudged seeds), ``verify --suite quick`` and ``verify
+kernels, ten pitchfork sweeps (the benchmark's polygon reference sweep
+and torus sweep, and eight more: other charges, swept charges, ranges,
+radii and the power:2 and log kernels, five of which re-acquire the
+branch from nudged seeds), ``verify --suite quick`` and ``verify
 --suite full`` (the only run that reads the resolution-256 boundary
 curves and the four-charge fixing check), three ``inverse --sides``
 cases (a unique ray, a collinear family and an infeasible triple), the
@@ -86,7 +86,7 @@ def _sweep(space: str, charges: list[float], sweep: int, lo: float, hi: float,
 
 
 #: the benchmark's two sweeps, then other charges, swept charges, ranges,
-#: radii and kernels; four of them re-acquire the branch from nudged seeds
+#: radii and kernels; five of them re-acquire the branch from nudged seeds
 #: after the carried pair alone loses it
 SWEEPS = (
     workloads.REFERENCE_SWEEP,
@@ -96,6 +96,7 @@ SWEEPS = (
     _sweep("polygon:3", [1.0, 1.0, 1.0], 1, 0.05, 0.6, 40),
     _sweep("polygon:3", [1.0, 2.0, 3.0], 2, 0.01, 1.5, 40),
     dict(workloads.REFERENCE_SWEEP, potential="power:2"),
+    _sweep("polygon:3", [1.0, 1.0, 1.0], 2, 0.3, 0.8, 48, "log"),
     _sweep("torus:0.5,1.7,2.9", [0.01, 0.01, 1.0], 3, 0.05, 5.0, 40),
     _sweep("torus:1,2,3", [1.0, 0.01, 0.01], 1, 0.05, 5.0, 40),
 )

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import morse, potentials as pot
-from .potentials import PotentialSpec
+from .potentials import COULOMB, PotentialSpec
 from .solver import (
     CriticalPoint,
     PolygonSpace,
@@ -111,19 +111,26 @@ def charge_sweep_path(base: Sequence[float], sweep_index: int) -> ChargePath:
 # bifurcation sets
 # ---------------------------------------------------------------------------
 
-def polygon_bifurcation_set(resolution: int = 200) -> list[BifurcationCurve]:
+def polygon_bifurcation_set(resolution: int = 200,
+                            spec: PotentialSpec = COULOMB) -> list[BifurcationCurve]:
     """The three boundary curves of the two-minima region of the control
-    triangle, one per choice of intermediate vertex."""
+    triangle, one per choice of intermediate vertex.
+
+    On the curve of vertex ``v`` the aligned configuration with ``v``
+    intermediate is degenerate: ``q_v**-p`` equals the sum of ``q**-p``
+    over the other two charges, with the kernel's ``ratio_exponent`` p.
+    """
     if resolution < 16:
         raise ValueError("resolution below 16 is too coarse to be useful")
+    p = spec.ratio_exponent
     curves = []
     for vertex in range(3):
         samples = []
         for k in range(resolution):
             t = (k + 0.5) / resolution
             # share of the swept charge that zeroes the boundary defect:
-            # 1/sqrt(s) = (t**-0.5 + (1-t)**-0.5) / sqrt(1-s)
-            s = 1.0 / (1.0 + (t ** -0.5 + (1.0 - t) ** -0.5) ** 2)
+            # s**-p = (t**-p + (1-t)**-p) * (1-s)**-p
+            s = 1.0 / (1.0 + (t ** -p + (1.0 - t) ** -p) ** (1.0 / p))
             q = [0.0, 0.0, 0.0]
             q[vertex] = s
             j, l = [i for i in range(3) if i != vertex]
@@ -206,7 +213,7 @@ def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, flo
     lo, hi = lam_range
     if not lo < hi:
         raise ValueError("empty parameter range")
-    if isinstance(space, PolygonSpace) and space.n != 3:
+    if space.n != 3:
         raise ValueError("pitchfork tracing covers three charges only")
     lams = np.linspace(lo, hi, SCAN_SAMPLES)
     vals = np.array([[_softest_eig(cfg, charges, spec)
@@ -224,10 +231,9 @@ def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, flo
 
 def detect_threshold(space: Space, path: ChargePath,
                      lam_range: tuple[float, float],
-                     spec: PotentialSpec | None = None) -> float:
+                     spec: PotentialSpec = COULOMB) -> float:
     """Parameter value where the tracked aligned configuration turns
     degenerate, located by bisection on its smallest transverse eigenvalue."""
-    spec = spec or PotentialSpec.coulomb()
     tracked, lo, hi, _ = _locate_crossing(space, path, lam_range, spec)
     return _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
 
@@ -312,7 +318,7 @@ def _aligned_branch_point(space: Space, tracked: int, lam: float,
 
 def trace_pitchfork(space: Space, path: ChargePath,
                     lam_range: tuple[float, float], steps: int = 40,
-                    spec: PotentialSpec | None = None) -> BranchDiagram:
+                    spec: PotentialSpec = COULOMB) -> BranchDiagram:
     """Sample the aligned branch and the off-axis mirror pair along a
     charge path crossing one bifurcation curve.
 
@@ -324,7 +330,6 @@ def trace_pitchfork(space: Space, path: ChargePath,
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    spec = spec or PotentialSpec.coulomb()
     tracked, lo, hi, branch_side = _locate_crossing(space, path, lam_range, spec)
     threshold = _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
     lams = [float(v) for v in np.linspace(lam_range[0], lam_range[1], steps)]
@@ -435,15 +440,14 @@ def fit_branch_exponent(diagram: BranchDiagram) -> float:
 # ---------------------------------------------------------------------------
 
 def three_charge_equilibria(charges: ChargeVector,
-                            spec: PotentialSpec | None = None) -> list[CriticalPoint]:
+                            spec: PotentialSpec = COULOMB) -> list[CriticalPoint]:
     """All equilibria of three polygon charges via the closed-form seeds
     (triangle pair plus the three collinear arrangements)."""
-    spec = spec or PotentialSpec.coulomb()
     return polish_candidates(PolygonSpace(3), charges, closed_form_seeds(charges, spec), spec)
 
 
 def count_polygon_minima(charges: ChargeVector,
-                         spec: PotentialSpec | None = None) -> int:
+                         spec: PotentialSpec = COULOMB) -> int:
     """Number of non-degenerate minima of three polygon charges."""
     pts = three_charge_equilibria(charges, spec)
     return sum(1 for cp in pts if not cp.degenerate and cp.morse_index == 0)
@@ -468,7 +472,7 @@ class FixingProbeResult:
 
 
 def fixing_effect_probe(q1: float, q3: float, q2_samples: Sequence[float],
-                        spec: PotentialSpec | None = None) -> FixingProbeResult:
+                        spec: PotentialSpec = COULOMB) -> FixingProbeResult:
     """Measure the position of the intermediate vertex of the global
     minimum across intermediate-charge values below the threshold.
 
@@ -477,7 +481,6 @@ def fixing_effect_probe(q1: float, q3: float, q2_samples: Sequence[float],
     charge; samples at or above the threshold are excluded with a note
     (there the minimum leaves the line).
     """
-    spec = spec or PotentialSpec.coulomb()
     path = charge_sweep_path([q1, 1.0, q3], 1)
     hi = max(max(q2_samples) * 2.0, 1.0)
     threshold = detect_threshold(PolygonSpace(3), path, (1e-4, hi), spec)

@@ -151,7 +151,7 @@ def solve_payload(space: Space, charges: ChargeVector, spec: PotentialSpec,
             "reason": summary.reason,
         },
     }
-    if isinstance(space, PolygonSpace) and space.n >= 4:
+    if space.n >= 4:
         payload["coverage_note"] = (
             "multistart coverage is heuristic for polygons beyond three "
             "vertices; raise --grid-density to push the search harder")
@@ -161,8 +161,7 @@ def solve_payload(space: Space, charges: ChargeVector, spec: PotentialSpec,
 def cmd_solve(args: argparse.Namespace) -> int:
     started = time.monotonic()
     space = parse_space(args.space)
-    expected = space.n if isinstance(space, PolygonSpace) else 3
-    charges = parse_charges(args.charges, expected)
+    charges = parse_charges(args.charges, space.n)
     spec = parse_potential(args.potential)
     try:
         settings = SolveSettings(grid_density=args.grid_density)
@@ -206,18 +205,17 @@ def curves_csv(curves: list[bifurcation.BifurcationCurve]) -> str:
 def cmd_bifurcate(args: argparse.Namespace) -> int:
     started = time.monotonic()
     space = parse_space(args.space)
-    expected = space.n if isinstance(space, PolygonSpace) else 3
-    charges = parse_charges(args.charges, expected)
+    charges = parse_charges(args.charges, space.n)
     spec = parse_potential(args.potential)
-    if not 1 <= args.sweep <= expected:
-        raise CliError(f"--sweep must pick one of the {expected} charges (1-based)")
+    if not 1 <= args.sweep <= space.n:
+        raise CliError(f"--sweep must pick one of the {space.n} charges (1-based)")
     if args.steps < 2:
         raise CliError(f"--steps must be at least 2, got {args.steps}")
     lam_range = parse_range(args.range)
     path = bifurcation.charge_sweep_path(list(charges.q), args.sweep - 1)
     try:
         if isinstance(space, PolygonSpace):
-            curves = bifurcation.polygon_bifurcation_set(args.resolution)
+            curves = bifurcation.polygon_bifurcation_set(args.resolution, spec)
         else:
             curves = bifurcation.torus_bifurcation_set(space.radii, args.resolution)
         diagram = bifurcation.trace_pitchfork(space, path, lam_range,
@@ -283,7 +281,7 @@ def cmd_inverse(args: argparse.Namespace) -> int:
             config, _ = deserialize_config(data)
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"cannot read configuration file: {exc}") from exc
-        if not isinstance(config, TorusConfig) and config.n != 3:
+        if config.n != 3:
             raise CliError("inverse problem is solved for three charges only")
         try:
             if isinstance(config, TorusConfig):

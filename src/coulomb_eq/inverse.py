@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials as pot
-from .potentials import PotentialSpec
+from .potentials import COULOMB, PotentialSpec
 from .spaces import (
     ChargeVector,
     Config,
@@ -68,10 +68,9 @@ class EquilibriumCheck:
 
 
 def verify_equilibrium(config: Config, charges: ChargeVector,
-                       spec: PotentialSpec | None = None) -> EquilibriumCheck:
+                       spec: PotentialSpec = COULOMB) -> EquilibriumCheck:
     """Gradient norm plus closed-form relation residual; passes when both
     sit below the equilibrium tolerance."""
-    spec = spec or PotentialSpec.coulomb()
     if config.has_pole:
         raise pot.PoleError("cannot verify an equilibrium at a pole")
     grad_norm = float(np.linalg.norm(pot.gradient(config, charges, spec)))
@@ -150,14 +149,9 @@ def stabilizing_charges_triangle(side_a: float, side_b: float,
         d_right = sides[left] / perimeter
         routed = stabilizing_charges_aligned(float(d_left), float(d_right))
         rep = np.empty(3)
-        rep[left] = routed.charges.q[0]
-        rep[mid] = routed.charges.q[1]
-        rep[right] = routed.charges.q[2]
-        family = AlignedChargeFamily(
-            (routed.family.outer[0], routed.family.outer[1]),
-            routed.family.intermediate_limit)
+        rep[[left, mid, right]] = routed.charges.q
         return InverseResult("one-parameter-family", ChargeVector.of(rep),
-                             family, routed.residual,
+                             routed.family, routed.residual,
                              notes=f"degenerate sides: vertex {mid + 1} is intermediate; "
                                    + routed.notes)
     q = sides ** -2

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from . import potentials as pot
-from .potentials import PotentialSpec
+from .potentials import COULOMB, PotentialSpec
 from .spaces import (ChargeVector, PolygonConfig, TorusConfig, TORUS_ALIGNED_LABELS,
                      chord_distance)
 
@@ -109,7 +109,7 @@ def torus_aligned_hessian_form(radii: Sequence[float],
 
 
 def aligned_blocks(config: PolygonConfig, charges: ChargeVector,
-                   spec: PotentialSpec | None = None,
+                   spec: PotentialSpec = COULOMB,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """In-line block, transverse block and mixed block of the constrained
     Hessian at an aligned polygon configuration.
@@ -119,7 +119,6 @@ def aligned_blocks(config: PolygonConfig, charges: ChargeVector,
     the in-line block is exactly the Hessian of the one-dimensional
     problem.
     """
-    spec = spec or PotentialSpec.coulomb()
     pts = config.points
     zx, zy = pot.aligned_chart_basis(pts)
     der = pot.polygon_derivatives(pts[None], charges, spec)
@@ -129,7 +128,7 @@ def aligned_blocks(config: PolygonConfig, charges: ChargeVector,
 
 
 def transverse_min_eigenvalue(config: PolygonConfig, charges: ChargeVector,
-                              spec: PotentialSpec | None = None) -> float:
+                              spec: PotentialSpec = COULOMB) -> float:
     """Smallest eigenvalue of the transverse (off-line) Hessian block."""
     _, hyy, _ = aligned_blocks(config, charges, spec)
     return float(np.linalg.eigvalsh(hyy)[0])

@@ -1,7 +1,9 @@
 """Pair-interaction kernels and energy derivatives in chart coordinates.
 
 The energy of a configuration is ``sum_{i<j} q_i q_j * phi(d_ij)`` for a
-pluggable kernel ``phi`` (inverse-distance, inverse power, logarithmic).
+pluggable kernel ``phi``: inverse distance ``1/d``, inverse power
+``1/d**k`` or the planar Coulomb kernel ``-log d``.  Every kernel is
+repulsive.
 
 For the torus space the chart is simply the two free central angles and
 derivatives are assembled from the per-pair angle derivatives.  For the
@@ -60,7 +62,8 @@ class PoleError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Interaction kernel: ``coulomb`` (1/d), ``power`` (1/d**k, k > 1) or ``log``."""
+    """Interaction kernel: ``coulomb`` (1/d), ``power`` (1/d**k, k > 1) or
+    ``log`` (-log d, the planar Coulomb kernel)."""
 
     kind: str
     exponent: float = 1.0
@@ -100,6 +103,19 @@ class PotentialSpec:
     def label(self) -> str:
         return f"power:{self.exponent:g}" if self.kind == "power" else self.kind
 
+    @property
+    def ratio_exponent(self) -> float:
+        """Exponent p such that collinear balance gives d12/d23 = (q1/q3)**p."""
+        if self.kind == "coulomb":
+            return 0.5
+        if self.kind == "power":
+            return 1.0 / (self.exponent + 1.0)
+        return 1.0
+
+
+#: the default kernel of every entry point
+COULOMB = PotentialSpec.coulomb()
+
 
 def kernel_terms(spec: PotentialSpec, d):
     """Kernel value and first two derivatives, elementwise over distances.
@@ -114,7 +130,7 @@ def kernel_terms(spec: PotentialSpec, d):
         k = spec.exponent
         v = d ** -k
         return v, -k * v / d, k * (k + 1.0) * v / (d * d)
-    return np.log(d), 1.0 / d, -1.0 / (d * d)
+    return -np.log(d), -1.0 / d, 1.0 / (d * d)
 
 
 def kernel_eval(spec: PotentialSpec, d: float) -> tuple[float, float, float]:
@@ -136,9 +152,8 @@ class EnergyReport:
 
 
 def energy_of_points(points: np.ndarray, charges: ChargeVector,
-                     spec: PotentialSpec | None = None) -> float:
+                     spec: PotentialSpec = COULOMB) -> float:
     """Energy of raw planar points (no perimeter normalization applied)."""
-    spec = spec or PotentialSpec.coulomb()
     q = charges.array
     total = 0.0
     for i, j in zip(*pair_indices(points.shape[0])):
@@ -148,9 +163,8 @@ def energy_of_points(points: np.ndarray, charges: ChargeVector,
 
 
 def energy(config: Config, charges: ChargeVector,
-           spec: PotentialSpec | None = None) -> float:
+           spec: PotentialSpec = COULOMB) -> float:
     """Total pair energy; ``inf`` when the configuration sits on a pole."""
-    spec = spec or PotentialSpec.coulomb()
     _check_charges(config, charges)
     pairs = pair_distances(*config_rows(config))
     if pairs.min() < config.pole_radius:
@@ -175,10 +189,11 @@ def pair_energies(pairs: np.ndarray, charges: ChargeVector,
     return np.cumsum(q[first] * q[second] * phi, axis=1)[:, -1]
 
 
-def _check_charges(config: Config, charges: ChargeVector) -> None:
-    n = config.n if isinstance(config, PolygonConfig) else 3
-    if len(charges) != n:
-        raise ValueError(f"need {n} charges, got {len(charges)}")
+def _check_charges(holder, charges: ChargeVector) -> None:
+    """Refuse a charge vector that does not carry one charge per point of
+    ``holder``, a configuration or a space."""
+    if len(charges) != holder.n:
+        raise ValueError(f"need {holder.n} charges, got {len(charges)}")
 
 
 def _require_regular(config: Config) -> None:
@@ -419,13 +434,12 @@ def chart_derivatives(rows: np.ndarray, radii: tuple[float, float, float] | None
 
 
 def _regular_chart_derivatives(config: Config, charges: ChargeVector,
-                               spec: PotentialSpec | None,
+                               spec: PotentialSpec,
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Chart gradient and Hessian of one configuration; ``PoleError`` at a
     pole.  A torus configuration takes the verdict from the smallest pair
     distance of the derivative core, whose clamp at half the pole radius
     leaves every regular configuration unclamped."""
-    spec = spec or PotentialSpec.coulomb()
     _check_charges(config, charges)
     rows, radii = config_rows(config)
     if radii is None:
@@ -440,26 +454,25 @@ def _regular_chart_derivatives(config: Config, charges: ChargeVector,
 
 
 def gradient(config: Config, charges: ChargeVector,
-             spec: PotentialSpec | None = None) -> np.ndarray:
+             spec: PotentialSpec = COULOMB) -> np.ndarray:
     """Analytic energy gradient in the chart of the configuration space."""
     return _regular_chart_derivatives(config, charges, spec)[0]
 
 
 def hessian(config: Config, charges: ChargeVector,
-            spec: PotentialSpec | None = None) -> np.ndarray:
+            spec: PotentialSpec = COULOMB) -> np.ndarray:
     """Analytic energy Hessian in the chart of the configuration space."""
     return _regular_chart_derivatives(config, charges, spec)[1]
 
 
 def energy_report(config: Config, charges: ChargeVector,
-                  spec: PotentialSpec | None = None) -> EnergyReport:
+                  spec: PotentialSpec = COULOMB) -> EnergyReport:
     """Energy, chart gradient and chart Hessian in one pass."""
-    spec = spec or PotentialSpec.coulomb()
     _check_charges(config, charges)
     rows, radii = config_rows(config)
     pairs = pair_distances(rows, radii)
     if pairs.min() < config.pole_radius:
-        dim = 2 * (config.n - 2) if isinstance(config, PolygonConfig) else 2
+        dim = 2 * (config.n - 2)
         nan = np.full(dim, math.nan)
         return EnergyReport(math.inf, nan, np.full((dim, dim), math.nan), True)
     g, h = chart_derivatives(rows, radii, charges, spec)
@@ -467,14 +480,13 @@ def energy_report(config: Config, charges: ChargeVector,
 
 
 def dilation_derivative(config: PolygonConfig, charges: ChargeVector,
-                        spec: PotentialSpec | None = None) -> float:
+                        spec: PotentialSpec = COULOMB) -> float:
     """Derivative of the energy along uniform scaling of the configuration.
 
-    Strictly negative for the inverse-distance and inverse-power
-    kernels, which is why no equilibrium exists at sub-maximal
-    perimeter: inflating the polygon always lowers the energy.
+    Strictly negative for every kernel, which is why no equilibrium
+    exists at sub-maximal perimeter: inflating the polygon always lowers
+    the energy.
     """
-    spec = spec or PotentialSpec.coulomb()
     _require_regular(config)
     pts = config.points
     grad = polygon_derivatives(pts[None], charges, spec).energy_grad[0]
@@ -516,10 +528,9 @@ def _chart_probe(config: Config, charges: ChargeVector, spec: PotentialSpec,
 
 
 def fd_gradient(config: Config, charges: ChargeVector,
-                spec: PotentialSpec | None = None,
+                spec: PotentialSpec = COULOMB,
                 step: float | None = None) -> np.ndarray:
     """Central-difference gradient in the same chart as ``gradient``."""
-    spec = spec or PotentialSpec.coulomb()
     _require_regular(config)
     probe, dim, scale = _chart_probe(config, charges, spec)
     h = FD_GRADIENT_STEP * scale if step is None else float(step)
@@ -533,10 +544,9 @@ def fd_gradient(config: Config, charges: ChargeVector,
 
 
 def fd_hessian(config: Config, charges: ChargeVector,
-               spec: PotentialSpec | None = None,
+               spec: PotentialSpec = COULOMB,
                step: float | None = None) -> np.ndarray:
     """Central second differences of the energy in the same chart."""
-    spec = spec or PotentialSpec.coulomb()
     _require_regular(config)
     probe, dim, scale = _chart_probe(config, charges, spec)
     h = FD_HESSIAN_STEP * scale if step is None else float(step)
@@ -627,13 +637,12 @@ def least_squares_multiplier(points: np.ndarray, charges: ChargeVector,
 # ---------------------------------------------------------------------------
 
 def stationarity_relation_residual(config: Config, charges: ChargeVector,
-                                   spec: PotentialSpec | None = None) -> float:
+                                   spec: PotentialSpec = COULOMB) -> float:
     """Residual of the closed-form stationarity proportions.
 
     Zero when no closed-form relation applies (non-inverse-distance
     kernels, polygons beyond three vertices).
     """
-    spec = spec or PotentialSpec.coulomb()
     return float(stationarity_relation_residuals(*config_rows(config), charges, spec)[0])
 
 

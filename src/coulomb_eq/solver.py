@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import potentials as pot
 from .morse import classify_spectra
-from .potentials import PotentialSpec
+from .potentials import COULOMB, PotentialSpec
 from .spaces import (
     ChargeVector,
     Config,
@@ -48,6 +48,7 @@ from .spaces import (
     alignment_defects,
     apply_involution,
     canonicalize,
+    config_rows,
     gauge_fix,
     mirror_rows,
     pair_distances,
@@ -94,6 +95,8 @@ class TorusSpace:
     """Triples of points on concentric circles of the given radii."""
 
     radii: tuple[float, float, float]
+    #: charges a configuration carries
+    n: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
         r = tuple(float(v) for v in self.radii)
@@ -141,17 +144,8 @@ class CriticalPoint:
 # closed forms for three charges
 # ---------------------------------------------------------------------------
 
-def _ratio_exponent(spec: PotentialSpec) -> float:
-    """Exponent p such that collinear balance gives d12/d23 = (q1/q3)**p."""
-    if spec.kind == "coulomb":
-        return 0.5
-    if spec.kind == "power":
-        return 1.0 / (spec.exponent + 1.0)
-    return 1.0
-
-
 def solve_line_three(charges: ChargeVector,
-                     spec: PotentialSpec | None = None) -> list[PolygonConfig]:
+                     spec: PotentialSpec = COULOMB) -> list[PolygonConfig]:
     """The three collinear equilibria of three charges, one per choice of
     intermediate vertex (list index = intermediate vertex).
 
@@ -164,8 +158,7 @@ def solve_line_three(charges: ChargeVector,
     """
     if len(charges) != 3:
         raise ValueError("closed form needs exactly three charges")
-    spec = spec or PotentialSpec.coulomb()
-    p = _ratio_exponent(spec)
+    p = spec.ratio_exponent
     q = charges.array
     coords = np.zeros((3, 3, 2))
     for mid in range(3):
@@ -183,7 +176,7 @@ def solve_line_three(charges: ChargeVector,
 
 
 def critical_triangle(charges: ChargeVector,
-                      spec: PotentialSpec | None = None) -> PolygonConfig | None:
+                      spec: PotentialSpec = COULOMB) -> PolygonConfig | None:
     """The non-collinear equilibrium triangle, or ``None`` if the side
     proportion fails the strict triangle inequality or rounds to a zero
     height (collinear regime).
@@ -194,14 +187,13 @@ def critical_triangle(charges: ChargeVector,
     """
     if len(charges) != 3:
         raise ValueError("closed form needs exactly three charges")
-    spec = spec or PotentialSpec.coulomb()
-    sides = charges.array ** -_ratio_exponent(spec)
+    sides = charges.array ** -spec.ratio_exponent
     vertices = triangle_vertices(sides / sides.sum())
     return None if vertices is None else PolygonConfig.from_points(vertices)
 
 
 def solve_line_interior(charges: ChargeVector,
-                        spec: PotentialSpec | None = None,
+                        spec: PotentialSpec = COULOMB,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Collinear equilibrium with the vertices in index order.
 
@@ -211,7 +203,6 @@ def solve_line_interior(charges: ChargeVector,
     hessian)`` where the Hessian is taken w.r.t. the interior positions
     and its index is the one-dimensional Morse index.
     """
-    spec = spec or PotentialSpec.coulomb()
     n = len(charges)
     q = charges.array
     span = 0.5
@@ -262,7 +253,7 @@ def line_config_from_positions(positions: np.ndarray) -> PolygonConfig:
 
 
 def closed_form_seeds(charges: ChargeVector,
-                      spec: PotentialSpec | None = None) -> list[PolygonConfig]:
+                      spec: PotentialSpec = COULOMB) -> list[PolygonConfig]:
     """Every closed-form equilibrium of three polygon charges: the three
     collinear ones (``solve_line_three`` order), then the triangle and
     its mirror image when the triangle exists."""
@@ -272,7 +263,7 @@ def closed_form_seeds(charges: ChargeVector,
 
 
 def enumerate_aligned(space: Space, charges: ChargeVector,
-                      spec: PotentialSpec | None = None) -> list[Config]:
+                      spec: PotentialSpec = COULOMB) -> list[Config]:
     """All aligned critical configurations of the space.
 
     Polygon (n=3): the three collinear equilibria, index = intermediate
@@ -281,7 +272,6 @@ def enumerate_aligned(space: Space, charges: ChargeVector,
     index = position in ``TORUS_ALIGNED_LABELS``.  The pitchfork trace
     names the aligned configuration it follows by this index.
     """
-    spec = spec or PotentialSpec.coulomb()
     if isinstance(space, TorusSpace):
         return [TorusConfig(space.radii, (lab[0], lab[1]))
                 for lab in TORUS_ALIGNED_LABELS]
@@ -673,9 +663,22 @@ def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
             for i, partner in zip(order, partners)]
 
 
+def _candidate_rows(space: Space, candidates: Sequence[np.ndarray | Config]) -> np.ndarray:
+    """The raw rows of the candidates as one stack, refused unless each has
+    the shape of a row of the space: an angle pair ``(2,)`` or the
+    vertices ``(n, 2)``."""
+    shape = (2,) if isinstance(space, TorusSpace) else (space.n, 2)
+    rows = [np.asarray(config_rows(cand)[0][0] if isinstance(cand, Config) else cand,
+                       dtype=float) for cand in candidates]
+    for row in rows:
+        if row.shape != shape:
+            raise ValueError(f"{space.name} candidates need shape {shape}, got {row.shape}")
+    return np.array(rows)
+
+
 def polish_candidates(space: Space, charges: ChargeVector,
                       candidates: Sequence[np.ndarray | Config],
-                      spec: PotentialSpec | None = None) -> list[CriticalPoint]:
+                      spec: PotentialSpec = COULOMB) -> list[CriticalPoint]:
     """Polish explicit candidate configurations only (no grid multistart).
 
     Candidates are vertex arrays / configs (polygon) or angle pairs /
@@ -683,22 +686,18 @@ def polish_candidates(space: Space, charges: ChargeVector,
     survivors go through the same dedup / mirror / classify pipeline as
     the full search.
     """
-    spec = spec or PotentialSpec.coulomb()
+    pot._check_charges(space, charges)
     if not len(candidates):
         return []
-    if isinstance(space, TorusSpace):
-        seeds = np.array([cand.angles if isinstance(cand, TorusConfig)
-                          else np.asarray(cand, dtype=float).ravel()[:2]
-                          for cand in candidates])
-    else:
-        seeds = _gauge_rows([cand.points if isinstance(cand, PolygonConfig) else cand
-                              for cand in candidates])
+    seeds = _candidate_rows(space, candidates)
+    if isinstance(space, PolygonSpace):
+        seeds = _gauge_rows(seeds)
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)
 
 
 def find_critical_points(space: Space, charges: ChargeVector,
-                         spec: PotentialSpec | None = None,
-                         settings: SolveSettings | None = None,
+                         spec: PotentialSpec = COULOMB,
+                         settings: SolveSettings = SolveSettings(),
                          ) -> list[CriticalPoint]:
     """Multistart search for every stationary point of the energy.
 
@@ -711,14 +710,9 @@ def find_critical_points(space: Space, charges: ChargeVector,
     members of a mirror pair are reported and linked), classified by
     their constrained Hessian spectrum and sorted by (energy, key).
     """
-    spec = spec or PotentialSpec.coulomb()
-    settings = settings or SolveSettings()
+    pot._check_charges(space, charges)
     if isinstance(space, TorusSpace):
-        if len(charges) != 3:
-            raise ValueError("torus space carries exactly three charges")
         seeds = _torus_seeds(space, settings)
     else:
-        if len(charges) != space.n:
-            raise ValueError(f"need {space.n} charges for {space.name}")
         seeds = _gauge_rows(_polygon_seeds(space, charges, spec, settings))
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)

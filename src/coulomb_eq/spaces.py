@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -221,6 +221,8 @@ class TorusConfig(_PairGeometry):
 
     radii: tuple[float, float, float]
     angles: tuple[float, float]
+    #: points of the configuration, one charge each
+    n: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
         r = tuple(float(v) for v in self.radii)
@@ -337,9 +339,8 @@ def plane_points(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.n
 def pairwise_distances(config: Config) -> np.ndarray:
     """Symmetric matrix of pairwise distances, zero diagonal."""
     pairs = pair_distances(*config_rows(config))[0]
-    n = config.n if isinstance(config, PolygonConfig) else 3
-    first, second = pair_indices(n)
-    d = np.zeros((n, n))
+    first, second = pair_indices(config.n)
+    d = np.zeros((config.n, config.n))
     d[first, second] = d[second, first] = pairs
     return d
 

@@ -391,33 +391,25 @@ def check_control_triangle_scan(grid: int = 50) -> CheckResult:
 
 def run_suite(suite: str) -> dict:
     """Run the named suite and return a deterministic JSON-ready report."""
-    if suite == "quick":
-        checks = [
-            check_line_equilibrium(),
-            check_triangle_taxonomy(),
-            check_degenerate_boundary(),
-            check_pitchfork(),
-            check_equal_radii_value(),
-            check_aligned_sign_forms(),
-            check_derivative_oracles(per_case=10),
-            check_inverse_roundtrip(samples=20),
-        ]
-    elif suite == "full":
-        checks = [
-            check_line_equilibrium(),
-            check_triangle_taxonomy(),
-            check_degenerate_boundary(),
-            check_pitchfork(),
-            check_equal_radii_value(),
-            check_aligned_sign_forms(),
-            check_derivative_oracles(per_case=100),
-            check_inverse_roundtrip(samples=100),
+    if suite not in ("quick", "full"):
+        raise ValueError(f"unknown suite {suite!r}")
+    full = suite == "full"
+    checks = [
+        check_line_equilibrium(),
+        check_triangle_taxonomy(),
+        check_degenerate_boundary(),
+        check_pitchfork(),
+        check_equal_radii_value(),
+        check_aligned_sign_forms(),
+        check_derivative_oracles(per_case=100 if full else 10),
+        check_inverse_roundtrip(samples=100 if full else 20),
+    ]
+    if full:
+        checks += [
             check_torus_census(samples=25),
             check_fixing_effect_n4(),
             check_control_triangle_scan(grid=50),
         ]
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
     return {
         "suite": suite,
         "passed": all(c.passed for c in checks),

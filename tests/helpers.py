@@ -8,12 +8,11 @@ label, and the defect of the polygon aligned-minimum boundary.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from coulomb_eq import potentials as pot
 from coulomb_eq.morse import torus_aligned_hessian_form
-from coulomb_eq.potentials import PotentialSpec
+from coulomb_eq.potentials import COULOMB, PotentialSpec
 from coulomb_eq.solver import _close, solve_line_three
 from coulomb_eq.spaces import ChargeVector, Config, config_rows
 
@@ -25,8 +24,7 @@ def configs_match(a: Config, b: Config) -> bool:
 
 
 def line_three_energies(charges: ChargeVector,
-                        spec: PotentialSpec | None = None) -> list[float]:
-    spec = spec or PotentialSpec.coulomb()
+                        spec: PotentialSpec = COULOMB) -> list[float]:
     return [pot.energy(cfg, charges, spec) for cfg in solve_line_three(charges, spec)]
 
 
@@ -36,9 +34,12 @@ def evaluate_aligned_form(radii: Sequence[float], label: Sequence[float],
     return float(torus_aligned_hessian_form(radii, label) @ charges.array)
 
 
-def polygon_boundary_equation(q: Sequence[float], vertex: int) -> float:
+def polygon_boundary_equation(q: Sequence[float], vertex: int,
+                              spec: PotentialSpec = COULOMB) -> float:
     """Defect of the aligned-minimum boundary for the given intermediate
-    vertex: zero when its inverse root charge equals the sum of the others."""
-    inv = [1.0 / math.sqrt(v) for v in q]
+    vertex: zero when its charge to the power ``-p`` (the kernel's
+    ``ratio_exponent``; an inverse root for coulomb) equals the sum of
+    the others."""
+    inv = [v ** -spec.ratio_exponent for v in q]
     others = sum(inv) - inv[vertex]
     return inv[vertex] - others

@@ -16,13 +16,14 @@ from coulomb_eq.bifurcation import (
     torus_bifurcation_set,
     trace_pitchfork,
 )
-from coulomb_eq.morse import torus_aligned_hessian_form
+from coulomb_eq.morse import aligned_blocks, torus_aligned_hessian_form
 from coulomb_eq.potentials import PotentialSpec
 from coulomb_eq.solver import (
     PolygonSpace,
     SolveSettings,
     TorusSpace,
     closed_form_seeds,
+    solve_line_three,
     _polygon_seeds,
 )
 from coulomb_eq.spaces import (
@@ -59,6 +60,20 @@ class TestPolygonBoundary:
         worst = max(abs(polygon_boundary_equation(s.charges, int(c.label[1]) - 1))
                     for c in polygon_bifurcation_set(resolution) for s in c.samples)
         assert worst < 1e-14
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec.power(2.0), PotentialSpec.power(2.5), PotentialSpec.log()],
+        ids=lambda s: s.label)
+    def test_kernel_curves_make_the_aligned_point_degenerate(self, spec):
+        for curve in polygon_bifurcation_set(resolution=16, spec=spec):
+            vertex = int(curve.label[1]) - 1
+            for s in curve.samples:
+                charges = ChargeVector.of(s.charges)
+                aligned = solve_line_three(charges, spec)[vertex]
+                hxx, hyy, _ = aligned_blocks(aligned, charges, spec)
+                scale = np.abs(np.linalg.eigvalsh(hxx)).max()
+                assert abs(np.linalg.eigvalsh(hyy)[0]) < 1e-12 * scale
+                assert abs(polygon_boundary_equation(s.charges, vertex, spec)) < 1e-12
 
     def test_known_boundary_point(self):
         assert polygon_boundary_equation((1 / 9, 4 / 9, 4 / 9), 0) == pytest.approx(
@@ -252,6 +267,14 @@ class TestTrace:
     def test_branch_points_are_minima(self, polygon_diagram):
         offs = [p for p in polygon_diagram.points if p.branch != "aligned"]
         assert offs and all(p.stability == "min" for p in offs)
+
+    def test_log_kernel_pitchfork(self):
+        # -log d has p = 1: the balanced threshold is 1 / (1 + 1) = 0.5
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        diag = trace_pitchfork(PolygonSpace(3), path, (0.3, 0.8), steps=48,
+                               spec=PotentialSpec.log())
+        assert diag.threshold == pytest.approx(0.5, abs=1e-4)
+        assert 0.45 <= fit_branch_exponent(diag) <= 0.55
 
     def test_torus_trace_walks_whole_branch_side(self):
         space = TorusSpace((1.0, 2.0, 3.0))

@@ -68,8 +68,9 @@ class TestKernels:
             (1.0, -2.0, 6.0))
 
     def test_log_kernel(self):
+        # -log d, the planar Coulomb kernel: repulsive like the others
         assert kernel_eval(PotentialSpec.log(), 1.0) == pytest.approx(
-            (0.0, 1.0, -1.0))
+            (0.0, -1.0, 1.0))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_scalar_view_matches_array_kernel(self, spec):
@@ -94,6 +95,13 @@ class TestKernels:
             PotentialSpec.parse(text)
         with pytest.raises(ValueError):
             PotentialSpec.power(float(text.split(":")[1]))
+
+    @pytest.mark.parametrize("spec,p", [
+        (COULOMB, 0.5), (PotentialSpec.power(2.0), 1 / 3),
+        (PotentialSpec.power(2.5), 1 / 3.5), (PotentialSpec.log(), 1.0)],
+        ids=lambda v: getattr(v, "label", str(v)))
+    def test_ratio_exponent(self, spec, p):
+        assert spec.ratio_exponent == p
 
     @pytest.mark.parametrize("text,label", [
         ("coulomb", "coulomb"), ("power:2", "power:2"), ("log", "log"),
@@ -277,8 +285,8 @@ class TestDilation:
         rng = np.random.default_rng(seed)
         cfg = random_triangle(rng)
         q = ChargeVector.of(rng.uniform(0.2, 5.0, 3))
-        assert dilation_derivative(cfg, q, COULOMB) < 0.0
-        assert dilation_derivative(cfg, q, PotentialSpec.power(2.0)) < 0.0
+        for spec in ALL_SPECS:
+            assert dilation_derivative(cfg, q, spec) < 0.0
 
     def test_perimeter_derivatives_match_fd(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,14 @@ class TestFindCriticalPointsPolygon:
         # the two minima are each other's mirror image
         assert configs_match(apply_involution(minima[0].config), minima[1].config)
 
+    def test_log_kernel_balanced_census(self):
+        # the repulsive -log d kernel has the coulomb taxonomy: two minima
+        # and three aligned saddles
+        space = PolygonSpace(3)
+        pts = find_critical_points(space, Q111, PotentialSpec.log())
+        summary = euler_count_check(pts, space)
+        assert summary.counts == {0: 2, 1: 3} and summary.euler_check == "passed"
+
     def test_tiny_charge_census(self):
         pts = find_critical_points(PolygonSpace(3), ChargeVector.of([1 / 8, 1, 1]))
         assert len(pts) == 3
@@ -277,6 +286,15 @@ class TestPolishCandidates:
         wild = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
         pts = polish_candidates(PolygonSpace(3), Q111, [wild])
         assert pts == []
+
+    @pytest.mark.parametrize("space,candidate,shape", [
+        (TorusSpace((1, 2, 3)), [3.1, 3.1, 99.0], (3,)),
+        (PolygonSpace(4), critical_triangle(Q111), (3, 2)),
+    ], ids=["torus-three-angles", "square-given-a-triangle"])
+    def test_candidate_of_the_wrong_shape_rejected(self, space, candidate, shape):
+        # neither is truncated or polished into a broadcast error
+        with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
+            polish_candidates(space, ChargeVector.of([1.0] * space.n), [candidate])
 
 
 POLE_LOCKED = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
@@ -608,8 +626,16 @@ class TestSettings:
         with pytest.raises(ValueError):
             SolveSettings(grid_density=4)
 
-    def test_charge_count_must_match_space(self):
-        with pytest.raises(ValueError):
-            find_critical_points(PolygonSpace(3), ChargeVector.of([1, 1, 1, 1]))
-        with pytest.raises(ValueError):
-            find_critical_points(TorusSpace((1, 2, 3)), ChargeVector.of([1, 1]))
+    @pytest.mark.parametrize("entry", [
+        lambda space, charges, candidate: find_critical_points(space, charges),
+        lambda space, charges, candidate: polish_candidates(space, charges, []),
+        lambda space, charges, candidate: polish_candidates(space, charges, [candidate]),
+    ], ids=["search", "polish-nothing", "polish-one"])
+    @pytest.mark.parametrize("space,count,candidate", [
+        (PolygonSpace(3), 4, [[0.0, 0.0], [0.3, 0.0], [0.1, 0.2]]),
+        (PolygonSpace(4), 5, [[0.0, 0.0], [0.25, 0.0], [0.25, 0.25], [0.0, 0.25]]),
+        (TorusSpace((1, 2, 3)), 2, [2.0, 2.0])], ids=["polygon:3", "polygon:4", "torus"])
+    def test_charge_count_must_match_space(self, entry, space, count, candidate):
+        # checked before any seed is built, by one shared message
+        with pytest.raises(ValueError, match=f"^need {space.n} charges, got {count}$"):
+            entry(space, ChargeVector.of([1.0] * count), np.array(candidate))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coulomb_eq.solver import TorusSpace
 from coulomb_eq.spaces import (
     ChargeVector,
     PolygonConfig,
@@ -106,6 +107,9 @@ class TestTorusConfig:
     def test_rejects_non_finite_angles(self, angles):
         with pytest.raises(ValueError):
             TorusConfig((1.0, 2.0, 3.0), angles)
+
+    def test_space_and_configuration_carry_three_charges(self):
+        assert TorusSpace((1.0, 2.0, 3.0)).n == TorusConfig((1.0, 2.0, 3.0), (0.5, 0.5)).n == 3
 
 
 def scalar_gauge_fix(points):
