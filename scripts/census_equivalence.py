@@ -23,9 +23,9 @@ The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
 the held-out seed), five torus censuses over other kernels, radii and
 charges, twelve polygon censuses (n = 3 to 6) under the coulomb and log
 kernels, ten pitchfork sweeps (the benchmark's polygon reference sweep
-and torus sweep, and eight more: other charges, swept charges, ranges,
-radii and the power:2 and log kernels, five of which re-acquire the
-branch from nudged seeds), ``verify --suite quick`` and ``verify
+and torus sweep, and ten more: other charges, swept charges, ranges,
+radii and the power:2 and log kernels on both spaces, five of which
+re-acquire the branch from nudged seeds), ``verify --suite quick`` and ``verify
 --suite full`` (the only run that reads the resolution-256 boundary
 curves and the four-charge fixing check), three ``inverse --sides``
 cases (a unique ray, a collinear family and an infeasible triple), the
@@ -86,8 +86,10 @@ def _sweep(space: str, charges: list[float], sweep: int, lo: float, hi: float,
 
 
 #: the benchmark's two sweeps, then other charges, swept charges, ranges,
-#: radii and kernels; five of them re-acquire the branch from nudged seeds
-#: after the carried pair alone loses it
+#: radii and kernels (the last two: the benchmark's torus sweep under the
+#: power:2 and log kernels, across their own thresholds); five of them
+#: re-acquire the branch from nudged seeds after the carried pair alone
+#: loses it
 SWEEPS = (
     workloads.REFERENCE_SWEEP,
     workloads.TORUS_SWEEP,
@@ -99,6 +101,8 @@ SWEEPS = (
     _sweep("polygon:3", [1.0, 1.0, 1.0], 2, 0.3, 0.8, 48, "log"),
     _sweep("torus:0.5,1.7,2.9", [0.01, 0.01, 1.0], 3, 0.05, 5.0, 40),
     _sweep("torus:1,2,3", [1.0, 0.01, 0.01], 1, 0.05, 5.0, 40),
+    _sweep("torus:1,2,3", [0.01, 0.01, 1.0], 3, 0.2, 8.0, 40, "power:2"),
+    _sweep("torus:1,2,3", [0.01, 0.01, 1.0], 3, 0.05, 2.0, 40, "log"),
 )
 
 #: unique ray, collinear family, infeasible

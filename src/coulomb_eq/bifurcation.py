@@ -145,15 +145,16 @@ def torus_label_name(label: Sequence[float]) -> str:
     return "-".join("pi" if abs(v) > 1.0 else "0" for v in label)
 
 
-def torus_bifurcation_set(radii: Sequence[float],
-                          resolution: int = 200) -> list[BifurcationCurve]:
-    """Zero lines of the sign-changing aligned-Hessian forms inside the
-    control triangle (the all-zero label's form never vanishes there)."""
+def torus_bifurcation_set(radii: Sequence[float], resolution: int = 200,
+                          spec: PotentialSpec = COULOMB) -> list[BifurcationCurve]:
+    """Zero lines of the kernel's sign-changing aligned-Hessian forms
+    inside the control triangle (the all-zero label's form never
+    vanishes there)."""
     if resolution < 16:
         raise ValueError("resolution below 16 is too coarse to be useful")
     curves = []
     for label in TORUS_ALIGNED_LABELS:
-        coeffs = morse.torus_aligned_hessian_form(radii, label)
+        coeffs = morse.torus_aligned_hessian_form(radii, label, spec)
         positive = [i for i in range(3) if coeffs[i] > 0.0]
         if len(positive) != 1:
             continue  # definite form: no zero line inside the triangle

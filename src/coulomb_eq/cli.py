@@ -217,7 +217,7 @@ def cmd_bifurcate(args: argparse.Namespace) -> int:
         if isinstance(space, PolygonSpace):
             curves = bifurcation.polygon_bifurcation_set(args.resolution, spec)
         else:
-            curves = bifurcation.torus_bifurcation_set(space.radii, args.resolution)
+            curves = bifurcation.torus_bifurcation_set(space.radii, args.resolution, spec)
         diagram = bifurcation.trace_pitchfork(space, path, lam_range,
                                               steps=args.steps, spec=spec)
     except ValueError as exc:

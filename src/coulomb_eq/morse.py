@@ -81,13 +81,14 @@ def torus_label_config(radii: Sequence[float],
     return TorusConfig(tuple(radii), (lab[0], lab[1]))
 
 
-def torus_aligned_hessian_form(radii: Sequence[float],
-                               label: Sequence[float]) -> np.ndarray:
+def torus_aligned_hessian_form(radii: Sequence[float], label: Sequence[float],
+                               spec: PotentialSpec = COULOMB) -> np.ndarray:
     """Coefficients (c1, c2, c3) of the sign form of the aligned Hessian
     determinant: ``det(H) = q1*q2*q3*r1*r2*r3 * (c1*q1 + c2*q2 + c3*q3)``.
 
-    Each coefficient is ``r_i * cos(a_j) * cos(a_k) / (d_j**3 * d_k**3)``
-    with cosine-rule distances evaluated at the label angles, so its
+    Each coefficient is ``r_i * cos(a_j) * cos(a_k) * w_j * w_k`` with
+    ``w = -phi'(d) / d`` of the kernel (``1 / d**3`` for the inverse
+    distance) at the cosine-rule distances of the label angles, so its
     sign is positive exactly when the charge's own angle is zero.
     """
     r = tuple(float(v) for v in radii)
@@ -101,10 +102,11 @@ def torus_aligned_hessian_form(radii: Sequence[float],
     pair = ((1, 2), (2, 0), (0, 1))
     d = [float(chord_distance(r[a], r[b], lab[i])) for i, (a, b) in enumerate(pair)]
     cos = [math.cos(a) for a in lab]
+    w = [-pot.kernel_eval(spec, v)[1] / v for v in d]
     coeffs = np.empty(3)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        coeffs[i] = r[i] * cos[j] * cos[k] / (d[j] ** 3 * d[k] ** 3)
+        coeffs[i] = r[i] * cos[j] * cos[k] * w[j] * w[k]
     return coeffs
 
 

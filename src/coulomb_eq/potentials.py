@@ -313,7 +313,7 @@ def rotation_direction(points: np.ndarray) -> np.ndarray:
     """Tangent of the rotation orbit, flattened over the movable vertices
     (one ``(n, 2)`` configuration or a stack ``(k, n, 2)``)."""
     rot = np.stack([-points[..., 1:, 1], points[..., 1:, 0]], axis=-1)
-    return rot.reshape(*points.shape[:-2], -1)
+    return rot.reshape(*points.shape[:-2], 2 * (points.shape[-2] - 1))
 
 
 def chart_basis(points: np.ndarray) -> np.ndarray:
@@ -363,7 +363,7 @@ def polygon_chart_derivatives(points: np.ndarray, charges: ChargeVector,
     zt = np.swapaxes(z, 1, 2)
     # multiplier of the scaling retraction; equals the Lagrange
     # multiplier of the perimeter constraint at critical points
-    mult = -np.vecdot(pts[:, 1:].reshape(pts.shape[0], -1), der.energy_grad)
+    mult = -np.vecdot(pts[:, 1:].reshape(der.energy_grad.shape), der.energy_grad)
     h_chart = zt @ (der.energy_hess + mult[:, None, None] * der.perimeter_hess) @ z
     grad = (zt @ der.energy_grad[..., None])[..., 0]
     return grad, 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
@@ -640,39 +640,49 @@ def stationarity_relation_residual(config: Config, charges: ChargeVector,
                                    spec: PotentialSpec = COULOMB) -> float:
     """Residual of the closed-form stationarity proportions.
 
-    Zero when no closed-form relation applies (non-inverse-distance
-    kernels, polygons beyond three vertices).
+    Zero for polygons beyond three vertices, where no closed-form
+    relation applies.
     """
-    return float(stationarity_relation_residuals(*config_rows(config), charges, spec)[0])
+    rows, radii = config_rows(config)
+    return float(stationarity_relation_residuals(rows, radii, pair_distances(rows, radii),
+                                                 charges, spec)[0])
 
 
 def stationarity_relation_residuals(rows: np.ndarray,
                                     radii: tuple[float, float, float] | None,
-                                    charges: ChargeVector,
+                                    pairs: np.ndarray, charges: ChargeVector,
                                     spec: PotentialSpec) -> np.ndarray:
     """``stationarity_relation_residual`` of each configuration of a stack
     of polygon vertices ``(k, n, 2)`` (``radii`` is ``None``) or torus
-    chart points ``(k, 2)``."""
-    if spec.kind != "coulomb" or (radii is None and rows.shape[1] != 3):
+    chart points ``(k, 2)``, with their ``pair_distances`` ``pairs``.
+
+    With the kernel exponent ``p`` (``spec.ratio_exponent``) the
+    relations are: a triangle's side opposite vertex ``i`` to the power
+    ``1/p`` times ``q_i`` is the same for every ``i``; the outer segments
+    of a collinear triple balance as ``d_l / q_l**p = d_r / q_r**p``; on
+    the circles ``-phi'(d_i) * sin(alpha_i) / (d_i * r_i * q_i)`` is the
+    same for every ``i``, with ``d_i`` the side opposite point ``i``.
+    """
+    if radii is None and rows.shape[1] != 3:
         return np.zeros(len(rows))
     q = charges.array
-    pairs = pair_distances(rows, radii)
+    p = spec.ratio_exponent
+    # sides opposite points 0, 1, 2: pairs (1, 2), (0, 2), (0, 1)
+    sides = pairs[:, ::-1]
     if radii is not None:
-        # sides and angles of points 0, 1, 2: pairs (1, 2), (0, 2), (0, 1)
-        s = np.sin(torus_alphas(rows)) / (pairs[:, ::-1] ** 3 * np.array(radii) * q)
+        _, dphi, _ = kernel_terms(spec, sides)
+        s = -dphi * np.sin(torus_alphas(rows)) / (sides * np.array(radii) * q)
         mean = s.mean(axis=1)
         return np.abs(s - mean[:, None]).max(axis=1) / np.maximum(1.0, np.abs(mean))
-    # collinear: outer distances around the intermediate vertex balance
-    # like the inverse root charges
     left, mid, right = np.argsort(rows[:, :, 0], axis=1).T
     d = np.zeros((len(rows), 3, 3))
     first, second = pair_indices(3)
     d[:, first, second] = d[:, second, first] = pairs
     at = np.arange(len(rows))
-    lhs = d[at, left, mid] / np.sqrt(q[left])
-    rhs = d[at, mid, right] / np.sqrt(q[right])
+    lhs = d[at, left, mid] / q[left] ** p
+    rhs = d[at, mid, right] / q[right] ** p
     collinear = np.abs(lhs - rhs) / np.maximum(lhs, rhs)
-    vals = pairs[:, ::-1] ** 2 * q
+    vals = sides ** (1.0 / p) * q
     mean = vals.mean(axis=1)
     triangle = np.abs(vals - mean[:, None]).max(axis=1) / mean
     return np.where(alignment_defects(rows, pairs) == 0.0, collinear, triangle)

@@ -13,14 +13,18 @@ torus polish carries a compact stack of the live angles and their seed
 indices, evaluates it once per round and shrinks it with one gather).
 Converged points are deduplicated on raw coordinate rows, gauge-fixed
 vertices or angles embedded on the circle, in one first-wins pass that
-compares column by column.  The finalize works on the stack of
-representatives too: it closes it under the reflection involution by
-row comparisons, gates and classifies every row from one chart
-derivative call and one eigenvalue call, sorts, and pairs each point
-with its mirror by index.  A configuration object is built only for
-each reported point.  The representatives are canonical rows, and
-canonical rows are never re-gauged: mirrors and reported points are
-built from them as they stand.
+compares column by column.  The representatives come with their chart
+gradients and Hessians: the polygon polish has them from its
+convergence gate, the torus takes them in one call on the reduced
+representatives.  The finalize works on that stack too: it closes it
+under the reflection involution by row comparisons, evaluates chart
+derivatives only for the mirrors it synthesizes, gates and classifies
+every row with one eigenvalue call, sorts, and pairs each point with
+its mirror by index.  A configuration object is built only for each
+reported point.  The representatives are canonical rows, and canonical
+rows are never re-gauged: a configuration candidate and a seed that
+took no Newton step keep their rows, and mirrors and reported points
+are built from them as they stand.
 
 The grid density is the one setting of a census (``SolveSettings``).
 The Newton tolerance, the iteration cap and the dedup distance are the
@@ -343,26 +347,26 @@ def _gauge_rows(vertices: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     return fixed[np.isfinite(fixed).all(axis=(1, 2))]
 
 
-def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
-                    spec: PotentialSpec) -> np.ndarray:
+def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpec,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-damped Newton on the Lagrange stationarity system, run on
     a stack of gauge-fixed seeds ``(k, n, 2)`` at once.
 
     Every seed keeps its own damping, residual norm and iteration count,
     so it takes exactly the steps it would take alone.  Returns the
-    gauge-fixed vertices of the converged points in seed order.
+    gauge-fixed vertices of the converged points in seed order with
+    their chart gradients and Hessians.  Only the seeds that stepped are
+    gauge-fixed again: a seed that took no step comes back as it went in.
     """
     pts = np.asarray(seeds, dtype=float)
     n = pts.shape[1]
     pole_radius = POLE_RADIUS_FACTOR
     # every gate is written so that NaN fails it
     pts = pts[_min_gaps(pts) >= pole_radius]
-    if not len(pts):
-        return pts
     keep = pot.polygon_free_indices(n)
     der = pot.polygon_derivatives(pts, charges, spec)
     lam = pot.least_squares_multiplier(pts, charges, spec, der)
-    u = np.concatenate([pts[:, 1:].reshape(len(pts), -1)[:, keep], lam[:, None]],
+    u = np.concatenate([pts[:, 1:].reshape(-1, 2 * (n - 1))[:, keep], lam[:, None]],
                        axis=1)
     res, jac = pot.polygon_stationarity(pts, lam, charges, spec, der)
     del der  # two Hessian stacks the Newton rounds no longer need
@@ -370,6 +374,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
     damping = np.zeros(len(u))
     running = np.ones(len(u), dtype=bool)
     killed = np.zeros(len(u), dtype=bool)
+    moved = np.zeros(len(u), dtype=bool)
     for _ in range(MAX_ITERS):
         running &= ~(rnorm < POLISH_TARGET)
         rows = np.flatnonzero(running)
@@ -389,6 +394,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
         won = better[tried]
         acc = rows[better]
         u[acc] = trial[better]
+        moved[acc] = True
         res[acc] = res_t[won]
         jac[acc] = jac_t[won]
         rnorm[acc] = rnorm_t[won]
@@ -401,12 +407,14 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
         over = failed & (damping[rows] > 1e14)
         killed[rows[over & blocked]] = True
         running[rows[over]] = False
-    done = _gauge_rows(_unpack(u[~killed & (rnorm <= math.sqrt(NEWTON_TOL))], n, keep))
+    ok = ~killed & (rnorm <= math.sqrt(NEWTON_TOL))
+    done = pts[ok]
+    if (ok & moved).any():
+        done[moved[ok]] = gauge_fix(_unpack(u[ok & moved], n, keep))
     done = done[_min_gaps(done) >= pole_radius]
-    if not len(done):
-        return done
-    grad, _ = pot.polygon_chart_derivatives(done, charges, spec)
-    return done[_row_norms(grad) <= NEWTON_TOL]
+    grad, hess = pot.polygon_chart_derivatives(done, charges, spec)
+    ok = _row_norms(grad) <= NEWTON_TOL
+    return done[ok], grad[ok], hess[ok]
 
 
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
@@ -585,27 +593,30 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
 
 
 def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
-                     seeds: np.ndarray) -> np.ndarray:
+                     seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Polish the seeds and keep one row per converged point: gauge-fixed
-    vertices ``(k, n, 2)`` or reduced angle pairs ``(k, 2)``."""
+    vertices ``(k, n, 2)`` or reduced angle pairs ``(k, 2)``, with their
+    chart gradients and Hessians."""
     if isinstance(space, TorusSpace):
         angles = _polish_torus_seeds(space, charges, spec, seeds)
         # angles embedded on the circle, so +pi and -pi compare as equal
         rows = np.stack([np.cos(angles), np.sin(angles)], axis=2).reshape(-1, 4)
-        return angles[_first_cover(rows, DEDUP_TOL)]
-    vertices = _polish_polygon(seeds, charges, spec)
+        reps = angles[_first_cover(rows, DEDUP_TOL)]
+        return (reps, *pot.chart_derivatives(reps, space.radii, charges, spec))
+    vertices, grad, hess = _polish_polygon(seeds, charges, spec)
     # the polish returns gauge-fixed vertices, so raw points compare
-    flat = vertices.reshape(-1, 2 * vertices.shape[1])
-    return vertices[_first_cover(flat, DEDUP_TOL)]
+    first = _first_cover(vertices.reshape(-1, 2 * vertices.shape[1]), DEDUP_TOL)
+    return vertices[first], grad[first], hess[first]
 
 
 def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
                   ) -> np.ndarray:
-    """Close a stack of representatives under the reflection involution.
+    """The mirror images that close a stack of representatives under the
+    reflection involution.
 
     The mirror of a critical point is critical with the same spectrum.
-    Each mirror, in row order, is appended unless it matches a row or a
-    mirror appended before it.
+    Each mirror, in row order, is kept unless it matches a row or a
+    mirror kept before it.
     """
     torus = radii is not None
     mirrors = mirror_rows(rows, radii)
@@ -615,7 +626,7 @@ def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
     for i in np.flatnonzero(~known):
         if not twins[i, added].any():
             added.append(int(i))
-    return np.concatenate([rows, mirrors[added]])
+    return mirrors[added]
 
 
 def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
@@ -627,22 +638,28 @@ def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
             for i, own in enumerate(match)]
 
 
-def _finalize(space: Space, rows: np.ndarray, charges: ChargeVector,
-              spec: PotentialSpec) -> list[CriticalPoint]:
-    """Mirror-close, gate, classify, sort and pair the stack of
-    deduplicated representatives ``rows``."""
+def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
+              charges: ChargeVector, spec: PotentialSpec) -> list[CriticalPoint]:
+    """Mirror-close, gate, classify, sort and pair the deduplicated
+    representatives ``reps``: their rows, chart gradients and Hessians."""
     radii = space.radii if isinstance(space, TorusSpace) else None
-    rows = _mirror_close(rows, radii)
+    rows, grad, hess = reps
+    count = len(rows)
+    rows = np.concatenate([rows, _mirror_close(rows, radii)])
     pairs = pair_distances(rows, radii)
     # every gate is written so that NaN fails it; first the pole check
     pole_radius = POLE_RADIUS_FACTOR * (1.0 if radii is None else min(radii))
     regular = pairs.min(axis=1) >= pole_radius
     if not regular.any():
         return []
+    grad, hess = grad[regular[:count]], hess[regular[:count]]
+    if regular[count:].any():
+        # only the synthesized mirrors still need their derivatives
+        extra = pot.chart_derivatives(rows[count:][regular[count:]], radii, charges, spec)
+        grad, hess = (np.concatenate(both) for both in zip((grad, hess), extra))
     rows, pairs = rows[regular], pairs[regular]
-    grad, hess = pot.chart_derivatives(rows, radii, charges, spec)
     grad_norm = _row_norms(grad)
-    residual = pot.stationarity_relation_residuals(rows, radii, charges, spec)
+    residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec)
     keep = np.flatnonzero((grad_norm <= NEWTON_TOL) & (residual <= RELATION_TOL))
     if not keep.size:
         return []
@@ -682,16 +699,21 @@ def polish_candidates(space: Space, charges: ChargeVector,
     """Polish explicit candidate configurations only (no grid multistart).
 
     Candidates are vertex arrays / configs (polygon) or angle pairs /
-    configs (torus); non-convergent candidates are dropped and the
-    survivors go through the same dedup / mirror / classify pipeline as
-    the full search.
+    configs (torus); a raw vertex array is gauge-fixed first, and a
+    configuration is taken as the canonical row it holds.
+    Non-convergent candidates are dropped and the survivors go through
+    the same dedup / mirror / classify pipeline as the full search.
     """
     pot._check_charges(space, charges)
     if not len(candidates):
         return []
     seeds = _candidate_rows(space, candidates)
     if isinstance(space, PolygonSpace):
-        seeds = _gauge_rows(seeds)
+        # a row that no configuration represents comes back NaN and
+        # fails the polish's first gate
+        raw = np.array([not isinstance(cand, Config) for cand in candidates])
+        if raw.any():
+            seeds[raw] = gauge_fix(seeds[raw])
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)
 
 

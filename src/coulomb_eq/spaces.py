@@ -345,10 +345,19 @@ def pairwise_distances(config: Config) -> np.ndarray:
     return d
 
 
+@functools.cache
+def _cyclic_next(n: int) -> np.ndarray:
+    """Index (read-only) of the vertex after each of ``n`` cyclic vertices."""
+    nxt = np.roll(np.arange(n), -1)
+    nxt.setflags(write=False)
+    return nxt
+
+
 def perimeter_value(points: np.ndarray) -> np.ndarray:
     """Cyclic perimeter of the vertices ``(n, 2)``, or of each polygon of
-    a stack ``(k, n, 2)``."""
-    edges = np.diff(points, axis=-2, append=points[..., :1, :])
+    a stack ``(k, n, 2)``: edge ``i`` runs from vertex ``i`` to ``i + 1``
+    (mod n) and the edge lengths add up in vertex order."""
+    edges = points.take(_cyclic_next(points.shape[-2]), axis=-2) - points
     return np.sqrt((edges ** 2).sum(axis=-1)).sum(axis=-1)
 
 

@@ -101,15 +101,19 @@ class TestTorusBoundary:
         assert len(curves) == 3
         assert {c.label for c in curves} == {"pi-pi-0", "0-pi-pi", "pi-0-pi"}
 
-    def test_samples_sit_on_the_zero_line(self):
-        curves = torus_bifurcation_set((1.0, 2.0, 3.0), resolution=64)
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2", "log"])
+    def test_samples_sit_on_the_zero_line(self, kernel):
+        spec = PotentialSpec.parse(kernel)
+        curves = torus_bifurcation_set((1.0, 2.0, 3.0), resolution=64, spec=spec)
+        assert len(curves) == 3
         for curve in curves:
             label = next(lab for lab in TORUS_ALIGNED_LABELS
                          if curve.label == "-".join(
                              "pi" if abs(v) > 1 else "0" for v in lab))
-            coeffs = torus_aligned_hessian_form((1.0, 2.0, 3.0), label)
+            coeffs = torus_aligned_hessian_form((1.0, 2.0, 3.0), label, spec)
             for s in curve.samples:
-                assert abs(float(coeffs @ np.array(s.charges))) < 1e-10
+                terms = coeffs * np.array(s.charges)
+                assert abs(terms.sum()) < 1e-12 * np.abs(terms).max()
 
     def test_curves_are_pairwise_disjoint(self):
         curves = torus_bifurcation_set((1.0, 2.0, 3.0), resolution=128)
@@ -168,6 +172,26 @@ class TestThreshold:
         coeffs = torus_aligned_hessian_form((1.0, 2.0, 3.0), (PI, PI, 0.0))
         zero = -(coeffs[0] * 0.01 + coeffs[1] * 0.01) / coeffs[2]
         assert lam == pytest.approx(zero, abs=1e-4)
+
+    @pytest.mark.parametrize("kernel,lam_range,threshold", [
+        ("power:2", (0.2, 8.0), 3.79),
+        ("log", (0.05, 2.0), 0.19),
+        ("coulomb", (0.2, 2.0), 0.8433),
+    ])
+    def test_torus_threshold_is_the_kernels_form_zero(self, kernel, lam_range, threshold):
+        # the benchmark's torus sweep: each kernel buckles the (pi, pi, 0)
+        # configuration where its own sign form vanishes
+        spec = PotentialSpec.parse(kernel)
+        space = TorusSpace((1.0, 2.0, 3.0))
+        path = charge_sweep_path([0.01, 0.01, 1.0], 2)
+        lam = detect_threshold(space, path, lam_range, spec)
+        assert lam == pytest.approx(threshold, abs=1e-4)
+        terms = torus_aligned_hessian_form(space.radii, (PI, PI, 0.0), spec) * path(lam).array
+        assert abs(terms.sum()) < 1e-8 * np.abs(terms).max()
+        if kernel != "coulomb":
+            # the coulomb form misplaces this kernel's threshold
+            terms = torus_aligned_hessian_form(space.radii, (PI, PI, 0.0)) * path(lam).array
+            assert abs(terms.sum()) > 1e-2 * np.abs(terms).max()
 
     def test_no_crossing_raises(self):
         path = charge_sweep_path([1.0, 1.0, 1.0], 1)

@@ -13,7 +13,7 @@ from coulomb_eq.morse import (
     torus_label_config,
     transverse_min_eigenvalue,
 )
-from coulomb_eq.potentials import hessian
+from coulomb_eq.potentials import PotentialSpec, hessian
 from coulomb_eq.solver import (
     PolygonSpace,
     TorusSpace,
@@ -113,6 +113,22 @@ class TestAlignedSignForms:
                 continue
             assert (det > 0) == (form > 0)
             checked += 1
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2", "power:2.5", "log"])
+    def test_form_is_the_determinant_for_every_kernel(self, kernel):
+        # det(H) = q1*q2*q3 * r1*r2*r3 * (c1*q1 + c2*q2 + c3*q3) with the
+        # kernel's own coefficients
+        spec = PotentialSpec.parse(kernel)
+        radii = (1.0, 2.0, 3.0)
+        rng = np.random.default_rng(13)
+        for label in TORUS_ALIGNED_LABELS:
+            coeffs = torus_aligned_hessian_form(radii, label, spec)
+            cfg = torus_label_config(radii, label)
+            for _ in range(5):
+                q = ChargeVector.of(rng.uniform(0.1, 10.0, 3))
+                det = float(np.linalg.det(hessian(cfg, q, spec)))
+                form = float(np.prod(q.array) * np.prod(radii) * (coeffs @ q.array))
+                assert det == pytest.approx(form, rel=1e-9)
 
 
 class TestEulerCounts:

@@ -24,12 +24,23 @@ from coulomb_eq.potentials import (
     polygon_derivatives,
     polygon_free_indices,
     polygon_stationarity,
+    stationarity_relation_residual,
     torus_derivatives,
+)
+from coulomb_eq.morse import euler_count_check
+from coulomb_eq.solver import (
+    RELATION_TOL,
+    PolygonSpace,
+    TorusSpace,
+    critical_triangle,
+    find_critical_points,
+    solve_line_three,
 )
 from coulomb_eq.spaces import (
     ChargeVector,
     PolygonConfig,
     TorusConfig,
+    alignment_defect,
     apply_involution,
     gauge_fix,
 )
@@ -507,3 +518,55 @@ class TestTorusCore:
             g1, h1, d1 = torus_derivatives(radii, q, spec, angles[r:r + 1], floor=5e-8)
             assert np.array_equal(g1[0], grad[r]) and np.array_equal(h1[0], hess[r])
             assert np.array_equal(d1, dmin[r:r + 1])
+
+
+RELATION_CENSUSES = [
+    (PolygonSpace(3), [1.0, 2.0, 3.0]),
+    (PolygonSpace(3), [0.125, 1.0, 1.0]),
+    (TorusSpace((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0]),
+    (TorusSpace((0.5, 1.7, 2.9)), [0.3, 1.0, 2.5]),
+]
+
+
+class TestRelationGate:
+    """The closed-form relations hold with the kernel's own exponent, so
+    the relation gate runs for every kernel."""
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2", "power:2.5", "log"])
+    @pytest.mark.parametrize("space,charges", RELATION_CENSUSES,
+                             ids=["p3-123", "p3-collinear", "t123", "t-spread"])
+    def test_censuses_pass_under_every_kernel(self, kernel, space, charges):
+        spec = PotentialSpec.parse(kernel)
+        q = ChargeVector.of(charges)
+        pts = find_critical_points(space, q, spec)
+        # the power:2 collinear census sits on its threshold, where the
+        # triangle is degenerate and the count check does not apply
+        degenerate = any(cp.degenerate for cp in pts)
+        assert degenerate == (kernel == "power:2" and charges[0] == 0.125)
+        if not degenerate:
+            assert euler_count_check(pts, space).euler_check == "passed"
+        for cp in pts:
+            assert stationarity_relation_residual(cp.config, q, spec) < 1e-11
+
+    @pytest.mark.parametrize("spec", [PotentialSpec.power(2.0), PotentialSpec.log()],
+                             ids=lambda s: s.label)
+    def test_perturbed_equilibria_fail_the_gate(self, spec):
+        # charges whose triangle exists under the log kernel too
+        q = ChargeVector.of([1.0, 1.5, 2.0])
+        kick = np.array([[0.0, 0.0], [1e-3, 0.0], [0.0, 1e-3]])
+        tri = critical_triangle(q, spec)
+        line = solve_line_three(q, spec)[1]
+        for cfg in (tri, line):
+            assert stationarity_relation_residual(cfg, q, spec) < 1e-12
+            bent = PolygonConfig.from_points(cfg.points + kick)
+            assert stationarity_relation_residual(bent, q, spec) > RELATION_TOL
+        # along the line the collinear balance is what fails
+        slid = PolygonConfig.from_points(line.points + np.array([[0.0, 0.0], [1e-3, 0.0],
+                                                                 [0.0, 0.0]]))
+        assert alignment_defect(slid) == 0.0
+        assert stationarity_relation_residual(slid, q, spec) > RELATION_TOL
+        radii = (1.0, 2.0, 3.0)
+        for cp in find_critical_points(TorusSpace(radii), q, spec):
+            a1, a2 = cp.config.angles
+            moved = TorusConfig(radii, (a1 + 1e-3, a2))
+            assert stationarity_relation_residual(moved, q, spec) > RELATION_TOL

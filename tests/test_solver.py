@@ -15,6 +15,7 @@ from coulomb_eq.solver import (
     PolygonSpace,
     SolveSettings,
     TorusSpace,
+    closed_form_seeds as cell_seeds,
     critical_triangle,
     enumerate_aligned,
     find_critical_points,
@@ -40,6 +41,7 @@ from coulomb_eq.spaces import (
     alignment_defect,
     apply_involution,
     canonicalize,
+    config_rows,
     distance_key,
     gauge_fix,
     pairwise_distances,
@@ -296,12 +298,48 @@ class TestPolishCandidates:
         with pytest.raises(ValueError, match=re.escape(f"got {shape}")):
             polish_candidates(space, ChargeVector.of([1.0] * space.n), [candidate])
 
+    @pytest.mark.parametrize("space,charges", [
+        (PolygonSpace(3), [1.0, 2.0, 3.0]),
+        (TorusSpace((1.0, 2.0, 3.0)), [0.3, 1.0, 2.5]),
+    ], ids=["polygon", "torus"])
+    def test_configs_raw_arrays_and_mixed_lists_agree(self, space, charges):
+        # a configuration is taken as the canonical row it holds, a raw
+        # array is gauge-fixed first: both give the same census
+        q = ChargeVector.of(charges)
+        configs = [cp.config for cp in find_critical_points(
+            space, q, settings=SolveSettings(grid_density=8))]
+        configs += [noisy_copy(cfg, k) for k, cfg in enumerate(configs)]
+        arrays = [coords(cfg) for cfg in configs]
+        mixed = [cfg if k % 2 else arr for k, (cfg, arr) in enumerate(zip(configs, arrays))]
+        reference = polish_candidates(space, q, configs)
+        assert reference
+        for candidates in (arrays, mixed):
+            assert_same_points(polish_candidates(space, q, candidates), reference)
+
+
+def noisy_copy(cfg, k):
+    """A configuration near ``cfg``, a polish away from it."""
+    nudge = 1e-4 * (k + 1)
+    if isinstance(cfg, TorusConfig):
+        return TorusConfig(cfg.radii, (cfg.angles[0] + nudge, cfg.angles[1] - nudge))
+    return PolygonConfig.from_points(cfg.points + nudge * np.eye(len(cfg.points), 2))
+
+
+def assert_same_points(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(coords(a.config), coords(b.config))
+        assert (a.energy, a.grad_norm, a.hessian_eigenvalues, a.morse_index, a.degenerate,
+                a.aligned, a.key, a.symmetry_partner) == (
+            b.energy, b.grad_norm, b.hessian_eigenvalues, b.morse_index, b.degenerate,
+            b.aligned, b.key, b.symmetry_partner)
+
 
 POLE_LOCKED = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
 
 
 def polish(seeds, charges):
-    vertices = _polish_polygon(np.array(seeds), charges, COULOMB)
+    vertices, _, _ = _polish_polygon(np.array(seeds), charges, COULOMB)
     return [PolygonConfig(v) for v in vertices]
 
 
@@ -339,6 +377,18 @@ class TestBatchedPolish:
         for closed in solve_line_three(Q111):
             assert any(np.abs(cfg.points - closed.points).max() < 1e-15
                        for cfg in polished)
+
+    @pytest.mark.parametrize("charges", [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0],
+                                         [0.7, 1.3, 1.0], [0.125, 1.0, 1.0]])
+    def test_converged_canonical_seeds_come_back_bit_for_bit(self, charges):
+        # the closed forms of a control-triangle cell take no Newton step
+        # and are not gauge-fixed again; their derivatives come along
+        q = ChargeVector.of(charges)
+        seeds = np.array([cfg.points for cfg in cell_seeds(q)])
+        rows, grad, hess = _polish_polygon(seeds, q, COULOMB)
+        assert np.array_equal(rows, seeds)
+        fresh = pot.polygon_chart_derivatives(seeds, q, COULOMB)
+        assert np.array_equal(grad, fresh[0]) and np.array_equal(hess, fresh[1])
 
     def test_batch_with_no_seed_past_the_gap_check(self):
         locked = [POLE_LOCKED, POLE_LOCKED[::-1] * 0.5, POLE_LOCKED + 1e-10]
@@ -550,6 +600,19 @@ def closed_form_seeds(charges):
     return _gauge_rows(seeds + ([tri.points] if tri is not None else []))
 
 
+def finalize_rows(space, rows, charges):
+    """``_finalize`` of rows that come without their derivatives: those
+    are evaluated here, and NaN for a row that is not finite.  A row at a
+    pole gets infinite derivatives, which the finalize never reads."""
+    radii = space.radii if isinstance(space, TorusSpace) else None
+    dim = 2 * (space.n - 2)
+    grad, hess = np.full((len(rows), dim), np.nan), np.full((len(rows), dim, dim), np.nan)
+    finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad[finite], hess[finite] = pot.chart_derivatives(rows[finite], radii, charges, COULOMB)
+    return _finalize(space, (rows, grad, hess), charges, COULOMB)
+
+
 class TestArrayFinalize:
     @pytest.mark.parametrize("space,charges,grid", [
         (PolygonSpace(3), [1.0, 1.0, 1.0], None),
@@ -567,9 +630,9 @@ class TestArrayFinalize:
             seeds = closed_form_seeds(q)
         else:
             seeds = _gauge_rows(_polygon_seeds(space, q, COULOMB, settings))
-        rows = _representatives(space, q, COULOMB, seeds)
-        expected = per_point_finalize(space, rows, q)
-        got = _finalize(space, rows, q, COULOMB)
+        reps = _representatives(space, q, COULOMB, seeds)
+        expected = per_point_finalize(space, reps[0], q)
+        got = _finalize(space, reps, q, COULOMB)
         assert len(got) == len(expected) > 0
         for cp, ref in zip(got, expected):
             assert np.array_equal(coords(cp.config), coords(ref["config"]))
@@ -585,7 +648,7 @@ class TestArrayFinalize:
         tri = critical_triangle(Q111).points
         near = gauge_fix(tri + np.array([[0.0, 0.0], [0.0, 0.0], [1e-13, 0.0]]))
         rows = np.stack([tri, near])
-        got = _finalize(PolygonSpace(3), rows, Q111, COULOMB)
+        got = finalize_rows(PolygonSpace(3), rows, Q111)
         expected = per_point_finalize(PolygonSpace(3), rows, Q111)
         assert len(got) == len(expected) == 3
         for cp, ref in zip(got, expected):
@@ -595,14 +658,32 @@ class TestArrayFinalize:
     def test_nan_and_pole_rows_are_dropped(self):
         tri = critical_triangle(Q111).points
         rows = np.stack([np.full((3, 2), np.nan), gauge_fix(POLE_LOCKED), tri])
-        pts = _finalize(PolygonSpace(3), rows, Q111, COULOMB)
+        pts = finalize_rows(PolygonSpace(3), rows, Q111)
         # the triangle and its synthesized mirror image
         assert len(pts) == 2 and pts[0].symmetry_partner == 1
         assert all(math.isfinite(cp.energy) for cp in pts)
         # torus:1,1,2 has a pole at the (pi, pi, 0) label
         rows = np.array([[math.pi, math.pi], [math.nan, 0.5], [0.0, math.pi]])
-        pts = _finalize(TorusSpace((1.0, 1.0, 2.0)), rows, Q111, COULOMB)
+        pts = finalize_rows(TorusSpace((1.0, 1.0, 2.0)), rows, Q111)
         assert [cp.config.angles for cp in pts] == [(0.0, math.pi)]
+
+
+class TestCarriedDerivatives:
+    @pytest.mark.parametrize("space,charges,grid", [
+        (PolygonSpace(3), [1.0, 2.0, 3.0], 24),
+        (PolygonSpace(4), [1.3, 0.6, 1.9, 1.1], 16),
+        (TorusSpace((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0], 24),
+    ])
+    def test_reported_spectra_equal_a_fresh_evaluation(self, space, charges, grid):
+        # the derivatives carried from the polish to the finalize are those
+        # of the reported row; every census here has mirror pairs
+        q = ChargeVector.of(charges)
+        pts = find_critical_points(space, q, settings=SolveSettings(grid_density=grid))
+        assert any(cp.symmetry_partner is not None for cp in pts)
+        for cp in pts:
+            grad, hess = pot.chart_derivatives(*config_rows(cp.config), q, COULOMB)
+            assert cp.grad_norm == float(np.linalg.norm(grad[0]))
+            assert cp.hessian_eigenvalues == tuple(np.linalg.eigvalsh(hess[0]).tolist())
 
 
 class TestClosedFourCharge:

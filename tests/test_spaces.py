@@ -191,6 +191,16 @@ class TestDistances:
             direct = float(np.linalg.norm(emb[i] - emb[j]))
             assert d[i, j] == pytest.approx(direct, rel=1e-14, abs=1e-14)
 
+    @given(st.tuples(st.integers(1, 5), st.integers(3, 8)).flatmap(
+        lambda shape: arrays(float, (shape[0], shape[1], 2),
+                             elements=st.floats(-1e3, 1e3))))
+    @settings(max_examples=80)
+    def test_perimeter_matches_the_diff_reference_bit_for_bit(self, stack):
+        edges = np.diff(stack, axis=-2, append=stack[..., :1, :])
+        reference = np.sqrt((edges ** 2).sum(axis=-1)).sum(axis=-1)
+        assert np.array_equal(perimeter_value(stack), reference)
+        assert perimeter_value(stack[0]) == reference[0]
+
     def test_derived_angle_keeps_constraint_exact(self):
         cfg = TorusConfig((1, 2, 3), (1.234, -2.345))
         a1, a2, a3 = cfg.alphas
