@@ -20,10 +20,12 @@ and plain-text outputs token by token.  Last it prints the line count
 of ``coulomb_eq/*.py`` in each tree and the difference.
 
 The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
-the held-out seed), five torus censuses over other kernels, radii and
-charges, twelve polygon censuses (n = 3 to 6) under the coulomb and log
-kernels, ten pitchfork sweeps (the benchmark's polygon reference sweep
-and torus sweep, and ten more: other charges, swept charges, ranges,
+the held-out seed, 52 runs), five torus censuses over other kernels,
+radii and charges, twelve polygon censuses (n = 3 to 6) under the
+coulomb and log kernels, the polygon:4 and polygon:5 jobs (``p4``,
+``p5``) of the benchmark's polygon census for the same four seeds,
+twelve pitchfork sweeps (the benchmark's polygon reference sweep and
+torus sweep, and ten more: other charges, swept charges, ranges,
 radii and the power:2 and log kernels on both spaces, five of which
 re-acquire the branch from nudged seeds), ``verify --suite quick`` and ``verify
 --suite full`` (the only run that reads the resolution-256 boundary
@@ -54,6 +56,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's seeded job lists)
 
 BENCHMARK_SEEDS = (1, 2, 3, workloads.HELD_OUT_SEED)
+#: the polygon-census jobs whose aligned seed comes from the line core
+BENCHMARK_POLYGON_JOBS = ("p4", "p5")
 
 EXTRA_TORUS = [
     ("torus:1,2,3", "1,2,3", "log", 48),
@@ -175,6 +179,11 @@ def corpus() -> list[tuple[str, list[str] | dict]]:
     for potential in ("coulomb", "log"):
         runs += [("polygon", _argv(space, charges, potential, grid))
                  for space, charges, grid in POLYGONS]
+    for seed in BENCHMARK_SEEDS:
+        for job in workloads.generate("polygon-census", seed):
+            if job["id"] in BENCHMARK_POLYGON_JOBS:
+                charges = ",".join(repr(float(v)) for v in job["charges"])
+                runs.append(("polygon", _argv(job["space"], charges, "coulomb", job["grid"])))
     runs += [("bifurcate", _sweep_argv(sweep, f"bifurcate-{k}"))
              for k, sweep in enumerate(SWEEPS)]
     runs += [("verify", ["verify", "--suite", suite]) for suite in ("quick", "full")]

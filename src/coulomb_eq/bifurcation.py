@@ -292,9 +292,7 @@ def _kick_seeds(space: Space, tracked: int, charges: ChargeVector,
     aligned = enumerate_aligned(space, charges, spec)[tracked]
     if isinstance(aligned, PolygonConfig):
         base = aligned.points
-        _, zy = pot.aligned_chart_basis(base)
-        # the chart leaves vertex 0 pinned
-        direction = np.vstack([np.zeros((1, 2)), zy[:, 0].reshape(-1, 2)])
+        direction = morse.transverse_soft_direction(aligned, charges, spec)
     else:
         base = np.array(aligned.angles)
         direction = np.linalg.eigh(pot.hessian(aligned, charges, spec))[1][:, 0]

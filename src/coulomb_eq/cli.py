@@ -100,15 +100,29 @@ def json_text(payload) -> str:
 
 
 def write_artifact(path: Path, text: str, manifest: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # unlink before writing: on ext4, truncating a file that already holds
-    # blocks flushes it at close, tens of milliseconds per rewrite
-    path.unlink(missing_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """Write ``text`` to ``path`` and ``manifest`` beside it; a path that
+    cannot be written (a directory, a parent that is a file, no
+    permission) is a ``CliError``."""
     manifest_path = path.with_name(path.name + ".manifest.json")
-    manifest_path.unlink(missing_ok=True)
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # unlink before writing: on ext4, truncating a file that already
+        # holds blocks flushes it at close, tens of milliseconds per rewrite
+        for target, content in ((path, text),
+                                (manifest_path,
+                                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")):
+            target.unlink(missing_ok=True)
+            target.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
+def emit(out: str | None, text: str, command: str, params: dict, started: float) -> None:
+    """Print ``text``, or write it to the file ``out`` with its manifest."""
+    if out:
+        write_artifact(Path(out), text, build_manifest(command, params, started))
+    else:
+        sys.stdout.write(text)
 
 
 def build_manifest(command: str, params: dict, started: float) -> dict:
@@ -169,16 +183,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from exc
     points = find_critical_points(space, charges, spec, settings)
     payload = solve_payload(space, charges, spec, points)
-    text = json_text(payload)
-    if args.out:
-        manifest = build_manifest("solve", {
-            "space": args.space, "charges": args.charges,
-            "potential": args.potential,
-            "settings": asdict(settings),
-        }, started)
-        write_artifact(Path(args.out), text, manifest)
-    else:
-        sys.stdout.write(text)
+    emit(args.out, json_text(payload), "solve", {
+        "space": args.space, "charges": args.charges, "potential": args.potential,
+        "settings": asdict(settings),
+    }, started)
     if payload["summary"]["euler_check"] == "failed":
         return 3
     return 0
@@ -303,23 +311,14 @@ def cmd_inverse(args: argparse.Namespace) -> int:
         "residual": result.residual,
         "notes": result.notes,
     }
-    text = json_text(payload)
-    if args.out:
-        write_artifact(Path(args.out), text, build_manifest("inverse", params, started))
-    else:
-        sys.stdout.write(text)
+    emit(args.out, json_text(payload), "inverse", params, started)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = verify_mod.run_suite(args.suite)
-    text = json_text(report)
-    if args.out:
-        write_artifact(Path(args.out), text,
-                       build_manifest("verify", {"suite": args.suite}, started))
-    else:
-        sys.stdout.write(text)
+    emit(args.out, json_text(report), "verify", {"suite": args.suite}, started)
     return 0 if report["passed"] else 1
 
 

@@ -121,11 +121,9 @@ def aligned_blocks(config: PolygonConfig, charges: ChargeVector,
     the in-line block is exactly the Hessian of the one-dimensional
     problem.
     """
-    pts = config.points
-    zx, zy = pot.aligned_chart_basis(pts)
-    der = pot.polygon_derivatives(pts[None], charges, spec)
-    mult = -float(pts[1:].ravel() @ der.energy_grad[0])
-    h = der.energy_hess[0] + mult * der.perimeter_hess[0]
+    pts = config.points[None]
+    zx, zy = pot.aligned_chart_basis(config.points)
+    h = pot.retraction_hessian(pts, pot.polygon_derivatives(pts, charges, spec))[0]
     return zx.T @ h @ zx, zy.T @ h @ zy, zx.T @ h @ zy
 
 
@@ -134,6 +132,17 @@ def transverse_min_eigenvalue(config: PolygonConfig, charges: ChargeVector,
     """Smallest eigenvalue of the transverse (off-line) Hessian block."""
     _, hyy, _ = aligned_blocks(config, charges, spec)
     return float(np.linalg.eigvalsh(hyy)[0])
+
+
+def transverse_soft_direction(config: PolygonConfig, charges: ChargeVector,
+                              spec: PotentialSpec = COULOMB) -> np.ndarray:
+    """Unit eigenvector of the smallest eigenvalue of the transverse
+    Hessian block, as a displacement ``(n, 2)`` of the vertices: vertex 0
+    stays pinned and every x-component is zero."""
+    _, zy = pot.aligned_chart_basis(config.points)
+    _, hyy, _ = aligned_blocks(config, charges, spec)
+    soft = zy @ np.linalg.eigh(hyy)[1][:, 0]
+    return np.vstack([np.zeros((1, 2)), soft.reshape(-1, 2)])
 
 
 def euler_count_check(points: Iterable["CriticalPoint"],
@@ -152,25 +161,20 @@ def euler_count_check(points: Iterable["CriticalPoint"],
     if not pts:
         return MorseSummary(counts, 0, "not-applicable", False,
                             "no critical points found")
-    if isinstance(space, TorusSpace):
-        poles = 0
-        exactness = len(pts) == 4
-        if max(space.radii) - min(space.radii) < 1e-12:
-            return MorseSummary(counts, poles, "not-applicable", exactness,
-                                "energy has poles when radii coincide")
-        if degenerate:
-            return MorseSummary(counts, poles, "not-applicable", exactness,
-                                "degenerate points present")
-        alternating = sum((-1) ** idx * c for idx, c in counts.items())
-        verdict = "passed" if alternating == 0 else "failed"
-        return MorseSummary(counts, poles, verdict, exactness)
-    if space.n != 3:
+    torus = isinstance(space, TorusSpace)
+    if not torus and space.n != 3:
         return MorseSummary(counts, 0, "not-applicable", False,
                             "sphere-level count is defined for three charges only")
-    poles = 3
+    # the alternating count must be 0 on the torus; on the sphere the three
+    # poles count as maxima, so it must be 2 - 3 = -1
+    poles, expected = (0, 0) if torus else (3, -1)
+    exactness = torus and len(pts) == 4
+    if torus and max(space.radii) - min(space.radii) < 1e-12:
+        return MorseSummary(counts, poles, "not-applicable", exactness,
+                            "energy has poles when radii coincide")
     if degenerate:
-        return MorseSummary(counts, poles, "not-applicable", False,
+        return MorseSummary(counts, poles, "not-applicable", exactness,
                             "degenerate points present")
-    alternating = sum((-1) ** idx * c for idx, c in counts.items()) + poles
-    verdict = "passed" if alternating == 2 else "failed"
-    return MorseSummary(counts, poles, verdict, False)
+    alternating = sum((-1) ** idx * c for idx, c in counts.items())
+    verdict = "passed" if alternating == expected else "failed"
+    return MorseSummary(counts, poles, verdict, exactness)

@@ -352,6 +352,16 @@ def aligned_chart_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zx, zy
 
 
+def retraction_hessian(points: np.ndarray, der: PolygonDerivatives) -> np.ndarray:
+    """Hessians ``(k, m, m)`` of the energy under the scaling retraction,
+    ``E'' - (x . grad E) P''``, in the movable coordinates of a stack of
+    polygons ``(k, n, 2)`` with their ``polygon_derivatives`` ``der``."""
+    # multiplier of the scaling retraction; equals the Lagrange
+    # multiplier of the perimeter constraint at critical points
+    mult = -np.vecdot(points[:, 1:].reshape(der.energy_grad.shape), der.energy_grad)
+    return der.energy_hess + mult[:, None, None] * der.perimeter_hess
+
+
 def polygon_chart_derivatives(points: np.ndarray, charges: ChargeVector,
                               spec: PotentialSpec,
                               ) -> tuple[np.ndarray, np.ndarray]:
@@ -361,10 +371,7 @@ def polygon_chart_derivatives(points: np.ndarray, charges: ChargeVector,
     der = polygon_derivatives(pts, charges, spec)
     z = _chart_basis(pts, der.perimeter_grad)
     zt = np.swapaxes(z, 1, 2)
-    # multiplier of the scaling retraction; equals the Lagrange
-    # multiplier of the perimeter constraint at critical points
-    mult = -np.vecdot(pts[:, 1:].reshape(der.energy_grad.shape), der.energy_grad)
-    h_chart = zt @ (der.energy_hess + mult[:, None, None] * der.perimeter_hess) @ z
+    h_chart = zt @ retraction_hessian(pts, der) @ z
     grad = (zt @ der.energy_grad[..., None])[..., 0]
     return grad, 0.5 * (h_chart + np.swapaxes(h_chart, 1, 2))
 
@@ -674,13 +681,11 @@ def stationarity_relation_residuals(rows: np.ndarray,
         s = -dphi * np.sin(torus_alphas(rows)) / (sides * np.array(radii) * q)
         mean = s.mean(axis=1)
         return np.abs(s - mean[:, None]).max(axis=1) / np.maximum(1.0, np.abs(mean))
-    left, mid, right = np.argsort(rows[:, :, 0], axis=1).T
-    d = np.zeros((len(rows), 3, 3))
-    first, second = pair_indices(3)
-    d[:, first, second] = d[:, second, first] = pairs
+    left, _, right = np.argsort(rows[:, :, 0], axis=1).T
     at = np.arange(len(rows))
-    lhs = d[at, left, mid] / q[left] ** p
-    rhs = d[at, mid, right] / q[right] ** p
+    # the left segment is the side opposite the right vertex, and back
+    lhs = sides[at, right] / q[left] ** p
+    rhs = sides[at, left] / q[right] ** p
     collinear = np.abs(lhs - rhs) / np.maximum(lhs, rhs)
     vals = sides ** (1.0 / p) * q
     mean = vals.mean(axis=1)

@@ -11,9 +11,8 @@ gauge-fixed as one stack; all seeds of a search go through one damped
 Newton iteration as a single stack, and only live seeds iterate (the
 torus polish carries a compact stack of the live angles and their seed
 indices, evaluates it once per round and shrinks it with one gather).
-Converged points are deduplicated on raw coordinate rows, gauge-fixed
-vertices or angles embedded on the circle, in one first-wins pass that
-compares column by column.  The representatives come with their chart
+Converged points are deduplicated in one first-wins pass that compares
+column by column.  The representatives come with their chart
 gradients and Hessians: the polygon polish has them from its
 convergence gate, the torus takes them in one call on the reduced
 representatives.  The finalize works on that stack too: it closes it
@@ -25,6 +24,15 @@ reported point.  The representatives are canonical rows, and canonical
 rows are never re-gauged: a configuration candidate and a seed that
 took no Newton step keep their rows, and mirrors and reported points
 are built from them as they stand.
+
+Each census decision is made in one place.  Same point: two rows are
+one point when their ``_point_rows`` (gauge-fixed vertices, or angles
+embedded on the circle so that +pi and -pi agree) differ by less than
+``DEDUP_TOL`` in every coordinate; the dedup, the mirror closure and the
+partner scan all compare that way.  Pole: a row sits on a coincidence
+pole when its smallest ``pair_distances`` entry is below
+``spaces.pole_radius_of`` of the space; every gate admits a row whose
+smallest distance is at least that radius.
 
 The grid density is the one setting of a census (``SolveSettings``).
 The Newton tolerance, the iteration cap and the dedup distance are the
@@ -47,7 +55,6 @@ from .spaces import (
     Config,
     PolygonConfig,
     TorusConfig,
-    POLE_RADIUS_FACTOR,
     TORUS_ALIGNED_LABELS,
     alignment_defects,
     apply_involution,
@@ -56,8 +63,8 @@ from .spaces import (
     gauge_fix,
     mirror_rows,
     pair_distances,
-    pair_indices,
     plane_points,
+    pole_radius_of,
     reduce_angles,
     row_config,
     triangle_vertices,
@@ -289,13 +296,6 @@ def enumerate_aligned(space: Space, charges: ChargeVector,
 # multistart machinery: polygon
 # ---------------------------------------------------------------------------
 
-def _min_gaps(points: np.ndarray) -> np.ndarray:
-    """Smallest vertex separation of each polygon in a stack ``(k, n, 2)``."""
-    first, second = pair_indices(points.shape[1])
-    delta = points[:, first] - points[:, second]
-    return np.hypot(delta[..., 0], delta[..., 1]).min(axis=1)
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     # vecdot rounds each row like np.linalg.norm of that row alone
     return np.sqrt(np.vecdot(x, x))
@@ -360,9 +360,9 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
     """
     pts = np.asarray(seeds, dtype=float)
     n = pts.shape[1]
-    pole_radius = POLE_RADIUS_FACTOR
+    pole_radius = pole_radius_of(None)
     # every gate is written so that NaN fails it
-    pts = pts[_min_gaps(pts) >= pole_radius]
+    pts = pts[pair_distances(pts).min(axis=1) >= pole_radius]
     keep = pot.polygon_free_indices(n)
     der = pot.polygon_derivatives(pts, charges, spec)
     lam = pot.least_squares_multiplier(pts, charges, spec, der)
@@ -383,7 +383,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
         step, solved = _newton_steps(jac[rows], res[rows], damping[rows])
         trial = u[rows] + step
         trial_pts = _unpack(trial, n, keep)
-        blocked = solved & ((_min_gaps(trial_pts) < pole_radius)
+        blocked = solved & ((pair_distances(trial_pts).min(axis=1) < pole_radius)
                             | ~np.isfinite(trial_pts).all(axis=(1, 2)))
         tried = solved & ~blocked
         res_t, jac_t = pot.polygon_stationarity(trial_pts[tried], trial[tried, -1],
@@ -411,7 +411,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
     done = pts[ok]
     if (ok & moved).any():
         done[moved[ok]] = gauge_fix(_unpack(u[ok & moved], n, keep))
-    done = done[_min_gaps(done) >= pole_radius]
+    done = done[pair_distances(done).min(axis=1) >= pole_radius]
     grad, hess = pot.polygon_chart_derivatives(done, charges, spec)
     ok = _row_norms(grad) <= NEWTON_TOL
     return done[ok], grad[ok], hess[ok]
@@ -447,7 +447,7 @@ def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
         seeds.append(ring)
     rng = np.random.default_rng(MULTISTART_SEED + n)
     pool = rng.uniform(-1.0, 1.0, size=(settings.grid_density ** 2, n, 2))
-    seeds.extend(pool[_min_gaps(pool) > 1e-3])
+    seeds.extend(pool[pair_distances(pool).min(axis=1) > 1e-3])
     return seeds
 
 
@@ -519,7 +519,7 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
     converged angle pairs in seed order, reduced to (-pi, pi].
     """
     angles = np.array(seeds, dtype=float).reshape(-1, 2)
-    pole_radius = POLE_RADIUS_FACTOR * min(space.radii)
+    pole_radius = pole_radius_of(space.radii)
     floor = 0.5 * pole_radius
     converged = np.zeros(angles.shape[0], dtype=bool)
     live = np.arange(angles.shape[0])
@@ -529,7 +529,7 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
         g0, g1 = grad[:, 0], grad[:, 1]
         gnorm = np.sqrt(g0 * g0 + g1 * g1)
         # every gate is written so that NaN fails it
-        regular = dmin > pole_radius
+        regular = dmin >= pole_radius
         last = rounds == MAX_ITERS
         done = regular & (gnorm <= (NEWTON_TOL if last else POLISH_TARGET))
         angles[live[done]] = at[done]
@@ -558,14 +558,21 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
 # dedup, reflection pairing, classification
 # ---------------------------------------------------------------------------
 
-def _close(a: np.ndarray, b: np.ndarray, torus: bool) -> np.ndarray:
-    """Whether each row of ``a`` coincides with each row of ``b`` within
-    ``DEDUP_TOL``, as a ``(len(a), len(b))`` mask; torus angle rows
-    compare wrap-aware."""
-    diff = a[:, None] - b[None, :]
-    if torus:
-        diff = reduce_angles(diff)
-    return np.abs(diff).max(axis=tuple(range(2, diff.ndim))) < DEDUP_TOL
+def _point_rows(rows: np.ndarray, radii: tuple[float, float, float] | None,
+                ) -> np.ndarray:
+    """The coordinates the same-point rule compares, one flat row per
+    canonical row: the gauge-fixed vertices ``(k, n, 2)`` as they stand
+    (``radii`` is ``None``), or the angle pairs ``(k, 2)`` embedded on the
+    circle, so +pi and -pi compare as equal."""
+    if radii is not None:
+        rows = np.stack([np.cos(rows), np.sin(rows)], axis=2)
+    return rows.reshape(len(rows), math.prod(rows.shape[1:]))
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each point row of ``a`` is the same point as each of ``b``
+    (``max|delta| < DEDUP_TOL``), as a ``(len(a), len(b))`` mask."""
+    return np.abs(a[:, None] - b[None, :]).max(axis=2) < DEDUP_TOL
 
 
 def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
@@ -599,13 +606,10 @@ def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
     chart gradients and Hessians."""
     if isinstance(space, TorusSpace):
         angles = _polish_torus_seeds(space, charges, spec, seeds)
-        # angles embedded on the circle, so +pi and -pi compare as equal
-        rows = np.stack([np.cos(angles), np.sin(angles)], axis=2).reshape(-1, 4)
-        reps = angles[_first_cover(rows, DEDUP_TOL)]
+        reps = angles[_first_cover(_point_rows(angles, space.radii), DEDUP_TOL)]
         return (reps, *pot.chart_derivatives(reps, space.radii, charges, spec))
     vertices, grad, hess = _polish_polygon(seeds, charges, spec)
-    # the polish returns gauge-fixed vertices, so raw points compare
-    first = _first_cover(vertices.reshape(-1, 2 * vertices.shape[1]), DEDUP_TOL)
+    first = _first_cover(_point_rows(vertices, None), DEDUP_TOL)
     return vertices[first], grad[first], hess[first]
 
 
@@ -616,24 +620,20 @@ def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
 
     The mirror of a critical point is critical with the same spectrum.
     Each mirror, in row order, is kept unless it matches a row or a
-    mirror kept before it.
+    mirror kept before it: a first-wins dedup of the mirrors that match
+    no row.
     """
-    torus = radii is not None
     mirrors = mirror_rows(rows, radii)
-    known = _close(mirrors, rows, torus).any(axis=1)
-    twins = _close(mirrors, mirrors, torus)
-    added: list[int] = []
-    for i in np.flatnonzero(~known):
-        if not twins[i, added].any():
-            added.append(int(i))
-    return mirrors[added]
+    points = _point_rows(mirrors, radii)
+    fresh = np.flatnonzero(~_close(points, _point_rows(rows, radii)).any(axis=1))
+    return mirrors[fresh[_first_cover(points[fresh], DEDUP_TOL)]]
 
 
 def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
               ) -> list[int | None]:
     """Index of the first other row each row's mirror matches; ``None``
     for a row that is its own mirror image or has no partner."""
-    match = _close(mirror_rows(rows, radii), rows, radii is not None)
+    match = _close(_point_rows(mirror_rows(rows, radii), radii), _point_rows(rows, radii))
     return [None if own[i] or not own.any() else int(own.argmax())
             for i, own in enumerate(match)]
 
@@ -648,8 +648,7 @@ def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
     rows = np.concatenate([rows, _mirror_close(rows, radii)])
     pairs = pair_distances(rows, radii)
     # every gate is written so that NaN fails it; first the pole check
-    pole_radius = POLE_RADIUS_FACTOR * (1.0 if radii is None else min(radii))
-    regular = pairs.min(axis=1) >= pole_radius
+    regular = pairs.min(axis=1) >= pole_radius_of(radii)
     if not regular.any():
         return []
     grad, hess = grad[regular[:count]], hess[regular[:count]]

@@ -140,6 +140,10 @@ class _PairGeometry:
         return float(self._pairs.min())
 
     @property
+    def pole_radius(self) -> float:
+        return pole_radius_of(config_rows(self)[1])
+
+    @property
     def has_pole(self) -> bool:
         return self.min_separation < self.pole_radius
 
@@ -199,10 +203,6 @@ class PolygonConfig(_PairGeometry):
     def perimeter(self) -> float:
         return float(perimeter_value(self.points))
 
-    @property
-    def pole_radius(self) -> float:
-        return POLE_RADIUS_FACTOR
-
     def pole_pairs(self) -> list[tuple[int, int]]:
         """Vertex pairs closer than the pole radius (energy diverges there)."""
         first, second = pair_indices(self.n)
@@ -254,10 +254,6 @@ class TorusConfig(_PairGeometry):
     def embedded_points(self) -> np.ndarray:
         """Plane embedding with the first point on the positive x-axis."""
         return torus_plane_points(self.radii, torus_alphas(np.array([self.angles])))[0]
-
-    @property
-    def pole_radius(self) -> float:
-        return POLE_RADIUS_FACTOR * min(self.radii)
 
 
 def chord_distance(ra, rb, angle) -> np.ndarray:
@@ -316,6 +312,13 @@ def row_config(row: np.ndarray, radii: tuple[float, float, float] | None = None)
     if radii is None:
         return PolygonConfig(row)
     return TorusConfig(radii, (row[0], row[1]))
+
+
+def pole_radius_of(radii: Sequence[float] | None = None) -> float:
+    """Pair distance below which two points coincide (the energy has a
+    pole there): ``POLE_RADIUS_FACTOR`` times the perimeter of a polygon
+    (``radii`` is ``None``), or times the smallest radius of the circles."""
+    return POLE_RADIUS_FACTOR * (1.0 if radii is None else min(radii))
 
 
 def pair_distances(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.ndarray:

@@ -13,6 +13,7 @@ Reports are deterministic: no timing, fixed sample seeds and orders.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ from .spaces import (
     PolygonConfig,
     TorusConfig,
     TORUS_ALIGNED_LABELS,
+    alignment_defects,
+    pair_distances,
     pairwise_distances,
     triangle_vertices,
 )
@@ -276,18 +279,10 @@ def _is_convex(points: np.ndarray) -> bool:
 
 
 def _min_triple_defect(config: PolygonConfig) -> float:
-    import itertools
-
-    pts = config.points
-    diam = pairwise_distances(config).max()
-    best = math.inf
-    for tri in itertools.combinations(range(pts.shape[0]), 3):
-        sub = pts[list(tri)]
-        centered = sub - sub.mean(axis=0)
-        _, vecs = np.linalg.eigh(centered.T @ centered)
-        defect = float(np.abs(centered @ vecs[:, 0]).max())
-        best = min(best, defect / diam)
-    return best
+    """Smallest alignment defect of a vertex triple, relative to the
+    diameter of the configuration."""
+    triples = config.points[list(itertools.combinations(range(config.n), 3))]
+    return float(alignment_defects(triples, pair_distances(triples)).min() / config.diameter)
 
 
 def check_derivative_oracles(per_case: int = 100) -> CheckResult:

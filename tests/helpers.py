@@ -13,14 +13,14 @@ from typing import Sequence
 from coulomb_eq import potentials as pot
 from coulomb_eq.morse import torus_aligned_hessian_form
 from coulomb_eq.potentials import COULOMB, PotentialSpec
-from coulomb_eq.solver import _close, solve_line_three
+from coulomb_eq.solver import _close, _point_rows, solve_line_three
 from coulomb_eq.spaces import ChargeVector, Config, config_rows
 
 
 def configs_match(a: Config, b: Config) -> bool:
-    """Whether two configurations coincide within ``DEDUP_TOL`` (wrap-aware)."""
+    """Whether two configurations are one point by the census rule."""
     (rows_a, radii), (rows_b, _) = config_rows(a), config_rows(b)
-    return bool(_close(rows_a, rows_b, radii is not None)[0, 0])
+    return bool(_close(_point_rows(rows_a, radii), _point_rows(rows_b, radii))[0, 0])
 
 
 def line_three_energies(charges: ChargeVector,

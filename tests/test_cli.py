@@ -276,6 +276,35 @@ class TestVerifyCommand:
         assert first == second
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error (exit 2),
+    not a traceback and not a failed verification suite (exit 1)."""
+
+    def test_solve_out_is_a_directory(self, tmp_path, capsys):
+        code, out = run_cli(["solve", "--space", "polygon:3", "--charges", "1,1,1",
+                             "--grid-density", "8", "--out", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
+
+    def test_verify_out_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        from coulomb_eq import verify
+        monkeypatch.setattr(verify, "run_suite",
+                            lambda suite: {"suite": suite, "passed": True, "checks": []})
+        code, _ = run_cli(["verify", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: cannot write {tmp_path}" in capsys.readouterr().err
+
+    def test_bifurcate_outdir_is_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a regular file\n")
+        code, _ = run_cli(["bifurcate", "--space", "polygon:3", "--charges", "1,1,1",
+                           "--sweep", "2", "--range", "0.05:0.6", "--steps", "4",
+                           "--resolution", "16", "--outdir", str(blocker)])
+        assert code == 2
+        assert "error: cannot write" in capsys.readouterr().err
+        assert blocker.read_text() == "a regular file\n"
+
+
 class TestEntryPoint:
     def test_console_script_runs(self):
         proc = subprocess.run([sys.executable, "-m", "coulomb_eq.cli",

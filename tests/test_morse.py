@@ -12,10 +12,19 @@ from coulomb_eq.morse import (
     torus_aligned_hessian_form,
     torus_label_config,
     transverse_min_eigenvalue,
+    transverse_soft_direction,
 )
-from coulomb_eq.potentials import PotentialSpec, hessian
+from coulomb_eq.potentials import (
+    COULOMB,
+    PotentialSpec,
+    aligned_chart_basis,
+    hessian,
+    polygon_derivatives,
+    retraction_hessian,
+)
 from coulomb_eq.solver import (
     PolygonSpace,
+    SolveSettings,
     TorusSpace,
     find_critical_points,
     line_config_from_positions,
@@ -170,6 +179,36 @@ class TestEulerCounts:
         summary = euler_count_check([], PolygonSpace(4))
         assert summary.euler_check == "not-applicable"
 
+    @pytest.mark.parametrize("case,verdict,poles,exact,reason", [
+        ("empty", "not-applicable", 0, False, "no critical points found"),
+        ("torus-missing-point", "failed", 0, False, ""),
+        ("polygon3-missing-point", "failed", 3, False, ""),
+        ("polygon4", "not-applicable", 0, False,
+         "sphere-level count is defined for three charges only"),
+    ])
+    def test_branches(self, case, verdict, poles, exact, reason):
+        space, pts = EULER_CASES[case]()
+        summary = euler_count_check(pts, space)
+        assert (summary.euler_check, summary.poles_count, summary.exactness,
+                summary.reason) == (verdict, poles, exact, reason)
+        assert sum(summary.counts.values()) == len(pts)
+
+
+def _census_without_last(space, charges):
+    return space, find_critical_points(space, ChargeVector.of(charges))[:-1]
+
+
+EULER_CASES = {
+    "empty": lambda: (TorusSpace((1.0, 2.0, 3.0)), []),
+    # an exact torus census of four points, one of them lost
+    "torus-missing-point": lambda: _census_without_last(TorusSpace((1.0, 2.0, 3.0)),
+                                                        [1.0, 1.0, 100.0]),
+    "polygon3-missing-point": lambda: _census_without_last(PolygonSpace(3), [1.0, 1.0, 1.0]),
+    "polygon4": lambda: (PolygonSpace(4), find_critical_points(
+        PolygonSpace(4), ChargeVector.of([1.0, 1.0, 1.0, 1.0]),
+        settings=SolveSettings(grid_density=8))),
+}
+
 
 class TestDegenerateBoundary:
     def test_boundary_charges_flag_degenerate_minimum(self):
@@ -206,6 +245,30 @@ class TestFixingEffect:
         assert np.abs(hxy).max() < 1e-8
         full = np.linalg.eigvalsh(hessian(cfg, q))
         assert int((full < 0).sum()) == 0
+
+    @pytest.mark.parametrize("charges", [[1.0, 1e-3, 1e-3, 1.0], [1.0, 2.0, 3.0, 4.0],
+                                         [0.7, 1.9, 1.1, 1.4]])
+    def test_soft_transverse_direction_at_four_charges(self, charges):
+        q = ChargeVector.of(charges)
+        cfg = line_config_from_positions(solve_line_interior(q)[0])
+        direction = transverse_soft_direction(cfg, q)
+        assert direction.shape == (4, 2)
+        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-14)
+        assert (direction[:, 0] == 0.0).all() and (direction[0] == 0.0).all()
+        # its Rayleigh quotient under the retraction Hessian is the softest
+        # transverse eigenvalue
+        pts = cfg.points[None]
+        h = retraction_hessian(pts, polygon_derivatives(pts, q, COULOMB))[0]
+        v = direction[1:].ravel()
+        assert v @ h @ v == pytest.approx(transverse_min_eigenvalue(cfg, q),
+                                          rel=1e-10, abs=1e-12)
+
+    def test_soft_transverse_direction_at_three_charges_is_the_basis_column(self):
+        q = ChargeVector.of([1.0, 1.0, 1.0])
+        cfg = solve_line_three(q)[1]
+        _, zy = aligned_chart_basis(cfg.points)
+        direction = transverse_soft_direction(cfg, q)
+        assert np.array_equal(direction[1:].ravel(), zy[:, 0])
 
     def test_large_interior_charge_breaks_transverse_rigidity(self):
         # a heavy intermediate charge wants off the line: transverse

@@ -8,6 +8,7 @@ from coulomb_eq.cli import solve_payload
 from coulomb_eq.morse import classify_spectrum, euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
 from coulomb_eq.solver import (
+    DEDUP_TOL,
     MAX_ITERS,
     MULTISTART_SEED,
     NEWTON_TOL,
@@ -26,6 +27,9 @@ from coulomb_eq.solver import (
     _finalize,
     _first_cover,
     _gauge_rows,
+    _mirror_close,
+    _partners,
+    _point_rows,
     _polish_polygon,
     _polish_torus_seeds,
     _polygon_seeds,
@@ -44,6 +48,7 @@ from coulomb_eq.spaces import (
     config_rows,
     distance_key,
     gauge_fix,
+    mirror_rows,
     pairwise_distances,
     reduce_angle,
     reduce_angles,
@@ -548,6 +553,61 @@ class TestFirstCover:
         rows = np.array([[bad, 1.0], [0.0, 1.0], [bad, 1.0], [0.0, 1.0 + 1e-9],
                          [0.0, bad], [bad, bad], [0.5, 0.5]])
         assert _first_cover(rows, tol) == sequential_first_wins(rows, tol) == [0, 1, 2, 4, 5, 6]
+
+
+def sequential_mirror_close(rows, radii):
+    """Reference mirror closure: scan the mirrors in order, keep one
+    unless it is within ``DEDUP_TOL`` of a row or of a kept mirror."""
+    mirrors = mirror_rows(rows, radii)
+    points, known = _point_rows(mirrors, radii), _point_rows(rows, radii)
+    added = []
+    for i, point in enumerate(points):
+        if not any(np.abs(point - other).max() < DEDUP_TOL
+                   for other in [*known, *points[added]]):
+            added.append(i)
+    return mirrors[added]
+
+
+def near_mirror_pool(rng, base, radii):
+    """``base`` rows, rows a little off the mirrors of some of them, and
+    rows a little off others of them (so their mirrors nearly coincide),
+    at offsets below and just above ``DEDUP_TOL``, shuffled."""
+    k = len(base)
+    scale = np.array([0.3, 0.9, 1.5])[rng.integers(0, 3, k)] * DEDUP_TOL
+    off = base + (rng.choice([-1.0, 1.0], base.shape).T * scale).T
+    pool = np.concatenate([base, mirror_rows(off[: k // 2], radii), off[k // 2:]])
+    if radii is not None:
+        pool = reduce_angles(pool)
+    return pool[rng.permutation(len(pool))]
+
+
+class TestSamePointRule:
+    RADII = (1.0, 2.0, 3.0)
+
+    def test_mirror_pair_across_the_seam(self):
+        a = math.pi - 1e-12
+        rows = np.array([[a, 0.7], [a, -0.7]])
+        # each row's mirror sits on the far side of +-pi from the other row
+        assert abs(mirror_rows(rows, self.RADII)[0, 0] - rows[1, 0]) > 6.0
+        assert _mirror_close(rows, self.RADII).shape == (0, 2)
+        assert _partners(rows, self.RADII) == [1, 0]
+
+    def test_torus_mirror_closure_matches_sequential_scan(self):
+        rng = np.random.default_rng(31)
+        base = rng.uniform(-math.pi, math.pi, (30, 2))
+        base[:4, 0] = [math.pi - 1e-12, -math.pi + 1e-12, math.pi, 0.0]
+        rows = near_mirror_pool(rng, base, self.RADII)
+        got = _mirror_close(rows, self.RADII)
+        assert np.array_equal(got, sequential_mirror_close(rows, self.RADII))
+        assert 0 < len(got) < len(rows)
+
+    def test_polygon_mirror_closure_matches_sequential_scan(self):
+        rng = np.random.default_rng(32)
+        base = _gauge_rows(rng.uniform(-1.0, 1.0, (30, 4, 2)))
+        rows = near_mirror_pool(rng, base, None)
+        got = _mirror_close(rows, None)
+        assert np.array_equal(got, sequential_mirror_close(rows, None))
+        assert 0 < len(got) < len(rows)
 
 
 def per_point_finalize(space, rows, charges):
