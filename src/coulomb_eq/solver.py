@@ -215,34 +215,21 @@ def solve_line_interior(charges: ChargeVector,
     and its index is the one-dimensional Morse index.
     """
     n = len(charges)
-    q = charges.array
-    span = 0.5
-    x = np.linspace(0.0, span, n)
+    x = np.linspace(0.0, 0.5, n)
 
     def grad_hess(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = np.zeros(n)
-        h = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = xs[j] - xs[i]
-                _, dphi, ddphi = pot.kernel_eval(spec, abs(d))
-                s = math.copysign(1.0, d)
-                g[i] += -q[i] * q[j] * dphi * s
-                g[j] += q[i] * q[j] * dphi * s
-                blk = q[i] * q[j] * ddphi
-                h[i, i] += blk
-                h[j, j] += blk
-                h[i, j] -= blk
-                h[j, i] -= blk
-        return g, h
+        # the x-coordinates of the interior vertices 1..n-2 of the
+        # collinear polygon, in the movable coordinates of the core
+        der = pot.polygon_derivatives(np.column_stack([xs, np.zeros(n)])[None],
+                                      charges, spec)
+        return der.energy_grad[0, 0:-2:2], der.energy_hess[0, 0:-2:2, 0:-2:2]
 
     idx = np.arange(1, n - 1)
     for _ in range(80):
         g, h = grad_hess(x)
-        gi = g[idx]
-        if np.abs(gi).max() < POLISH_TARGET:
+        if np.abs(g).max() < POLISH_TARGET:
             break
-        step = np.linalg.solve(h[np.ix_(idx, idx)], -gi)
+        step = np.linalg.solve(h, -g)
         # keep the ordering: damp steps that would cross a neighbour
         scale = 1.0
         for k, i in enumerate(idx):
@@ -252,9 +239,9 @@ def solve_line_interior(charges: ChargeVector,
                 scale = min(scale, 0.4 * min(x[i] - lo, hi - x[i]) / (abs(step[k]) + 1e-300))
         x[idx] += scale * step
     g, h = grad_hess(x)
-    if np.abs(g[idx]).max() > 1e-9:
+    if np.abs(g).max() > 1e-9:
         raise RuntimeError("interior line equilibrium did not converge")
-    return x, h[np.ix_(idx, idx)]
+    return x, h
 
 
 def line_config_from_positions(positions: np.ndarray) -> PolygonConfig:

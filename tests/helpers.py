@@ -1,14 +1,18 @@
 """Reference helpers the tests share.
 
 Closed-form and comparison functions that only the tests use: a
-configuration match within the census dedup distance, the energies of
-the three collinear equilibria, the aligned-Hessian sign form of a torus
-label, and the defect of the polygon aligned-minimum boundary.
+configuration match by the census same-point rule, the scalar pair loop
+of the collinear gradient and Hessian, the energies of the three
+collinear equilibria, the aligned-Hessian sign form of a torus label,
+and the defect of the polygon aligned-minimum boundary.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
+
+import numpy as np
 
 from coulomb_eq import potentials as pot
 from coulomb_eq.morse import torus_aligned_hessian_form
@@ -21,6 +25,29 @@ def configs_match(a: Config, b: Config) -> bool:
     """Whether two configurations are one point by the census rule."""
     (rows_a, radii), (rows_b, _) = config_rows(a), config_rows(b)
     return bool(_close(_point_rows(rows_a, radii), _point_rows(rows_b, radii))[0, 0])
+
+
+def line_grad_hess(xs: np.ndarray, charges: ChargeVector,
+                   spec: PotentialSpec = COULOMB) -> tuple[np.ndarray, np.ndarray]:
+    """Reference gradient ``(n,)`` and Hessian ``(n, n)`` of the energy of
+    charges at the ordered line positions ``xs``, summed pair by pair."""
+    n = len(xs)
+    q = charges.array
+    g = np.zeros(n)
+    h = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = xs[j] - xs[i]
+            _, dphi, ddphi = pot.kernel_eval(spec, abs(d))
+            s = math.copysign(1.0, d)
+            g[i] += -q[i] * q[j] * dphi * s
+            g[j] += q[i] * q[j] * dphi * s
+            blk = q[i] * q[j] * ddphi
+            h[i, i] += blk
+            h[j, j] += blk
+            h[i, j] -= blk
+            h[j, i] -= blk
+    return g, h
 
 
 def line_three_energies(charges: ChargeVector,

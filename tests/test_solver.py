@@ -53,7 +53,7 @@ from coulomb_eq.spaces import (
     reduce_angle,
     reduce_angles,
 )
-from helpers import configs_match, line_three_energies
+from helpers import configs_match, line_grad_hess, line_three_energies
 
 COULOMB = PotentialSpec.coulomb()
 Q111 = ChargeVector.of([1.0, 1.0, 1.0])
@@ -280,6 +280,32 @@ class TestLineInterior:
         cfg = line_config_from_positions(xs)
         from coulomb_eq.potentials import gradient
         assert np.linalg.norm(gradient(cfg, q, COULOMB)) < 1e-9
+
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2.5", "log"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_array_core_matches_the_scalar_pair_loop(self, n, kernel):
+        spec = PotentialSpec.parse(kernel)
+        rng = np.random.default_rng(40 + n)
+        eps = np.finfo(float).eps
+        for _ in range(5):
+            q = ChargeVector.of(rng.uniform(0.3, 3.0, n))
+            ordered = np.sort(rng.uniform(0.0, 0.5, n))
+            ordered[[0, -1]] = 0.0, 0.5
+            for xs in (ordered, solve_line_interior(q, spec)[0]):
+                der = pot.polygon_derivatives(np.column_stack([xs, np.zeros(n)])[None],
+                                              q, spec)
+                g_ref, h_ref = line_grad_hess(xs, q, spec)
+                hess = der.energy_hess[0, 0:-2:2, 0:-2:2]
+                # both sum the same pair terms in the same order; only the
+                # kernel's power may round differently, array against scalar
+                # (SIMD builds of numpy), and the log kernel takes none
+                if kernel == "log":
+                    assert np.array_equal(hess, h_ref[1:-1, 1:-1])
+                else:
+                    np.testing.assert_array_max_ulp(hess, h_ref[1:-1, 1:-1], maxulp=2)
+                diff = np.abs(der.energy_grad[0, 0:-2:2] - g_ref[1:-1])
+                assert diff.max() <= 8.0 * eps * np.abs(g_ref).max()
 
 
 class TestPolishCandidates:
