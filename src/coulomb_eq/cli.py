@@ -100,17 +100,13 @@ def json_text(payload) -> str:
 
 
 def write_artifact(path: Path, text: str, manifest: dict) -> None:
-    """Write ``text`` to ``path`` and ``manifest`` beside it; a path that
-    cannot be written (a directory, a parent that is a file, no
-    permission) is a ``CliError``."""
-    manifest_path = path.with_name(path.name + ".manifest.json")
+    manifest_text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         # unlink before writing: on ext4, truncating a file that already
         # holds blocks flushes it at close, tens of milliseconds per rewrite
         for target, content in ((path, text),
-                                (manifest_path,
-                                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")):
+                                (path.with_name(path.name + ".manifest.json"), manifest_text)):
             target.unlink(missing_ok=True)
             target.write_text(content, encoding="utf-8")
     except OSError as exc:

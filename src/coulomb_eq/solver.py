@@ -25,14 +25,11 @@ rows are never re-gauged: a configuration candidate and a seed that
 took no Newton step keep their rows, and mirrors and reported points
 are built from them as they stand.
 
-Each census decision is made in one place.  Same point: two rows are
-one point when their ``_point_rows`` (gauge-fixed vertices, or angles
-embedded on the circle so that +pi and -pi agree) differ by less than
-``DEDUP_TOL`` in every coordinate; the dedup, the mirror closure and the
-partner scan all compare that way.  Pole: a row sits on a coincidence
-pole when its smallest ``pair_distances`` entry is below
-``spaces.pole_radius_of`` of the space; every gate admits a row whose
-smallest distance is at least that radius.
+One rule makes each census decision.  Same point: rows whose
+``_point_rows`` (gauge-fixed vertices, or angles on the circle) differ
+by less than ``DEDUP_TOL`` in every coordinate; the dedup, the mirror
+closure and the partner scan all compare so.  Pole: a row whose
+smallest ``pair_distances`` entry is below ``spaces.pole_radius_of``.
 
 The grid density is the one setting of a census (``SolveSettings``).
 The Newton tolerance, the iteration cap and the dedup distance are the
