@@ -281,7 +281,6 @@ class TestLineInterior:
         from coulomb_eq.potentials import gradient
         assert np.linalg.norm(gradient(cfg, q, COULOMB)) < 1e-9
 
-
     @pytest.mark.parametrize("kernel", ["coulomb", "power:2.5", "log"])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_array_core_matches_the_scalar_pair_loop(self, n, kernel):
