@@ -25,6 +25,7 @@ from .solver import (
     CriticalPoint,
     PolygonSpace,
     Space,
+    TorusSpace,
     closed_form_seeds,
     enumerate_aligned,
     polish_candidates,
@@ -32,9 +33,10 @@ from .solver import (
 from .spaces import (
     ChargeVector,
     Config,
-    PolygonConfig,
     TorusConfig,
     TORUS_ALIGNED_LABELS,
+    pair_distances,
+    pole_radius_of,
     reduce_angle,
 )
 
@@ -181,22 +183,29 @@ def torus_bifurcation_set(radii: Sequence[float], resolution: int = 200,
 # threshold detection along a charge path
 # ---------------------------------------------------------------------------
 
-def _softest_eig(config: Config, charges: ChargeVector, spec: PotentialSpec) -> float:
-    """Smallest transverse Hessian eigenvalue of an aligned polygon, or
-    smallest Hessian eigenvalue of a torus configuration."""
-    if isinstance(config, PolygonConfig):
-        return morse.transverse_min_eigenvalue(config, charges, spec)
-    return float(np.linalg.eigvalsh(pot.hessian(config, charges, spec))[0])
+def _aligned(space: Space, charges: ChargeVector,
+             spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The ``enumerate_aligned`` rows of the space with the softest
+    eigenvalue of each, from one stacked call: the smallest transverse
+    Hessian eigenvalue of an aligned polygon, or the smallest Hessian
+    eigenvalue of a torus row (``PoleError`` when a torus row sits on a
+    pole)."""
+    rows = enumerate_aligned(space, charges, spec)
+    if isinstance(space, PolygonSpace):
+        return rows, morse.transverse_min_eigenvalues(rows, charges, spec)
+    pole_radius = pole_radius_of(space.radii)
+    _, hess, dmin = pot.torus_derivatives(space.radii, charges, spec, rows,
+                                          0.5 * pole_radius)
+    if (dmin < pole_radius).any():
+        raise pot.PoleError("configuration has coincident charges")
+    return rows, np.linalg.eigvalsh(hess)[:, 0]
 
 
 def _tracked_eig(space: Space, path: ChargePath, tracked: int,
                  spec: PotentialSpec) -> Callable[[float], float]:
     """Softest eigenvalue of aligned configuration ``tracked`` (its index in
     ``enumerate_aligned``) as a function of the path parameter."""
-    def eig(lam: float) -> float:
-        charges = path(lam)
-        return _softest_eig(enumerate_aligned(space, charges, spec)[tracked], charges, spec)
-    return eig
+    return lambda lam: float(_aligned(space, path(lam), spec)[1][tracked])
 
 
 def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, float],
@@ -204,9 +213,9 @@ def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, flo
     """Find the unique aligned configuration whose softest eigenvalue
     changes sign along the path.
 
-    Every scan sample evaluates the softest eigenvalue of every
-    configuration of one ``enumerate_aligned`` call.  Returns ``(tracked,
-    lo, hi, branch_side)``: the index of the configuration in
+    Every scan sample evaluates the softest eigenvalues of every aligned
+    configuration in one ``_aligned`` call.  Returns ``(tracked, lo, hi,
+    branch_side)``: the index of the configuration in
     ``enumerate_aligned``, the scan interval that brackets its sign
     change, and ``"above"`` or ``"below"`` for the side of the threshold
     where it is a saddle (the side that carries the mirror pair).
@@ -217,9 +226,7 @@ def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, flo
     if space.n != 3:
         raise ValueError("pitchfork tracing covers three charges only")
     lams = np.linspace(lo, hi, SCAN_SAMPLES)
-    vals = np.array([[_softest_eig(cfg, charges, spec)
-                      for cfg in enumerate_aligned(space, charges, spec)]
-                     for charges in map(path, lams)])
+    vals = np.array([_aligned(space, path(lam), spec)[1] for lam in lams])
     flips = np.argwhere(vals[:-1] * vals[1:] < 0.0)
     if not len(flips):
         raise ValueError("path does not cross any bifurcation curve in range")
@@ -289,29 +296,31 @@ def _kick_seeds(space: Space, tracked: int, charges: ChargeVector,
     if distance > 0.0:
         root = math.sqrt(distance)
         kicks.update(min(1.5 * root, 0.5) * f for f in (0.3, 0.7, 1.4))
-    aligned = enumerate_aligned(space, charges, spec)[tracked]
-    if isinstance(aligned, PolygonConfig):
-        base = aligned.points
-        direction = morse.transverse_soft_direction(aligned, charges, spec)
+    row = enumerate_aligned(space, charges, spec)[tracked:tracked + 1]
+    if isinstance(space, PolygonSpace):
+        direction = morse.transverse_soft_directions(row, charges, spec)[0]
     else:
-        base = np.array(aligned.angles)
-        direction = np.linalg.eigh(pot.hessian(aligned, charges, spec))[1][:, 0]
-    return [base + sign * kick * direction
+        _, hess = pot.chart_derivatives(row, space.radii, charges, spec)
+        direction = np.linalg.eigh(hess[0])[1][:, 0]
+    return [row[0] + sign * kick * direction
             for kick in sorted(kicks) for sign in (1.0, -1.0)]
+
+
+def _stability(degenerate: bool, minimum: bool) -> str:
+    """The stability label of a branch point."""
+    return "degenerate" if degenerate else ("min" if minimum else "saddle")
 
 
 def _aligned_branch_point(space: Space, tracked: int, lam: float,
                           charges: ChargeVector, spec: PotentialSpec,
                           ) -> BranchPoint:
     control = tuple(float(v) for v in charges.normalized)
-    aligned = enumerate_aligned(space, charges, spec)[tracked]
-    eig = _softest_eig(aligned, charges, spec)
-    energy = pot.energy(aligned, charges, spec)
-    scale = max(1.0, abs(eig))
-    if abs(eig) < 1e-9 * scale:
-        stability = "degenerate"
-    else:
-        stability = "min" if eig > 0.0 else "saddle"
+    rows, eigs = _aligned(space, charges, spec)
+    eig = float(eigs[tracked])
+    radii = space.radii if isinstance(space, TorusSpace) else None
+    energy = pot.pair_energies(pair_distances(rows[tracked:tracked + 1], radii),
+                               charges, spec)[0]
+    stability = _stability(abs(eig) < 1e-9 * max(1.0, abs(eig)), eig > 0.0)
     return BranchPoint(lam, control, "aligned", 0.0, stability, float(energy))
 
 
@@ -376,9 +385,8 @@ def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
     carried: list = []
     current = threshold
     for target in targets:
-        reached = False
         position = current
-        while not reached:
+        while position != target:
             step = target - position
             trial = target  # position + step may round one ulp off it
             while True:
@@ -397,25 +405,17 @@ def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
                 break
             position = trial
             carried = [cp.config for cp in offs]
-            reached = trial == target
-        if not reached:
+        if position != target:
             continue
         current = target
-        charges = path(target)
+        # the last trial was the target: ``charges`` and ``offs`` are its own
         control = tuple(float(v) for v in charges.normalized)
-        entries = []
-        for cp in offs:
-            amp = _amplitude(tracked, cp.config)
-            stability = "degenerate" if cp.degenerate else \
-                ("min" if cp.morse_index == 0 else "saddle")
-            entries.append((amp, stability, cp))
-        entries.sort(key=lambda e: -e[0])
-        pts = []
-        for amp, stability, cp in entries[:2]:
-            name = "upper" if amp >= 0.0 else "lower"
-            pts.append(BranchPoint(target, control, name, amp, stability,
-                                   cp.energy))
-        out[target] = pts
+        entries = sorted(((_amplitude(tracked, cp.config), cp) for cp in offs),
+                         key=lambda e: -e[0])
+        out[target] = [BranchPoint(target, control, "upper" if amp >= 0.0 else "lower",
+                                   amp, _stability(cp.degenerate, cp.morse_index == 0),
+                                   cp.energy)
+                       for amp, cp in entries[:2]]
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import potentials as pot
 from .potentials import COULOMB, PotentialSpec
-from .spaces import (ChargeVector, PolygonConfig, TorusConfig, TORUS_ALIGNED_LABELS,
+from .spaces import (ChargeVector, TorusConfig, TORUS_ALIGNED_LABELS,
                      chord_distance)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,39 +110,42 @@ def torus_aligned_hessian_form(radii: Sequence[float], label: Sequence[float],
     return coeffs
 
 
-def aligned_blocks(config: PolygonConfig, charges: ChargeVector,
+def aligned_blocks(rows: np.ndarray, charges: ChargeVector,
                    spec: PotentialSpec = COULOMB,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """In-line block, transverse block and mixed block of the constrained
-    Hessian at an aligned polygon configuration.
+    """In-line blocks, transverse blocks and mixed blocks of the
+    constrained Hessians of a stack of aligned polygon rows ``(k, n, 2)``.
 
     The reflection symmetry of the energy forces the mixed block to
     vanish, so the spectrum is the union of the two diagonal blocks and
     the in-line block is exactly the Hessian of the one-dimensional
     problem.
     """
-    pts = config.points[None]
-    zx, zy = pot.aligned_chart_basis(config.points)
-    h = pot.retraction_hessian(pts, pot.polygon_derivatives(pts, charges, spec))[0]
-    return zx.T @ h @ zx, zy.T @ h @ zy, zx.T @ h @ zy
+    zx, zy = pot.aligned_chart_basis(rows)
+    h = pot.retraction_hessian(rows, pot.polygon_derivatives(rows, charges, spec))
+    zxt = np.swapaxes(zx, 1, 2)
+    return zxt @ h @ zx, np.swapaxes(zy, 1, 2) @ h @ zy, zxt @ h @ zy
 
 
-def transverse_min_eigenvalue(config: PolygonConfig, charges: ChargeVector,
-                              spec: PotentialSpec = COULOMB) -> float:
-    """Smallest eigenvalue of the transverse (off-line) Hessian block."""
-    _, hyy, _ = aligned_blocks(config, charges, spec)
-    return float(np.linalg.eigvalsh(hyy)[0])
+def transverse_min_eigenvalues(rows: np.ndarray, charges: ChargeVector,
+                               spec: PotentialSpec = COULOMB) -> np.ndarray:
+    """Smallest eigenvalue ``(k,)`` of the transverse (off-line) Hessian
+    block of each aligned polygon row of a stack ``(k, n, 2)``."""
+    return np.linalg.eigvalsh(aligned_blocks(rows, charges, spec)[1])[:, 0]
 
 
-def transverse_soft_direction(config: PolygonConfig, charges: ChargeVector,
-                              spec: PotentialSpec = COULOMB) -> np.ndarray:
+def transverse_soft_directions(rows: np.ndarray, charges: ChargeVector,
+                               spec: PotentialSpec = COULOMB) -> np.ndarray:
     """Unit eigenvector of the smallest eigenvalue of the transverse
-    Hessian block, as a displacement ``(n, 2)`` of the vertices: vertex 0
-    stays pinned and every x-component is zero."""
-    _, zy = pot.aligned_chart_basis(config.points)
-    _, hyy, _ = aligned_blocks(config, charges, spec)
-    soft = zy @ np.linalg.eigh(hyy)[1][:, 0]
-    return np.vstack([np.zeros((1, 2)), soft.reshape(-1, 2)])
+    Hessian block of each aligned polygon row of a stack ``(k, n, 2)``,
+    as vertex displacements ``(k, n, 2)``: vertex 0 stays pinned and
+    every x-component is zero."""
+    _, zy = pot.aligned_chart_basis(rows)
+    _, hyy, _ = aligned_blocks(rows, charges, spec)
+    soft = zy @ np.linalg.eigh(hyy)[1][:, :, :1]
+    directions = np.zeros(rows.shape)
+    directions[:, 1:] = soft.reshape(len(rows), -1, 2)
+    return directions
 
 
 def euler_count_check(points: Iterable["CriticalPoint"],

@@ -335,20 +335,21 @@ def _chart_basis(points: np.ndarray, perimeter_grad: np.ndarray) -> np.ndarray:
 
 
 def aligned_chart_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chart basis of an aligned (x-axis) configuration, split into the
-    in-line block and the transverse block.
+    """Chart bases of a stack of aligned (x-axis) configurations
+    ``(k, n, 2)``, split into the in-line block and the transverse block.
 
-    Returns ``(Zx, Zy)``: in-line motions orthogonal to the perimeter
-    normal, and transverse motions orthogonal to the rotation direction.
+    Returns ``(Zx, Zy)``, each ``(k, m, m/2 - 1)``: in-line motions
+    orthogonal to the perimeter normal, and transverse motions
+    orthogonal to the rotation direction.
     """
-    if np.abs(points[:, 1]).max() > 1e-9 * np.abs(points[:, 0]).max():
+    if (np.abs(points[..., 1]).max(axis=1) > 1e-9 * np.abs(points[..., 0]).max(axis=1)).any():
         raise ValueError("aligned basis requested at a non-aligned configuration")
-    m = 2 * (points.shape[0] - 1)
-    zx, zy = np.zeros((2, m, m // 2 - 1))
+    k, n = points.shape[:2]
+    zx, zy = np.zeros((2, k, 2 * (n - 1), n - 2))
     # in-line block on the x coordinates, transverse block on the y ones
-    for z, axis, normal in ((zx, 0, _perimeter_terms(points[None])[1][0]),
+    for z, axis, normal in ((zx, 0, _perimeter_terms(points)[1]),
                             (zy, 1, rotation_direction(points))):
-        z[axis::2] = np.linalg.svd(normal[axis::2][None, :])[2][1:].T
+        z[:, axis::2] = np.swapaxes(np.linalg.svd(normal[:, None, axis::2])[2][:, 1:], 1, 2)
     return zx, zy
 
 

@@ -51,10 +51,8 @@ from .spaces import (
     ChargeVector,
     Config,
     PolygonConfig,
-    TorusConfig,
-    TORUS_ALIGNED_LABELS,
+    TORUS_ALIGNED_ROWS,
     alignment_defects,
-    apply_involution,
     canonicalize,
     config_rows,
     gauge_fix,
@@ -152,17 +150,22 @@ class CriticalPoint:
 # closed forms for three charges
 # ---------------------------------------------------------------------------
 
-def solve_line_three(charges: ChargeVector,
-                     spec: PotentialSpec = COULOMB) -> list[PolygonConfig]:
-    """The three collinear equilibria of three charges, one per choice of
-    intermediate vertex (list index = intermediate vertex).
+def closed_form_seeds(charges: ChargeVector,
+                      spec: PotentialSpec = COULOMB) -> np.ndarray:
+    """Every closed-form equilibrium of three polygon charges as one
+    canonical stack ``(3 or 5, 3, 2)``: the three collinear ones (index =
+    intermediate vertex), then the triangle and its mirror image when
+    the triangle exists.
 
-    Each is a segment of length one half (so the cyclic perimeter is
-    one); the intermediate vertex divides it according to
-    ``d_left / d_right = (q_left / q_right) ** p`` with ``p`` fixed by
-    the kernel (one half for the inverse-distance kernel).  The split
-    does not depend on the intermediate charge, which is the root of
-    the fixing effect.
+    Each collinear one is a segment of length one half (so the cyclic
+    perimeter is one); the intermediate vertex divides it according to
+    ``d_left / d_right = (q_left / q_right) ** p`` with ``p`` fixed by the
+    kernel (one half for the inverse-distance kernel).  The split does
+    not depend on the intermediate charge, which is the root of the
+    fixing effect.  The triangle's side opposite each vertex is
+    proportional to ``q_i ** -p``; there is none when that proportion
+    fails the strict triangle inequality or rounds to a zero height
+    (collinear regime).
     """
     if len(charges) != 3:
         raise ValueError("closed form needs exactly three charges")
@@ -180,24 +183,25 @@ def solve_line_three(charges: ChargeVector,
         else:
             coords[mid, mid] = (d_left, 0.0)
             coords[mid, right] = (0.5, 0.0)
-    return [PolygonConfig(row) for row in gauge_fix(coords)]
+    sides = q ** -p
+    triangle = triangle_vertices(sides / sides.sum())
+    rows = gauge_fix(coords if triangle is None else np.concatenate([coords, triangle[None]]))
+    return np.concatenate([rows, mirror_rows(rows[3:])])
+
+
+def solve_line_three(charges: ChargeVector,
+                     spec: PotentialSpec = COULOMB) -> list[PolygonConfig]:
+    """The three collinear equilibria of ``closed_form_seeds`` as
+    configurations (list index = intermediate vertex)."""
+    return [PolygonConfig(row) for row in closed_form_seeds(charges, spec)[:3]]
 
 
 def critical_triangle(charges: ChargeVector,
                       spec: PotentialSpec = COULOMB) -> PolygonConfig | None:
-    """The non-collinear equilibrium triangle, or ``None`` if the side
-    proportion fails the strict triangle inequality or rounds to a zero
-    height (collinear regime).
-
-    Sides opposite each vertex are proportional to ``q_i ** -p`` with
-    the kernel exponent ``p``; for the inverse-distance kernel that is
-    the inverse square root of the charge.
-    """
-    if len(charges) != 3:
-        raise ValueError("closed form needs exactly three charges")
-    sides = charges.array ** -spec.ratio_exponent
-    vertices = triangle_vertices(sides / sides.sum())
-    return None if vertices is None else PolygonConfig.from_points(vertices)
+    """The non-collinear equilibrium triangle of ``closed_form_seeds``, or
+    ``None`` in the collinear regime."""
+    rows = closed_form_seeds(charges, spec)
+    return PolygonConfig(rows[3]) if len(rows) > 3 else None
 
 
 def solve_line_interior(charges: ChargeVector,
@@ -247,31 +251,20 @@ def line_config_from_positions(positions: np.ndarray) -> PolygonConfig:
     return PolygonConfig.from_points(pts)
 
 
-def closed_form_seeds(charges: ChargeVector,
-                      spec: PotentialSpec = COULOMB) -> list[PolygonConfig]:
-    """Every closed-form equilibrium of three polygon charges: the three
-    collinear ones (``solve_line_three`` order), then the triangle and
-    its mirror image when the triangle exists."""
-    seeds = solve_line_three(charges, spec)
-    tri = critical_triangle(charges, spec)
-    return seeds if tri is None else seeds + [tri, apply_involution(tri)]
-
-
 def enumerate_aligned(space: Space, charges: ChargeVector,
-                      spec: PotentialSpec = COULOMB) -> list[Config]:
-    """All aligned critical configurations of the space.
-
-    Polygon (n=3): the three collinear equilibria, index = intermediate
-    vertex.  Torus: the four angle labels with every central angle zero
-    or pi, all of which are stationary for every positive charge vector,
-    index = position in ``TORUS_ALIGNED_LABELS``.  The pitchfork trace
-    names the aligned configuration it follows by this index.
+                      spec: PotentialSpec = COULOMB) -> np.ndarray:
+    """All aligned critical configurations of the space as one stack of
+    canonical rows: for polygon:3 the three collinear equilibria of
+    ``closed_form_seeds`` (index = intermediate vertex), for the torus
+    the read-only ``TORUS_ALIGNED_ROWS`` (every central angle zero or pi,
+    stationary for every charge vector; index = position in
+    ``TORUS_ALIGNED_LABELS``).  The pitchfork trace names the aligned
+    configuration it follows by this index.
     """
     if isinstance(space, TorusSpace):
-        return [TorusConfig(space.radii, (lab[0], lab[1]))
-                for lab in TORUS_ALIGNED_LABELS]
+        return TORUS_ALIGNED_ROWS
     if space.n == 3:
-        return list(solve_line_three(charges, spec))
+        return closed_form_seeds(charges, spec)[:3]
     raise ValueError("aligned enumeration is closed-form only for n=3; "
                      "use find_critical_points for larger polygons")
 
@@ -406,7 +399,7 @@ def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
     n = space.n
     seeds: list[np.ndarray] = []
     if n == 3:
-        seeds.extend(cfg.points for cfg in closed_form_seeds(charges, spec))
+        seeds.extend(closed_form_seeds(charges, spec))
         g = settings.grid_density
         for i in range(1, g):
             for j in range(1, g - i):
@@ -480,8 +473,7 @@ def _torus_seeds(space: TorusSpace, settings: SolveSettings) -> np.ndarray:
     ticks = TWO_PI * (np.arange(g) + 0.5) / g
     # x-major, the order the first-wins dedup sees the grid in
     grid = np.column_stack([np.repeat(ticks, g), np.tile(ticks, g)])
-    aligned = np.array([(lab[0], lab[1]) for lab in TORUS_ALIGNED_LABELS])
-    extra = [aligned]
+    extra = [TORUS_ALIGNED_ROWS]
     r = space.radii
     if max(r) - min(r) < 1e-12:
         third = TWO_PI / 3.0

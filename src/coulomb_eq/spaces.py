@@ -55,6 +55,10 @@ TORUS_ALIGNED_LABELS = (
     (math.pi, 0.0, math.pi),
     (0.0, 0.0, 0.0),
 )
+#: the chart points (alpha1, alpha2) of ``TORUS_ALIGNED_LABELS`` as one
+#: read-only ``(4, 2)`` stack of canonical rows, in label order
+TORUS_ALIGNED_ROWS = np.array([lab[:2] for lab in TORUS_ALIGNED_LABELS])
+TORUS_ALIGNED_ROWS.setflags(write=False)
 
 
 def reduce_angle(a: float) -> float:

@@ -237,7 +237,7 @@ def check_fixing_effect_n4() -> CheckResult:
     xs, h1 = solve_line_interior(q)
     one_d_index = int((np.linalg.eigvalsh(h1) < 0).sum())
     cfg = line_config_from_positions(xs)
-    hxx, hyy, hxy = morse.aligned_blocks(cfg, q)
+    hxx, hyy, hxy = (block[0] for block in morse.aligned_blocks(cfg.points[None], q))
     transverse_definite = bool(np.linalg.eigvalsh(hyy)[0] > 0.0)
     full_eigs = np.linalg.eigvalsh(pot.hessian(cfg, q))
     full_index = int((full_eigs < 0).sum())

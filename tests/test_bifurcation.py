@@ -17,7 +17,7 @@ from coulomb_eq.bifurcation import (
     trace_pitchfork,
 )
 from coulomb_eq.morse import aligned_blocks, torus_aligned_hessian_form
-from coulomb_eq.potentials import PotentialSpec
+from coulomb_eq.potentials import PoleError, PotentialSpec, hessian
 from coulomb_eq.solver import (
     PolygonSpace,
     SolveSettings,
@@ -30,6 +30,8 @@ from coulomb_eq.spaces import (
     ChargeVector,
     PolygonConfig,
     TORUS_ALIGNED_LABELS,
+    TORUS_ALIGNED_ROWS,
+    TorusConfig,
     alignment_defect,
 )
 from helpers import polygon_boundary_equation
@@ -70,9 +72,9 @@ class TestPolygonBoundary:
             for s in curve.samples:
                 charges = ChargeVector.of(s.charges)
                 aligned = solve_line_three(charges, spec)[vertex]
-                hxx, hyy, _ = aligned_blocks(aligned, charges, spec)
-                scale = np.abs(np.linalg.eigvalsh(hxx)).max()
-                assert abs(np.linalg.eigvalsh(hyy)[0]) < 1e-12 * scale
+                hxx, hyy, _ = aligned_blocks(aligned.points[None], charges, spec)
+                scale = np.abs(np.linalg.eigvalsh(hxx[0])).max()
+                assert abs(np.linalg.eigvalsh(hyy[0])[0]) < 1e-12 * scale
                 assert abs(polygon_boundary_equation(s.charges, vertex, spec)) < 1e-12
 
     def test_known_boundary_point(self):
@@ -223,15 +225,40 @@ class TestLocateCrossing:
         assert (tracked, side) == (0, "below")
         assert TORUS_ALIGNED_LABELS[tracked] == (PI, PI, 0.0)
 
-    def test_one_enumeration_per_scan_sample(self, monkeypatch):
+    @pytest.mark.parametrize("space,path,lam_range", [
+        (PolygonSpace(3), charge_sweep_path([1.0, 1.0, 1.0], 1), (0.05, 0.6)),
+        (TorusSpace((1.0, 2.0, 3.0)), charge_sweep_path([0.01, 0.01, 1.0], 2), (0.2, 2.0)),
+    ], ids=["polygon", "torus"])
+    def test_one_aligned_spectrum_per_scan_sample(self, monkeypatch, space, path, lam_range):
         calls = []
-        enumerate_aligned = bifurcation.enumerate_aligned
-        monkeypatch.setattr(bifurcation, "enumerate_aligned",
-                            lambda *args: calls.append(args) or enumerate_aligned(*args))
-        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
-        bifurcation._locate_crossing(PolygonSpace(3), path, (0.05, 0.6),
-                                     PotentialSpec.coulomb())
+        aligned = bifurcation._aligned
+        monkeypatch.setattr(bifurcation, "_aligned",
+                            lambda *args: calls.append(args) or aligned(*args))
+        bifurcation._locate_crossing(space, path, lam_range, PotentialSpec.coulomb())
         assert len(calls) == bifurcation.SCAN_SAMPLES
+
+
+class TestAlignedSpectra:
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2", "log"])
+    def test_stack_equals_the_configurations_one_by_one(self, kernel):
+        spec = PotentialSpec.parse(kernel)
+        q = ChargeVector.of([0.7, 1.9, 1.1])
+        rows, eigs = bifurcation._aligned(PolygonSpace(3), q, spec)
+        for row, eig in zip(rows, eigs, strict=True):
+            hyy = aligned_blocks(row[None], q, spec)[1][0]
+            assert eig == np.linalg.eigvalsh(hyy)[0]
+        space = TorusSpace((1.0, 2.0, 3.0))
+        rows, eigs = bifurcation._aligned(space, q, spec)
+        assert rows is TORUS_ALIGNED_ROWS
+        for row, eig in zip(rows, eigs, strict=True):
+            cfg = TorusConfig(space.radii, tuple(row))
+            assert eig == np.linalg.eigvalsh(hessian(cfg, q, spec))[0]
+
+    def test_torus_pole_raises(self):
+        # torus:1,1,2 has a pole at the (pi, pi, 0) label
+        with pytest.raises(PoleError):
+            bifurcation._aligned(TorusSpace((1.0, 1.0, 2.0)),
+                                 ChargeVector.of([1.0, 1.0, 1.0]), PotentialSpec.coulomb())
 
 
 class TestClosedFormSeeds:
@@ -239,7 +266,7 @@ class TestClosedFormSeeds:
                                                ([0.125, 1.0, 1.0], 3)])
     def test_one_list_of_three_charge_seeds(self, monkeypatch, charges, count):
         q = ChargeVector.of(charges)
-        expected = [cfg.points for cfg in closed_form_seeds(q)]
+        expected = closed_form_seeds(q)
         assert len(expected) == count
         polished = []
         polish = bifurcation.polish_candidates
@@ -247,12 +274,11 @@ class TestClosedFormSeeds:
                             lambda *args: polished.append(args[2]) or polish(*args))
         three_charge_equilibria(q)
         assert len(polished) == 1
-        assert all(np.array_equal(cfg.points, want)
-                   for cfg, want in zip(polished[0], expected, strict=True))
+        # the rows go to the polish as they are
+        assert np.array_equal(polished[0], expected)
         grid = _polygon_seeds(PolygonSpace(3), q, PotentialSpec.coulomb(),
                               SolveSettings(grid_density=8))
-        assert all(np.array_equal(seed, want)
-                   for seed, want in zip(grid[:count], expected, strict=True))
+        assert np.array_equal(grid[:count], expected)
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,8 @@ from coulomb_eq.morse import (
     morse_index,
     torus_aligned_hessian_form,
     torus_label_config,
-    transverse_min_eigenvalue,
-    transverse_soft_direction,
+    transverse_min_eigenvalues,
+    transverse_soft_directions,
 )
 from coulomb_eq.potentials import (
     COULOMB,
@@ -26,6 +26,7 @@ from coulomb_eq.solver import (
     PolygonSpace,
     SolveSettings,
     TorusSpace,
+    enumerate_aligned,
     find_critical_points,
     line_config_from_positions,
     solve_line_interior,
@@ -216,7 +217,7 @@ class TestDegenerateBoundary:
         # vertex intermediate has a vanishing transverse eigenvalue
         q = ChargeVector.of([1 / 9, 4 / 9, 4 / 9])
         cfg = solve_line_three(q)[0]
-        eig = transverse_min_eigenvalue(cfg, q)
+        eig = transverse_min_eigenvalues(cfg.points[None], q)[0]
         full = np.linalg.eigvalsh(hessian(cfg, q))
         _, degenerate = classify_spectrum(full)
         assert abs(eig) < 1e-8 * max(1.0, np.abs(full).max())
@@ -236,7 +237,7 @@ class TestFixingEffect:
         xs, h1 = solve_line_interior(q)
         assert (np.linalg.eigvalsh(h1) > 0).all()
         cfg = line_config_from_positions(xs)
-        hxx, hyy, hxy = aligned_blocks(cfg, q)
+        hxx, hyy, hxy = (block[0] for block in aligned_blocks(cfg.points[None], q))
         # the in-line block is the one-dimensional problem's Hessian, up to
         # the arbitrary orientation of the chart basis
         assert np.allclose(np.linalg.eigvalsh(hxx), np.linalg.eigvalsh(h1),
@@ -251,7 +252,7 @@ class TestFixingEffect:
     def test_soft_transverse_direction_at_four_charges(self, charges):
         q = ChargeVector.of(charges)
         cfg = line_config_from_positions(solve_line_interior(q)[0])
-        direction = transverse_soft_direction(cfg, q)
+        direction = transverse_soft_directions(cfg.points[None], q)[0]
         assert direction.shape == (4, 2)
         assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-14)
         assert (direction[:, 0] == 0.0).all() and (direction[0] == 0.0).all()
@@ -260,22 +261,22 @@ class TestFixingEffect:
         pts = cfg.points[None]
         h = retraction_hessian(pts, polygon_derivatives(pts, q, COULOMB))[0]
         v = direction[1:].ravel()
-        assert v @ h @ v == pytest.approx(transverse_min_eigenvalue(cfg, q),
+        assert v @ h @ v == pytest.approx(transverse_min_eigenvalues(pts, q)[0],
                                           rel=1e-10, abs=1e-12)
 
     def test_soft_transverse_direction_at_three_charges_is_the_basis_column(self):
         q = ChargeVector.of([1.0, 1.0, 1.0])
         cfg = solve_line_three(q)[1]
-        _, zy = aligned_chart_basis(cfg.points)
-        direction = transverse_soft_direction(cfg, q)
-        assert np.array_equal(direction[1:].ravel(), zy[:, 0])
+        _, zy = aligned_chart_basis(cfg.points[None])
+        direction = transverse_soft_directions(cfg.points[None], q)[0]
+        assert np.array_equal(direction[1:].ravel(), zy[0, :, 0])
 
     def test_large_interior_charge_breaks_transverse_rigidity(self):
         # a heavy intermediate charge wants off the line: transverse
         # direction turns unstable while the in-line problem stays minimal
         q = ChargeVector.of([1.0, 1.0, 1.0])
         cfg = solve_line_three(q)[1]
-        assert transverse_min_eigenvalue(cfg, q) < 0.0
+        assert transverse_min_eigenvalues(cfg.points[None], q)[0] < 0.0
 
     def test_five_charge_convex_equilibria_have_no_collinear_triples(self):
         import itertools
@@ -299,6 +300,41 @@ class TestFixingEffect:
                     defect = float(np.abs(sub @ vecs[:, 0]).max()) / diam
                     assert defect > 1e-6
         assert checked >= 2
+
+
+class TestAlignedStacks:
+    """A stack of aligned rows gives the bits of its rows one by one."""
+
+    @staticmethod
+    def stacks():
+        q3 = ChargeVector.of([0.7, 1.9, 1.1])
+        yield q3, enumerate_aligned(PolygonSpace(3), q3)
+        q4 = ChargeVector.of([1.0, 2.0, 3.0, 4.0])
+        lines = [line_config_from_positions(solve_line_interior(ChargeVector.of(c))[0]).points
+                 for c in ([1.0, 2.0, 3.0, 4.0], [1.0, 1e-3, 1e-3, 1.0], [0.7, 1.9, 1.1, 1.4])]
+        yield q4, np.stack(lines)
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2.5", "log"])
+    def test_stack_equals_stacks_of_one(self, kernel):
+        spec = PotentialSpec.parse(kernel)
+        for q, rows in self.stacks():
+            assert len(rows) == 3
+            stacked = (*aligned_chart_basis(rows), *aligned_blocks(rows, q, spec),
+                       transverse_min_eigenvalues(rows, q, spec),
+                       transverse_soft_directions(rows, q, spec))
+            for i in range(len(rows)):
+                one = rows[i:i + 1]
+                alone = (*aligned_chart_basis(one), *aligned_blocks(one, q, spec),
+                         transverse_min_eigenvalues(one, q, spec),
+                         transverse_soft_directions(one, q, spec))
+                for batch, single in zip(stacked, alone, strict=True):
+                    assert np.array_equal(batch[i], single[0])
+
+    def test_non_aligned_row_in_a_stack_refused(self):
+        rows = enumerate_aligned(PolygonSpace(3), Q111).copy()
+        rows[2, 2, 1] = 1e-3
+        with pytest.raises(ValueError, match="non-aligned"):
+            aligned_chart_basis(rows)
 
 
 def _is_convex(points: np.ndarray) -> bool:

@@ -203,14 +203,14 @@ class TestChartDerivatives:
         # mirror symmetry kills the odd derivatives at collinear states
         cfg = PolygonConfig.from_points([[0, 0], [0.21, 0], [0.5, 0]])
         q = ChargeVector.of([2.0, 0.7, 1.3])
-        _, zy = aligned_chart_basis(cfg.points)
+        _, zy = aligned_chart_basis(cfg.points[None])
         full = one_polygon(cfg.points, q).energy_grad
-        assert np.abs(zy.T @ full).max() < 1e-14
+        assert np.abs(zy[0].T @ full).max() < 1e-14
 
     def test_aligned_hessian_mixed_block_vanishes(self):
         cfg = PolygonConfig.from_points([[0, 0], [0.18, 0], [0.5, 0]])
         q = ChargeVector.of([3.0, 0.4, 1.1])
-        zx, zy = aligned_chart_basis(cfg.points)
+        zx, zy = (z[0] for z in aligned_chart_basis(cfg.points[None]))
         der = one_polygon(cfg.points, q)
         mult = -float(cfg.points[1:].ravel() @ der.energy_grad)
         h = der.energy_hess + mult * der.perimeter_hess

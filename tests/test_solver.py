@@ -41,6 +41,7 @@ from coulomb_eq.spaces import (
     ChargeVector,
     PolygonConfig,
     TORUS_ALIGNED_LABELS,
+    TORUS_ALIGNED_ROWS,
     TorusConfig,
     alignment_defect,
     apply_involution,
@@ -52,6 +53,8 @@ from coulomb_eq.spaces import (
     pairwise_distances,
     reduce_angle,
     reduce_angles,
+    row_config,
+    triangle_vertices,
 )
 from helpers import configs_match, line_grad_hess, line_three_energies
 
@@ -118,22 +121,68 @@ class TestCriticalTriangle:
         assert cfg is not None
 
 
+class TestClosedFormStack:
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2.5", "log"])
+    @pytest.mark.parametrize("charges", [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0],
+                                         [0.3, 1.0, 2.5], [0.125, 1.0, 1.0]])
+    def test_equals_an_independent_construction(self, charges, kernel):
+        spec = PotentialSpec.parse(kernel)
+        q = ChargeVector.of(charges)
+        p = spec.ratio_exponent
+        expected = []
+        for mid in range(3):
+            left, right = [i for i in range(3) if i != mid]
+            ratio = (q.array[left] / q.array[right]) ** p
+            x = np.zeros(3)
+            x[mid], x[right] = 0.5 * ratio / (1.0 + ratio), 0.5
+            expected.append(PolygonConfig.from_points(np.column_stack([x, np.zeros(3)])))
+        sides = q.array ** -p
+        vertices = triangle_vertices(sides / sides.sum())
+        if vertices is not None:
+            tri = PolygonConfig.from_points(vertices)
+            expected += [tri, apply_involution(tri)]
+        rows = cell_seeds(q, spec)
+        assert rows.shape == (len(expected), 3, 2)
+        assert np.array_equal(rows, [cfg.points for cfg in expected])
+        assert np.array_equal(gauge_fix(rows), rows)
+
+    def test_line_and_triangle_views(self):
+        for charges in ([1.0, 2.0, 3.0], [0.125, 1.0, 1.0]):
+            q = ChargeVector.of(charges)
+            rows = cell_seeds(q)
+            assert [cfg.points.tolist() for cfg in solve_line_three(q)] == rows[:3].tolist()
+            tri = critical_triangle(q)
+            assert (tri is None) == (len(rows) == 3)
+            if tri is not None:
+                assert np.array_equal(tri.points, rows[3])
+
+
 class TestEnumerateAligned:
     def test_three_collinear_arrangements(self):
-        configs = enumerate_aligned(PolygonSpace(3), Q111)
-        assert len(configs) == 3
-        from coulomb_eq.spaces import alignment_defect
-        assert all(alignment_defect(c) == 0.0 for c in configs)
+        rows = enumerate_aligned(PolygonSpace(3), Q111)
+        assert rows.shape == (3, 3, 2)
+        assert all(alignment_defect(PolygonConfig(row)) == 0.0 for row in rows)
 
     def test_four_torus_labels(self):
-        configs = enumerate_aligned(TorusSpace((1.0, 2.0, 3.0)), Q111)
-        assert len(configs) == 4
+        rows = enumerate_aligned(TorusSpace((1.0, 2.0, 3.0)), Q111)
+        assert rows is TORUS_ALIGNED_ROWS
+        assert rows.tolist() == [list(lab[:2]) for lab in TORUS_ALIGNED_LABELS]
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    def test_polygon_rows_are_the_line_equilibria(self):
+        q = ChargeVector.of([0.5, 2.0, 1.0])
+        rows = enumerate_aligned(PolygonSpace(3), q)
+        assert np.array_equal(rows, [cfg.points for cfg in solve_line_three(q)])
 
     def test_every_aligned_config_is_stationary(self):
         from coulomb_eq.potentials import gradient
         q = ChargeVector.of([0.5, 2.0, 1.0])
         for space in (PolygonSpace(3), TorusSpace((1.0, 2.0, 3.0))):
-            for cfg in enumerate_aligned(space, q):
+            radii = getattr(space, "radii", None)
+            for row in enumerate_aligned(space, q):
+                cfg = row_config(row, radii)
                 assert np.linalg.norm(gradient(cfg, q, COULOMB)) < 1e-11
 
 
@@ -414,7 +463,7 @@ class TestBatchedPolish:
         # the closed forms of a control-triangle cell take no Newton step
         # and are not gauge-fixed again; their derivatives come along
         q = ChargeVector.of(charges)
-        seeds = np.array([cfg.points for cfg in cell_seeds(q)])
+        seeds = cell_seeds(q)
         rows, grad, hess = _polish_polygon(seeds, q, COULOMB)
         assert np.array_equal(rows, seeds)
         fresh = pot.polygon_chart_derivatives(seeds, q, COULOMB)
