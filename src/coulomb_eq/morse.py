@@ -10,7 +10,6 @@ the energy is smooth everywhere) the alternating count must vanish:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import potentials as pot
 from .potentials import COULOMB, PotentialSpec
 from .spaces import (ChargeVector, TorusConfig, TORUS_ALIGNED_LABELS,
-                     chord_distance)
+                     torus_side_distances)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import CriticalPoint, Space
@@ -98,16 +97,12 @@ def torus_aligned_hessian_form(radii: Sequence[float], label: Sequence[float],
     if (abs(r[0] - r[1]) <= 1e-12 * spread or abs(r[1] - r[2]) <= 1e-12 * spread
             or abs(r[0] - r[2]) <= 1e-12 * spread):
         raise ValueError("aligned sign forms need pairwise distinct radii")
-    lab = _aligned_label(label)
-    pair = ((1, 2), (2, 0), (0, 1))
-    d = [float(chord_distance(r[a], r[b], lab[i])) for i, (a, b) in enumerate(pair)]
-    cos = [math.cos(a) for a in lab]
-    w = [-pot.kernel_eval(spec, v)[1] / v for v in d]
-    coeffs = np.empty(3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        coeffs[i] = r[i] * cos[j] * cos[k] * w[j] * w[k]
-    return coeffs
+    lab = np.array([_aligned_label(label)])
+    d = torus_side_distances(r, lab)[0]
+    cos = np.cos(lab[0])
+    w = -pot.kernel_terms(spec, d)[1] / d
+    j, k = [1, 2, 0], [2, 0, 1]
+    return np.array(r) * cos[j] * cos[k] * w[j] * w[k]
 
 
 def aligned_blocks(rows: np.ndarray, charges: ChargeVector,

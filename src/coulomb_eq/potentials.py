@@ -121,7 +121,8 @@ def kernel_terms(spec: PotentialSpec, d):
     """Kernel value and first two derivatives, elementwise over distances.
 
     The one kernel implementation: the batched derivative cores call it
-    on arrays of pair distances and ``kernel_eval`` on a single one.
+    on arrays of pair distances and ``kernel_eval`` on a one-element
+    array, so a single distance rounds as it does in a batch.
     """
     if spec.kind == "coulomb":
         inv = 1.0 / d
@@ -137,8 +138,7 @@ def kernel_eval(spec: PotentialSpec, d: float) -> tuple[float, float, float]:
     """Kernel value and first two derivatives at distance ``d > 0``."""
     if not d > 0.0:
         raise ValueError(f"kernel needs a positive distance, got {d!r}")
-    phi, dphi, ddphi = kernel_terms(spec, float(d))
-    return float(phi), float(dphi), float(ddphi)
+    return tuple(float(term[0]) for term in kernel_terms(spec, np.array([float(d)])))
 
 
 @dataclass(frozen=True)
@@ -176,13 +176,7 @@ def pair_energies(pairs: np.ndarray, charges: ChargeVector,
                   spec: PotentialSpec) -> np.ndarray:
     """Energies ``(k,)`` of a stack of pair distances ``(k, P)`` (pairs
     ``i < j`` in ``spaces.pair_indices`` order), summed pair by pair."""
-    if spec.kind == "power":
-        # libm pow, as kernel_eval rounds it: numpy's vectorized power
-        # can differ from it in the last bit
-        phi = np.array([[d ** -spec.exponent for d in row] for row in pairs.tolist()],
-                       dtype=float).reshape(pairs.shape)
-    else:
-        phi = kernel_terms(spec, pairs)[0]
+    phi = kernel_terms(spec, pairs)[0]
     q = charges.array
     first, second = pair_indices(len(q))
     # a running sum adds the pair terms one by one, in pair order

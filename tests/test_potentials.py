@@ -91,6 +91,13 @@ class TestKernels:
             assert kernel_eval(spec, float(dk)) == pytest.approx(
                 tuple(a[k] for a in arrays), rel=1e-15)
 
+    @pytest.mark.parametrize("kernel", ["coulomb", "power:2", "power:2.5", "log"])
+    def test_one_distance_rounds_as_in_a_batch(self, kernel):
+        spec = PotentialSpec.parse(kernel)
+        d = np.random.default_rng(2016).uniform(1e-3, 3.0, 20000)
+        batch = np.column_stack(kernel_terms(spec, d))
+        assert np.array_equal([kernel_eval(spec, float(v)) for v in d], batch)
+
     @pytest.mark.parametrize("d", [0.0, -1.0])
     def test_nonpositive_distance_rejected(self, d):
         with pytest.raises(ValueError):
