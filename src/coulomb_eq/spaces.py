@@ -526,12 +526,21 @@ def serialize_config(config: Config, charges: ChargeVector | None = None) -> dic
 
 
 def deserialize_config(data: dict) -> tuple[Config, ChargeVector | None]:
+    """The configuration and the charges (``None`` when absent) of a
+    ``serialize_config`` dict; ``ValueError`` when ``data`` is not one."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a configuration is a JSON object, got {type(data).__name__}")
     space = data.get("space")
-    charges = ChargeVector.of(data["charges"]) if data.get("charges") else None
+    charges = ChargeVector.of(_listed(data, "charges")) if data.get("charges") else None
     if space == "polygon":
         return PolygonConfig(np.asarray(data["points"], dtype=float)), charges
     if space == "torus":
-        radii = tuple(float(r) for r in data["radii"])
-        a = data["angles"]
-        return TorusConfig(radii, (float(a[0]), float(a[1]))), charges
+        return TorusConfig(tuple(_listed(data, "radii")), tuple(_listed(data, "angles"))), charges
     raise ValueError(f"unknown space {space!r}")
+
+
+def _listed(data: dict, key: str) -> list:
+    """The list under ``key``; ``ValueError`` for any other value."""
+    if not isinstance(data[key], list):
+        raise ValueError(f"{key} must be a list, got {data[key]!r}")
+    return data[key]

@@ -249,6 +249,21 @@ class TestInverseCommand:
         code, _ = run_cli(["inverse", "--points", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("data", [
+        [0.0, 1.0],
+        "torus",
+        {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": [1.0]},
+        {"space": "torus", "radii": 5, "angles": [1.0, 2.0]},
+        {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": 1.0},
+        {"space": "polygon", "points": [[0.0, 0.0], [0.5, 0.0], [0.25, 0.1]], "charges": 5},
+    ], ids=["list", "string", "one-angle", "scalar-radii", "scalar-angles", "scalar-charges"])
+    def test_malformed_points_file_exits_two(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _ = run_cli(["inverse", "--points", str(path)])
+        assert code == 2
+        assert "cannot read configuration file" in capsys.readouterr().err
+
     def test_requires_exactly_one_input(self):
         code, _ = run_cli(["inverse"])
         assert code == 2

@@ -378,3 +378,15 @@ class TestSerialization:
         back, none_q = deserialize_config(data)
         assert back.angles == cfg.angles
         assert none_q is None
+
+    @pytest.mark.parametrize("data", [
+        [0.0, 1.0],
+        "torus",
+        {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": [1.0]},
+        {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": [1.0, 2.0, 3.0]},
+        {"space": "torus", "radii": 5, "angles": [1.0, 2.0]},
+        {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": 1.0},
+    ], ids=["list", "string", "one-angle", "three-angles", "scalar-radii", "scalar-angles"])
+    def test_malformed_data_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            deserialize_config(data)
