@@ -19,21 +19,21 @@ floating-point field.  JSON outputs are compared field by field, CSV
 and plain-text outputs token by token.  Last it prints the line count
 of ``coulomb_eq/*.py`` in each tree and the difference.
 
-The corpus is the torus-census jobs of the benchmark (seeds 1, 2, 3 and
-the held-out seed, 52 runs), five torus censuses over other kernels,
-radii and charges, twelve polygon censuses (n = 3 to 6) under the
-coulomb and log kernels, the polygon:4 and polygon:5 jobs (``p4``,
-``p5``) of the benchmark's polygon census for the same four seeds,
-twelve pitchfork sweeps (the benchmark's polygon reference sweep and
-torus sweep, and ten more: other charges, swept charges, ranges,
-radii and the power:2 and log kernels on both spaces, five of which
-re-acquire the branch from nudged seeds), ``verify --suite quick`` and ``verify
---suite full`` (the only run that reads the resolution-256 boundary
-curves and the four-charge fixing check), three ``inverse --sides``
-cases (a unique ray, a collinear family and an infeasible triple), the
-400 control-triangle cells of the benchmark's analysis workload for
-seed 1 and its fixing-effect probes for seeds 1, 2, 3 and the held-out
-seed.
+The corpus (522 runs) is the torus-census jobs of the benchmark (seeds
+1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
+kernels, radii and charges, twelve polygon censuses (n = 3 to 6) under
+each of the coulomb, log and power:2.5 kernels (36 runs), the polygon:4
+and polygon:5 jobs (``p4``, ``p5``) of the benchmark's polygon census
+for the same four seeds, twelve pitchfork sweeps (the benchmark's
+polygon reference sweep and torus sweep, and ten more: other charges,
+swept charges, ranges, radii and the power:2 and log kernels on both
+spaces, five of which re-acquire the branch from nudged seeds),
+``verify --suite quick`` and ``verify --suite full`` (the only run that
+reads the resolution-256 boundary curves and the four-charge fixing
+check), three ``inverse --sides`` cases (a unique ray, a collinear
+family and an infeasible triple), the 400 control-triangle cells of the
+benchmark's analysis workload for seed 1 and its fixing-effect probes
+for seeds 1, 2, 3 and the held-out seed.
 
 Exit status: 0 when every difference is a floating-point value, 1 when
 some run differs in structure or in any other value, 2 when a tree
@@ -176,7 +176,7 @@ def corpus() -> list[tuple[str, list[str] | dict]]:
             charges = ",".join(repr(float(v)) for v in job["charges"])
             runs.append(("torus", _argv(job["space"], charges, "coulomb", job["grid"])))
     runs += [("torus", _argv(*census)) for census in EXTRA_TORUS]
-    for potential in ("coulomb", "log"):
+    for potential in ("coulomb", "log", "power:2.5"):
         runs += [("polygon", _argv(space, charges, potential, grid))
                  for space, charges, grid in POLYGONS]
     for seed in BENCHMARK_SEEDS:

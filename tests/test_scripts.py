@@ -6,8 +6,6 @@ import runpy
 import sys
 from pathlib import Path
 
-from coulomb_eq.cli import main
-
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -23,19 +21,6 @@ def run_script(monkeypatch, tmp_path, name, *args):
 
 def header(path):
     return path.read_text().splitlines()[0]
-
-
-def test_pitchfork_sweep_writes_the_cli_branches(monkeypatch, tmp_path):
-    out = run_script(monkeypatch, tmp_path, "pitchfork_sweep.py", "--steps", "8")
-    assert out.startswith("threshold: ")
-    written = tmp_path / "out" / "pitchfork" / "branches.csv"
-    assert header(written) == "lambda,q1,q2,q3,branch,amplitude,stability,energy"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["bifurcate", "--space", "polygon:3", "--charges", "1,1,1",
-                     "--sweep", "2", "--range", "0.05:0.6", "--steps", "8",
-                     "--outdir", str(tmp_path / "cli")])
-    assert code == 0
-    assert written.read_text() == (tmp_path / "cli" / "branches.csv").read_text()
 
 
 def test_control_triangle_scan_writes_curves_and_grid(monkeypatch, tmp_path):
