@@ -332,9 +332,9 @@ def aligned_chart_basis(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Chart bases of a stack of aligned (x-axis) configurations
     ``(k, n, 2)``, split into the in-line block and the transverse block.
 
-    Returns ``(Zx, Zy)``, each ``(k, m, m/2 - 1)``: in-line motions
-    orthogonal to the perimeter normal, and transverse motions
-    orthogonal to the rotation direction.
+    Returns ``(Zx, Zy)``, each ``(k, 2*(n-1), n-2)`` over the movable
+    coordinates: in-line motions orthogonal to the perimeter normal, and
+    transverse motions orthogonal to the rotation direction.
     """
     if (np.abs(points[..., 1]).max(axis=1) > 1e-9 * np.abs(points[..., 0]).max(axis=1)).any():
         raise ValueError("aligned basis requested at a non-aligned configuration")

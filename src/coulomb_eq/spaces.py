@@ -535,12 +535,13 @@ def deserialize_config(data: dict) -> tuple[Config, ChargeVector | None]:
     if space == "polygon":
         return PolygonConfig(np.asarray(data["points"], dtype=float)), charges
     if space == "torus":
-        return TorusConfig(tuple(_listed(data, "radii")), tuple(_listed(data, "angles"))), charges
+        radii, angles = _listed(data, "radii"), _listed(data, "angles")
+        return TorusConfig(tuple(radii), tuple(angles)), charges
     raise ValueError(f"unknown space {space!r}")
 
 
-def _listed(data: dict, key: str) -> list:
-    """The list under ``key``; ``ValueError`` for any other value."""
-    if not isinstance(data[key], list):
+def _listed(data: dict, key: str) -> list | tuple:
+    """The list (or tuple) under ``key``; ``ValueError`` for any other value."""
+    if not isinstance(data[key], (list, tuple)):
         raise ValueError(f"{key} must be a list, got {data[key]!r}")
     return data[key]
