@@ -19,7 +19,7 @@ floating-point field.  JSON outputs are compared field by field, CSV
 and plain-text outputs token by token.  Last it prints the line count
 of ``coulomb_eq/*.py`` in each tree and the difference.
 
-The corpus (522 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (527 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
 kernels, radii and charges, twelve polygon censuses (n = 3 to 6) under
 each of the coulomb, log and power:2.5 kernels (36 runs), the polygon:4
@@ -31,9 +31,12 @@ spaces, five of which re-acquire the branch from nudged seeds),
 ``verify --suite quick`` and ``verify --suite full`` (the only run that
 reads the resolution-256 boundary curves and the four-charge fixing
 check), three ``inverse --sides`` cases (a unique ray, a collinear
-family and an infeasible triple), the 400 control-triangle cells of the
-benchmark's analysis workload for seed 1 and its fixing-effect probes
-for seeds 1, 2, 3 and the held-out seed.
+family and an infeasible triple), five ``inverse --points`` files that
+the worker writes into its scratch directory (a generic torus point, an
+aligned torus label, a torus point with one straight central angle, a
+triangle and a collinear triple with vertex 3 intermediate), the 400
+control-triangle cells of the benchmark's analysis workload for seed 1
+and its fixing-effect probes for seeds 1, 2, 3 and the held-out seed.
 
 Exit status: 0 when every difference is a floating-point value, 1 when
 some run differs in structure or in any other value, 2 when a tree
@@ -111,6 +114,17 @@ SWEEPS = (
 
 #: unique ray, collinear family, infeasible
 INVERSE_SIDES = ("0.4,0.4,0.2", "0.5,0.3,0.2", "0.7,0.2,0.1")
+#: ``inverse --points`` files: a generic torus point, an aligned label, a
+#: straight central angle, a triangle, a collinear triple with vertex 3
+#: intermediate
+INVERSE_POINTS = (
+    {"space": "torus", "radii": [1.0, 2.0, 3.0],
+     "angles": [2.0405577597527302, 1.9166509607975102]},
+    {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": [3.141592653589793, 0.0]},
+    {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": [1.0, 3.141592653589793]},
+    {"space": "polygon", "points": [[0.0, 0.0], [0.25, 0.0], [0.0, 0.3333333333333333]]},
+    {"space": "polygon", "points": [[0.0, 0.0], [0.5, 0.0], [0.2, 0.0]]},
+)
 
 ARTIFACTS = ("branches.csv", "curves.csv", "branches.json", "curves.json")
 
@@ -133,7 +147,10 @@ def call(job):
     return dataclasses.asdict(probe)
 
 out = []
-for argv in json.load(sys.stdin):
+for k, argv in enumerate(json.load(sys.stdin)):
+    if isinstance(argv, dict) and argv["kind"] == "points":
+        Path(f"points-{{k}}.json").write_text(json.dumps(argv["config"]))
+        argv = ["inverse", "--points", f"points-{{k}}.json"]
     if isinstance(argv, dict):
         out.append({{"code": 0, "stdout": json.dumps(call(argv))}})
         continue
@@ -188,6 +205,7 @@ def corpus() -> list[tuple[str, list[str] | dict]]:
              for k, sweep in enumerate(SWEEPS)]
     runs += [("verify", ["verify", "--suite", suite]) for suite in ("quick", "full")]
     runs += [("inverse", ["inverse", "--sides", sides]) for sides in INVERSE_SIDES]
+    runs += [("inverse", {"kind": "points", "config": config}) for config in INVERSE_POINTS]
     runs += [("cell", job) for job in workloads.generate("analysis-mix", CELL_SEED)
              if job["kind"] == "cell"]
     for seed in BENCHMARK_SEEDS:

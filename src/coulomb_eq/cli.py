@@ -35,9 +35,7 @@ from .solver import (
 )
 from .spaces import (
     ChargeVector,
-    TorusConfig,
     deserialize_config,
-    pairwise_distances,
     serialize_config,
 )
 
@@ -274,10 +272,6 @@ def cmd_inverse(args: argparse.Namespace) -> int:
             raise CliError(f"bad sides {args.sides!r}") from exc
         if len(sides) != 3:
             raise CliError("--sides needs three lengths l1,l2,l3")
-        try:
-            result = inverse_mod.stabilizing_charges_triangle(*sides)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
         params = {"sides": args.sides}
     else:
         try:
@@ -285,18 +279,12 @@ def cmd_inverse(args: argparse.Namespace) -> int:
             config, _ = deserialize_config(data)
         except (OSError, ValueError, KeyError) as exc:
             raise CliError(f"cannot read configuration file: {exc}") from exc
-        if config.n != 3:
-            raise CliError("inverse problem is solved for three charges only")
-        try:
-            if isinstance(config, TorusConfig):
-                result = inverse_mod.stabilizing_charges_torus(config)
-            else:
-                d = pairwise_distances(config)
-                result = inverse_mod.stabilizing_charges_triangle(
-                    d[1, 2], d[0, 2], d[0, 1])
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
         params = {"points": str(args.points)}
+    try:
+        result = (inverse_mod.stabilizing_charges_triangle(*sides) if args.sides
+                  else inverse_mod.stabilizing_charges(config))
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     payload = {
         "kind": result.kind,
         "charges": list(result.charges.q) if result.charges else None,

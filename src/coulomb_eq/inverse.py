@@ -1,12 +1,11 @@
 """Inverse problem: which charges make a given configuration an equilibrium.
 
-A non-collinear triangle determines its stabilizing charges uniquely up
-to scale (inverse square of the opposite side).  A collinear triple
-fixes only the ratio of the outer charges; every positive intermediate
-charge keeps the arrangement stationary, with an upper limit past which
-it stops being a minimum.  On the torus, generic angles determine a
-unique charge ray while aligned angles are stationary for every charge
-triple.
+Stationarity is linear in the pair weights ``w_ij = q_i * q_j``, so one
+null space answers every three-charge configuration (coulomb kernel).
+A triangle or generic circles configuration gives a unique charge ray;
+a collinear triple fixes only the outer ratio, every positive
+intermediate charge below a limit keeping it a minimum; aligned circles
+are stationary for every charge triple.
 """
 
 from __future__ import annotations
@@ -22,7 +21,11 @@ from .spaces import (
     ChargeVector,
     Config,
     PolygonConfig,
-    TorusConfig,
+    config_rows,
+    pair_distances,
+    pair_indices,
+    pole_radius_of,
+    torus_alphas,
     triangle_vertices,
 )
 
@@ -30,17 +33,23 @@ from .spaces import (
 EQUILIBRIUM_TOL = 1e-9
 #: relative defect below which triangle sides count as degenerate
 DEGENERATE_SIDE_TOL = 1e-9
+#: sine below which a central angle counts as straight
+STRAIGHT_SINE_TOL = 1e-12
+#: share of the largest singular value below which one counts as null; a
+#: triangle ``DEGENERATE_SIDE_TOL`` off the line keeps at least about 2.8e-5
+NULL_SPACE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
 class AlignedChargeFamily:
     """Stabilizing charges of a collinear triple.
 
-    ``outer`` is the left/right charge pair normalized to unit sum (its
-    ratio is the square of the ratio of the adjacent segment lengths);
-    the arrangement is stationary for every positive intermediate
-    charge and a strict minimum exactly below ``intermediate_limit``
-    (on the same scale as ``outer``), degenerate at the limit.
+    ``outer`` is the outer charge pair in vertex order, normalized to
+    unit sum (its ratio is the square of the ratio of the adjacent
+    segment lengths); the arrangement is stationary for every positive
+    intermediate charge and a strict minimum exactly below
+    ``intermediate_limit`` (on the same scale as ``outer``), degenerate
+    at the limit.
     """
 
     outer: tuple[float, float]
@@ -84,120 +93,114 @@ def intermediate_charge_limit(outer_left: float, outer_right: float) -> float:
     return 1.0 / (1.0 / math.sqrt(outer_left) + 1.0 / math.sqrt(outer_right)) ** 2
 
 
-def stabilizing_charges_aligned(d_left: float, d_right: float) -> InverseResult:
-    """Stabilizing charges of a collinear triple with segment lengths
-    ``d_left`` (left outer to intermediate) and ``d_right``.
-
-    The lengths must sum to one half (a perimeter-one aligned triple).
-    The outer ratio is forced; the intermediate charge is free, so the
-    result is a one-parameter family up to scale.  The returned
-    representative takes half the minimality limit as its intermediate
-    charge and is normalized to unit sum.
-    """
-    if min(d_left, d_right) <= 0.0:
-        raise ValueError("segment lengths must be positive")
-    if abs(d_left + d_right - 0.5) > 1e-9:
-        raise ValueError("aligned segment lengths must sum to one half")
-    ratio = (d_left / d_right) ** 2  # q_left / q_right
-    q_left = ratio / (1.0 + ratio)
-    q_right = 1.0 / (1.0 + ratio)
-    limit = intermediate_charge_limit(q_left, q_right)
-    rep = np.array([q_left, 0.5 * limit, q_right])
-    rep /= rep.sum()
-    charges = ChargeVector.of(rep)
-    config = PolygonConfig.from_points(
-        [[0.0, 0.0], [d_left, 0.0], [0.5, 0.0]])
+def _verified(kind: str, config: Config, charges: ChargeVector,
+              family: AlignedChargeFamily | None = None, notes: str = "") -> InverseResult:
     check = verify_equilibrium(config, charges)
-    return InverseResult(
-        kind="one-parameter-family",
-        charges=charges,
-        family=AlignedChargeFamily((q_left, q_right), limit),
-        residual=max(check.grad_norm, check.relation_residual),
-        notes="stationary for every positive intermediate charge; "
-              "a minimum only below the intermediate limit",
-    )
+    return InverseResult(kind, charges, family,
+                         max(check.grad_norm, check.relation_residual), notes)
+
+
+def _stationarity_matrix(rows: np.ndarray, radii: tuple[float, float, float] | None,
+                         d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns: the gradients of the pair distances ``d`` in
+    ``pair_indices`` order, then a polygon's perimeter gradient; and the
+    unit of each pair column.  A circles column is taken in units of
+    ``r_a * r_b / d``, so it reads ``sin(alpha)`` (zeroed below
+    ``STRAIGHT_SINE_TOL``) times the chart derivative of the angle."""
+    first, second = pair_indices(3)
+    if radii is None:
+        u = (rows[0, first] - rows[0, second]) / d[:, None]
+        grads = np.zeros((3, 3, 2))  # pair, vertex, coordinate
+        grads[range(3), first] = u
+        grads[range(3), second] = -u
+        cols = grads.reshape(3, 6)
+        # every pair of a triangle is a side: the perimeter is their sum
+        return np.vstack([cols, cols.sum(axis=0)]).T, np.ones(3)
+    # pairs (0, 1), (0, 2), (1, 2) face the angles alpha3, alpha2, alpha1
+    sines = np.sin(torus_alphas(rows)[0, ::-1])
+    sines[np.abs(sines) < STRAIGHT_SINE_TOL] = 0.0
+    # chart derivatives of (alpha3, alpha2, alpha1): alpha3 = 2 pi - alpha1 - alpha2
+    chart = np.array([[-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]])
+    r = np.asarray(radii)
+    return chart * sines, r[first] * r[second] / d
+
+
+def stabilizing_charges(config: Config) -> InverseResult:
+    """Stabilizing charges of three points, read off the dimension of the
+    null space of ``_stationarity_matrix``: 1 the unique ray (unit sum),
+    infeasible for weights of mixed sign; 2 the collinear family, its
+    representative at half the limit; 3 every charge triple, represented
+    by equal charges.  A vanishing column (a straight central angle)
+    frees its own pair, so the others must be zero: infeasible.
+    ``ValueError`` for other than three points, ``PoleError`` at a pole.
+    """
+    if config.n != 3:
+        raise ValueError("inverse problem is solved for three charges only")
+    rows, radii = config_rows(config)
+    d = pair_distances(rows, radii)[0]
+    if d.min() < pole_radius_of(radii):
+        raise pot.PoleError("cannot solve the inverse problem at a pole")
+    matrix, unit = _stationarity_matrix(rows, radii, d)
+    _, sv, vt = np.linalg.svd(matrix)
+    null = vt[int((sv > NULL_SPACE_TOL * sv.max()).sum()):]
+    if len(null) == 3:
+        return _verified("two-parameter-family", config, ChargeVector.of([1 / 3] * 3),
+                         notes="aligned configurations are stationary for every "
+                               "positive charge triple")
+    if not matrix.any(axis=0).all():
+        return InverseResult("infeasible", None, notes="a single straight central angle "
+                             "admits no stationarity balance with nonzero charges")
+    # the null coefficient of pair ij is w_ij * phi'(d_ij) * unit_ij
+    _, dphi, _ = pot.kernel_terms(COULOMB, d)
+    weights = null[:, :3] / (dphi * unit)
+    if len(null) == 2:
+        # the vertex opposite the longest pair is intermediate; its two
+        # pairs share every null coefficient, and their weights
+        # q_left * q_mid and q_mid * q_right fix the outer ratio
+        mid = int(np.argmax(d[::-1]))
+        left, right = (i for i in range(3) if i != mid)
+        at_mid = np.linalg.norm(weights[:, [2 - right, 2 - left]], axis=0)
+        q_left, q_right = (at_mid / at_mid.sum()).tolist()
+        limit = intermediate_charge_limit(q_left, q_right)
+        rep = np.empty(3)
+        rep[[left, mid, right]] = q_left, 0.5 * limit, q_right
+        return _verified("one-parameter-family", config, ChargeVector.of(rep / rep.sum()),
+                         AlignedChargeFamily((q_left, q_right), limit),
+                         notes=f"degenerate sides: vertex {mid + 1} is intermediate; "
+                               "stationary for every positive intermediate charge; "
+                               "a minimum only below the intermediate limit")
+    w = weights[0]
+    if not ((w > 0.0).all() or (w < 0.0).all()):
+        return InverseResult("infeasible", None, notes="stationarity would need charges "
+                             "of mixed sign, outside the positive-charge domain")
+    # w_ij = q_i * q_j, so q_i = sqrt(w_ij * w_ik / w_jk) is proportional to 1 / w_jk
+    q = 1.0 / w[::-1]
+    return _verified("unique-ray", config, ChargeVector.of(q / q.sum()))
 
 
 def stabilizing_charges_triangle(side_a: float, side_b: float,
                                  side_c: float) -> InverseResult:
-    """Stabilizing charges of a triangle given as side lengths, each side
-    opposite its vertex.
-
-    Strict triangle sides give the unique charge ray (inverse squared
-    side, normalized to unit sum); degenerate sides route to the
-    collinear family; impossible side triples are infeasible.
-    """
+    """Stabilizing charges of the triangle with these sides, each
+    opposite its vertex: infeasible when impossible, else the triangle,
+    or the collinear triple for sides within ``DEGENERATE_SIDE_TOL`` of
+    the triangle equality, through ``stabilizing_charges``."""
     sides = np.array([side_a, side_b, side_c], dtype=float)
     if not np.isfinite(sides).all() or sides.min() <= 0.0:
         raise ValueError("sides must be positive and finite")
+    # rescale first: neither the sum nor the triangle may overflow
+    sides /= sides.max()
     perimeter = float(sides.sum())
     # slack of each triangle inequality: (sum of the other two) - side
-    slack = np.array([perimeter - 2.0 * sides[i] for i in range(3)])
+    slack = perimeter - 2.0 * sides
     if slack.min() < -DEGENERATE_SIDE_TOL * perimeter:
-        return InverseResult(
-            kind="infeasible", charges=None,
-            notes="side lengths violate the triangle inequality; "
-                  "no planar triple has these distances")
-    if slack.min() <= DEGENERATE_SIDE_TOL * perimeter:
-        # degenerate triangle: the vertex opposite the longest side lies
-        # between the other two
-        mid = int(np.argmax(sides))
-        left, right = [i for i in range(3) if i != mid]
-        # segments adjacent to the intermediate vertex, rescaled to the
-        # perimeter-one convention
-        d_left = sides[right] / perimeter  # joins left outer to mid
-        d_right = sides[left] / perimeter
-        routed = stabilizing_charges_aligned(float(d_left), float(d_right))
-        rep = np.empty(3)
-        rep[[left, mid, right]] = routed.charges.q
-        return InverseResult("one-parameter-family", ChargeVector.of(rep),
-                             routed.family, routed.residual,
-                             notes=f"degenerate sides: vertex {mid + 1} is intermediate; "
-                                   + routed.notes)
-    q = sides ** -2
-    q /= q.sum()
-    charges = ChargeVector.of(q)
-    config = PolygonConfig.from_points(triangle_vertices(sides / perimeter))
-    check = verify_equilibrium(config, charges)
-    return InverseResult("unique-ray", charges,
-                         residual=max(check.grad_norm, check.relation_residual))
-
-
-def stabilizing_charges_torus(config: TorusConfig) -> InverseResult:
-    """Stabilizing charges of a concentric-circles configuration.
-
-    Generic angles give a unique ray provided the stationarity
-    proportion has a sign-definite solution; aligned configurations are
-    stationary for every positive triple (a two-parameter family up to
-    scale).
-    """
-    alphas = np.array(config.alphas)
-    sines = np.sin(alphas)
-    aligned = bool(np.abs(sines).max() < 1e-12)
-    if aligned:
-        charges = ChargeVector.of([1.0, 1.0, 1.0]).normalized
-        rep = ChargeVector.of(charges)
-        check = verify_equilibrium(config, rep)
-        return InverseResult(
-            kind="two-parameter-family", charges=rep,
-            residual=max(check.grad_norm, check.relation_residual),
-            notes="aligned configurations are stationary for every positive "
-                  "charge triple")
-    if np.abs(sines).min() < 1e-12:
-        return InverseResult(
-            kind="infeasible", charges=None,
-            notes="a single straight central angle admits no stationarity "
-                  "balance with nonzero charges")
-    d = np.array(config.side_distances())
-    r = np.array(config.radii)
-    ray = sines / (d ** 3 * r)
-    if not (ray > 0.0).all() and not (ray < 0.0).all():
-        return InverseResult(
-            kind="infeasible", charges=None,
-            notes="stationarity would need charges of mixed sign, outside "
-                  "the positive-charge domain")
-    ray = np.abs(ray)
-    charges = ChargeVector.of(ray / ray.sum())
-    check = verify_equilibrium(config, charges)
-    return InverseResult("unique-ray", charges,
-                         residual=max(check.grad_norm, check.relation_residual))
+        return InverseResult("infeasible", None, notes="side lengths violate the triangle "
+                             "inequality; no planar triple has these distances")
+    if slack.min() > DEGENERATE_SIDE_TOL * perimeter:
+        return stabilizing_charges(PolygonConfig.from_points(
+            triangle_vertices(sides / perimeter)))
+    mid = int(np.argmax(sides))
+    left, right = (i for i in range(3) if i != mid)
+    x = np.zeros((3, 2))
+    # the side opposite the right vertex joins the left one to the middle
+    x[[mid, right], 0] = sides[right], sides[right] + sides[left]
+    return stabilizing_charges(PolygonConfig.from_points(x))

@@ -531,17 +531,21 @@ def deserialize_config(data: dict) -> tuple[Config, ChargeVector | None]:
     if not isinstance(data, dict):
         raise ValueError(f"a configuration is a JSON object, got {type(data).__name__}")
     space = data.get("space")
-    charges = ChargeVector.of(_listed(data, "charges")) if data.get("charges") else None
+    charges = ChargeVector.of(_numbers(data, "charges")) if data.get("charges") else None
     if space == "polygon":
-        return PolygonConfig(np.asarray(data["points"], dtype=float)), charges
+        points = np.asarray(data["points"])
+        if points.dtype.kind not in "iuf":
+            raise ValueError(f"points must be numbers, got {data['points']!r}")
+        return PolygonConfig(points), charges
     if space == "torus":
-        radii, angles = _listed(data, "radii"), _listed(data, "angles")
-        return TorusConfig(tuple(radii), tuple(angles)), charges
+        return TorusConfig(_numbers(data, "radii"), _numbers(data, "angles")), charges
     raise ValueError(f"unknown space {space!r}")
 
 
-def _listed(data: dict, key: str) -> list | tuple:
-    """The list (or tuple) under ``key``; ``ValueError`` for any other value."""
-    if not isinstance(data[key], (list, tuple)):
-        raise ValueError(f"{key} must be a list, got {data[key]!r}")
-    return data[key]
+def _numbers(data: dict, key: str) -> tuple:
+    """The numbers listed under ``key``; ``ValueError`` for any other value."""
+    values = data[key]
+    if not (isinstance(values, (list, tuple)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        raise ValueError(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(values)

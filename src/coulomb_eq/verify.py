@@ -343,9 +343,7 @@ def check_inverse_roundtrip(samples: int = 100) -> CheckResult:
             continue  # outside the two-minima region
         done += 1
         charges = ChargeVector.of(q)
-        tri = critical_triangle(charges)
-        d = pairwise_distances(tri)
-        result = inverse.stabilizing_charges_triangle(d[1, 2], d[0, 2], d[0, 1])
+        result = inverse.stabilizing_charges(critical_triangle(charges))
         got = result.charges.normalized
         worst = max(worst, float(np.abs(got - charges.normalized).max()))
     return _result("inverse-roundtrip", worst < 1e-8,

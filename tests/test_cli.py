@@ -256,13 +256,35 @@ class TestInverseCommand:
         {"space": "torus", "radii": 5, "angles": [1.0, 2.0]},
         {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": 1.0},
         {"space": "polygon", "points": [[0.0, 0.0], [0.5, 0.0], [0.25, 0.1]], "charges": 5},
-    ], ids=["list", "string", "one-angle", "scalar-radii", "scalar-angles", "scalar-charges"])
+        {"space": "torus", "radii": [None, 2.0, 3.0], "angles": [1.0, 2.0]},
+        {"space": "polygon", "points": [[0.0, 0.0], [0.5, 0.0], [0.25, 0.1]],
+         "charges": [1, None, 2]},
+        {"space": "polygon", "points": [["0", "0"], ["0.5", "0"], ["0.25", "0"]]},
+    ], ids=["list", "string", "one-angle", "scalar-radii", "scalar-angles", "scalar-charges",
+            "null-radius", "null-charge", "string-points"])
     def test_malformed_points_file_exits_two(self, tmp_path, capsys, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, _ = run_cli(["inverse", "--points", str(path)])
         assert code == 2
         assert "cannot read configuration file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["1e-200", "1e-160", "1e300", "1e308"])
+    def test_sides_are_scale_free(self, side):
+        code, out = run_cli(["inverse", "--sides", ",".join([side] * 3)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "unique-ray"
+        assert payload["charges"] == pytest.approx([1 / 3] * 3, abs=1e-12)
+
+    def test_points_file_with_four_vertices_exits_two(self, tmp_path, capsys):
+        cfg = {"space": "polygon",
+               "points": [[0.0, 0.0], [0.25, 0.0], [0.25, 0.25], [0.0, 0.25]]}
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(cfg))
+        code, _ = run_cli(["inverse", "--points", str(path)])
+        assert code == 2
+        assert "three charges only" in capsys.readouterr().err
 
     def test_requires_exactly_one_input(self):
         code, _ = run_cli(["inverse"])
