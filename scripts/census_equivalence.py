@@ -19,7 +19,7 @@ floating-point field.  JSON outputs are compared field by field, CSV
 and plain-text outputs token by token.  Last it prints the line count
 of ``coulomb_eq/*.py`` in each tree and the difference.
 
-The corpus (527 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (529 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
 kernels, radii and charges, twelve polygon censuses (n = 3 to 6) under
 each of the coulomb, log and power:2.5 kernels (36 runs), the polygon:4
@@ -31,10 +31,11 @@ spaces, five of which re-acquire the branch from nudged seeds),
 ``verify --suite quick`` and ``verify --suite full`` (the only run that
 reads the resolution-256 boundary curves and the four-charge fixing
 check), three ``inverse --sides`` cases (a unique ray, a collinear
-family and an infeasible triple), five ``inverse --points`` files that
+family and an infeasible triple), seven ``inverse --points`` files that
 the worker writes into its scratch directory (a generic torus point, an
 aligned torus label, a torus point with one straight central angle, a
-triangle and a collinear triple with vertex 3 intermediate), the 400
+triangle, a collinear triple with vertex 3 intermediate, and a polygon
+and a torus point on a pole, which exit 2), the 400
 control-triangle cells of the benchmark's analysis workload for seed 1
 and its fixing-effect probes for seeds 1, 2, 3 and the held-out seed.
 
@@ -116,7 +117,9 @@ SWEEPS = (
 INVERSE_SIDES = ("0.4,0.4,0.2", "0.5,0.3,0.2", "0.7,0.2,0.1")
 #: ``inverse --points`` files: a generic torus point, an aligned label, a
 #: straight central angle, a triangle, a collinear triple with vertex 3
-#: intermediate
+#: intermediate, and two poles that the command refuses with exit 2 (a
+#: polygon whose vertices 2 and 3 coincide, torus points on the two unit
+#: circles at alpha3 = 0)
 INVERSE_POINTS = (
     {"space": "torus", "radii": [1.0, 2.0, 3.0],
      "angles": [2.0405577597527302, 1.9166509607975102]},
@@ -124,6 +127,8 @@ INVERSE_POINTS = (
     {"space": "torus", "radii": [1.0, 2.0, 3.0], "angles": [1.0, 3.141592653589793]},
     {"space": "polygon", "points": [[0.0, 0.0], [0.25, 0.0], [0.0, 0.3333333333333333]]},
     {"space": "polygon", "points": [[0.0, 0.0], [0.5, 0.0], [0.2, 0.0]]},
+    {"space": "polygon", "points": [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0]]},
+    {"space": "torus", "radii": [1.0, 1.0, 2.0], "angles": [3.141592653589793, 3.141592653589793]},
 )
 
 ARTIFACTS = ("branches.csv", "curves.csv", "branches.json", "curves.json")

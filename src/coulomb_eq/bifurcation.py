@@ -36,7 +36,6 @@ from .spaces import (
     TorusConfig,
     TORUS_ALIGNED_LABELS,
     pair_distances,
-    pole_radius_of,
     reduce_angle,
 )
 
@@ -188,16 +187,13 @@ def _aligned(space: Space, charges: ChargeVector,
     """The ``enumerate_aligned`` rows of the space with the softest
     eigenvalue of each, from one stacked call: the smallest transverse
     Hessian eigenvalue of an aligned polygon, or the smallest Hessian
-    eigenvalue of a torus row (``PoleError`` when a torus row sits on a
-    pole)."""
+    eigenvalue of a torus row (``PoleError`` when a row sits on a pole)."""
     rows = enumerate_aligned(space, charges, spec)
-    if isinstance(space, PolygonSpace):
+    radii = space.radii if isinstance(space, TorusSpace) else None
+    pot.regular_pairs(rows, radii)
+    if radii is None:
         return rows, morse.transverse_min_eigenvalues(rows, charges, spec)
-    pole_radius = pole_radius_of(space.radii)
-    _, hess, dmin = pot.torus_derivatives(space.radii, charges, spec, rows,
-                                          0.5 * pole_radius)
-    if (dmin < pole_radius).any():
-        raise pot.PoleError("configuration has coincident charges")
+    _, hess = pot.chart_derivatives(rows, radii, charges, spec)
     return rows, np.linalg.eigvalsh(hess)[:, 0]
 
 
@@ -320,7 +316,7 @@ def _aligned_branch_point(space: Space, tracked: int, lam: float,
     radii = space.radii if isinstance(space, TorusSpace) else None
     energy = pot.pair_energies(pair_distances(rows[tracked:tracked + 1], radii),
                                charges, spec)[0]
-    stability = _stability(abs(eig) < 1e-9 * max(1.0, abs(eig)), eig > 0.0)
+    stability = _stability(morse.classify_spectrum((eig,))[1], eig > 0.0)
     return BranchPoint(lam, control, "aligned", 0.0, stability, float(energy))
 
 

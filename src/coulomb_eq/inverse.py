@@ -22,9 +22,7 @@ from .spaces import (
     Config,
     PolygonConfig,
     config_rows,
-    pair_distances,
     pair_indices,
-    pole_radius_of,
     torus_alphas,
     triangle_vertices,
 )
@@ -80,10 +78,12 @@ def verify_equilibrium(config: Config, charges: ChargeVector,
                        spec: PotentialSpec = COULOMB) -> EquilibriumCheck:
     """Gradient norm plus closed-form relation residual; passes when both
     sit below the equilibrium tolerance."""
-    if config.has_pole:
-        raise pot.PoleError("cannot verify an equilibrium at a pole")
-    grad_norm = float(np.linalg.norm(pot.gradient(config, charges, spec)))
-    relation = pot.stationarity_relation_residual(config, charges, spec)
+    rows, radii = config_rows(config)
+    pairs = pot.regular_pairs(rows, radii)
+    pot._check_charges(config, charges)
+    grad, _ = pot.chart_derivatives(rows, radii, charges, spec)
+    grad_norm = float(np.linalg.norm(grad[0]))
+    relation = float(pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec)[0])
     return EquilibriumCheck(grad_norm, relation,
                             grad_norm < EQUILIBRIUM_TOL and relation < EQUILIBRIUM_TOL)
 
@@ -137,9 +137,7 @@ def stabilizing_charges(config: Config) -> InverseResult:
     if config.n != 3:
         raise ValueError("inverse problem is solved for three charges only")
     rows, radii = config_rows(config)
-    d = pair_distances(rows, radii)[0]
-    if d.min() < pole_radius_of(radii):
-        raise pot.PoleError("cannot solve the inverse problem at a pole")
+    d = pot.regular_pairs(rows, radii)[0]
     matrix, unit = _stationarity_matrix(rows, radii, d)
     _, sv, vt = np.linalg.svd(matrix)
     null = vt[int((sv > NULL_SPACE_TOL * sv.max()).sum()):]

@@ -43,6 +43,7 @@ from .spaces import (
     pair_distances,
     pair_indices,
     perimeter_value,
+    pole_radius_of,
     torus_alphas,
 )
 
@@ -166,8 +167,9 @@ def energy(config: Config, charges: ChargeVector,
            spec: PotentialSpec = COULOMB) -> float:
     """Total pair energy; ``inf`` when the configuration sits on a pole."""
     _check_charges(config, charges)
-    pairs = pair_distances(*config_rows(config))
-    if pairs.min() < config.pole_radius:
+    rows, radii = config_rows(config)
+    pairs = pair_distances(rows, radii)
+    if pairs.min() < pole_radius_of(radii):
         return math.inf
     return float(pair_energies(pairs, charges, spec)[0])
 
@@ -190,9 +192,19 @@ def _check_charges(holder, charges: ChargeVector) -> None:
         raise ValueError(f"need {holder.n} charges, got {len(charges)}")
 
 
-def _require_regular(config: Config) -> None:
-    if config.has_pole:
-        raise PoleError("configuration has coincident charges")
+def regular_pairs(rows: np.ndarray, radii: tuple[float, float, float] | None,
+                  ) -> np.ndarray:
+    """``pair_distances`` of a stack of polygon vertices ``(k, n, 2)``
+    (``radii`` is ``None``) or torus chart points ``(k, 2)``;
+    ``PoleError`` when a row has a pair closer than ``pole_radius_of``.
+
+    The one pole gate of the entries that evaluate the configurations
+    they are given (a single one is ``config_rows`` of it); the solver's
+    polish and finalize drop pole rows instead."""
+    pairs = pair_distances(rows, radii)
+    if (pairs.min(axis=1) < pole_radius_of(radii)).any():
+        raise PoleError("configuration is on a pole: two charges coincide")
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +388,7 @@ def polygon_chart_derivatives(points: np.ndarray, charges: ChargeVector,
 # ---------------------------------------------------------------------------
 
 def torus_derivatives(radii: tuple[float, float, float], charges: ChargeVector,
-                      spec: PotentialSpec, angles: np.ndarray, floor: float = 0.0,
+                      spec: PotentialSpec, angles: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chart gradient ``(k, 2)``, chart Hessian ``(k, 2, 2)`` and smallest
     pair distance ``(k,)`` for a stack of ``(k, 2)`` angle pairs.
@@ -384,11 +396,13 @@ def torus_derivatives(radii: tuple[float, float, float], charges: ChargeVector,
     Pair ``i`` joins the two points other than point ``i``; its distance
     depends only on ``alpha_i`` through the cosine rule, and the chart
     derivatives are assembled from the per-pair angle derivatives.  Rows
-    are independent.  Distances are clamped at ``floor`` so pole-adjacent
-    seeds give finite garbage instead of overflow; callers reject those
-    rows by the returned minimum distance.
+    are independent.  Distances are clamped at half of ``pole_radius_of``
+    so pole-adjacent seeds give finite garbage instead of overflow;
+    callers reject those rows by the returned minimum distance.  A row
+    off the poles is never clamped.
     """
     r = np.array(radii)
+    floor = 0.5 * pole_radius_of(radii)
     q = charges.array
     a1 = angles[:, 0]
     a2 = angles[:, 1]
@@ -438,20 +452,12 @@ def chart_derivatives(rows: np.ndarray, radii: tuple[float, float, float] | None
 def _regular_chart_derivatives(config: Config, charges: ChargeVector,
                                spec: PotentialSpec,
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Chart gradient and Hessian of one configuration; ``PoleError`` at a
-    pole.  A torus configuration takes the verdict from the smallest pair
-    distance of the derivative core, whose clamp at half the pole radius
-    leaves every regular configuration unclamped."""
+    """Chart gradient and Hessian of one configuration, a stack of one;
+    ``PoleError`` at a pole."""
     _check_charges(config, charges)
     rows, radii = config_rows(config)
-    if radii is None:
-        _require_regular(config)
-        grad, hess = polygon_chart_derivatives(rows, charges, spec)
-    else:
-        pole_radius = config.pole_radius
-        grad, hess, dmin = torus_derivatives(radii, charges, spec, rows, 0.5 * pole_radius)
-        if dmin[0] < pole_radius:
-            raise PoleError("configuration has coincident charges")
+    regular_pairs(rows, radii)
+    grad, hess = chart_derivatives(rows, radii, charges, spec)
     return grad[0], hess[0]
 
 
@@ -473,7 +479,7 @@ def energy_report(config: Config, charges: ChargeVector,
     _check_charges(config, charges)
     rows, radii = config_rows(config)
     pairs = pair_distances(rows, radii)
-    if pairs.min() < config.pole_radius:
+    if pairs.min() < pole_radius_of(radii):
         dim = 2 * (config.n - 2)
         nan = np.full(dim, math.nan)
         return EnergyReport(math.inf, nan, np.full((dim, dim), math.nan), True)
@@ -489,7 +495,7 @@ def dilation_derivative(config: PolygonConfig, charges: ChargeVector,
     exists at sub-maximal perimeter: inflating the polygon always lowers
     the energy.
     """
-    _require_regular(config)
+    regular_pairs(*config_rows(config))
     pts = config.points
     grad = polygon_derivatives(pts[None], charges, spec).energy_grad[0]
     return float(pts[1:].ravel() @ grad)
@@ -533,10 +539,10 @@ def fd_gradient(config: Config, charges: ChargeVector,
                 spec: PotentialSpec = COULOMB,
                 step: float | None = None) -> np.ndarray:
     """Central-difference gradient in the same chart as ``gradient``."""
-    _require_regular(config)
+    pairs = regular_pairs(*config_rows(config))
     probe, dim, scale = _chart_probe(config, charges, spec)
     h = FD_GRADIENT_STEP * scale if step is None else float(step)
-    _check_step(config, h)
+    _check_step(pairs, h)
     out = np.empty(dim)
     for k in range(dim):
         e = np.zeros(dim)
@@ -549,10 +555,10 @@ def fd_hessian(config: Config, charges: ChargeVector,
                spec: PotentialSpec = COULOMB,
                step: float | None = None) -> np.ndarray:
     """Central second differences of the energy in the same chart."""
-    _require_regular(config)
+    pairs = regular_pairs(*config_rows(config))
     probe, dim, scale = _chart_probe(config, charges, spec)
     h = FD_HESSIAN_STEP * scale if step is None else float(step)
-    _check_step(config, h)
+    _check_step(pairs, h)
     center = probe(np.zeros(dim))
     out = np.empty((dim, dim))
     for k in range(dim):
@@ -568,10 +574,12 @@ def fd_hessian(config: Config, charges: ChargeVector,
     return out
 
 
-def _check_step(config: Config, step: float) -> None:
+def _check_step(pairs: np.ndarray, step: float) -> None:
+    """Refuse a step that is not positive or that reaches half the
+    smallest of the pair distances ``pairs`` of the probed configuration."""
     if not step > 0.0:
         raise ValueError("finite-difference step must be positive")
-    if step >= 0.5 * config.min_separation:
+    if step >= 0.5 * pairs.min():
         raise ValueError("finite-difference step collides with the pole radius")
 
 

@@ -20,10 +20,10 @@ under the reflection involution by row comparisons, evaluates chart
 derivatives only for the mirrors it synthesizes, gates and classifies
 every row with one eigenvalue call, sorts, and pairs each point with
 its mirror by index.  A configuration object is built only for each
-reported point.  The representatives are canonical rows, and canonical
-rows are never re-gauged: a configuration candidate and a seed that
-took no Newton step keep their rows, and mirrors and reported points
-are built from them as they stand.
+reported point.  The representatives are canonical rows: a seed that
+took no Newton step keeps its row, polygon candidates are gauge-fixed
+as one stack (a no-op on a canonical row), and mirrors and reported
+points are built from the rows as they stand.
 
 One rule makes each census decision.  Same point: rows whose
 ``_point_rows`` (gauge-fixed vertices, or angles on the circle) differ
@@ -232,13 +232,11 @@ def solve_line_interior(charges: ChargeVector,
             break
         step = np.linalg.solve(h, -g)
         # keep the ordering: damp steps that would cross a neighbour
-        scale = 1.0
-        for k, i in enumerate(idx):
-            lo, hi = x[i - 1], x[i + 1]
-            target = x[i] + step[k]
-            if target <= lo or target >= hi:
-                scale = min(scale, 0.4 * min(x[i] - lo, hi - x[i]) / (abs(step[k]) + 1e-300))
-        x[idx] += scale * step
+        lo, hi = x[idx - 1], x[idx + 1]
+        target = x[idx] + step
+        cross = (target <= lo) | (target >= hi)
+        room = 0.4 * np.minimum(x[idx] - lo, hi - x[idx]) / (np.abs(step) + 1e-300)
+        x[idx] += room[cross].min(initial=1.0) * step
     g, h = grad_hess(x)
     if np.abs(g).max() > 1e-9:
         raise RuntimeError("interior line equilibrium did not converge")
@@ -496,12 +494,11 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
     """
     angles = np.array(seeds, dtype=float).reshape(-1, 2)
     pole_radius = pole_radius_of(space.radii)
-    floor = 0.5 * pole_radius
     converged = np.zeros(angles.shape[0], dtype=bool)
     live = np.arange(angles.shape[0])
     at = angles.copy()
     for rounds in range(MAX_ITERS + 1):
-        grad, hess, dmin = pot.torus_derivatives(space.radii, charges, spec, at, floor)
+        grad, hess, dmin = pot.torus_derivatives(space.radii, charges, spec, at)
         g0, g1 = grad[:, 0], grad[:, 1]
         gnorm = np.sqrt(g0 * g0 + g1 * g1)
         # every gate is written so that NaN fails it
@@ -635,7 +632,8 @@ def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
     rows, pairs = rows[regular], pairs[regular]
     grad_norm = _row_norms(grad)
     residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec)
-    keep = np.flatnonzero((grad_norm <= NEWTON_TOL) & (residual <= RELATION_TOL))
+    keep = np.flatnonzero((grad_norm <= NEWTON_TOL) & (residual <= RELATION_TOL)
+                          & np.isfinite(hess).all(axis=(1, 2)))
     if not keep.size:
         return []
     energy = pot.pair_energies(pairs[keep], charges, spec)
@@ -674,10 +672,11 @@ def polish_candidates(space: Space, charges: ChargeVector,
     """Polish explicit candidate configurations only (no grid multistart).
 
     Candidates are vertex arrays / configs (polygon) or angle pairs /
-    configs (torus); a raw vertex array is gauge-fixed first, and a
-    configuration is taken as the canonical row it holds.
-    Non-convergent candidates are dropped and the survivors go through
-    the same dedup / mirror / classify pipeline as the full search.
+    configs (torus), a configuration taken as the row it holds.  The
+    polygon rows are gauge-fixed as one stack, which leaves a canonical
+    row as it is, bit for bit.  Non-convergent candidates are dropped and
+    the survivors go through the same dedup / mirror / classify pipeline
+    as the full search.
     """
     pot._check_charges(space, charges)
     if not len(candidates):
@@ -686,9 +685,7 @@ def polish_candidates(space: Space, charges: ChargeVector,
     if isinstance(space, PolygonSpace):
         # a row that no configuration represents comes back NaN and
         # fails the polish's first gate
-        raw = np.array([not isinstance(cand, Config) for cand in candidates])
-        if raw.any():
-            seeds[raw] = gauge_fix(seeds[raw])
+        seeds = gauge_fix(seeds)
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)
 
 

@@ -62,13 +62,9 @@ TORUS_ALIGNED_ROWS.setflags(write=False)
 
 
 def reduce_angle(a: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
-    a = math.fmod(a, TWO_PI)
-    if a > math.pi:
-        a -= TWO_PI
-    elif a <= -math.pi:
-        a += TWO_PI
-    return a + 0.0  # normalize -0.0
+    """Reduce an angle to the interval (-pi, pi]: ``reduce_angles`` on a
+    batch of one."""
+    return float(reduce_angles(np.array([a]))[0])
 
 
 @functools.cache
@@ -82,7 +78,7 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reduce_angles(angles: np.ndarray) -> np.ndarray:
-    """``reduce_angle`` applied elementwise."""
+    """Reduce angles to the interval (-pi, pi], elementwise."""
     a = np.fmod(angles, TWO_PI)
     a = np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
     return a + 0.0  # normalize -0.0
@@ -194,14 +190,10 @@ class PolygonConfig(_PairGeometry):
     def gauge_index(self) -> int:
         """Index of the vertex the rotation gauge is pinned to.
 
-        Normally vertex 1 (the second point); if that point coincides
-        with the origin the first non-origin vertex takes the role.
+        The first vertex off the origin, as in ``gauge_fix``: normally
+        vertex 1 (the second point), and vertex 1 when all coincide.
         """
-        pts = self.points
-        for i in range(1, pts.shape[0]):
-            if pts[i, 0] != 0.0 or pts[i, 1] != 0.0:
-                return i
-        return 1
+        return 1 + int((self.points[1:] != 0.0).any(axis=1).argmax())
 
     @property
     def perimeter(self) -> float:
@@ -237,7 +229,7 @@ class TorusConfig(_PairGeometry):
             raise ValueError(f"angles must be the finite pair (alpha1, alpha2), "
                              f"got {self.angles}")
         object.__setattr__(self, "radii", r)
-        object.__setattr__(self, "angles", tuple(reduce_angle(v) for v in raw))
+        object.__setattr__(self, "angles", tuple(reduce_angles(np.array(raw)).tolist()))
 
     @property
     def alpha3(self) -> float:

@@ -256,9 +256,16 @@ class TestAlignedSpectra:
 
     def test_torus_pole_raises(self):
         # torus:1,1,2 has a pole at the (pi, pi, 0) label
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match="pole"):
             bifurcation._aligned(TorusSpace((1.0, 1.0, 2.0)),
                                  ChargeVector.of([1.0, 1.0, 1.0]), PotentialSpec.coulomb())
+
+    def test_polygon_pole_raises(self):
+        # an outer charge 1e20 times the other pushes the intermediate
+        # vertex within 5e-11 of the lighter outer one
+        with pytest.raises(PoleError, match="pole"):
+            bifurcation._aligned(PolygonSpace(3), ChargeVector.of([1e20, 1.0, 1.0]),
+                                 PotentialSpec.coulomb())
 
 
 class TestClosedFormSeeds:

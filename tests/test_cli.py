@@ -61,6 +61,15 @@ class TestSolveCommand:
         assert payload["summary"]["exactness"] is True
         assert any(p["aligned"] and p["index"] == 0 for p in payload["points"])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_torus_census_whose_hessians_overflow(self):
+        # the pair terms overflow to NaN Hessians at these radii; no
+        # point carries one, so the artifact stays valid JSON
+        code, out = run_cli(["solve", "--space", "torus:1e150,2e150,3e150",
+                             "--charges", "1,2,3", "--grid-density", "8"])
+        assert code == 0
+        assert json.loads(out)["points"] == []
+
     def test_power_law_potential_flag(self):
         code, out = run_cli(["solve", "--space", "polygon:3",
                              "--charges", "1,1,1", "--potential", "power:2",

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coulomb_eq import spaces
 from coulomb_eq.inverse import (
     stabilizing_charges,
     stabilizing_charges_triangle,
@@ -92,6 +94,24 @@ class TestTriangleInverse:
             assert result.kind == "unique-ray"
             assert np.abs(result.charges.normalized
                           - inverse_square_sides(cfg)).max() < 1e-12
+
+    def test_pair_distances_are_taken_twice_per_solve(self, monkeypatch):
+        # once for the null space and once for the verification, however
+        # many modules bind the function
+        original = spaces.pair_distances
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("coulomb_eq") and getattr(module, "pair_distances", None) is original:
+                monkeypatch.setattr(module, "pair_distances", counted)
+        rng = np.random.default_rng(12)
+        for sides in rng.uniform(0.5, 1.0, (100, 3)):
+            assert stabilizing_charges_triangle(*sides).kind == "unique-ray"
+        assert 0 < len(calls) <= 200
 
     def test_more_than_three_vertices_raise(self):
         square = PolygonConfig.from_points([[0, 0], [1, 0], [1, 1], [0, 1]])

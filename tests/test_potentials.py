@@ -27,6 +27,7 @@ from coulomb_eq.potentials import (
     stationarity_relation_residual,
     torus_derivatives,
 )
+from coulomb_eq.inverse import stabilizing_charges, verify_equilibrium
 from coulomb_eq.morse import euler_count_check
 from coulomb_eq.solver import (
     RELATION_TOL,
@@ -146,6 +147,22 @@ class TestEnergy:
         assert energy(cfg, UNIT_Q3, COULOMB) == math.inf
         report = energy_report(cfg, UNIT_Q3, COULOMB)
         assert report.pole_flag and report.value == math.inf
+
+    @pytest.mark.parametrize("entry", [
+        lambda cfg: gradient(cfg, UNIT_Q3), lambda cfg: hessian(cfg, UNIT_Q3),
+        lambda cfg: fd_gradient(cfg, UNIT_Q3), lambda cfg: fd_hessian(cfg, UNIT_Q3),
+        lambda cfg: verify_equilibrium(cfg, UNIT_Q3), stabilizing_charges,
+    ], ids=["gradient", "hessian", "fd_gradient", "fd_hessian", "verify_equilibrium",
+            "stabilizing_charges"])
+    @pytest.mark.parametrize("cfg", [
+        # vertices 2 and 3 coincide
+        PolygonConfig(np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.0]])),
+        # the points on the two unit circles coincide at alpha3 = 0
+        TorusConfig((1.0, 1.0, 2.0), (math.pi, math.pi)),
+    ], ids=["polygon", "torus"])
+    def test_single_configuration_entries_raise_at_a_pole(self, entry, cfg):
+        with pytest.raises(PoleError, match="pole"):
+            entry(cfg)
 
     def test_gradient_raises_at_pole(self):
         cfg = PolygonConfig.from_points([[0, 0], [1e-9, 0], [0.5, 0]])
@@ -515,14 +532,14 @@ class TestTorusCore:
         radii = (1.0, 1.0, 1.0)
         q = ChargeVector.of([0.7, 1.9, 1.2])
         # random rows, the aligned labels, and rows at or next to a pole,
-        # where the floor clamps the distance
+        # where the core clamps the distance at half the pole radius (5e-8)
         angles = np.vstack([torus_rows(rng, radii, 13),
                             [[math.pi, math.pi], [0.0, math.pi], [math.pi, 0.0],
                              [0.0, 0.0], [1e-9, 2.0], [2.0, -1e-12]]])
-        grad, hess, dmin = torus_derivatives(radii, q, spec, angles, floor=5e-8)
+        grad, hess, dmin = torus_derivatives(radii, q, spec, angles)
         assert np.isfinite(grad).all() and np.isfinite(hess).all()
         for r in range(len(angles)):
-            g1, h1, d1 = torus_derivatives(radii, q, spec, angles[r:r + 1], floor=5e-8)
+            g1, h1, d1 = torus_derivatives(radii, q, spec, angles[r:r + 1])
             assert np.array_equal(g1[0], grad[r]) and np.array_equal(h1[0], hess[r])
             assert np.array_equal(d1, dmin[r:r + 1])
 

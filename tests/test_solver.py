@@ -533,9 +533,9 @@ class TestCompactedTorusPolish:
         rows = []
         core = pot.torus_derivatives
 
-        def counted(radii, charges, spec, angles, floor=0.0):
+        def counted(radii, charges, spec, angles):
             rows.append(len(angles))
-            return core(radii, charges, spec, angles, floor)
+            return core(radii, charges, spec, angles)
 
         monkeypatch.setattr(pot, "torus_derivatives", counted)
         _polish_torus_seeds(space, q, COULOMB, seeds)
@@ -569,9 +569,20 @@ class TestCompactedTorusPolish:
                    3 * math.pi, math.pi + 1e-15, -math.pi - 1e-15]
         angles = np.concatenate([rng.uniform(-20.0, 20.0, 201), special]).reshape(-1, 2)
         reduced = reduce_angles(angles)
-        expected = np.array([[reduce_angle(a) for a in row] for row in angles])
-        assert np.array_equal(reduced, expected)
-        assert np.array_equal(np.signbit(reduced), np.signbit(expected))
+
+        def scalar_reduction(a):
+            a = math.fmod(a, 2.0 * math.pi)
+            if a > math.pi:
+                a -= 2.0 * math.pi
+            elif a <= -math.pi:
+                a += 2.0 * math.pi
+            return a + 0.0  # normalize -0.0
+
+        expected = np.array([[scalar_reduction(a) for a in row] for row in angles])
+        singles = np.array([[reduce_angle(a) for a in row] for row in angles])
+        for got in (reduced, singles):
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def sequential_first_wins(rows, tol):
@@ -783,6 +794,15 @@ class TestArrayFinalize:
         for cp, ref in zip(got, expected):
             assert np.array_equal(coords(cp.config), coords(ref["config"]))
             assert cp.symmetry_partner == ref["partner"]
+
+    @pytest.mark.parametrize("scale", [1e77, 1e100, 1e150])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_with_a_nan_hessian_are_dropped(self, scale):
+        # the pair terms overflow to NaN Hessians at these radii
+        space = TorusSpace((scale, 2.0 * scale, 3.0 * scale))
+        pts = find_critical_points(space, ChargeVector.of([1.0, 2.0, 3.0]),
+                                   settings=SolveSettings(grid_density=8))
+        assert all(np.isfinite(cp.hessian_eigenvalues).all() for cp in pts)
 
     def test_nan_and_pole_rows_are_dropped(self):
         tri = critical_triangle(Q111).points
