@@ -19,15 +19,18 @@ floating-point field.  JSON outputs are compared field by field, CSV
 and plain-text outputs token by token.  Last it prints the line count
 of ``coulomb_eq/*.py`` in each tree and the difference.
 
-The corpus (529 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (538 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
 kernels, radii and charges, twelve polygon censuses (n = 3 to 6) under
-each of the coulomb, log and power:2.5 kernels (36 runs), the polygon:4
-and polygon:5 jobs (``p4``, ``p5``) of the benchmark's polygon census
-for the same four seeds, twelve pitchfork sweeps (the benchmark's
-polygon reference sweep and torus sweep, and ten more: other charges,
-swept charges, ranges, radii and the power:2 and log kernels on both
-spaces, five of which re-acquire the branch from nudged seeds),
+each of the coulomb, log and power:2.5 kernels (36 runs), the coulomb
+polygon:3 census at grid density 48 of the region-boundary charges
+(1/9, 4/9, 4/9), where the aligned point with vertex 1 intermediate is
+degenerate, every job of the benchmark's polygon census (``p3-triangle``,
+``p3-collinear``, ``p4``, ``p5``) for the same four seeds, twelve
+pitchfork sweeps (the benchmark's polygon reference sweep and torus
+sweep, and ten more: other charges, swept charges, ranges, radii and
+the power:2 and log kernels on both spaces, five of which re-acquire
+the branch from nudged seeds),
 ``verify --suite quick`` and ``verify --suite full`` (the only run that
 reads the resolution-256 boundary curves and the four-charge fixing
 check), three ``inverse --sides`` cases (a unique ray, a collinear
@@ -60,8 +63,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's seeded job lists)
 
 BENCHMARK_SEEDS = (1, 2, 3, workloads.HELD_OUT_SEED)
-#: the polygon-census jobs whose aligned seed comes from the line core
-BENCHMARK_POLYGON_JOBS = ("p4", "p5")
 
 EXTRA_TORUS = [
     ("torus:1,2,3", "1,2,3", "log", 48),
@@ -85,6 +86,10 @@ POLYGONS = [
     ("polygon:6", "1,1,1,1,1,1", 8),
     ("polygon:6", "1,2,3,4,5,6", 8),
 ]
+
+#: charges on the coulomb region boundary: the inverse root charge of
+#: vertex 1 (3) is the sum of the other two (1.5 + 1.5)
+BOUNDARY_TRIPLE = ",".join(repr(v) for v in (1 / 9, 4 / 9, 4 / 9))
 
 
 def _sweep(space: str, charges: list[float], sweep: int, lo: float, hi: float,
@@ -201,11 +206,11 @@ def corpus() -> list[tuple[str, list[str] | dict]]:
     for potential in ("coulomb", "log", "power:2.5"):
         runs += [("polygon", _argv(space, charges, potential, grid))
                  for space, charges, grid in POLYGONS]
+    runs.append(("polygon", _argv("polygon:3", BOUNDARY_TRIPLE, "coulomb", 48)))
     for seed in BENCHMARK_SEEDS:
         for job in workloads.generate("polygon-census", seed):
-            if job["id"] in BENCHMARK_POLYGON_JOBS:
-                charges = ",".join(repr(float(v)) for v in job["charges"])
-                runs.append(("polygon", _argv(job["space"], charges, "coulomb", job["grid"])))
+            charges = ",".join(repr(float(v)) for v in job["charges"])
+            runs.append(("polygon", _argv(job["space"], charges, "coulomb", job["grid"])))
     runs += [("bifurcate", _sweep_argv(sweep, f"bifurcate-{k}"))
              for k, sweep in enumerate(SWEEPS)]
     runs += [("verify", ["verify", "--suite", suite]) for suite in ("quick", "full")]

@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coulomb | power:K | log")
     solve.add_argument("--grid-density", type=int, default=24,
                        help="multistart seeds per chart dimension, the one census "
-                            "setting (default 24)")
+                            "setting (default 24; polygon:3 uses its closed forms)")
     solve.add_argument("--out", default=None, help="write JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 

@@ -145,7 +145,8 @@ def transverse_soft_directions(rows: np.ndarray, charges: ChargeVector,
 
 def euler_count_check(points: Iterable["CriticalPoint"],
                       space: "Space") -> MorseSummary:
-    """Tally Morse indices and test the space's alternating-count identity."""
+    """Tally Morse indices and test the space's alternating-count identity,
+    which an empty census fails: every space has aligned critical points."""
     from .solver import TorusSpace  # local import, no cycle at runtime
 
     pts = list(points)
@@ -157,8 +158,7 @@ def euler_count_check(points: Iterable["CriticalPoint"],
             continue
         counts[cp.morse_index] = counts.get(cp.morse_index, 0) + 1
     if not pts:
-        return MorseSummary(counts, 0, "not-applicable", False,
-                            "no critical points found")
+        return MorseSummary(counts, 0, "failed", False, "no critical points found")
     torus = isinstance(space, TorusSpace)
     if not torus and space.n != 3:
         return MorseSummary(counts, 0, "not-applicable", False,

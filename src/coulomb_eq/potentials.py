@@ -165,11 +165,12 @@ def energy_of_points(points: np.ndarray, charges: ChargeVector,
 
 def energy(config: Config, charges: ChargeVector,
            spec: PotentialSpec = COULOMB) -> float:
-    """Total pair energy; ``inf`` when the configuration sits on a pole."""
+    """Total pair energy; ``inf`` at a pole, ``ValueError`` on a non-finite distance."""
     _check_charges(config, charges)
     rows, radii = config_rows(config)
-    pairs = pair_distances(rows, radii)
-    if pairs.min() < pole_radius_of(radii):
+    try:
+        pairs = regular_pairs(rows, radii)
+    except PoleError:
         return math.inf
     return float(pair_energies(pairs, charges, spec)[0])
 
@@ -196,12 +197,15 @@ def regular_pairs(rows: np.ndarray, radii: tuple[float, float, float] | None,
                   ) -> np.ndarray:
     """``pair_distances`` of a stack of polygon vertices ``(k, n, 2)``
     (``radii`` is ``None``) or torus chart points ``(k, 2)``;
-    ``PoleError`` when a row has a pair closer than ``pole_radius_of``.
+    ``PoleError`` when a row has a pair closer than ``pole_radius_of``,
+    ``ValueError`` when a distance is not finite.
 
     The one pole gate of the entries that evaluate the configurations
     they are given (a single one is ``config_rows`` of it); the solver's
     polish and finalize drop pole rows instead."""
     pairs = pair_distances(rows, radii)
+    if not np.isfinite(pairs).all():
+        raise ValueError("pair distances are not finite")
     if (pairs.min(axis=1) < pole_radius_of(radii)).any():
         raise PoleError("configuration is on a pole: two charges coincide")
     return pairs

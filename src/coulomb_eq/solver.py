@@ -1,10 +1,12 @@
 """Critical-point search on both configuration spaces.
 
-Closed forms cover the three-charge cases: the collinear equilibria
-(one per choice of intermediate vertex) and the triangle equilibrium
-whose side lengths are proportional to inverse square roots of the
-charges.  Everything else runs through multistart Newton polishing of
-the stationarity system: a Lagrange system with explicit perimeter
+Closed forms are the three-charge polygon census: the collinear
+equilibria (one per intermediate vertex) and, in the triangle regime,
+the triangle with sides proportional to inverse square roots of the
+charges and its mirror image; for every kernel here stationarity fixes
+each side (phi'' > 0), so there is no other critical point.
+Everything else runs through multistart Newton polishing of the
+stationarity system: a Lagrange system with explicit perimeter
 constraint for polygons, the plain two-angle gradient for the torus.
 The search is array-first from seed to report.  Polygon seeds are
 gauge-fixed as one stack; all seeds of a search go through one damped
@@ -31,9 +33,10 @@ by less than ``DEDUP_TOL`` in every coordinate; the dedup, the mirror
 closure and the partner scan all compare so.  Pole: a row whose
 smallest ``pair_distances`` entry is below ``spaces.pole_radius_of``.
 
-The grid density is the one setting of a census (``SolveSettings``).
-The Newton tolerance, the iteration cap and the dedup distance are the
-module constants ``NEWTON_TOL``, ``MAX_ITERS`` and ``DEDUP_TOL``.
+The grid density is the one setting of a census (``SolveSettings``);
+the three-charge polygon census does not read it.  The Newton
+tolerance, the iteration cap and the dedup distance are the module
+constants ``NEWTON_TOL``, ``MAX_ITERS`` and ``DEDUP_TOL``.
 """
 
 from __future__ import annotations
@@ -315,13 +318,6 @@ def _newton_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray,
     return steps, solved
 
 
-def _gauge_rows(vertices: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Gauge-fixed stack of raw polygon vertex rows, without the rows that
-    no configuration represents (all vertices coincident, or not finite)."""
-    fixed = gauge_fix(np.asarray(vertices, dtype=float))
-    return fixed[np.isfinite(fixed).all(axis=(1, 2))]
-
-
 def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpec,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levenberg-damped Newton on the Lagrange stationarity system, run on
@@ -395,20 +391,11 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
                    spec: PotentialSpec, settings: SolveSettings) -> list[np.ndarray]:
     n = space.n
-    seeds: list[np.ndarray] = []
     if n == 3:
-        seeds.extend(closed_form_seeds(charges, spec))
-        g = settings.grid_density
-        for i in range(1, g):
-            for j in range(1, g - i):
-                sides = (i / g, j / g, 1.0 - i / g - j / g)
-                for flip in (False, True):
-                    tri_pts = triangle_vertices(sides, flip)
-                    if tri_pts is not None:
-                        seeds.append(tri_pts)
-        return seeds
+        return list(closed_form_seeds(charges, spec))
     # n >= 4: aligned seeds for sweep orderings plus structured and
     # random convex shapes; coverage is heuristic at this size
+    seeds: list[np.ndarray] = []
     try:
         xs, _ = solve_line_interior(charges, spec)
         seeds.append(np.column_stack([xs, np.zeros(n)]))
@@ -693,20 +680,23 @@ def find_critical_points(space: Space, charges: ChargeVector,
                          spec: PotentialSpec = COULOMB,
                          settings: SolveSettings = SolveSettings(),
                          ) -> list[CriticalPoint]:
-    """Multistart search for every stationary point of the energy.
+    """Search for every stationary point of the energy.
 
-    Grid seeds plus the closed-form and aligned configurations are
-    polished by damped Newton on the stationarity system, all seeds of
-    the space as one batch in which only live seeds iterate; runs that
-    do not converge are dropped.  The survivors are deduplicated modulo
-    the rotation gauge on their raw coordinate rows (the first seed of
-    each point wins), closed under the reflection involution (both
-    members of a mirror pair are reported and linked), classified by
-    their constrained Hessian spectrum and sorted by (energy, key).
+    The seeds are the closed forms for three polygon charges, else grid
+    seeds plus the aligned configurations.  They are polished by damped
+    Newton on the stationarity system, all seeds of the space as one
+    batch in which only live seeds iterate; runs that do not converge
+    are dropped.  The survivors are deduplicated modulo the rotation
+    gauge on their raw coordinate rows (the first seed of each point
+    wins), closed under the reflection involution (both members of a
+    mirror pair are reported and linked), classified by their
+    constrained Hessian spectrum and sorted by (energy, key).
     """
     pot._check_charges(space, charges)
     if isinstance(space, TorusSpace):
         seeds = _torus_seeds(space, settings)
     else:
-        seeds = _gauge_rows(_polygon_seeds(space, charges, spec, settings))
+        # a row that no configuration represents comes back NaN and
+        # fails the polish's first gate
+        seeds = gauge_fix(_polygon_seeds(space, charges, spec, settings))
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)

@@ -4,7 +4,8 @@ Closed-form and comparison functions that only the tests use: a
 configuration match by the census same-point rule, the scalar pair loop
 of the collinear gradient and Hessian, the energies of the three
 collinear equilibria, the aligned-Hessian sign form of a torus label,
-and the defect of the polygon aligned-minimum boundary.
+the defect of the polygon aligned-minimum boundary, and the triangle
+multistart grid with the three-charge census polished from it.
 """
 
 from __future__ import annotations
@@ -17,8 +18,16 @@ import numpy as np
 from coulomb_eq import potentials as pot
 from coulomb_eq.morse import torus_aligned_hessian_form
 from coulomb_eq.potentials import COULOMB, PotentialSpec
-from coulomb_eq.solver import _close, _point_rows, solve_line_three
-from coulomb_eq.spaces import ChargeVector, Config, config_rows
+from coulomb_eq.solver import (
+    CriticalPoint,
+    PolygonSpace,
+    _close,
+    _point_rows,
+    closed_form_seeds,
+    polish_candidates,
+    solve_line_three,
+)
+from coulomb_eq.spaces import ChargeVector, Config, config_rows, triangle_vertices
 
 
 def configs_match(a: Config, b: Config) -> bool:
@@ -70,3 +79,28 @@ def polygon_boundary_equation(q: Sequence[float], vertex: int,
     inv = [v ** -spec.ratio_exponent for v in q]
     others = sum(inv) - inv[vertex]
     return inv[vertex] - others
+
+
+def triangle_grid(grid_density: int) -> np.ndarray:
+    """Multistart seeds for three charges: every triangle whose sides are
+    positive multiples of ``1 / grid_density`` summing to one, above and
+    below its base, as a stack ``(k, 3, 2)``."""
+    g = grid_density
+    seeds = []
+    for i in range(1, g):
+        for j in range(1, g - i):
+            sides = (i / g, j / g, 1.0 - i / g - j / g)
+            for flip in (False, True):
+                tri = triangle_vertices(sides, flip)
+                if tri is not None:
+                    seeds.append(tri)
+    return np.array(seeds)
+
+
+def multistart_census(charges: ChargeVector, spec: PotentialSpec = COULOMB,
+                      grid_density: int = 24) -> list[CriticalPoint]:
+    """The three-charge census by multistart: the closed forms first, so
+    they win the dedup, then ``triangle_grid``, through
+    ``polish_candidates``."""
+    seeds = np.concatenate([closed_form_seeds(charges, spec), triangle_grid(grid_density)])
+    return polish_candidates(PolygonSpace(3), charges, seeds, spec)

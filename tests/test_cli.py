@@ -64,11 +64,14 @@ class TestSolveCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_torus_census_whose_hessians_overflow(self):
         # the pair terms overflow to NaN Hessians at these radii; no
-        # point carries one, so the artifact stays valid JSON
+        # point carries one, so the artifact stays valid JSON, and the
+        # empty census fails its count check
         code, out = run_cli(["solve", "--space", "torus:1e150,2e150,3e150",
                              "--charges", "1,2,3", "--grid-density", "8"])
-        assert code == 0
-        assert json.loads(out)["points"] == []
+        assert code == 3
+        payload = json.loads(out)
+        assert payload["points"] == []
+        assert payload["summary"]["reason"] == "no critical points found"
 
     def test_power_law_potential_flag(self):
         code, out = run_cli(["solve", "--space", "polygon:3",
@@ -130,6 +133,19 @@ class TestSolveCommand:
         assert target.read_text() == "second\n"
         manifest = json.loads((target.parent / "census.json.manifest.json").read_text())
         assert manifest == {"run": 2}
+
+    def test_three_charge_census_ignores_the_grid_density(self, tmp_path):
+        # the closed forms are the census; only the manifest records the
+        # density
+        targets = [tmp_path / f"g{g}.json" for g in (8, 96)]
+        for g, target in zip((8, 96), targets):
+            code, _ = run_cli(["solve", "--space", "polygon:3", "--charges", "1,2,3",
+                               "--grid-density", str(g), "--out", str(target)])
+            assert code == 0
+            manifest = json.loads(target.with_name(target.name + ".manifest.json").read_text())
+            assert manifest["parameters"]["settings"] == {"grid_density": g}
+        assert targets[0].read_bytes() == targets[1].read_bytes()
+        assert len(json.loads(targets[0].read_text())["points"]) == 5
 
     def test_identical_flags_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -285,6 +301,18 @@ class TestInverseCommand:
         payload = json.loads(out)
         assert payload["kind"] == "unique-ray"
         assert payload["charges"] == pytest.approx([1 / 3] * 3, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_points_file_with_infinite_distances_exits_two(self, tmp_path, capsys):
+        # the cosine-rule distances overflow at these radii; at radii 1,2,3
+        # the same angles give the unique ray
+        cfg = {"space": "torus", "radii": [1e200, 2e200, 3e200],
+               "angles": [2.0405577597527302, 1.9166509607975102]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        code, out = run_cli(["inverse", "--points", str(path)])
+        assert (code, out) == (2, "")
+        assert "not finite" in capsys.readouterr().err
 
     def test_points_file_with_four_vertices_exits_two(self, tmp_path, capsys):
         cfg = {"space": "polygon",

@@ -177,11 +177,14 @@ class TestEulerCounts:
         assert "pole" in summary.reason
 
     def test_larger_polygons_not_counted(self):
-        summary = euler_count_check([], PolygonSpace(4))
-        assert summary.euler_check == "not-applicable"
+        space = PolygonSpace(4)
+        pts = find_critical_points(space, ChargeVector.of([1.3, 0.6, 1.9, 1.1]),
+                                   settings=SolveSettings(grid_density=8))
+        summary = euler_count_check(pts, space)
+        assert pts and summary.euler_check == "not-applicable"
 
     @pytest.mark.parametrize("case,verdict,poles,exact,reason", [
-        ("empty", "not-applicable", 0, False, "no critical points found"),
+        ("empty", "failed", 0, False, "no critical points found"),
         ("torus-missing-point", "failed", 0, False, ""),
         ("polygon3-missing-point", "failed", 3, False, ""),
         ("polygon4", "not-applicable", 0, False,
@@ -200,6 +203,7 @@ def _census_without_last(space, charges):
 
 
 EULER_CASES = {
+    # every space has aligned critical points: an empty census missed them
     "empty": lambda: (TorusSpace((1.0, 2.0, 3.0)), []),
     # an exact torus census of four points, one of them lost
     "torus-missing-point": lambda: _census_without_last(TorusSpace((1.0, 2.0, 3.0)),

@@ -45,6 +45,7 @@ from coulomb_eq.spaces import (
     apply_involution,
     gauge_fix,
 )
+from helpers import multistart_census
 
 COULOMB = PotentialSpec.coulomb()
 ALL_SPECS = [COULOMB, PotentialSpec.power(2.0), PotentialSpec.log()]
@@ -162,6 +163,18 @@ class TestEnergy:
     ], ids=["polygon", "torus"])
     def test_single_configuration_entries_raise_at_a_pole(self, entry, cfg):
         with pytest.raises(PoleError, match="pole"):
+            entry(cfg)
+
+    @pytest.mark.parametrize("entry", [
+        lambda cfg: energy(cfg, UNIT_Q3), lambda cfg: gradient(cfg, UNIT_Q3),
+        lambda cfg: verify_equilibrium(cfg, UNIT_Q3), stabilizing_charges,
+    ], ids=["energy", "gradient", "verify_equilibrium", "stabilizing_charges"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_distances_refused(self, entry):
+        # the cosine-rule distances overflow to inf at these radii, which
+        # no pole gate would catch
+        cfg = TorusConfig((1e200, 2e200, 3e200), (2.0405577597527302, 1.9166509607975102))
+        with pytest.raises(ValueError, match="^pair distances are not finite$"):
             entry(cfg)
 
     def test_gradient_raises_at_pole(self):
@@ -562,7 +575,8 @@ class TestRelationGate:
     def test_censuses_pass_under_every_kernel(self, kernel, space, charges):
         spec = PotentialSpec.parse(kernel)
         q = ChargeVector.of(charges)
-        pts = find_critical_points(space, q, spec)
+        pts = (multistart_census(q, spec) if isinstance(space, PolygonSpace)
+               else find_critical_points(space, q, spec))
         # the power:2 collinear census sits on its threshold, where the
         # triangle is degenerate and the count check does not apply
         degenerate = any(cp.degenerate for cp in pts)

@@ -26,7 +26,6 @@ from coulomb_eq.solver import (
     solve_line_three,
     _finalize,
     _first_cover,
-    _gauge_rows,
     _mirror_close,
     _partners,
     _point_rows,
@@ -56,7 +55,13 @@ from coulomb_eq.spaces import (
     row_config,
     triangle_vertices,
 )
-from helpers import configs_match, line_grad_hess, line_three_energies
+from helpers import (
+    configs_match,
+    line_grad_hess,
+    line_three_energies,
+    multistart_census,
+    triangle_grid,
+)
 
 COULOMB = PotentialSpec.coulomb()
 Q111 = ChargeVector.of([1.0, 1.0, 1.0])
@@ -248,6 +253,33 @@ class TestFindCriticalPointsPolygon:
             assert any(configs_match(cp.config, other.config) for other in base)
 
 
+class TestMultistartCrossCheck:
+    """The closed forms are the whole three-charge census: a triangle grid
+    polished behind them adds no point and moves no bit."""
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
+    @pytest.mark.parametrize("charges", [[1.0, 1.0, 1.0], [0.125, 1.0, 1.0]],
+                             ids=["triangle", "collinear"])
+    def test_grid_48_adds_nothing(self, charges, kernel):
+        spec = PotentialSpec.parse(kernel)
+        q = ChargeVector.of(charges)
+        assert_same_points(multistart_census(q, spec, grid_density=48),
+                           find_critical_points(PolygonSpace(3), q, spec,
+                                                SolveSettings(grid_density=48)))
+
+    def test_random_triples(self):
+        rng = np.random.default_rng(MULTISTART_SEED)
+        sizes = set()
+        for k in range(20):
+            spec = PotentialSpec.parse(("coulomb", "log", "power:2.5")[k % 3])
+            q = ChargeVector.of(rng.uniform(0.1, 3.0, 3))
+            pts = find_critical_points(PolygonSpace(3), q, spec)
+            assert_same_points(multistart_census(q, spec), pts)
+            sizes.add(len(pts))
+        # both regimes occur
+        assert sizes == {3, 5}
+
+
 class TestPartnerIndex:
     @pytest.mark.parametrize("space,charges,settings", [
         (PolygonSpace(4), [1.0, 1.0, 1.0, 1.0], SolveSettings(grid_density=16)),
@@ -429,7 +461,7 @@ def mixed_seed_pool(n, charges):
     rng = np.random.default_rng(MULTISTART_SEED)
     pool = closed[:1] + [locked] + closed[1:]
     pool += [rng.uniform(-1.0, 1.0, size=(n, 2)) for _ in range(12)]
-    return list(_gauge_rows(pool))
+    return list(gauge_fix(pool))
 
 
 class TestBatchedPolish:
@@ -466,7 +498,7 @@ class TestBatchedPolish:
 
     def test_batch_with_no_seed_past_the_gap_check(self):
         locked = [POLE_LOCKED, POLE_LOCKED[::-1] * 0.5, POLE_LOCKED + 1e-10]
-        assert polish(_gauge_rows(locked), Q111) == []
+        assert polish(gauge_fix(locked), Q111) == []
         assert polish(np.empty((0, 3, 2)), Q111) == []
         assert polish_candidates(PolygonSpace(3), Q111, locked) == []
 
@@ -683,7 +715,7 @@ class TestSamePointRule:
 
     def test_polygon_mirror_closure_matches_sequential_scan(self):
         rng = np.random.default_rng(32)
-        base = _gauge_rows(rng.uniform(-1.0, 1.0, (30, 4, 2)))
+        base = gauge_fix(rng.uniform(-1.0, 1.0, (30, 4, 2)))
         rows = near_mirror_pool(rng, base, None)
         got = _mirror_close(rows, None)
         assert np.array_equal(got, sequential_mirror_close(rows, None))
@@ -732,14 +764,6 @@ def coords(cfg):
     return cfg.points if isinstance(cfg, PolygonConfig) else np.array(cfg.angles)
 
 
-def closed_form_seeds(charges):
-    """Collinear equilibria and the triangle without its mirror image,
-    so the finalize has to synthesize the mirror."""
-    seeds = [cfg.points for cfg in solve_line_three(charges)]
-    tri = critical_triangle(charges)
-    return _gauge_rows(seeds + ([tri.points] if tri is not None else []))
-
-
 def finalize_rows(space, rows, charges):
     """``_finalize`` of rows that come without their derivatives: those
     are evaluated here, and NaN for a row that is not finite.  A row at a
@@ -755,21 +779,23 @@ def finalize_rows(space, rows, charges):
 
 class TestArrayFinalize:
     @pytest.mark.parametrize("space,charges,grid", [
-        (PolygonSpace(3), [1.0, 1.0, 1.0], None),
-        (PolygonSpace(3), [0.125, 1.0, 1.0], None),
+        (PolygonSpace(3), [1.0, 1.0, 1.0], 24),
+        (PolygonSpace(3), [0.125, 1.0, 1.0], 24),
         (PolygonSpace(4), [1.0, 1.0, 1.0, 1.0], 16),
         (TorusSpace((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0], 24),
         (TorusSpace((1.0, 1.0, 1.0)), [1.0, 1.0, 1.0], 24),
     ])
     def test_matches_the_per_point_pipeline(self, space, charges, grid):
         q = ChargeVector.of(charges)
-        settings = SolveSettings(grid_density=grid or 24)
+        settings = SolveSettings(grid_density=grid)
         if isinstance(space, TorusSpace):
             seeds = _torus_seeds(space, settings)
-        elif grid is None:
-            seeds = closed_form_seeds(q)
+        elif space.n == 3:
+            # the seeds of ``multistart_census``: the dedup sees hundreds
+            # of converged rows
+            seeds = gauge_fix([*cell_seeds(q), *triangle_grid(grid)])
         else:
-            seeds = _gauge_rows(_polygon_seeds(space, q, COULOMB, settings))
+            seeds = gauge_fix(_polygon_seeds(space, q, COULOMB, settings))
         reps = _representatives(space, q, COULOMB, seeds)
         expected = per_point_finalize(space, reps[0], q)
         got = _finalize(space, reps, q, COULOMB)
@@ -827,7 +853,10 @@ class TestCarriedDerivatives:
         # the derivatives carried from the polish to the finalize are those
         # of the reported row; every census here has mirror pairs
         q = ChargeVector.of(charges)
-        pts = find_critical_points(space, q, settings=SolveSettings(grid_density=grid))
+        if space == PolygonSpace(3):
+            pts = multistart_census(q, grid_density=grid)
+        else:
+            pts = find_critical_points(space, q, settings=SolveSettings(grid_density=grid))
         assert any(cp.symmetry_partner is not None for cp in pts)
         for cp in pts:
             grad, hess = pot.chart_derivatives(*config_rows(cp.config), q, COULOMB)
