@@ -19,18 +19,19 @@ floating-point field.  JSON outputs are compared field by field, CSV
 and plain-text outputs token by token.  Last it prints the line count
 of ``coulomb_eq/*.py`` in each tree and the difference.
 
-The corpus (538 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (541 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
-kernels, radii and charges, twelve polygon censuses (n = 3 to 6) under
-each of the coulomb, log and power:2.5 kernels (36 runs), the coulomb
-polygon:3 census at grid density 48 of the region-boundary charges
-(1/9, 4/9, 4/9), where the aligned point with vertex 1 intermediate is
-degenerate, every job of the benchmark's polygon census (``p3-triangle``,
-``p3-collinear``, ``p4``, ``p5``) for the same four seeds, twelve
-pitchfork sweeps (the benchmark's polygon reference sweep and torus
-sweep, and ten more: other charges, swept charges, ranges, radii and
-the power:2 and log kernels on both spaces, five of which re-acquire
-the branch from nudged seeds),
+kernels, radii and charges, three torus censuses on odd grids (g 9 and
+25), whose column at pi is its own mirror image, twelve polygon censuses
+(n = 3 to 6) under each of the coulomb, log and power:2.5 kernels (36
+runs), the coulomb polygon:3 census at grid density 48 of the
+region-boundary charges (1/9, 4/9, 4/9), where the aligned point with
+vertex 1 intermediate is degenerate, every job of the benchmark's
+polygon census (``p3-triangle``, ``p3-collinear``, ``p4``, ``p5``) for
+the same four seeds, twelve pitchfork sweeps (the benchmark's polygon
+reference sweep and torus sweep, and ten more: other charges, swept
+charges, ranges, radii and the power:2 and log kernels on both spaces,
+five of which re-acquire the branch from nudged seeds),
 ``verify --suite quick`` and ``verify --suite full`` (the only run that
 reads the resolution-256 boundary curves and the four-charge fixing
 check), three ``inverse --sides`` cases (a unique ray, a collinear
@@ -70,6 +71,10 @@ EXTRA_TORUS = [
     ("torus:1,1,1", "1,2,3", "coulomb", 48),
     ("torus:1,1,2", "1,1,1", "coulomb", 64),
     ("torus:0.5,1.7,1.7", "0.01,0.01,1", "coulomb", 96),
+    # odd grids: the column at pi is its own mirror image
+    ("torus:1,2,3", "1,2,3", "coulomb", 9),
+    ("torus:1,2,3", "1,2,3", "coulomb", 25),
+    ("torus:1,1,1", "1,1,1", "coulomb", 9),
 ]
 
 POLYGONS = [

@@ -15,6 +15,7 @@ reproducible).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -306,7 +307,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="coulomb-eq",
         description="Equilibria of point charges on fixed-perimeter polygons "
@@ -357,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

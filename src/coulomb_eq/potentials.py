@@ -398,43 +398,32 @@ def torus_derivatives(radii: tuple[float, float, float], charges: ChargeVector,
     pair distance ``(k,)`` for a stack of ``(k, 2)`` angle pairs.
 
     Pair ``i`` joins the two points other than point ``i``; its distance
-    depends only on ``alpha_i`` through the cosine rule, and the chart
-    derivatives are assembled from the per-pair angle derivatives.  Rows
-    are independent.  Distances are clamped at half of ``pole_radius_of``
-    so pole-adjacent seeds give finite garbage instead of overflow;
-    callers reject those rows by the returned minimum distance.  A row
-    off the poles is never clamped.
+    depends only on ``alpha_i`` (cosine rule).  The three pairs are the
+    columns of one ``(k, 3)`` stack, evaluated in one pass; rows are
+    independent.  Distances are clamped at half of ``pole_radius_of``, so
+    pole-adjacent rows give finite garbage that callers reject by the
+    returned minimum distance; a row off the poles is never clamped.
     """
     r = np.array(radii)
-    floor = 0.5 * pole_radius_of(radii)
     q = charges.array
-    a1 = angles[:, 0]
-    a2 = angles[:, 1]
-    alphas = (a1, a2, TWO_PI - a1 - a2)
-    other = ((1, 2), (2, 0), (0, 1))
-    u2 = []
-    u1 = []
-    dmin = np.full(angles.shape[0], np.inf)
-    for i in range(3):
-        a, b = other[i]
-        rr = r[a] * r[b]
-        qq = q[a] * q[b]
-        cos_a = np.cos(alphas[i])
-        sin_a = np.sin(alphas[i])
-        d = np.sqrt(np.maximum(r[a] ** 2 + r[b] ** 2 - 2.0 * rr * cos_a, 0.0))
-        dmin = np.minimum(dmin, d)
-        safe = np.maximum(d, floor)
-        _, dphi, ddphi = kernel_terms(spec, safe)
-        d1 = rr * sin_a / safe
-        d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
-        u1.append(qq * dphi * d1)
-        u2.append(qq * (ddphi * d1 * d1 + dphi * d2))
-    grad = np.stack([u1[0] - u1[2], u1[1] - u1[2]], axis=1)
-    hess = np.empty((angles.shape[0], 2, 2))
-    hess[:, 0, 0] = u2[0] + u2[2]
-    hess[:, 1, 1] = u2[1] + u2[2]
-    hess[:, 0, 1] = hess[:, 1, 0] = u2[2]
-    return grad, hess, dmin
+    first, second = [1, 2, 0], [2, 0, 1]
+    rr = r[first] * r[second]
+    qq = q[first] * q[second]
+    # float64 scalars square through pow, which may round unlike x * x
+    span = np.array([r[a] ** 2 + r[b] ** 2 for a, b in zip(first, second)])
+    alphas = np.column_stack([angles, TWO_PI - angles[:, 0] - angles[:, 1]])
+    cos_a = np.cos(alphas)
+    sin_a = np.sin(alphas)
+    d = np.sqrt(np.maximum(span - 2.0 * rr * cos_a, 0.0))
+    safe = np.maximum(d, 0.5 * pole_radius_of(radii))
+    _, dphi, ddphi = kernel_terms(spec, safe)
+    d1 = rr * sin_a / safe
+    d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
+    u1 = qq * dphi * d1
+    u2 = qq * (ddphi * d1 * d1 + dphi * d2)
+    diagonal = u2[:, :2] + u2[:, 2:]
+    hess = np.stack([diagonal[:, 0], u2[:, 2], u2[:, 2], diagonal[:, 1]], axis=1)
+    return u1[:, :2] - u1[:, 2:], hess.reshape(-1, 2, 2), d.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +468,13 @@ def hessian(config: Config, charges: ChargeVector,
 
 def energy_report(config: Config, charges: ChargeVector,
                   spec: PotentialSpec = COULOMB) -> EnergyReport:
-    """Energy, chart gradient and chart Hessian in one pass."""
+    """Energy, chart gradient and chart Hessian in one pass; a report
+    with ``pole_flag`` at a pole, ``ValueError`` on a non-finite distance."""
     _check_charges(config, charges)
     rows, radii = config_rows(config)
-    pairs = pair_distances(rows, radii)
-    if pairs.min() < pole_radius_of(radii):
+    try:
+        pairs = regular_pairs(rows, radii)
+    except PoleError:
         dim = 2 * (config.n - 2)
         nan = np.full(dim, math.nan)
         return EnergyReport(math.inf, nan, np.full((dim, dim), math.nan), True)

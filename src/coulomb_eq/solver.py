@@ -454,10 +454,15 @@ def _sweep_position_seeds(n: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _torus_seeds(space: TorusSpace, settings: SolveSettings) -> np.ndarray:
+    """The injected exact seeds, then the grid half with ``alpha1`` in
+    ``(0, pi]``, x-major.  Tick ``i`` negates to tick ``g - 1 - i``, so the
+    other half mirrors this one (an odd ``g`` keeps its self-mirrored
+    column at ``pi``) and the finalize's mirror closure restores its points."""
     g = settings.grid_density
     ticks = TWO_PI * (np.arange(g) + 0.5) / g
+    half = ticks[:(g + 1) // 2]
     # x-major, the order the first-wins dedup sees the grid in
-    grid = np.column_stack([np.repeat(ticks, g), np.tile(ticks, g)])
+    grid = np.column_stack([np.repeat(half, g), np.tile(ticks, len(half))])
     extra = [TORUS_ALIGNED_ROWS]
     r = space.radii
     if max(r) - min(r) < 1e-12:
@@ -683,14 +688,15 @@ def find_critical_points(space: Space, charges: ChargeVector,
     """Search for every stationary point of the energy.
 
     The seeds are the closed forms for three polygon charges, else grid
-    seeds plus the aligned configurations.  They are polished by damped
-    Newton on the stationarity system, all seeds of the space as one
-    batch in which only live seeds iterate; runs that do not converge
-    are dropped.  The survivors are deduplicated modulo the rotation
-    gauge on their raw coordinate rows (the first seed of each point
-    wins), closed under the reflection involution (both members of a
-    mirror pair are reported and linked), classified by their
-    constrained Hessian spectrum and sorted by (energy, key).
+    seeds (on the torus the half whose mirror is the other half) plus the
+    aligned configurations.  They are polished by damped Newton on the
+    stationarity system, all seeds of the space as one batch in which
+    only live seeds iterate; runs that do not converge are dropped.  The
+    survivors are deduplicated modulo the rotation gauge on their raw
+    coordinate rows (the first seed of each point wins), closed under the
+    reflection involution (both members of a mirror pair are reported and
+    linked), classified by their constrained Hessian spectrum and sorted
+    by (energy, key).
     """
     pot._check_charges(space, charges)
     if isinstance(space, TorusSpace):

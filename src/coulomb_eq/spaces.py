@@ -145,7 +145,8 @@ class _PairGeometry:
 
     @property
     def has_pole(self) -> bool:
-        return self.min_separation < self.pole_radius
+        # written so that NaN fails the regular side
+        return not self.min_separation >= self.pole_radius
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Closed-form and comparison functions that only the tests use: a
 configuration match by the census same-point rule, the scalar pair loop
 of the collinear gradient and Hessian, the energies of the three
 collinear equilibria, the aligned-Hessian sign form of a torus label,
-the defect of the polygon aligned-minimum boundary, and the triangle
-multistart grid with the three-charge census polished from it.
+the defect of the polygon aligned-minimum boundary, the triangle
+multistart grid with the three-charge census polished from it, and the
+torus census polished from the whole angle grid.
 """
 
 from __future__ import annotations
@@ -21,13 +22,22 @@ from coulomb_eq.potentials import COULOMB, PotentialSpec
 from coulomb_eq.solver import (
     CriticalPoint,
     PolygonSpace,
+    TorusSpace,
     _close,
+    _finalize,
     _point_rows,
+    _representatives,
     closed_form_seeds,
     polish_candidates,
     solve_line_three,
 )
-from coulomb_eq.spaces import ChargeVector, Config, config_rows, triangle_vertices
+from coulomb_eq.spaces import (
+    TORUS_ALIGNED_ROWS,
+    ChargeVector,
+    Config,
+    config_rows,
+    triangle_vertices,
+)
 
 
 def configs_match(a: Config, b: Config) -> bool:
@@ -104,3 +114,19 @@ def multistart_census(charges: ChargeVector, spec: PotentialSpec = COULOMB,
     ``polish_candidates``."""
     seeds = np.concatenate([closed_form_seeds(charges, spec), triangle_grid(grid_density)])
     return polish_candidates(PolygonSpace(3), charges, seeds, spec)
+
+
+def full_grid_torus_census(space: TorusSpace, charges: ChargeVector,
+                           spec: PotentialSpec = COULOMB,
+                           grid_density: int = 24) -> list[CriticalPoint]:
+    """The torus census polished from the whole ``g x g`` angle grid, both
+    mirror halves, x-major behind the aligned seeds (and the equal-radii
+    +-2pi/3 seeds), through the solver's dedup and finalize."""
+    g = grid_density
+    ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
+    head = [TORUS_ALIGNED_ROWS]
+    if max(space.radii) - min(space.radii) < 1e-12:
+        third = 2.0 * math.pi / 3.0
+        head.append(np.array([(third, third), (-third, -third)]))
+    seeds = np.vstack([*head, np.column_stack([np.repeat(ticks, g), np.tile(ticks, g)])])
+    return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from coulomb_eq.cli import main, write_artifact
+from coulomb_eq.cli import build_parser, main, write_artifact
 
 
 def run_cli(args, tmp_path=None, env=None):
@@ -387,3 +387,23 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["space"] == "polygon:3"
+
+
+class TestSharedParser:
+    def test_calls_parse_independently(self, tmp_path):
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(
+            ["solve", "--space", "torus:1,2,3", "--charges", "1,2,3",
+             "--potential", "log", "--grid-density", "8", "--out", str(tmp_path / "a.json")])
+        code, out = run_cli(["inverse", "--sides", "0.3,0.3,0.4"])
+        assert code == 0 and json.loads(out)
+        code, out = run_cli(["solve", "--space", "polygon:3", "--charges", "1,1,1"])
+        assert code == 0 and json.loads(out)["potential"] == "coulomb"
+        second = build_parser().parse_args(["solve", "--space", "polygon:3",
+                                            "--charges", "1,1,1"])
+        # no flag of one call leaks into the next
+        assert (first.potential, first.grid_density, first.out) == (
+            "log", 8, str(tmp_path / "a.json"))
+        assert (second.potential, second.grid_density, second.out) == ("coulomb", 24, None)
+        assert not hasattr(build_parser().parse_args(["verify"]), "space")
+        assert not (tmp_path / "a.json").exists()

@@ -38,6 +38,7 @@ from coulomb_eq.solver import (
     solve_line_three,
 )
 from coulomb_eq.spaces import (
+    POLE_RADIUS_FACTOR,
     ChargeVector,
     PolygonConfig,
     TorusConfig,
@@ -167,8 +168,10 @@ class TestEnergy:
 
     @pytest.mark.parametrize("entry", [
         lambda cfg: energy(cfg, UNIT_Q3), lambda cfg: gradient(cfg, UNIT_Q3),
+        lambda cfg: energy_report(cfg, UNIT_Q3),
         lambda cfg: verify_equilibrium(cfg, UNIT_Q3), stabilizing_charges,
-    ], ids=["energy", "gradient", "verify_equilibrium", "stabilizing_charges"])
+    ], ids=["energy", "gradient", "energy_report", "verify_equilibrium",
+            "stabilizing_charges"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_distances_refused(self, entry):
         # the cosine-rule distances overflow to inf at these radii, which
@@ -176,6 +179,23 @@ class TestEnergy:
         cfg = TorusConfig((1e200, 2e200, 3e200), (2.0405577597527302, 1.9166509607975102))
         with pytest.raises(ValueError, match="^pair distances are not finite$"):
             entry(cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_energy_report_refuses_nan_distances(self):
+        # inf - inf in the cosine rule: every distance is NaN
+        cfg = TorusConfig((1e200, 2e200, 3e200), (0.5, 0.5))
+        assert np.isnan(cfg._pairs).all()
+        with pytest.raises(ValueError, match="^pair distances are not finite$"):
+            energy_report(cfg, UNIT_Q3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("angles, pole", [
+        ((0.5, 0.5), True), ((2.0405577597527302, 1.9166509607975102), False),
+    ], ids=["nan", "inf"])
+    def test_has_pole_on_non_finite_distances(self, angles, pole):
+        # a NaN distance is not a regular one; an infinite one is no
+        # coincidence of two charges
+        assert TorusConfig((1e200, 2e200, 3e200), angles).has_pole is pole
 
     def test_gradient_raises_at_pole(self):
         cfg = PolygonConfig.from_points([[0, 0], [1e-9, 0], [0.5, 0]])
@@ -428,6 +448,32 @@ def loop_polygon_derivatives(points, charges, spec):
     return (g_e, h_e, d.sum(axis=1)) + _loop_pair_sums(n, sides, nxt, u, p_block)
 
 
+def loop_torus_derivatives(radii, charges, spec, angles):
+    """``torus_derivatives`` with one pass per pair term, as a reference."""
+    r = np.array(radii)
+    floor = 0.5 * POLE_RADIUS_FACTOR * min(radii)
+    q = charges.array
+    a1, a2 = angles[:, 0], angles[:, 1]
+    alphas = (a1, a2, 2.0 * math.pi - a1 - a2)
+    u1, u2, dmin = [], [], np.full(len(angles), np.inf)
+    for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        rr = r[a] * r[b]
+        qq = q[a] * q[b]
+        cos_a, sin_a = np.cos(alphas[i]), np.sin(alphas[i])
+        d = np.sqrt(np.maximum(r[a] ** 2 + r[b] ** 2 - 2.0 * rr * cos_a, 0.0))
+        dmin = np.minimum(dmin, d)
+        safe = np.maximum(d, floor)
+        _, dphi, ddphi = kernel_terms(spec, safe)
+        d1 = rr * sin_a / safe
+        d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
+        u1.append(qq * dphi * d1)
+        u2.append(qq * (ddphi * d1 * d1 + dphi * d2))
+    grad = np.stack([u1[0] - u1[2], u1[1] - u1[2]], axis=1)
+    hess = np.stack([np.stack([u2[0] + u2[2], u2[2]], axis=1),
+                     np.stack([u2[2], u2[1] + u2[2]], axis=1)], axis=1)
+    return grad, hess, dmin
+
+
 def awkward_polygons(rng, n, k):
     """Random n-gons with collinear rows and signed zero coordinates."""
     stack = rng.normal(size=(k, n, 2))
@@ -538,6 +584,21 @@ class TestTorusCore:
                         - torus_derivatives(radii, q, spec, (a - e)[None])[0][0]) / (2 * h)
                 assert abs(grad[r, c] - fd_g) < 1e-6 * max(1.0, np.abs(grad[r]).max())
                 assert np.abs(hess[r, :, c] - fd_h).max() < 1e-6 * scale
+
+    # 2.759 squares to different bits through pow and through x * x
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (0.5, 1.7, 1.7), (0.31, 1.07, 2.759)])
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_stacked_pairs_match_the_pair_loop_bit_for_bit(self, radii, spec):
+        rng = np.random.default_rng(7)
+        q = ChargeVector.of(rng.uniform(0.3, 3.0, 3))
+        # random rows, the aligned labels and rows at or next to a pole
+        angles = np.vstack([rng.uniform(-7.0, 7.0, (40, 2)),
+                            [[math.pi, math.pi], [0.0, math.pi], [0.0, 0.0],
+                             [1e-9, 2.0], [2.0, -1e-12]]])
+        for field, ref in zip(torus_derivatives(radii, q, spec, angles),
+                              loop_torus_derivatives(radii, q, spec, angles)):
+            assert field.shape == ref.shape
+            assert field.tobytes() == np.ascontiguousarray(ref).tobytes()
 
     @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
     def test_every_row_equals_a_batch_of_one(self, spec):

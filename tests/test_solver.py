@@ -57,6 +57,7 @@ from coulomb_eq.spaces import (
 )
 from helpers import (
     configs_match,
+    full_grid_torus_census,
     line_grad_hess,
     line_three_energies,
     multistart_census,
@@ -278,6 +279,30 @@ class TestMultistartCrossCheck:
             sizes.add(len(pts))
         # both regimes occur
         assert sizes == {3, 5}
+
+
+HALF_GRID_CHARGES = np.random.default_rng(19).uniform(0.05, 3.0, (12, 3))
+
+
+class TestHalfGridCrossCheck:
+    """The torus census polishes the grid half with alpha1 in (0, pi]; the
+    mirror closure restores the other half's points, bit for bit."""
+
+    @pytest.mark.parametrize("g", [8, 9, 24])
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0),
+                                       (0.5, 1.7, 1.7)])
+    def test_half_grid_equals_the_full_grid(self, radii, kernel, g):
+        space = TorusSpace(radii)
+        spec = PotentialSpec.parse(kernel)
+        found = 0
+        for charges in HALF_GRID_CHARGES:
+            q = ChargeVector.of(charges)
+            half = find_critical_points(space, q, spec, SolveSettings(grid_density=g))
+            # repr prints every float to the bit (-0.0 included)
+            assert repr(half) == repr(full_grid_torus_census(space, q, spec, g))
+            found += len(half)
+        assert found
 
 
 class TestPartnerIndex:
@@ -581,19 +606,37 @@ class TestCompactedTorusPolish:
         assert together == sum(alone)
         assert alone[-len(evals):] == evals
 
-    @pytest.mark.parametrize("g", [8, 96])
+    @pytest.mark.parametrize("g", [8, 9, 96])
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.5, 1.5, 1.5)])
     def test_seed_order(self, g, radii):
         seeds = _torus_seeds(TorusSpace(radii), SolveSettings(grid_density=g))
         aligned = [(lab[0], lab[1]) for lab in TORUS_ALIGNED_LABELS]
         third = 2.0 * math.pi / 3.0
         # the first-wins dedup keeps the first seed of each point, so the
-        # exact seeds lead and the grid runs x-major
+        # exact seeds lead and the grid runs x-major; only the columns
+        # with alpha1 in (0, pi] are polished
         head = aligned + ([(third, third), (-third, -third)] if radii[0] == radii[1] else [])
         ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
-        grid = [(x, y) for x in ticks for y in ticks]
+        grid = [(x, y) for x in ticks[:(g + 1) // 2] for y in ticks]
         assert np.array_equal(seeds, np.array(head + grid))
-        assert seeds.shape == (len(head) + g * g, 2)
+        assert seeds.shape == (len(head) + (g + 1) // 2 * g, 2)
+        assert (seeds[len(head):, 0] <= math.pi).all()
+
+    @pytest.mark.parametrize("g", [8, 9, 96])
+    def test_dropped_columns_mirror_onto_kept_ones(self, g):
+        keep = (g + 1) // 2
+        kept = _torus_seeds(TorusSpace((1.0, 2.0, 3.0)),
+                            SolveSettings(grid_density=g))[-keep * g:].reshape(keep, g, 2)
+        ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
+        dropped = np.stack(np.meshgrid(ticks[keep:], ticks, indexing="ij"), axis=-1)
+        # tick i negates to tick g - 1 - i mod 2 pi, so column keep + c
+        # lands on column g - 1 - keep - c and row j on row g - 1 - j
+        mirrored = np.mod(-dropped, 2.0 * math.pi)[::-1, ::-1]
+        assert np.abs(mirrored - kept[:g - keep]).max() < 1e-12
+        if g % 2:
+            # the column at pi is its own mirror image
+            middle = kept[keep - 1]
+            assert np.abs(np.mod(-middle, 2.0 * math.pi)[::-1] - middle).max() < 1e-12
 
     def test_reduced_angles_match_the_scalar_reduction(self):
         rng = np.random.default_rng(9)
