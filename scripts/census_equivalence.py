@@ -19,10 +19,13 @@ floating-point field.  JSON outputs are compared field by field, CSV
 and plain-text outputs token by token.  Last it prints the line count
 of ``coulomb_eq/*.py`` in each tree and the difference.
 
-The corpus (541 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (543 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
 kernels, radii and charges, three torus censuses on odd grids (g 9 and
-25), whose column at pi is its own mirror image, twelve polygon censuses
+25), whose column at pi is its own mirror image, a torus census with
+the radius 2.759, which squares to different bits through pow and
+through ``x * x``, and the equal-radii torus under the log kernel,
+twelve polygon censuses
 (n = 3 to 6) under each of the coulomb, log and power:2.5 kernels (36
 runs), the coulomb polygon:3 census at grid density 48 of the
 region-boundary charges (1/9, 4/9, 4/9), where the aligned point with
@@ -75,6 +78,9 @@ EXTRA_TORUS = [
     ("torus:1,2,3", "1,2,3", "coulomb", 9),
     ("torus:1,2,3", "1,2,3", "coulomb", 25),
     ("torus:1,1,1", "1,1,1", "coulomb", 9),
+    # 2.759 squares to different bits through pow and through x * x
+    ("torus:0.31,1.07,2.759", "1,2,3", "coulomb", 48),
+    ("torus:1,1,1", "1,2,3", "log", 48),
 ]
 
 POLYGONS = [

@@ -19,7 +19,10 @@ Derivatives are array-first: one core per space evaluates stacks of
 mixing between rows, and a single configuration is a stack of one.
 The polygon core sums its pair terms by vertex incidence: a plan cached
 per ``n`` lists the pairs at each movable vertex in pair order, and each
-vertex adds its terms in that order, starting from 0.0.
+vertex adds its terms in that order, starting from 0.0.  The torus core
+takes the two angle columns and holds its pair terms pair-major, as the
+rows of a ``(3, k)`` stack, with the radius and charge products taken
+once per census (``TorusConstants``).
 """
 
 from __future__ import annotations
@@ -391,39 +394,73 @@ def polygon_chart_derivatives(points: np.ndarray, charges: ChargeVector,
 # torus space: the (alpha1, alpha2) chart is global
 # ---------------------------------------------------------------------------
 
+class TorusConstants(NamedTuple):
+    """The per-census constants of ``torus_columns``.
+
+    For the pairs 0, 1, 2 (pair ``i`` joins the two points other than
+    point ``i``) the radius products ``rr``, the charge products ``qq``
+    and the squared-radius sums ``span``, each a ``(3, 1)`` column, then
+    the distance ``floor``, half of ``pole_radius_of``.
+    """
+
+    rr: np.ndarray
+    qq: np.ndarray
+    span: np.ndarray
+    floor: float
+
+    @classmethod
+    def of(cls, radii: tuple[float, float, float],
+           charges: ChargeVector) -> "TorusConstants":
+        r = np.array(radii)
+        q = charges.array
+        first, second = [1, 2, 0], [2, 0, 1]
+        # float64 scalars square through pow, which may round unlike x * x
+        span = np.array([r[a] ** 2 + r[b] ** 2 for a, b in zip(first, second)])
+        return cls((r[first] * r[second])[:, None], (q[first] * q[second])[:, None],
+                   span[:, None], 0.5 * pole_radius_of(radii))
+
+
+def torus_columns(constants: TorusConstants,
+                  spec: PotentialSpec, a0: np.ndarray, a1: np.ndarray,
+                  ) -> tuple[np.ndarray, ...]:
+    """Chart gradient ``g0, g1``, chart Hessian ``h00, h01, h11`` and
+    smallest pair distance ``dmin``, each ``(k,)``, at the angle pairs
+    ``(a0[r], a1[r])``: the one torus derivative core.
+
+    Pair ``i`` depends only on ``alpha_i`` (cosine rule), with ``alpha_3 =
+    2 pi - a0 - a1``.  The three pair terms are the rows of one ``(3, k)``
+    stack (pair-major), evaluated in one pass; columns are independent.
+    Distances are clamped at the floor of ``constants``, so pole-adjacent
+    columns give finite garbage that callers reject by ``dmin``; a
+    column off the poles is never clamped.
+    """
+    rr, qq, span, floor = constants
+    alphas = np.stack([a0, a1, TWO_PI - a0 - a1])
+    cos_a = np.cos(alphas)
+    sin_a = np.sin(alphas)
+    rr_cos = rr * cos_a
+    rr_sin = rr * sin_a
+    d = np.sqrt(np.maximum(span - 2.0 * rr_cos, 0.0))
+    safe = np.maximum(d, floor)
+    _, dphi, ddphi = kernel_terms(spec, safe)
+    d1 = rr_sin / safe
+    d2 = rr_cos / safe - rr_sin ** 2 / safe ** 3
+    u1 = qq * dphi * d1
+    u2 = qq * (ddphi * d1 * d1 + dphi * d2)
+    return (u1[0] - u1[2], u1[1] - u1[2], u2[0] + u2[2], u2[2], u2[1] + u2[2],
+            np.minimum(np.minimum(d[0], d[1]), d[2]))
+
+
 def torus_derivatives(radii: tuple[float, float, float], charges: ChargeVector,
                       spec: PotentialSpec, angles: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chart gradient ``(k, 2)``, chart Hessian ``(k, 2, 2)`` and smallest
-    pair distance ``(k,)`` for a stack of ``(k, 2)`` angle pairs.
-
-    Pair ``i`` joins the two points other than point ``i``; its distance
-    depends only on ``alpha_i`` (cosine rule).  The three pairs are the
-    columns of one ``(k, 3)`` stack, evaluated in one pass; rows are
-    independent.  Distances are clamped at half of ``pole_radius_of``, so
-    pole-adjacent rows give finite garbage that callers reject by the
-    returned minimum distance; a row off the poles is never clamped.
-    """
-    r = np.array(radii)
-    q = charges.array
-    first, second = [1, 2, 0], [2, 0, 1]
-    rr = r[first] * r[second]
-    qq = q[first] * q[second]
-    # float64 scalars square through pow, which may round unlike x * x
-    span = np.array([r[a] ** 2 + r[b] ** 2 for a, b in zip(first, second)])
-    alphas = np.column_stack([angles, TWO_PI - angles[:, 0] - angles[:, 1]])
-    cos_a = np.cos(alphas)
-    sin_a = np.sin(alphas)
-    d = np.sqrt(np.maximum(span - 2.0 * rr * cos_a, 0.0))
-    safe = np.maximum(d, 0.5 * pole_radius_of(radii))
-    _, dphi, ddphi = kernel_terms(spec, safe)
-    d1 = rr * sin_a / safe
-    d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
-    u1 = qq * dphi * d1
-    u2 = qq * (ddphi * d1 * d1 + dphi * d2)
-    diagonal = u2[:, :2] + u2[:, 2:]
-    hess = np.stack([diagonal[:, 0], u2[:, 2], u2[:, 2], diagonal[:, 1]], axis=1)
-    return u1[:, :2] - u1[:, 2:], hess.reshape(-1, 2, 2), d.min(axis=1)
+    pair distance ``(k,)`` for a stack of ``(k, 2)`` angle pairs: the
+    columns of ``torus_columns`` stacked, rows independent."""
+    g0, g1, h00, h01, h11, dmin = torus_columns(TorusConstants.of(radii, charges), spec,
+                                                angles[:, 0], angles[:, 1])
+    hess = np.stack([h00, h01, h01, h11], axis=1).reshape(-1, 2, 2)
+    return np.stack([g0, g1], axis=1), hess, dmin
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,22 @@ constraint for polygons, the plain two-angle gradient for the torus.
 The search is array-first from seed to report.  Polygon seeds are
 gauge-fixed as one stack; all seeds of a search go through one damped
 Newton iteration as a single stack, and only live seeds iterate (the
-torus polish carries a compact stack of the live angles and their seed
-indices, evaluates it once per round and shrinks it with one gather).
-Converged points are deduplicated in one first-wins pass that compares
-column by column.  The representatives come with their chart
-gradients and Hessians: the polygon polish has them from its
-convergence gate, the torus takes them in one call on the reduced
-representatives.  The finalize works on that stack too: it closes it
-under the reflection involution by row comparisons, evaluates chart
-derivatives only for the mirrors it synthesizes, gates and classifies
-every row with one eigenvalue call, sorts, and pairs each point with
-its mirror by index.  A configuration object is built only for each
-reported point.  The representatives are canonical rows: a seed that
-took no Newton step keeps its row, polygon candidates are gauge-fixed
-as one stack (a no-op on a canonical row), and mirrors and reported
-points are built from the rows as they stand.
+torus polish carries the live angles as two columns with their seed
+indices, evaluates them once per round through the pair-major torus
+core with the census constants taken once, and shrinks them with one
+gather each).  Converged points are deduplicated in one first-wins pass
+that compares every candidate row with the representative in one step.
+The representatives come with their chart gradients and Hessians: the
+polygon polish has them from its convergence gate, the torus takes
+them in one call on the reduced representatives.  The finalize works
+on that stack too: it closes it under the reflection involution by row
+comparisons, evaluates chart derivatives only for the mirrors it
+synthesizes, gates and classifies every row with one eigenvalue call,
+sorts, and pairs each point with its mirror by index.  A configuration
+object is built only for each reported point.  The representatives are
+canonical rows: a seed that took no Newton step keeps its row, polygon
+candidates are gauge-fixed as one stack (a no-op on a canonical row),
+and mirrors and reported points are built from the rows as they stand.
 
 One rule makes each census decision.  Same point: rows whose
 ``_point_rows`` (gauge-fixed vertices, or angles on the circle) differ
@@ -476,33 +477,36 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
                         spec: PotentialSpec, seeds: np.ndarray) -> np.ndarray:
     """Newton on the two-angle gradient, run on a stack of ``(k, 2)`` seeds.
 
-    The iteration carries one compact stack, the angles of the live seeds
-    and their seed indices.  Each round evaluates that stack, writes the
-    seeds that converged into the result by seed index and shrinks the
-    stack, in one gather, to the seeds it steps.  A seed that converged,
-    hit a pole or met a singular Hessian is never evaluated again, so
-    every seed takes exactly the steps it would take alone.  Returns the
-    converged angle pairs in seed order, reduced to (-pi, pi].
+    The iteration carries the angles of the live seeds as two columns
+    with their seed indices ``live``.  Each round evaluates them through
+    ``potentials.torus_columns`` with the census constants taken once,
+    writes the seeds that converged into the result by seed index and
+    shrinks the columns, in one gather each, to the seeds it steps.  A
+    seed that converged, hit a pole or met a singular Hessian is never
+    evaluated again, so every seed takes exactly the steps it would take
+    alone.  Returns the converged angle pairs in seed order, reduced to
+    (-pi, pi].
     """
     angles = np.array(seeds, dtype=float).reshape(-1, 2)
+    constants = pot.TorusConstants.of(space.radii, charges)
     pole_radius = pole_radius_of(space.radii)
     converged = np.zeros(angles.shape[0], dtype=bool)
     live = np.arange(angles.shape[0])
-    at = angles.copy()
+    a0, a1 = angles[:, 0].copy(), angles[:, 1].copy()
     for rounds in range(MAX_ITERS + 1):
-        grad, hess, dmin = pot.torus_derivatives(space.radii, charges, spec, at)
-        g0, g1 = grad[:, 0], grad[:, 1]
+        g0, g1, h00, h01, h11, dmin = pot.torus_columns(constants, spec, a0, a1)
         gnorm = np.sqrt(g0 * g0 + g1 * g1)
         # every gate is written so that NaN fails it
         regular = dmin >= pole_radius
         last = rounds == MAX_ITERS
         done = regular & (gnorm <= (NEWTON_TOL if last else POLISH_TARGET))
-        angles[live[done]] = at[done]
-        converged[live[done]] = True
+        hit = live[done]
+        angles[hit, 0] = a0[done]
+        angles[hit, 1] = a1[done]
+        converged[hit] = True
         todo = regular & (gnorm > POLISH_TARGET)
         if last or not todo.any():
             break
-        h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
         # rows that stop here may divide by zero or overflow; their steps
         # are dropped with them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -513,9 +517,9 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
             s0 = (-g0 * h11 + g1 * h01) / det
             s1 = (-g1 * h00 + g0 * h01) / det
             clamp = np.minimum(1.0, 0.5 / np.sqrt(s0 * s0 + s1 * s1))
-            at[:, 0] += s0 * clamp
-            at[:, 1] += s1 * clamp
-        live, at = live[keep], at[keep]
+            a0 += s0 * clamp
+            a1 += s1 * clamp
+        live, a0, a1 = live[keep], a0[keep], a1[keep]
     return reduce_angles(angles[converged])
 
 
@@ -550,16 +554,14 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
     covers no row, itself included, and still leaves the pool once it
     is a representative.
     """
-    columns = np.asarray(rows, dtype=float).T
-    left = np.arange(len(rows))
+    block = np.asarray(rows, dtype=float)
+    left = np.arange(len(block))
     reps = []
     while left.size:
         rep, left = left[0], left[1:]
         reps.append(int(rep))
-        # max|delta| < tol column by column, so NaN fails it
-        near = np.ones(left.size, dtype=bool)
-        for col in columns:
-            near &= np.abs(col[left] - col[rep]) < tol
+        # max propagates NaN, which fails the comparison
+        near = np.abs(block[left] - block[rep]).max(axis=1) < tol
         left = left[~near]
     return reps
 

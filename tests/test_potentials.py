@@ -25,6 +25,8 @@ from coulomb_eq.potentials import (
     polygon_free_indices,
     polygon_stationarity,
     stationarity_relation_residual,
+    TorusConstants,
+    torus_columns,
     torus_derivatives,
 )
 from coulomb_eq.inverse import stabilizing_charges, verify_equilibrium
@@ -599,6 +601,40 @@ class TestTorusCore:
                               loop_torus_derivatives(radii, q, spec, angles)):
             assert field.shape == ref.shape
             assert field.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("radii", [(1.0, 1.0, 1.0), (0.31, 1.07, 2.759)])
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_core_columns_match_both_references_bit_for_bit(self, radii, spec):
+        rng = np.random.default_rng(8)
+        q = ChargeVector.of(rng.uniform(0.3, 3.0, 3))
+        # random rows, the aligned labels and rows at or next to a pole,
+        # then rows with an infinite or NaN angle
+        angles = np.vstack([rng.uniform(-7.0, 7.0, (40, 2)),
+                            [[math.pi, math.pi], [0.0, math.pi], [0.0, 0.0],
+                             [1e-9, 2.0], [2.0, -1e-12]],
+                            [[math.inf, 1.0], [1.0, -math.inf], [math.nan, 0.5],
+                             [math.inf, math.nan]]])
+        with np.errstate(invalid="ignore"):
+            columns = torus_columns(TorusConstants.of(radii, q), spec,
+                                    angles[:, 0].copy(), angles[:, 1].copy())
+            grad, hess, dmin = torus_derivatives(radii, q, spec, angles)
+            ref_grad, ref_hess, ref_dmin = loop_torus_derivatives(radii, q, spec, angles)
+        assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0], equal_nan=True)
+        finite = slice(0, -4)
+        # only the equal radii reach the clamp floor, at [0, 0]
+        floor = 0.5 * POLE_RADIUS_FACTOR * min(radii)
+        assert (columns[5][finite] < floor).any() == (radii[0] == radii[2])
+        for column, stacked, ref in zip(
+                columns,
+                (grad[:, 0], grad[:, 1], hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1], dmin),
+                (ref_grad[:, 0], ref_grad[:, 1], ref_hess[:, 0, 0], ref_hess[:, 0, 1],
+                 ref_hess[:, 1, 1], ref_dmin)):
+            assert column.shape == (len(angles),)
+            assert column[finite].tobytes() == stacked[finite].tobytes()
+            assert column[finite].tobytes() == np.ascontiguousarray(ref[finite]).tobytes()
+            # a non-finite angle gives NaN where the pair loop gives NaN
+            assert np.array_equal(np.isnan(column), np.isnan(ref))
+            assert np.array_equal(np.isnan(stacked), np.isnan(ref))
 
     @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
     def test_every_row_equals_a_batch_of_one(self, spec):

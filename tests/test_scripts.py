@@ -41,3 +41,19 @@ def test_concentric_census_prints_one_row_per_sample(monkeypatch, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "q1,q2,q3,total,minima,saddles,maxima,euler,exact"
     assert len(lines) == 3 and lines[2].startswith("# minimal censuses: ")
+
+
+def test_bench_pairs_summary():
+    summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    faster = [p - 4.0 for p in parent]
+    faster[0] = 1.0  # a tie counts for neither side
+    s = summarize(parent, faster, "lower")
+    assert s["parent"] == (5.5, 3.25, 7.75) and s["change"] == (1.5, 0.25, 3.75)
+    assert (s["wins"], s["pairs"], s["gain"]) == (9, 10, False)
+    # the gain needs a median gap beyond the parent's interquartile range
+    s = summarize(parent, [p - 5.0 for p in parent], "lower")
+    assert (s["wins"], s["gain"]) == (10, True)
+    s = summarize(parent, [p + 5.0 for p in parent], "higher")
+    assert (s["wins"], s["gain"]) == (10, True)
+    assert summarize(parent, [p - 5.0 for p in parent], "higher")["wins"] == 0

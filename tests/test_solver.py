@@ -588,13 +588,13 @@ class TestCompactedTorusPolish:
         seeds = np.vstack([_torus_seeds(space, SolveSettings(grid_density=12)),
                            extra(space, q)])
         rows = []
-        core = pot.torus_derivatives
+        core = pot.torus_columns
 
-        def counted(radii, charges, spec, angles):
-            rows.append(len(angles))
-            return core(radii, charges, spec, angles)
+        def counted(constants, spec, a0, a1):
+            rows.append(len(a0))
+            return core(constants, spec, a0, a1)
 
-        monkeypatch.setattr(pot, "torus_derivatives", counted)
+        monkeypatch.setattr(pot, "torus_columns", counted)
         _polish_torus_seeds(space, q, COULOMB, seeds)
         together = sum(rows)
         alone = []
