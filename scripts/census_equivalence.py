@@ -16,16 +16,22 @@ For every run the script reports whether the two outputs (exit status,
 stdout and, for ``bifurcate``, the four artifacts) are byte-identical
 and, where they differ, the largest absolute difference of each
 floating-point field.  JSON outputs are compared field by field, CSV
-and plain-text outputs token by token.  Last it prints the line count
-of ``coulomb_eq/*.py`` in each tree and the difference.
+and plain-text outputs token by token.  For a census (``solve`` or a
+control cell) that differs it also reports whether the two point lists
+match as sets: the same count, and each point within ``SET_TOL`` of a
+point of the other side with equal ``index``, ``aligned`` and
+``degenerate``; this tells mirror partners that traded places from a
+point that moved.  Last it prints the line count of ``coulomb_eq/*.py``
+in each tree and the difference.
 
-The corpus (543 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (544 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
 kernels, radii and charges, three torus censuses on odd grids (g 9 and
 25), whose column at pi is its own mirror image, a torus census with
 the radius 2.759, which squares to different bits through pow and
-through ``x * x``, and the equal-radii torus under the log kernel,
-twelve polygon censuses
+through ``x * x``, the equal-radii torus under the log kernel, a
+power:2.5 torus census on close radii whose exact aligned point (0, 0)
+is lost when sin(2 pi) enters its gradient, twelve polygon censuses
 (n = 3 to 6) under each of the coulomb, log and power:2.5 kernels (36
 runs), the coulomb polygon:3 census at grid density 48 of the
 region-boundary charges (1/9, 4/9, 4/9), where the aligned point with
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -81,6 +88,8 @@ EXTRA_TORUS = [
     # 2.759 squares to different bits through pow and through x * x
     ("torus:0.31,1.07,2.759", "1,2,3", "coulomb", 48),
     ("torus:1,1,1", "1,2,3", "log", 48),
+    # the gradient at (0, 0) is exactly zero only with the third angle reduced
+    ("torus:0.83610,0.89041,1.30351", "0.4781,0.0813,0.4436", "power:2.5", 96),
 ]
 
 POLYGONS = [
@@ -151,6 +160,8 @@ ARTIFACTS = ("branches.csv", "curves.csv", "branches.json", "curves.json")
 
 #: seed of the analysis workload whose control-triangle cells are compared
 CELL_SEED = 1
+#: largest coordinate difference of two points that match as sets
+SET_TOL = 1e-9
 
 WORKER = f"""
 import contextlib, dataclasses, io, json, sys
@@ -295,6 +306,39 @@ def compare(a, b, path: str, diffs: dict[str, float], mismatches: list[str]) -> 
         mismatches.append(path)
 
 
+def census_points(parsed) -> list[dict] | None:
+    """The point records of a parsed census output (a ``solve`` payload
+    or a control cell's list), ``None`` for any other output."""
+    if isinstance(parsed, dict):
+        parsed = parsed.get("points")
+    if isinstance(parsed, list) and all(isinstance(p, dict) and "coords" in p for p in parsed):
+        return parsed
+    return None
+
+
+def _position(point: dict) -> list[float]:
+    """A point's coordinates, torus angles embedded as cos/sin so that
+    angles a turn apart compare as equal."""
+    coords = point["coords"]
+    if "angles" in coords:
+        return [f(a) for a in coords["angles"] for f in (math.cos, math.sin)]
+    return [x for vertex in coords["points"] for x in vertex]
+
+
+def match_as_sets(old: list[dict], new: list[dict]) -> bool:
+    """Whether two point lists hold the same points in any order: equal
+    counts, and each point within ``SET_TOL`` of a point of the other
+    list with the same ``index``, ``aligned`` and ``degenerate``."""
+    def found(point: dict, others: list[dict]) -> bool:
+        here = _position(point)
+        return any(all(point[k] == other[k] for k in ("index", "aligned", "degenerate"))
+                   and max(abs(x - y) for x, y in zip(here, _position(other))) <= SET_TOL
+                   for other in others)
+
+    return (len(old) == len(new) and all(found(p, new) for p in old)
+            and all(found(p, old) for p in new))
+
+
 def source_lines(src: Path) -> int:
     """Lines of the package modules of a source tree, as ``wc -l`` counts."""
     return sum(path.read_bytes().count(b"\n")
@@ -319,6 +363,7 @@ def main() -> int:
     identical: dict[str, list[int]] = {}
     overall: dict[str, float] = {}
     structural = 0
+    as_sets = [0, 0]
     for (group, argv), a, b in zip(runs, old, new):
         name = label(argv)
         tally = identical.setdefault(group, [0, 0])
@@ -329,16 +374,25 @@ def main() -> int:
             continue
         diffs: dict[str, float] = {}
         mismatches: list[str] = []
-        compare(view(a), view(b), "", diffs, mismatches)
+        va, vb = view(a), view(b)
+        compare(va, vb, "", diffs, mismatches)
         structural += bool(mismatches)
+        sets = ""
+        old_points, new_points = census_points(va["stdout"]), census_points(vb["stdout"])
+        if old_points is not None and new_points is not None:
+            matched = match_as_sets(old_points, new_points)
+            as_sets[0] += matched
+            as_sets[1] += 1
+            sets = "; points match as sets" if matched else "; points differ as sets"
         for field, d in diffs.items():
             overall[field] = max(overall.get(field, 0.0), d)
         fields = ", ".join(f"{f} {d:.2g}" for f, d in sorted(diffs.items()) if d)
         other = f"; other mismatches: {', '.join(sorted(set(mismatches)))}" if mismatches else ""
-        print(f"differs    {name}: {fields or 'no float field moved'}{other}")
+        print(f"differs    {name}: {fields or 'no float field moved'}{other}{sets}")
     print()
     for group, (same, total) in identical.items():
         print(f"{group}: {same}/{total} runs byte-identical")
+    print(f"differing censuses whose points match as sets: {as_sets[0]}/{as_sets[1]}")
     moved = {f: d for f, d in overall.items() if d}
     print("largest float difference per field: "
           + (", ".join(f"{f} {d:.2g}" for f, d in sorted(moved.items())) or "none"))

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import morse, potentials as pot
+from .inverse import intermediate_charge_limit
 from .potentials import COULOMB, PotentialSpec
 from .solver import (
     CriticalPoint,
@@ -474,11 +475,9 @@ def fixing_effect_probe(q1: float, q3: float, q2_samples: Sequence[float],
     Below the threshold the global minimum is the aligned arrangement
     and the split of the segment is independent of the intermediate
     charge; samples at or above the threshold are excluded with a note
-    (there the minimum leaves the line).
+    (there the minimum leaves the line).  The threshold is the closed form.
     """
-    path = charge_sweep_path([q1, 1.0, q3], 1)
-    hi = max(max(q2_samples) * 2.0, 1.0)
-    threshold = detect_threshold(PolygonSpace(3), path, (1e-4, hi), spec)
+    threshold = intermediate_charge_limit(q1, q3, spec)
     included = []
     excluded = []
     for q2 in q2_samples:

@@ -10,7 +10,6 @@ are stationary for every charge triple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +87,12 @@ def verify_equilibrium(config: Config, charges: ChargeVector,
                             grad_norm < EQUILIBRIUM_TOL and relation < EQUILIBRIUM_TOL)
 
 
-def intermediate_charge_limit(outer_left: float, outer_right: float) -> float:
-    """Largest intermediate charge keeping a collinear triple a minimum."""
-    return 1.0 / (1.0 / math.sqrt(outer_left) + 1.0 / math.sqrt(outer_right)) ** 2
+def intermediate_charge_limit(outer_left: float, outer_right: float,
+                              spec: PotentialSpec = COULOMB) -> float:
+    """Largest intermediate charge keeping a collinear triple a minimum, its
+    pitchfork threshold: ``(q_l**-p + q_r**-p) ** (-1/p)``, ``p = spec.ratio_exponent``."""
+    p = spec.ratio_exponent
+    return (outer_left ** -p + outer_right ** -p) ** (-1.0 / p)
 
 
 def _verified(kind: str, config: Config, charges: ChargeVector,
@@ -119,7 +121,7 @@ def _stationarity_matrix(rows: np.ndarray, radii: tuple[float, float, float] | N
     # pairs (0, 1), (0, 2), (1, 2) face the angles alpha3, alpha2, alpha1
     sines = np.sin(torus_alphas(rows)[0, ::-1])
     sines[np.abs(sines) < STRAIGHT_SINE_TOL] = 0.0
-    # chart derivatives of (alpha3, alpha2, alpha1): alpha3 = 2 pi - alpha1 - alpha2
+    # chart derivatives of (alpha3, alpha2, alpha1): alpha3 = -(alpha1 + alpha2) mod 2 pi
     chart = np.array([[-1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]])
     r = np.asarray(radii)
     return chart * sines, r[first] * r[second] / d

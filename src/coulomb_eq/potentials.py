@@ -22,7 +22,7 @@ per ``n`` lists the pairs at each movable vertex in pair order, and each
 vertex adds its terms in that order, starting from 0.0.  The torus core
 takes the two angle columns and holds its pair terms pair-major, as the
 rows of a ``(3, k)`` stack, with the radius and charge products taken
-once per census (``TorusConstants``).
+once per census (``TorusConstants``) and its geometry from ``spaces``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .spaces import (
-    TWO_PI,
     Config,
     ChargeVector,
     PolygonConfig,
@@ -48,6 +47,7 @@ from .spaces import (
     perimeter_value,
     pole_radius_of,
     torus_alphas,
+    torus_third_angle,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -400,7 +400,8 @@ class TorusConstants(NamedTuple):
     For the pairs 0, 1, 2 (pair ``i`` joins the two points other than
     point ``i``) the radius products ``rr``, the charge products ``qq``
     and the squared-radius sums ``span``, each a ``(3, 1)`` column, then
-    the distance ``floor``, half of ``pole_radius_of``.
+    the distance ``floor``, half of ``pole_radius_of``; squared as
+    ``spaces.chord_distance`` squares.
     """
 
     rr: np.ndarray
@@ -411,13 +412,10 @@ class TorusConstants(NamedTuple):
     @classmethod
     def of(cls, radii: tuple[float, float, float],
            charges: ChargeVector) -> "TorusConstants":
-        r = np.array(radii)
-        q = charges.array
-        first, second = [1, 2, 0], [2, 0, 1]
-        # float64 scalars square through pow, which may round unlike x * x
-        span = np.array([r[a] ** 2 + r[b] ** 2 for a, b in zip(first, second)])
-        return cls((r[first] * r[second])[:, None], (q[first] * q[second])[:, None],
-                   span[:, None], 0.5 * pole_radius_of(radii))
+        r, q = np.array(radii), charges.array
+        ra, rb = r[[1, 2, 0]], r[[2, 0, 1]]
+        return cls((ra * rb)[:, None], (q[[1, 2, 0]] * q[[2, 0, 1]])[:, None],
+                   (ra * ra + rb * rb)[:, None], 0.5 * pole_radius_of(radii))
 
 
 def torus_columns(constants: TorusConstants,
@@ -427,15 +425,16 @@ def torus_columns(constants: TorusConstants,
     smallest pair distance ``dmin``, each ``(k,)``, at the angle pairs
     ``(a0[r], a1[r])``: the one torus derivative core.
 
-    Pair ``i`` depends only on ``alpha_i`` (cosine rule), with ``alpha_3 =
-    2 pi - a0 - a1``.  The three pair terms are the rows of one ``(3, k)``
-    stack (pair-major), evaluated in one pass; columns are independent.
+    Pair ``i`` depends only on ``alpha_i`` (cosine rule; the third from
+    ``torus_third_angle``), so ``dmin`` is the bits of ``pair_distances``.
+    The three pair terms are the rows of one ``(3, k)`` stack
+    (pair-major), evaluated in one pass; columns are independent.
     Distances are clamped at the floor of ``constants``, so pole-adjacent
     columns give finite garbage that callers reject by ``dmin``; a
     column off the poles is never clamped.
     """
     rr, qq, span, floor = constants
-    alphas = np.stack([a0, a1, TWO_PI - a0 - a1])
+    alphas = np.array([a0, a1, torus_third_angle(a0, a1)])
     cos_a = np.cos(alphas)
     sin_a = np.sin(alphas)
     rr_cos = rr * cos_a
@@ -444,23 +443,11 @@ def torus_columns(constants: TorusConstants,
     safe = np.maximum(d, floor)
     _, dphi, ddphi = kernel_terms(spec, safe)
     d1 = rr_sin / safe
-    d2 = rr_cos / safe - rr_sin ** 2 / safe ** 3
+    d2 = rr_cos / safe - rr_sin * rr_sin / (safe * safe * safe)
     u1 = qq * dphi * d1
     u2 = qq * (ddphi * d1 * d1 + dphi * d2)
     return (u1[0] - u1[2], u1[1] - u1[2], u2[0] + u2[2], u2[2], u2[1] + u2[2],
             np.minimum(np.minimum(d[0], d[1]), d[2]))
-
-
-def torus_derivatives(radii: tuple[float, float, float], charges: ChargeVector,
-                      spec: PotentialSpec, angles: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chart gradient ``(k, 2)``, chart Hessian ``(k, 2, 2)`` and smallest
-    pair distance ``(k,)`` for a stack of ``(k, 2)`` angle pairs: the
-    columns of ``torus_columns`` stacked, rows independent."""
-    g0, g1, h00, h01, h11, dmin = torus_columns(TorusConstants.of(radii, charges), spec,
-                                                angles[:, 0], angles[:, 1])
-    hess = np.stack([h00, h01, h01, h11], axis=1).reshape(-1, 2, 2)
-    return np.stack([g0, g1], axis=1), hess, dmin
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +459,13 @@ def chart_derivatives(rows: np.ndarray, radii: tuple[float, float, float] | None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Chart gradients and Hessians of a stack of gauge-fixed polygon
     vertices ``(k, n, 2)`` (``radii`` is ``None``) or torus chart points
-    ``(k, 2)``; a single configuration is ``config_rows`` of it."""
+    ``(k, 2)`` (``torus_columns`` stacked); one configuration is a stack of one."""
     if radii is None:
         return polygon_chart_derivatives(rows, charges, spec)
-    grad, hess, _ = torus_derivatives(radii, charges, spec, rows)
-    return grad, hess
+    g0, g1, h00, h01, h11, _ = torus_columns(TorusConstants.of(radii, charges), spec,
+                                             rows[:, 0], rows[:, 1])
+    hess = np.stack([h00, h01, h01, h11], axis=1).reshape(-1, 2, 2)
+    return np.stack([g0, g1], axis=1), hess
 
 
 def _regular_chart_derivatives(config: Config, charges: ChargeVector,

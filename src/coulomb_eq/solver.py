@@ -56,6 +56,7 @@ from .spaces import (
     Config,
     PolygonConfig,
     TORUS_ALIGNED_ROWS,
+    TWO_PI,
     alignment_defects,
     canonicalize,
     config_rows,
@@ -68,8 +69,6 @@ from .spaces import (
     row_config,
     triangle_vertices,
 )
-
-TWO_PI = 2.0 * math.pi
 
 #: closed-form relation residual accepted for a reported critical point
 RELATION_TOL = 1e-9

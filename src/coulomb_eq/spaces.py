@@ -7,14 +7,17 @@ Two spaces are supported:
   gauge (second vertex on the non-negative x half-axis);
 * ``TorusConfig`` -- triples of points on three concentric circles,
   charted by two of the three central angles between consecutive
-  points (the third angle is derived so the three always sum to a
-  full turn).
+  points (the third is derived so the three sum to a whole number of
+  turns).
 
 Both spaces carry the reflection involution that mirrors a
 configuration across the gauge axis.  Helpers here compute pairwise
 distances, measure how far a configuration is from being collinear,
 and produce canonical representatives plus distance-multiset keys for
 deduplication.
+
+The torus geometry exists once: the derivative core takes ``torus_third_angle``
+and the chord rule of ``chord_distance``, so it sees the gates' distances.
 
 The gauge fix, the mirror images, the pair distances and the
 alignment defect are array-first: they work row by row on stacks of
@@ -212,8 +215,8 @@ class TorusConfig(_PairGeometry):
     """Central-angle chart point of the concentric-circle space.
 
     ``angles`` stores (alpha1, alpha2) reduced to (-pi, pi]; the third
-    angle is always derived as ``2*pi - alpha1 - alpha2`` so the sum
-    constraint holds exactly.
+    angle is always derived by ``torus_third_angle``, as
+    ``-(alpha1 + alpha2)`` reduced, so the sum constraint holds exactly.
     """
 
     radii: tuple[float, float, float]
@@ -261,12 +264,18 @@ def chord_distance(ra, rb, angle) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0))
 
 
+def torus_third_angle(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Third central angle ``-(a0 + a1)`` reduced to (-pi, pi], elementwise:
+    odd under the mirror ``(a0, a1) -> (-a0, -a1)`` except at +-pi (-> +pi)."""
+    return reduce_angles(-(a0 + a1))
+
+
 def torus_alphas(angles: np.ndarray) -> np.ndarray:
     """Central angles ``(k, 3)`` of a stack of chart points ``(k, 2)``:
-    the stored pair and the derived third, reduced to (-pi, pi]."""
+    the stored pair and ``torus_third_angle`` of it."""
     alphas = np.empty((len(angles), 3))
     alphas[:, :2] = angles
-    alphas[:, 2] = reduce_angles(TWO_PI - angles[:, 0] - angles[:, 1])
+    alphas[:, 2] = torus_third_angle(angles[:, 0], angles[:, 1])
     return alphas
 
 
@@ -401,8 +410,7 @@ def gauge_fix(points: np.ndarray) -> np.ndarray:
     gauge = off[rows].argmax(axis=1) + 1
     x = pts[rows, gauge, 0]
     y = pts[rows, gauge, 1]
-    # math.hypot, not np.hypot: the two differ in the last bit
-    r = np.array([math.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    r = np.hypot(x, y)
     rot = np.empty((len(rows), 2, 2))
     rot[:, 0, 0] = rot[:, 1, 1] = x / r
     rot[:, 0, 1] = y / r
@@ -480,14 +488,16 @@ def alignment_defects(points: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 
 def distance_key(config: Config) -> tuple[int, ...]:
-    """Sorted distance multiset rounded to ``10**-KEY_DECIMALS``, as a
-    hashable key.
+    """Sorted distance multiset rounded half to even to ``10**-KEY_DECIMALS``,
+    as a hashable key of exact ints; ``ValueError`` for a non-finite distance.
 
     Reflection partners share a key because reflections preserve all
     pairwise distances.
     """
-    scaled = pair_distances(*config_rows(config))[0] * 10 ** KEY_DECIMALS
-    return tuple(np.sort(np.rint(scaled)).astype(np.int64).tolist())
+    pairs = pair_distances(*config_rows(config))[0]
+    if not np.isfinite(pairs).all():
+        raise ValueError("pair distances are not finite")
+    return tuple(round(v) for v in (np.sort(pairs) * 10 ** KEY_DECIMALS).tolist())
 
 
 def canonicalize(config: Config | np.ndarray) -> tuple[Config, tuple[int, ...]]:

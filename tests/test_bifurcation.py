@@ -16,6 +16,7 @@ from coulomb_eq.bifurcation import (
     torus_bifurcation_set,
     trace_pitchfork,
 )
+from coulomb_eq.inverse import intermediate_charge_limit
 from coulomb_eq.morse import aligned_blocks, torus_aligned_hessian_form
 from coulomb_eq.potentials import PoleError, PotentialSpec, hessian
 from coulomb_eq.solver import (
@@ -415,6 +416,18 @@ class TestContinuation:
 
 
 class TestFixingProbe:
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
+    @pytest.mark.parametrize("q1, q3", [(1.0, 1.0), (4.0, 1.0), (0.83, 1.37)])
+    def test_threshold_is_the_closed_form_limit(self, kernel, q1, q3):
+        spec = PotentialSpec.parse(kernel)
+        res = fixing_effect_probe(q1, q3, [0.01], spec)
+        assert res.threshold == intermediate_charge_limit(q1, q3, spec)
+        # the bisection on the aligned spectrum finds the same crossing
+        path = charge_sweep_path([q1, 1.0, q3], 1)
+        found = detect_threshold(PolygonSpace(3), path,
+                                 (0.5 * res.threshold, 1.35 * res.threshold), spec)
+        assert found == pytest.approx(res.threshold, rel=1e-12)
+
     def test_balanced_outer_positions_frozen(self):
         res = fixing_effect_probe(1.0, 1.0, [0.01, 0.1, 0.2])
         assert res.threshold == pytest.approx(0.25, abs=1e-6)

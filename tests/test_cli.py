@@ -63,15 +63,22 @@ class TestSolveCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_torus_census_whose_hessians_overflow(self):
-        # the pair terms overflow to NaN Hessians at these radii; no
-        # point carries one, so the artifact stays valid JSON, and the
-        # empty census fails its count check
+        # the pair terms overflow to NaN Hessians at these radii, except on
+        # the exact aligned row (0, 0), whose sines are zero; no point
+        # carries a NaN, so the artifact stays valid JSON.  That row is the
+        # one point, and its spectrum, near 1e-149, reads as degenerate to
+        # the absolute test, so the count check does not apply
         code, out = run_cli(["solve", "--space", "torus:1e150,2e150,3e150",
                              "--charges", "1,2,3", "--grid-density", "8"])
-        assert code == 3
+        assert code == 0
         payload = json.loads(out)
-        assert payload["points"] == []
-        assert payload["summary"]["reason"] == "no critical points found"
+        [point] = payload["points"]
+        assert point["coords"]["angles"] == [0.0, 0.0]
+        assert point["grad_norm"] == 0.0
+        assert all(math.isfinite(e) and abs(e) < 1e-148 for e in point["eigenvalues"])
+        assert point["aligned"] and point["degenerate"]
+        assert payload["summary"]["euler_check"] == "not-applicable"
+        assert payload["summary"]["reason"] == "degenerate points present"
 
     def test_power_law_potential_flag(self):
         code, out = run_cli(["solve", "--space", "polygon:3",

@@ -27,7 +27,6 @@ from coulomb_eq.potentials import (
     stationarity_relation_residual,
     TorusConstants,
     torus_columns,
-    torus_derivatives,
 )
 from coulomb_eq.inverse import stabilizing_charges, verify_equilibrium
 from coulomb_eq.morse import euler_count_check
@@ -47,6 +46,8 @@ from coulomb_eq.spaces import (
     alignment_defect,
     apply_involution,
     gauge_fix,
+    pair_distances,
+    reduce_angles,
 )
 from helpers import multistart_census
 
@@ -450,24 +451,32 @@ def loop_polygon_derivatives(points, charges, spec):
     return (g_e, h_e, d.sum(axis=1)) + _loop_pair_sums(n, sides, nxt, u, p_block)
 
 
+def torus_stack(radii, charges, spec, angles):
+    """Chart gradients, chart Hessians and smallest pair distances of a
+    stack of angle pairs, from ``chart_derivatives`` and the gates'
+    ``pair_distances``."""
+    grad, hess = chart_derivatives(angles, radii, charges, spec)
+    return grad, hess, pair_distances(angles, radii).min(axis=1)
+
+
 def loop_torus_derivatives(radii, charges, spec, angles):
-    """``torus_derivatives`` with one pass per pair term, as a reference."""
+    """``torus_stack`` with one pass per pair term, as a reference."""
     r = np.array(radii)
     floor = 0.5 * POLE_RADIUS_FACTOR * min(radii)
     q = charges.array
     a1, a2 = angles[:, 0], angles[:, 1]
-    alphas = (a1, a2, 2.0 * math.pi - a1 - a2)
+    alphas = (a1, a2, reduce_angles(-(a1 + a2)))
     u1, u2, dmin = [], [], np.full(len(angles), np.inf)
     for i, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
         rr = r[a] * r[b]
         qq = q[a] * q[b]
         cos_a, sin_a = np.cos(alphas[i]), np.sin(alphas[i])
-        d = np.sqrt(np.maximum(r[a] ** 2 + r[b] ** 2 - 2.0 * rr * cos_a, 0.0))
+        d = np.sqrt(np.maximum(r[a] * r[a] + r[b] * r[b] - 2.0 * rr * cos_a, 0.0))
         dmin = np.minimum(dmin, d)
         safe = np.maximum(d, floor)
         _, dphi, ddphi = kernel_terms(spec, safe)
         d1 = rr * sin_a / safe
-        d2 = rr * cos_a / safe - (rr * sin_a) ** 2 / safe ** 3
+        d2 = rr * cos_a / safe - (rr * sin_a) * (rr * sin_a) / (safe * safe * safe)
         u1.append(qq * dphi * d1)
         u2.append(qq * (ddphi * d1 * d1 + dphi * d2))
     grad = np.stack([u1[0] - u1[2], u1[1] - u1[2]], axis=1)
@@ -573,7 +582,7 @@ class TestTorusCore:
         rng = np.random.default_rng(5)
         q = ChargeVector.of(rng.uniform(0.3, 3.0, 3))
         angles = torus_rows(rng, radii, 6)
-        grad, hess, dmin = torus_derivatives(radii, q, spec, angles)
+        grad, hess, dmin = torus_stack(radii, q, spec, angles)
         h = 1e-5
         for r, a in enumerate(angles):
             assert dmin[r] == pytest.approx(
@@ -582,12 +591,13 @@ class TestTorusCore:
             for c, e in enumerate(h * np.eye(2)):
                 fd_g = (energy(TorusConfig(radii, tuple(a + e)), q, spec)
                         - energy(TorusConfig(radii, tuple(a - e)), q, spec)) / (2 * h)
-                fd_h = (torus_derivatives(radii, q, spec, (a + e)[None])[0][0]
-                        - torus_derivatives(radii, q, spec, (a - e)[None])[0][0]) / (2 * h)
+                fd_h = (chart_derivatives((a + e)[None], radii, q, spec)[0][0]
+                        - chart_derivatives((a - e)[None], radii, q, spec)[0][0]) / (2 * h)
                 assert abs(grad[r, c] - fd_g) < 1e-6 * max(1.0, np.abs(grad[r]).max())
                 assert np.abs(hess[r, :, c] - fd_h).max() < 1e-6 * scale
 
-    # 2.759 squares to different bits through pow and through x * x
+    # 2.759 squares to different bits through pow and through x * x,
+    # so the reference must square as x * x too
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (0.5, 1.7, 1.7), (0.31, 1.07, 2.759)])
     @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
     def test_stacked_pairs_match_the_pair_loop_bit_for_bit(self, radii, spec):
@@ -597,7 +607,7 @@ class TestTorusCore:
         angles = np.vstack([rng.uniform(-7.0, 7.0, (40, 2)),
                             [[math.pi, math.pi], [0.0, math.pi], [0.0, 0.0],
                              [1e-9, 2.0], [2.0, -1e-12]]])
-        for field, ref in zip(torus_derivatives(radii, q, spec, angles),
+        for field, ref in zip(torus_stack(radii, q, spec, angles),
                               loop_torus_derivatives(radii, q, spec, angles)):
             assert field.shape == ref.shape
             assert field.tobytes() == np.ascontiguousarray(ref).tobytes()
@@ -617,7 +627,7 @@ class TestTorusCore:
         with np.errstate(invalid="ignore"):
             columns = torus_columns(TorusConstants.of(radii, q), spec,
                                     angles[:, 0].copy(), angles[:, 1].copy())
-            grad, hess, dmin = torus_derivatives(radii, q, spec, angles)
+            grad, hess, dmin = torus_stack(radii, q, spec, angles)
             ref_grad, ref_hess, ref_dmin = loop_torus_derivatives(radii, q, spec, angles)
         assert np.array_equal(hess[:, 0, 1], hess[:, 1, 0], equal_nan=True)
         finite = slice(0, -4)
@@ -636,6 +646,38 @@ class TestTorusCore:
             assert np.array_equal(np.isnan(column), np.isnan(ref))
             assert np.array_equal(np.isnan(stacked), np.isnan(ref))
 
+    @pytest.mark.parametrize("radii", [(0.31, 1.07, 2.759), (1.0, 1.0, 1.0)])
+    def test_core_distance_is_the_gates_distance_bit_for_bit(self, radii):
+        rng = np.random.default_rng(9)
+        q = ChargeVector.of([0.7, 1.9, 1.2])
+        # random rows, unreduced rows, the aligned labels and rows at or
+        # next to a pole
+        angles = np.vstack([rng.uniform(-math.pi, math.pi, (200, 2)),
+                            rng.uniform(-7.0, 7.0, (40, 2)),
+                            [[math.pi, math.pi], [0.0, math.pi], [math.pi, 0.0],
+                             [0.0, 0.0], [1e-9, 2.0], [2.0, -1e-12], [1e-9, -1e-9]]])
+        dmin = torus_columns(TorusConstants.of(radii, q), COULOMB,
+                             angles[:, 0], angles[:, 1])[5]
+        assert dmin.tobytes() == pair_distances(angles, radii).min(axis=1).tobytes()
+
+    @pytest.mark.parametrize("radii", [(0.31, 1.07, 2.759), (1.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
+    def test_core_is_odd_under_the_mirror_bit_for_bit(self, radii, spec):
+        rng = np.random.default_rng(10)
+        q = ChargeVector.of(rng.uniform(0.3, 3.0, 3))
+        # random rows, the labels (0, 0) and (pi, pi) and rows next to a
+        # pole; the third angle avoids +-pi, which reduces to +pi either
+        # way, as it does on the labels (0, pi) and (pi, 0)
+        angles = np.vstack([torus_rows(rng, radii, 60),
+                            [[0.0, 0.0], [math.pi, math.pi], [0.5, -0.5], [1e-9, 2.0]]])
+        constants = TorusConstants.of(radii, q)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            core = torus_columns(constants, spec, angles[:, 0], angles[:, 1])
+            mirror = torus_columns(constants, spec, -angles[:, 0], -angles[:, 1])
+        # zeros are compared with their signs normalized
+        for column, image, sign in zip(core, mirror, (-1, -1, 1, 1, 1, 1)):
+            assert (image + 0.0).tobytes() == (sign * column + 0.0).tobytes()
+
     @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=lambda s: s.label)
     def test_every_row_equals_a_batch_of_one(self, spec):
         rng = np.random.default_rng(6)
@@ -646,10 +688,10 @@ class TestTorusCore:
         angles = np.vstack([torus_rows(rng, radii, 13),
                             [[math.pi, math.pi], [0.0, math.pi], [math.pi, 0.0],
                              [0.0, 0.0], [1e-9, 2.0], [2.0, -1e-12]]])
-        grad, hess, dmin = torus_derivatives(radii, q, spec, angles)
+        grad, hess, dmin = torus_stack(radii, q, spec, angles)
         assert np.isfinite(grad).all() and np.isfinite(hess).all()
         for r in range(len(angles)):
-            g1, h1, d1 = torus_derivatives(radii, q, spec, angles[r:r + 1])
+            g1, h1, d1 = torus_stack(radii, q, spec, angles[r:r + 1])
             assert np.array_equal(g1[0], grad[r]) and np.array_equal(h1[0], hess[r])
             assert np.array_equal(d1, dmin[r:r + 1])
 

@@ -57,3 +57,20 @@ def test_bench_pairs_summary():
     s = summarize(parent, [p + 5.0 for p in parent], "higher")
     assert (s["wins"], s["gain"]) == (10, True)
     assert summarize(parent, [p - 5.0 for p in parent], "higher")["wins"] == 0
+
+
+def test_census_equivalence_matches_point_lists_as_sets():
+    match = runpy.run_path(str(SCRIPTS / "census_equivalence.py"))["match_as_sets"]
+
+    def point(angles, index=0, aligned=False):
+        return {"coords": {"space": "torus", "angles": angles, "radii": [1.0, 2.0, 3.0]},
+                "index": index, "aligned": aligned, "degenerate": False}
+
+    pair = [point([1.0, 2.0]), point([-1.0, -2.0]), point([0.0, 0.0], 2, True)]
+    # mirror partners that traded places, and angles a turn apart
+    assert match(pair, [pair[1], pair[0], pair[2]])
+    assert match([point([3.141592653589793, 0.0])], [point([-3.141592653589793, 0.0])])
+    # a point that moved, a changed index and a lost point
+    assert not match(pair, [point([1.0, 2.0 + 1e-6]), pair[1], pair[2]])
+    assert not match(pair, [pair[0], pair[1], point([0.0, 0.0], 1, True)])
+    assert not match(pair, pair[:2])

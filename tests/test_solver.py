@@ -352,6 +352,19 @@ class TestFindCriticalPointsTorus:
         minimum = [cp for cp in pts if cp.morse_index == 0]
         assert len(minimum) == 1 and minimum[0].aligned
 
+    def test_close_radii_keep_the_exact_aligned_row(self):
+        # an unreduced third angle 2 pi - a0 - a1 would lift the gradient at
+        # (0, 0) through sin(2 pi) to 1.24e-11, past the Newton tolerance:
+        # the census would lose the point and fail its count check
+        space = TorusSpace((0.83610, 0.89041, 1.30351))
+        q = ChargeVector.of([0.4781, 0.0813, 0.4436])
+        pts = find_critical_points(space, q, PotentialSpec.parse("power:2.5"),
+                                   SolveSettings(grid_density=96))
+        assert sorted(cp.morse_index for cp in pts) == [0, 0, 1, 1, 1, 2]
+        [origin] = [cp for cp in pts if cp.config.angles == (0.0, 0.0)]
+        assert origin.aligned and origin.morse_index == 2 and origin.grad_norm == 0.0
+        assert euler_count_check(pts, space).euler_check == "passed"
+
     def test_dense_grid_finds_nothing_new(self):
         space = TorusSpace((1.0, 2.0, 3.0))
         q = ChargeVector.of([0.4, 1.3, 0.8])
@@ -532,8 +545,7 @@ def singular_hessian_seed(space, charges):
     """An angle pair on the zero set of the Hessian determinant: the first
     sign change along a grid line, bisected down to neighbouring floats."""
     def det(a1, a2):
-        _, hess, _ = pot.torus_derivatives(space.radii, charges, COULOMB,
-                                           np.array([[a1, a2]]))
+        _, hess = pot.chart_derivatives(np.array([[a1, a2]]), space.radii, charges, COULOMB)
         return np.linalg.det(hess[0]), hess[0]
 
     ticks = np.linspace(-3.0, 3.0, 31)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from coulomb_eq.solver import TorusSpace
 from coulomb_eq.spaces import (
+    KEY_DECIMALS,
     ChargeVector,
     PolygonConfig,
     TorusConfig,
@@ -19,6 +21,7 @@ from coulomb_eq.spaces import (
     distance_key,
     gauge_fix,
     mirror_rows,
+    pair_distances,
     pairwise_distances,
     perimeter_value,
     reduce_angle,
@@ -119,7 +122,7 @@ def scalar_gauge_fix(points):
     gauge = next((i for i in range(1, len(pts)) if pts[i, 0] != 0.0 or pts[i, 1] != 0.0), 0)
     if gauge:
         x, y = pts[gauge]
-        r = math.hypot(x, y)
+        r = np.hypot(x, y)
         c, s = x / r, y / r
         pts = pts @ np.array([[c, s], [-s, c]]).T
         pts[gauge] = (r, 0.0)
@@ -292,6 +295,28 @@ class TestCanonicalize:
         twice, key2 = canonicalize(once.points)
         assert np.array_equal(once.points, twice.points)
         assert key1 == key2
+
+    def test_keys_in_the_int64_range_round_half_to_even(self):
+        rng = np.random.default_rng(3)
+        for cfg in [PolygonConfig.from_points(rng.normal(size=(5, 2))) for _ in range(20)] + [
+                TorusConfig((1.0, 2.0, 3.0), tuple(rng.uniform(-3.0, 3.0, 2))) for _ in range(20)]:
+            scaled = pair_distances(*config_rows(cfg))[0] * 10 ** KEY_DECIMALS
+            assert distance_key(cfg) == tuple(np.sort(np.rint(scaled)).astype(np.int64).tolist())
+
+    def test_key_of_distances_past_the_int64_range_is_exact(self):
+        # at 1e10 the scaled distances pass 2**63, where an int64 cast wraps
+        cfg = TorusConfig((1e10, 2e10, 3e10), (0.4, -2.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            key = distance_key(cfg)
+        assert key == tuple(round(d * 10 ** KEY_DECIMALS) for d in sorted(cfg.side_distances()))
+        assert min(key) > 2 ** 63 and len(set(key)) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_key_refuses_non_finite_distances(self):
+        # the cosine-rule distances overflow at these radii
+        with pytest.raises(ValueError, match="not finite"):
+            distance_key(TorusConfig((1e200, 2e200, 3e200), (2.04, 1.92)))
 
     def test_configuration_comes_back_as_it_is(self):
         for cfg in (triangle_from_sides(0.25, 0.35, 0.4), TorusConfig((1, 2, 3), (0.4, -2.2))):
