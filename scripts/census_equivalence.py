@@ -24,14 +24,15 @@ point of the other side with equal ``index``, ``aligned`` and
 point that moved.  Last it prints the line count of ``coulomb_eq/*.py``
 in each tree and the difference.
 
-The corpus (544 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (546 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
 kernels, radii and charges, three torus censuses on odd grids (g 9 and
 25), whose column at pi is its own mirror image, a torus census with
 the radius 2.759, which squares to different bits through pow and
 through ``x * x``, the equal-radii torus under the log kernel, a
 power:2.5 torus census on close radii whose exact aligned point (0, 0)
-is lost when sin(2 pi) enters its gradient, twelve polygon censuses
+is lost when sin(2 pi) enters its gradient, the benchmark's torus
+sweep 1e-4 above and below its pitchfork, twelve polygon censuses
 (n = 3 to 6) under each of the coulomb, log and power:2.5 kernels (36
 runs), the coulomb polygon:3 census at grid density 48 of the
 region-boundary charges (1/9, 4/9, 4/9), where the aligned point with
@@ -75,6 +76,10 @@ import workloads  # noqa: E402  (the benchmark's seeded job lists)
 
 BENCHMARK_SEEDS = (1, 2, 3, workloads.HELD_OUT_SEED)
 
+#: the coulomb threshold of the benchmark's torus sweep, where the
+#: aligned (pi, pi, 0) buckles
+PITCHFORK = 0.8433333341
+
 EXTRA_TORUS = [
     ("torus:1,2,3", "1,2,3", "log", 48),
     ("torus:1,2,3", "0.3,1,2.5", "power:2.5", 48),
@@ -90,6 +95,10 @@ EXTRA_TORUS = [
     ("torus:1,1,1", "1,2,3", "log", 48),
     # the gradient at (0, 0) is exactly zero only with the third angle reduced
     ("torus:0.83610,0.89041,1.30351", "0.4781,0.0813,0.4436", "power:2.5", 96),
+    # the benchmark's torus sweep on either side of its pitchfork: four
+    # points above, six below
+    *(("torus:1,2,3", f"0.01,0.01,{PITCHFORK + offset!r}", "coulomb", 96)
+      for offset in (1e-4, -1e-4)),
 ]
 
 POLYGONS = [

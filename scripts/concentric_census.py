@@ -4,8 +4,7 @@ triples: Morse counts, alternating sums, and how often the census is the
 minimal one (four points).
 
 Usage:
-    python scripts/concentric_census.py --radii 1,2,3 --samples 25 \
-        --grid-density 96 --seed 42
+    python scripts/concentric_census.py --radii 1,2,3 --samples 25 --seed 42
 """
 
 import argparse
@@ -13,7 +12,7 @@ import argparse
 import numpy as np
 
 from coulomb_eq.morse import euler_count_check
-from coulomb_eq.solver import SolveSettings, TorusSpace, find_critical_points
+from coulomb_eq.solver import TorusSpace, find_critical_points
 from coulomb_eq.spaces import ChargeVector
 
 
@@ -21,19 +20,17 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--radii", default="1,2,3")
     ap.add_argument("--samples", type=int, default=25)
-    ap.add_argument("--grid-density", type=int, default=96)
     ap.add_argument("--seed", type=int, default=42)
     args = ap.parse_args()
 
     radii = tuple(float(r) for r in args.radii.split(","))
     space = TorusSpace(radii)
-    settings = SolveSettings(grid_density=args.grid_density)
     rng = np.random.default_rng(args.seed)
     exact = 0
     print("q1,q2,q3,total,minima,saddles,maxima,euler,exact")
     for _ in range(args.samples):
         q = ChargeVector.of(rng.dirichlet((0.6, 0.6, 0.6)) + 1e-3)
-        pts = find_critical_points(space, q, settings=settings)
+        pts = find_critical_points(space, q)
         summary = euler_count_check(pts, space)
         counts = summary.counts
         exact += summary.exactness

@@ -224,14 +224,19 @@ def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, flo
         raise ValueError("pitchfork tracing covers three charges only")
     lams = np.linspace(lo, hi, SCAN_SAMPLES)
     vals = np.array([_aligned(space, path(lam), spec)[1] for lam in lams])
-    flips = np.argwhere(vals[:-1] * vals[1:] < 0.0)
-    if not len(flips):
+    # a sign change between two samples is one crossing, and so is a
+    # sample on the threshold exactly (its products with both neighbours
+    # are zero); its bracket is the sample alone
+    flips = [(start, tracked, start + 1)
+             for start, tracked in np.argwhere(vals[:-1] * vals[1:] < 0.0)]
+    flips += [(start, tracked, start) for start, tracked in np.argwhere(vals == 0.0)]
+    if not flips:
         raise ValueError("path does not cross any bifurcation curve in range")
     if len(flips) != 1:
         raise ValueError(f"path must cross exactly one bifurcation curve, found {len(flips)}")
-    sample, tracked = flips[0]
-    branch_side = "above" if vals[-1, tracked] < 0.0 else "below"
-    return int(tracked), lams[sample], lams[sample + 1], branch_side
+    start, tracked, end = flips[0]
+    branch_side = "above" if vals[-1, tracked] < 0.0 or vals[0, tracked] > 0.0 else "below"
+    return int(tracked), lams[start], lams[end], branch_side
 
 
 def detect_threshold(space: Space, path: ChargePath,

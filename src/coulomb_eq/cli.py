@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coulomb | power:K | log")
     solve.add_argument("--grid-density", type=int, default=24,
                        help="multistart seeds per chart dimension, the one census "
-                            "setting (default 24; polygon:3 uses its closed forms)")
+                            "setting (default 24; polygon:3 uses its closed forms, "
+                            "the torus its level sweep)")
     solve.add_argument("--out", default=None, help="write JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 

@@ -418,6 +418,27 @@ class TorusConstants(NamedTuple):
                    (ra * ra + rb * rb)[:, None], 0.5 * pole_radius_of(radii))
 
 
+def torus_pair_slopes(constants: TorusConstants, spec: PotentialSpec,
+                      alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The pair terms of the torus core at central angles ``alphas``, one
+    row per row of ``constants`` (a pair's constants are ``rr[i:i + 1]``
+    and so on): the slope ``u1 = q_a q_b phi'(d) r_a r_b sin(alpha) / d``
+    of each pair's energy in its own angle, the distances ``d``, and the
+    pieces ``(rr_cos, rr_sin, safe, dphi, ddphi, d1)`` its second
+    derivative takes.  Distances are clamped at the floor of
+    ``constants`` into ``safe``."""
+    rr, qq, span, floor = constants
+    cos_a = np.cos(alphas)
+    sin_a = np.sin(alphas)
+    rr_cos = rr * cos_a
+    rr_sin = rr * sin_a
+    d = np.sqrt(np.maximum(span - 2.0 * rr_cos, 0.0))
+    safe = np.maximum(d, floor)
+    _, dphi, ddphi = kernel_terms(spec, safe)
+    d1 = rr_sin / safe
+    return qq * dphi * d1, d, (rr_cos, rr_sin, safe, dphi, ddphi, d1)
+
+
 def torus_columns(constants: TorusConstants,
                   spec: PotentialSpec, a0: np.ndarray, a1: np.ndarray,
                   ) -> tuple[np.ndarray, ...]:
@@ -427,25 +448,15 @@ def torus_columns(constants: TorusConstants,
 
     Pair ``i`` depends only on ``alpha_i`` (cosine rule; the third from
     ``torus_third_angle``), so ``dmin`` is the bits of ``pair_distances``.
-    The three pair terms are the rows of one ``(3, k)`` stack
-    (pair-major), evaluated in one pass; columns are independent.
-    Distances are clamped at the floor of ``constants``, so pole-adjacent
-    columns give finite garbage that callers reject by ``dmin``; a
-    column off the poles is never clamped.
+    The three pair terms (``torus_pair_slopes``) are the rows of one
+    ``(3, k)`` stack (pair-major), evaluated in one pass; columns are
+    independent.  Pole-adjacent columns give finite garbage that callers
+    reject by ``dmin``; a column off the poles is never clamped.
     """
-    rr, qq, span, floor = constants
-    alphas = np.array([a0, a1, torus_third_angle(a0, a1)])
-    cos_a = np.cos(alphas)
-    sin_a = np.sin(alphas)
-    rr_cos = rr * cos_a
-    rr_sin = rr * sin_a
-    d = np.sqrt(np.maximum(span - 2.0 * rr_cos, 0.0))
-    safe = np.maximum(d, floor)
-    _, dphi, ddphi = kernel_terms(spec, safe)
-    d1 = rr_sin / safe
+    u1, d, (rr_cos, rr_sin, safe, dphi, ddphi, d1) = torus_pair_slopes(
+        constants, spec, np.array([a0, a1, torus_third_angle(a0, a1)]))
     d2 = rr_cos / safe - rr_sin * rr_sin / (safe * safe * safe)
-    u1 = qq * dphi * d1
-    u2 = qq * (ddphi * d1 * d1 + dphi * d2)
+    u2 = constants.qq * (ddphi * d1 * d1 + dphi * d2)
     return (u1[0] - u1[2], u1[1] - u1[2], u2[0] + u2[2], u2[2], u2[1] + u2[2],
             np.minimum(np.minimum(d[0], d[1]), d[2]))
 

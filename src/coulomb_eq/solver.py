@@ -4,8 +4,12 @@ Closed forms are the three-charge polygon census: the collinear
 equilibria (one per intermediate vertex) and, in the triangle regime,
 the triangle with sides proportional to inverse square roots of the
 charges and its mirror image; for every kernel here stationarity fixes
-each side (phi'' > 0), so there is no other critical point.
-Everything else runs through multistart Newton polishing of the
+each side (phi'' > 0), so there is no other critical point.  The torus
+census seeds from a level sweep (``_level_seeds``): each pair's term
+of the chart gradient depends on its own central angle only, so a
+critical point is a common level of the three terms, found on a
+one-dimensional sweep with no grid.  Larger polygons seed from
+multistart pools.  Every seed runs through Newton polishing of the
 stationarity system: a Lagrange system with explicit perimeter
 constraint for polygons, the plain two-angle gradient for the torus.
 The search is array-first from seed to report.  Polygon seeds are
@@ -35,9 +39,9 @@ closure and the partner scan all compare so.  Pole: a row whose
 smallest ``pair_distances`` entry is below ``spaces.pole_radius_of``.
 
 The grid density is the one setting of a census (``SolveSettings``);
-the three-charge polygon census does not read it.  The Newton
-tolerance, the iteration cap and the dedup distance are the module
-constants ``NEWTON_TOL``, ``MAX_ITERS`` and ``DEDUP_TOL``.
+neither the three-charge polygon census nor the torus census reads
+it.  The Newton tolerance, the iteration cap, the dedup distance and
+the sample counts of the level sweep are module constants.
 """
 
 from __future__ import annotations
@@ -82,6 +86,14 @@ DEDUP_TOL = 1e-7
 POLISH_TARGET = 1e-13
 #: deterministic seed for the low-discrepancy multistart pools
 MULTISTART_SEED = 20160
+#: midpoint samples of the torus level sweep over (0, pi)
+LEVEL_SAMPLES = 128
+#: geometric samples of the level sweep toward each end of (0, pi), from
+#: 1e-12 of pi up to the first midpoint: a mirror pair born next to an
+#: aligned point sits that close to an end
+LEVEL_END_SAMPLES = 24
+#: halvings of the bisection that inverts a pair slope on one branch
+LEVEL_BISECTIONS = 60
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,8 @@ Space = PolygonSpace | TorusSpace
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """The one setting of a census: multistart seeds per chart dimension."""
+    """The one setting of a census: multistart seeds per chart dimension
+    of a polygon with four or more vertices."""
 
     grid_density: int = 24
 
@@ -450,26 +463,92 @@ def _sweep_position_seeds(n: int) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# multistart machinery: torus (vectorized over seeds)
+# torus: level-sweep seeds and the polish (vectorized over seeds)
 # ---------------------------------------------------------------------------
 
-def _torus_seeds(space: TorusSpace, settings: SolveSettings) -> np.ndarray:
-    """The injected exact seeds, then the grid half with ``alpha1`` in
-    ``(0, pi]``, x-major.  Tick ``i`` negates to tick ``g - 1 - i``, so the
-    other half mirrors this one (an odd ``g`` keeps its self-mirrored
-    column at ``pi``) and the finalize's mirror closure restores its points."""
-    g = settings.grid_density
-    ticks = TWO_PI * (np.arange(g) + 0.5) / g
-    half = ticks[:(g + 1) // 2]
-    # x-major, the order the first-wins dedup sees the grid in
-    grid = np.column_stack([np.repeat(half, g), np.tile(ticks, len(half))])
-    extra = [TORUS_ALIGNED_ROWS]
-    r = space.radii
-    if max(r) - min(r) < 1e-12:
-        third = TWO_PI / 3.0
-        extra.append(np.array([(third, third), (-third, -third)]))
-    # injected seeds go first so the exact representatives win the dedup
-    return np.vstack([*extra, grid])
+def _level_fractions() -> np.ndarray:
+    """``LEVEL_SAMPLES`` midpoints of (0, 1) with ``LEVEL_END_SAMPLES``
+    geometric samples below the first and above the last."""
+    mid = (np.arange(LEVEL_SAMPLES) + 0.5) / LEVEL_SAMPLES
+    end = np.geomspace(1e-12, mid[0], LEVEL_END_SAMPLES + 1)[:-1]
+    return np.concatenate([end, mid, 1.0 - end[::-1]])
+
+
+#: the angles of the level sweep, increasing in (0, pi)
+_LEVEL_ANGLES = math.pi * _level_fractions()
+_LEVEL_ANGLES.setflags(write=False)
+
+
+def _slope_minima(constants: pot.TorusConstants, spec: PotentialSpec) -> np.ndarray:
+    """The angle ``alpha*`` in [0, pi) of each pair's slope minimum, a
+    ``(3, 1)`` column.  The slope is ``-sin(alpha) d**(-2m)`` up to a
+    positive factor, with ``d**2 = a - b cos(alpha)`` (``a = span``,
+    ``b = 2 rr``) and ``m = (1 + 1/p) / 2`` for the kernel's
+    ``ratio_exponent`` p, so ``cos(alpha*)`` is the root in (0, 1] of
+    ``(m - 1) b x**2 + a x - m b = 0``; a pair on equal radii has its
+    minimum at the pole ``alpha* = 0``."""
+    rr, _, span, _ = constants
+    m = 0.5 + 0.5 / spec.ratio_exponent
+    # the root written without cancellation
+    x = 4.0 * m * rr / (span + np.sqrt(span * span + 16.0 * m * (m - 1.0) * rr * rr))
+    return np.where(span > 2.0 * rr, np.arccos(np.minimum(x, 1.0)), 0.0)
+
+
+def _level_seeds(space: TorusSpace, charges: ChargeVector,
+                 spec: PotentialSpec) -> np.ndarray:
+    """``TORUS_ALIGNED_ROWS``, then one seed next to each critical point
+    whose central angles all lie in (0, pi), from a sweep of the level.
+
+    The chart gradient is ``(u1_0 - u1_2, u1_1 - u1_2)`` with pair ``i``'s
+    slope ``u1_i`` (``potentials.torus_pair_slopes``) a function of its
+    own angle alone, so a point is critical exactly when the three slopes
+    share one level ``c`` and the angles sum to 0 mod 2 pi.  Each slope is
+    odd, negative on (0, pi) and unimodal there (the kernels repel): it
+    falls to its minimum at ``_slope_minima`` and rises after it, and a
+    pair on equal radii has only the rising branch, from minus infinity
+    at the pole.  So ``c = 0`` gives the aligned rows, ``c < 0`` puts
+    every angle in (0, pi) with sum 2 pi, and ``c > 0`` is the mirror,
+    which the finalize's mirror closure restores.
+
+    The sweep walks the angle of the pair with the shallowest minimum over
+    ``_LEVEL_ANGLES``, which sets the level; inverts the other two pairs on
+    each monotone branch by one stacked bisection; and interpolates a seed
+    at each sign change of ``alpha_lim + alpha_j + alpha_k - 2 pi`` over
+    the four branch combinations.
+    """
+    constants = pot.TorusConstants.of(space.radii, charges)
+    rr, qq, span, floor = constants
+    star = _slope_minima(constants, spec)
+    lowest = pot.torus_pair_slopes(constants, spec, star)[0][:, 0]
+    lim = int(np.argmax(np.where(star[:, 0] > 0.0, lowest, -math.inf)))
+    j, k = (lim + 1) % 3, (lim + 2) % 3
+
+    def pairs(rows: list[int]) -> pot.TorusConstants:
+        return pot.TorusConstants(rr[rows], qq[rows], span[rows], floor)
+
+    level = pot.torus_pair_slopes(pairs([lim]), spec, _LEVEL_ANGLES[None])[0]
+    # rows: pair j falling then rising, pair k falling then rising
+    rows = [j, j, k, k]
+    branch = pairs(rows)
+    falling = np.array([[True], [False], [True], [False]])
+    lo = np.where(falling, 0.0, star[rows])
+    hi = np.where(falling, star[rows], math.pi)
+    for _ in range(LEVEL_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = (pot.torus_pair_slopes(branch, spec, mid)[0] > level) == falling
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    # a pair on equal radii has no falling branch
+    solved = np.where(falling & (star[rows] == 0.0), math.nan, 0.5 * (lo + hi))
+    alpha_j, alpha_k = solved[[0, 0, 1, 1]], solved[[2, 3, 2, 3]]
+    excess = _LEVEL_ANGLES + alpha_j + alpha_k - TWO_PI
+    combo, at = np.nonzero(excess[:, :-1] * excess[:, 1:] < 0.0)
+    w = excess[combo, at] / (excess[combo, at] - excess[combo, at + 1])
+    seeds = np.empty((at.size, 3))
+    for pair, col in ((lim, np.broadcast_to(_LEVEL_ANGLES, excess.shape)),
+                      (j, alpha_j), (k, alpha_k)):
+        seeds[:, pair] = col[combo, at] + w * (col[combo, at + 1] - col[combo, at])
+    return np.vstack([TORUS_ALIGNED_ROWS, seeds[:, :2]])
 
 
 def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
@@ -688,20 +767,20 @@ def find_critical_points(space: Space, charges: ChargeVector,
                          ) -> list[CriticalPoint]:
     """Search for every stationary point of the energy.
 
-    The seeds are the closed forms for three polygon charges, else grid
-    seeds (on the torus the half whose mirror is the other half) plus the
-    aligned configurations.  They are polished by damped Newton on the
-    stationarity system, all seeds of the space as one batch in which
-    only live seeds iterate; runs that do not converge are dropped.  The
-    survivors are deduplicated modulo the rotation gauge on their raw
-    coordinate rows (the first seed of each point wins), closed under the
-    reflection involution (both members of a mirror pair are reported and
-    linked), classified by their constrained Hessian spectrum and sorted
-    by (energy, key).
+    The seeds are the closed forms for three polygon charges, the aligned
+    rows and the level-sweep seeds on the torus (``_level_seeds``; their
+    mirrors come back by mirror closure), else multistart seeds.  They
+    are polished by damped Newton on the stationarity system, all seeds
+    of the space as one batch in which only live seeds iterate; runs
+    that do not converge are dropped.  The survivors are deduplicated
+    modulo the rotation gauge on their raw coordinate rows (the first
+    seed of each point wins), closed under the reflection involution
+    (both members of a mirror pair are reported and linked), classified
+    by their constrained Hessian spectrum and sorted by (energy, key).
     """
     pot._check_charges(space, charges)
     if isinstance(space, TorusSpace):
-        seeds = _torus_seeds(space, settings)
+        seeds = _level_seeds(space, charges, spec)
     else:
         # a row that no configuration represents comes back NaN and
         # fails the polish's first gate

@@ -206,14 +206,13 @@ def check_aligned_sign_forms() -> CheckResult:
 def check_torus_census(samples: int = 25) -> CheckResult:
     """Alternating Morse counts on the reference radii across random charges."""
     space = TorusSpace((1.0, 2.0, 3.0))
-    settings = SolveSettings(grid_density=96)
     rng = np.random.default_rng(42)
     euler_ok = True
     count_ok = True
     exact_cases = 0
     for _ in range(samples):
         q = ChargeVector.of(rng.dirichlet((0.6, 0.6, 0.6)) + 1e-3)
-        pts = find_critical_points(space, q, settings=settings)
+        pts = find_critical_points(space, q)
         summary = morse.euler_count_check(pts, space)
         euler_ok &= summary.euler_check == "passed"
         aligned_min = any(cp.aligned and cp.morse_index == 0 for cp in pts)

@@ -5,8 +5,9 @@ configuration match by the census same-point rule, the scalar pair loop
 of the collinear gradient and Hessian, the energies of the three
 collinear equilibria, the aligned-Hessian sign form of a torus label,
 the defect of the polygon aligned-minimum boundary, the triangle
-multistart grid with the three-charge census polished from it, and the
-torus census polished from the whole angle grid.
+multistart grid with the three-charge census polished from it, the
+torus angle grid with the census polished from all of it, and a census
+comparison as sets.
 """
 
 from __future__ import annotations
@@ -116,6 +117,27 @@ def multistart_census(charges: ChargeVector, spec: PotentialSpec = COULOMB,
     return polish_candidates(PolygonSpace(3), charges, seeds, spec)
 
 
+def _exact_torus_seeds(space: TorusSpace) -> list[np.ndarray]:
+    """``TORUS_ALIGNED_ROWS``, and the +-2pi/3 points on equal radii."""
+    head = [TORUS_ALIGNED_ROWS]
+    if max(space.radii) - min(space.radii) < 1e-12:
+        third = 2.0 * math.pi / 3.0
+        head.append(np.array([(third, third), (-third, -third)]))
+    return head
+
+
+def torus_grid_seeds(space: TorusSpace, grid_density: int) -> np.ndarray:
+    """Torus seeds from the ``g x g`` angle grid: the grid half with
+    ``alpha1`` in ``(0, pi]``, x-major, behind the aligned seeds (and the
+    equal-radii +-2pi/3 seeds).  Tick ``i`` negates to tick ``g - 1 - i``,
+    so the other half mirrors this one."""
+    g = grid_density
+    ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
+    half = ticks[:(g + 1) // 2]
+    grid = np.column_stack([np.repeat(half, g), np.tile(ticks, len(half))])
+    return np.vstack([*_exact_torus_seeds(space), grid])
+
+
 def full_grid_torus_census(space: TorusSpace, charges: ChargeVector,
                            spec: PotentialSpec = COULOMB,
                            grid_density: int = 24) -> list[CriticalPoint]:
@@ -124,9 +146,29 @@ def full_grid_torus_census(space: TorusSpace, charges: ChargeVector,
     +-2pi/3 seeds), through the solver's dedup and finalize."""
     g = grid_density
     ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
-    head = [TORUS_ALIGNED_ROWS]
-    if max(space.radii) - min(space.radii) < 1e-12:
-        third = 2.0 * math.pi / 3.0
-        head.append(np.array([(third, third), (-third, -third)]))
-    seeds = np.vstack([*head, np.column_stack([np.repeat(ticks, g), np.tile(ticks, g)])])
+    grid = np.column_stack([np.repeat(ticks, g), np.tile(ticks, g)])
+    seeds = np.vstack([*_exact_torus_seeds(space), grid])
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)
+
+
+def same_census(a: Sequence[CriticalPoint], b: Sequence[CriticalPoint]) -> bool:
+    """Whether two censuses hold the same points in any order: equal
+    counts, and each point of ``a`` one point of ``b`` by the census rule
+    (``configs_match``) with the same index, degenerate and aligned flags,
+    energy within 1e-9 and the matching point as its mirror partner."""
+    match = []
+    for cp in a:
+        found = [i for i, other in enumerate(b) if configs_match(cp.config, other.config)]
+        if len(found) != 1:
+            return False
+        other = b[found[0]]
+        if ((cp.morse_index, cp.degenerate, cp.aligned)
+                != (other.morse_index, other.degenerate, other.aligned)
+                or abs(cp.energy - other.energy) > 1e-9):
+            return False
+        match.append(found[0])
+    return len(a) == len(b) == len(set(match)) and all(
+        (cp.symmetry_partner is None and b[i].symmetry_partner is None)
+        or (cp.symmetry_partner is not None
+            and match[cp.symmetry_partner] == b[i].symmetry_partner)
+        for cp, i in zip(a, match))

@@ -226,6 +226,14 @@ class TestLocateCrossing:
         assert (tracked, side) == (0, "below")
         assert TORUS_ALIGNED_LABELS[tracked] == (PI, PI, 0.0)
 
+    def test_sample_on_the_threshold_brackets_itself(self):
+        # the middle one of the 65 samples over (0.125, 0.375) is 0.25, where
+        # the softest transverse eigenvalue is zero: one crossing, not two
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        tracked, lo, hi, side = bifurcation._locate_crossing(
+            PolygonSpace(3), path, (0.125, 0.375), PotentialSpec.coulomb())
+        assert (tracked, lo, hi, side) == (1, 0.25, 0.25, "above")
+
     @pytest.mark.parametrize("space,path,lam_range", [
         (PolygonSpace(3), charge_sweep_path([1.0, 1.0, 1.0], 1), (0.05, 0.6)),
         (TorusSpace((1.0, 2.0, 3.0)), charge_sweep_path([0.01, 0.01, 1.0], 2), (0.2, 2.0)),

@@ -202,6 +202,15 @@ class TestBifurcateCommand:
         labels = {line.split(",")[0] for line in curves}
         assert labels == {"pi-pi-0", "0-pi-pi", "pi-0-pi"}
 
+    def test_scan_sample_on_the_threshold_is_one_crossing(self, tmp_path):
+        # the middle sample of the scan is the threshold 0.25 exactly
+        code, out = run_cli(["bifurcate", "--space", "polygon:3",
+                             "--charges", "1,1,1", "--sweep", "2",
+                             "--range", "0.125:0.375", "--outdir", str(tmp_path)])
+        assert code == 0
+        threshold = json.loads((tmp_path / "branches.json").read_text())["threshold"]
+        assert threshold == pytest.approx(0.25, abs=1e-12)
+
     def test_path_without_crossing_exits_two(self, tmp_path):
         code, _ = run_cli(["bifurcate", "--space", "polygon:3",
                            "--charges", "1,1,1", "--sweep", "2",

@@ -36,8 +36,7 @@ def test_control_triangle_scan_writes_curves_and_grid(monkeypatch, tmp_path):
 
 
 def test_concentric_census_prints_one_row_per_sample(monkeypatch, tmp_path):
-    out = run_script(monkeypatch, tmp_path, "concentric_census.py",
-                     "--samples", "1", "--grid-density", "8")
+    out = run_script(monkeypatch, tmp_path, "concentric_census.py", "--samples", "1")
     lines = out.splitlines()
     assert lines[0] == "q1,q2,q3,total,minima,saddles,maxima,euler,exact"
     assert len(lines) == 3 and lines[2].startswith("# minimal censuses: ")

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from coulomb_eq import solver
+from coulomb_eq.bifurcation import charge_sweep_path
 from coulomb_eq.cli import solve_payload
 from coulomb_eq.morse import classify_spectrum, euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
@@ -26,6 +28,7 @@ from coulomb_eq.solver import (
     solve_line_three,
     _finalize,
     _first_cover,
+    _level_seeds,
     _mirror_close,
     _partners,
     _point_rows,
@@ -33,7 +36,7 @@ from coulomb_eq.solver import (
     _polish_torus_seeds,
     _polygon_seeds,
     _representatives,
-    _torus_seeds,
+    _slope_minima,
 )
 from coulomb_eq import potentials as pot
 from coulomb_eq.spaces import (
@@ -53,6 +56,7 @@ from coulomb_eq.spaces import (
     reduce_angle,
     reduce_angles,
     row_config,
+    torus_alphas,
     triangle_vertices,
 )
 from helpers import (
@@ -61,6 +65,8 @@ from helpers import (
     line_grad_hess,
     line_three_energies,
     multistart_census,
+    same_census,
+    torus_grid_seeds,
     triangle_grid,
 )
 
@@ -281,28 +287,54 @@ class TestMultistartCrossCheck:
         assert sizes == {3, 5}
 
 
-HALF_GRID_CHARGES = np.random.default_rng(19).uniform(0.05, 3.0, (12, 3))
+CROSS_CHECK_CHARGES = np.random.default_rng(19).uniform(0.05, 3.0, (12, 3))
 
 
-class TestHalfGridCrossCheck:
-    """The torus census polishes the grid half with alpha1 in (0, pi]; the
-    mirror closure restores the other half's points, bit for bit."""
+class TestLevelSweepCrossCheck:
+    """The level sweep seeds every point the whole angle grid finds: the
+    census equals the full-grid census as a set."""
 
-    @pytest.mark.parametrize("g", [8, 9, 24])
     @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
     @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0),
                                        (0.5, 1.7, 1.7)])
-    def test_half_grid_equals_the_full_grid(self, radii, kernel, g):
+    def test_census_equals_the_full_grid(self, radii, kernel):
         space = TorusSpace(radii)
         spec = PotentialSpec.parse(kernel)
         found = 0
-        for charges in HALF_GRID_CHARGES:
+        for charges in CROSS_CHECK_CHARGES:
             q = ChargeVector.of(charges)
-            half = find_critical_points(space, q, spec, SolveSettings(grid_density=g))
-            # repr prints every float to the bit (-0.0 included)
-            assert repr(half) == repr(full_grid_torus_census(space, q, spec, g))
-            found += len(half)
+            pts = find_critical_points(space, q, spec)
+            assert same_census(pts, full_grid_torus_census(space, q, spec, 96))
+            found += len(pts)
         assert found
+
+
+class TestLevelSweep:
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5", "power:6"])
+    @pytest.mark.parametrize("radii", [(0.5, 1.7, 2.9), (1.0, 1.0, 2.0)])
+    def test_slope_minima_are_the_minima_of_the_core_slopes(self, radii, kernel):
+        spec = PotentialSpec.parse(kernel)
+        constants = pot.TorusConstants.of(radii, ChargeVector.of([0.4, 1.3, 0.8]))
+        star = _slope_minima(constants, spec)[:, 0]
+        alpha = np.linspace(0.0, math.pi, 20001)[1:-1]
+        slopes = pot.torus_pair_slopes(constants, spec, alpha[None])[0]
+        assert (slopes < 0.0).all()
+        for i in range(3):
+            pair = [r for k, r in enumerate(radii) if k != i]
+            if pair[0] == pair[1]:
+                # a pole at alpha = 0: the slope only rises
+                assert star[i] == 0.0 and (np.diff(slopes[i]) > 0.0).all()
+            else:
+                assert abs(alpha[slopes[i].argmin()] - star[i]) <= alpha[0]
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, 1.7, 1.7)])
+    def test_seeds_are_the_aligned_rows_then_the_open_half(self, radii, kernel):
+        seeds = _level_seeds(TorusSpace(radii), ChargeVector.of([0.4, 1.3, 0.8]),
+                             PotentialSpec.parse(kernel))
+        assert np.array_equal(seeds[:4], TORUS_ALIGNED_ROWS)
+        alphas = torus_alphas(seeds[4:])
+        assert len(alphas) and ((alphas > 0.0) & (alphas < math.pi)).all()
 
 
 class TestPartnerIndex:
@@ -374,6 +406,33 @@ class TestFindCriticalPointsTorus:
         assert len(base) == len(dense)
         for cp in dense:
             assert any(configs_match(cp.config, other.config) for other in base)
+
+    def test_census_reads_no_grid(self, monkeypatch):
+        space = TorusSpace((1.0, 2.0, 3.0))
+        q = ChargeVector.of([1.0, 2.0, 3.0])
+        polished = []
+        polish = solver._polish_torus_seeds
+        monkeypatch.setattr(solver, "_polish_torus_seeds",
+                            lambda *args: polished.append(len(args[3])) or polish(*args))
+        coarse = find_critical_points(space, q, settings=SolveSettings(grid_density=8))
+        dense = find_critical_points(space, q, settings=SolveSettings(grid_density=96))
+        # repr prints every float to the bit
+        assert repr(coarse) == repr(dense)
+        # the four aligned rows and one seed for the mirror pair
+        assert polished == [5, 5]
+
+    @pytest.mark.parametrize("offset, count", [
+        (1e-3, 4), (1e-4, 4), (-1e-3, 6), (-1e-4, 6), (-1e-5, 6), (-1e-6, 6), (-1e-7, 6),
+    ])
+    def test_pitchfork_census_counts(self, offset, count):
+        # the benchmark's torus sweep buckles the aligned (pi, pi, 0) at
+        # lambda_c and sheds one mirror pair of minima below it, born next
+        # to the aligned point
+        path = charge_sweep_path((0.01, 0.01, 1.0), 2)
+        pts = find_critical_points(TorusSpace((1.0, 2.0, 3.0)), path(0.8433333341 + offset))
+        assert len(pts) == count
+        assert sum(cp.aligned for cp in pts) == 4
+        assert all(cp.symmetry_partner is not None for cp in pts if not cp.aligned)
 
     def test_relation_residual_of_reported_points(self):
         # proportion residual of reported points stays at solver precision
@@ -567,11 +626,10 @@ class TestCompactedTorusPolish:
     def test_batch_equals_seeds_polished_alone(self):
         space = TorusSpace((0.5, 1.7, 1.7))
         q = ChargeVector.of([0.4, 1.3, 0.8])
-        settings = SolveSettings(grid_density=8)
         third = 2.0 * math.pi / 3.0
         # aligned labels and grid seeds, the equal-radii +-2pi/3 seeds, a
         # seed inside the pole radius and one with a singular Hessian
-        seeds = np.vstack([_torus_seeds(space, settings), [[third, third]],
+        seeds = np.vstack([torus_grid_seeds(space, 8), [[third, third]],
                            [[-third, -third]], [[1e-9, 2.0]],
                            [singular_hessian_seed(space, q)]])
 
@@ -597,8 +655,7 @@ class TestCompactedTorusPolish:
             self, monkeypatch, radii, charges, extra, evals):
         space = TorusSpace(radii)
         q = ChargeVector.of(charges)
-        seeds = np.vstack([_torus_seeds(space, SolveSettings(grid_density=12)),
-                           extra(space, q)])
+        seeds = np.vstack([torus_grid_seeds(space, 12), extra(space, q)])
         rows = []
         core = pot.torus_columns
 
@@ -617,38 +674,6 @@ class TestCompactedTorusPolish:
         # a seed that stopped or died is never evaluated again
         assert together == sum(alone)
         assert alone[-len(evals):] == evals
-
-    @pytest.mark.parametrize("g", [8, 9, 96])
-    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.5, 1.5, 1.5)])
-    def test_seed_order(self, g, radii):
-        seeds = _torus_seeds(TorusSpace(radii), SolveSettings(grid_density=g))
-        aligned = [(lab[0], lab[1]) for lab in TORUS_ALIGNED_LABELS]
-        third = 2.0 * math.pi / 3.0
-        # the first-wins dedup keeps the first seed of each point, so the
-        # exact seeds lead and the grid runs x-major; only the columns
-        # with alpha1 in (0, pi] are polished
-        head = aligned + ([(third, third), (-third, -third)] if radii[0] == radii[1] else [])
-        ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
-        grid = [(x, y) for x in ticks[:(g + 1) // 2] for y in ticks]
-        assert np.array_equal(seeds, np.array(head + grid))
-        assert seeds.shape == (len(head) + (g + 1) // 2 * g, 2)
-        assert (seeds[len(head):, 0] <= math.pi).all()
-
-    @pytest.mark.parametrize("g", [8, 9, 96])
-    def test_dropped_columns_mirror_onto_kept_ones(self, g):
-        keep = (g + 1) // 2
-        kept = _torus_seeds(TorusSpace((1.0, 2.0, 3.0)),
-                            SolveSettings(grid_density=g))[-keep * g:].reshape(keep, g, 2)
-        ticks = 2.0 * math.pi * (np.arange(g) + 0.5) / g
-        dropped = np.stack(np.meshgrid(ticks[keep:], ticks, indexing="ij"), axis=-1)
-        # tick i negates to tick g - 1 - i mod 2 pi, so column keep + c
-        # lands on column g - 1 - keep - c and row j on row g - 1 - j
-        mirrored = np.mod(-dropped, 2.0 * math.pi)[::-1, ::-1]
-        assert np.abs(mirrored - kept[:g - keep]).max() < 1e-12
-        if g % 2:
-            # the column at pi is its own mirror image
-            middle = kept[keep - 1]
-            assert np.abs(np.mod(-middle, 2.0 * math.pi)[::-1] - middle).max() < 1e-12
 
     def test_reduced_angles_match_the_scalar_reduction(self):
         rng = np.random.default_rng(9)
@@ -844,7 +869,7 @@ class TestArrayFinalize:
         q = ChargeVector.of(charges)
         settings = SolveSettings(grid_density=grid)
         if isinstance(space, TorusSpace):
-            seeds = _torus_seeds(space, settings)
+            seeds = torus_grid_seeds(space, grid)
         elif space.n == 3:
             # the seeds of ``multistart_census``: the dedup sees hundreds
             # of converged rows
