@@ -328,13 +328,28 @@ class TestLevelSweep:
                 assert abs(alpha[slopes[i].argmin()] - star[i]) <= alpha[0]
 
     @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
-    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (0.5, 1.7, 1.7)])
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0),
+                                       (0.5, 1.7, 1.7)])
     def test_seeds_are_the_aligned_rows_then_the_open_half(self, radii, kernel):
         seeds = _level_seeds(TorusSpace(radii), ChargeVector.of([0.4, 1.3, 0.8]),
                              PotentialSpec.parse(kernel))
         assert np.array_equal(seeds[:4], TORUS_ALIGNED_ROWS)
         alphas = torus_alphas(seeds[4:])
         assert len(alphas) and ((alphas > 0.0) & (alphas < math.pi)).all()
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
+    @pytest.mark.parametrize("radii", [(1.0, 1.0, 1.0), (1.5, 1.5, 1.5)])
+    def test_equal_radii_sweep_reaches_the_two_thirds_points(self, radii, kernel):
+        # no +-2pi/3 seed is injected on equal radii: an open-half seed
+        # polishes onto (2pi/3, 2pi/3) and the mirror closure adds its image
+        space = TorusSpace(radii)
+        spec = PotentialSpec.parse(kernel)
+        third = 2.0 * math.pi / 3.0
+        polished = _polish_torus_seeds(space, Q111, spec, _level_seeds(space, Q111, spec)[4:])
+        assert np.isclose(polished, third, rtol=0.0, atol=1e-9).all(axis=1).any()
+        angles = np.array([cp.config.angles for cp in find_critical_points(space, Q111, spec)])
+        for point in (third, -third):
+            assert np.isclose(angles, point, rtol=0.0, atol=1e-9).all(axis=1).sum() == 1
 
 
 class TestPartnerIndex:
