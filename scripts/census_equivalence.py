@@ -40,8 +40,7 @@ vertex 1 intermediate is degenerate, every job of the benchmark's
 polygon census (``p3-triangle``, ``p3-collinear``, ``p4``, ``p5``) for
 the same four seeds, twelve pitchfork sweeps (the benchmark's polygon
 reference sweep and torus sweep, and ten more: other charges, swept
-charges, ranges, radii and the power:2 and log kernels on both spaces,
-five of which re-acquire the branch from nudged seeds),
+charges, ranges, radii and the power:2 and log kernels on both spaces),
 ``verify --suite quick`` and ``verify --suite full`` (the only run that
 reads the resolution-256 boundary curves and the four-charge fixing
 check), three ``inverse --sides`` cases (a unique ray, a collinear
@@ -129,9 +128,7 @@ def _sweep(space: str, charges: list[float], sweep: int, lo: float, hi: float,
 
 #: the benchmark's two sweeps, then other charges, swept charges, ranges,
 #: radii and kernels (the last two: the benchmark's torus sweep under the
-#: power:2 and log kernels, across their own thresholds); five of them
-#: re-acquire the branch from nudged seeds after the carried pair alone
-#: loses it
+#: power:2 and log kernels, across their own thresholds)
 SWEEPS = (
     workloads.REFERENCE_SWEEP,
     workloads.TORUS_SWEEP,

@@ -8,12 +8,14 @@ aligned-Hessian sign forms.  Crossing a boundary is a supercritical
 pitchfork: the aligned equilibrium sheds a mirror pair of minima whose
 transverse amplitude grows like the square root of the distance past
 the threshold, while the aligned point itself turns from minimum to
-saddle without moving (the fixing effect).
+saddle without moving (the fixing effect).  The trace bisects the
+aligned spectrum for the threshold and reads the mirror pair at each
+branch-side sample from the census (``find_critical_points``), which is
+exact on both spaces it accepts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,9 +29,8 @@ from .solver import (
     PolygonSpace,
     Space,
     TorusSpace,
-    closed_form_seeds,
     enumerate_aligned,
-    polish_candidates,
+    find_critical_points,
 )
 from .spaces import (
     ChargeVector,
@@ -255,13 +256,14 @@ def _bisect_crossing(eig: Callable[[float], float], lo: float, hi: float) -> flo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fmid = eig(mid)
-        if abs(fmid) < 1e-12:
+        if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid
         else:
             hi = mid
-        if hi - lo < 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
+        # relative: the parameter is a charge, which is positive
+        if hi - lo < 4.0 * np.finfo(float).eps * abs(hi):
             break
     return 0.5 * (lo + hi)
 
@@ -283,29 +285,6 @@ def _amplitude(tracked: int, config: Config) -> float:
     axis = axis / np.linalg.norm(axis)
     rel = config.points[tracked] - a
     return float(axis[0] * rel[1] - axis[1] * rel[0])
-
-
-def _kick_seeds(space: Space, tracked: int, charges: ChargeVector,
-                spec: PotentialSpec, distance: float = 0.0) -> list[np.ndarray]:
-    """Seed configurations nudged off the tracked aligned configuration
-    along its softest transverse direction, one per sign.
-
-    ``distance`` is how far past the threshold the parameter sits; the
-    kick sizes grow like its square root, matching the branch amplitude
-    of a supercritical pitchfork.
-    """
-    kicks = {2e-3, 2e-2}
-    if distance > 0.0:
-        root = math.sqrt(distance)
-        kicks.update(min(1.5 * root, 0.5) * f for f in (0.3, 0.7, 1.4))
-    row = enumerate_aligned(space, charges, spec)[tracked:tracked + 1]
-    if isinstance(space, PolygonSpace):
-        direction = morse.transverse_soft_directions(row, charges, spec)[0]
-    else:
-        _, hess = pot.chart_derivatives(row, space.radii, charges, spec)
-        direction = np.linalg.eigh(hess[0])[1][:, 0]
-    return [row[0] + sign * kick * direction
-            for kick in sorted(kicks) for sign in (1.0, -1.0)]
 
 
 def _stability(degenerate: bool, minimum: bool) -> str:
@@ -334,91 +313,39 @@ def trace_pitchfork(space: Space, path: ChargePath,
 
     The aligned branch is present at every parameter value (amplitude
     zero; its stability flips at the threshold); the mirror pair exists
-    only on the side where the aligned point is a saddle.  It is acquired
-    from seeds nudged off the aligned point and continued by polishing
-    each step's pair at the next parameter value (``_walk_branch``).
+    only on the side where the aligned point is a saddle.  There it is
+    read from the census of each parameter value (``_mirror_pair``).
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     tracked, lo, hi, branch_side = _locate_crossing(space, path, lam_range, spec)
     threshold = _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
-    lams = [float(v) for v in np.linspace(lam_range[0], lam_range[1], steps)]
-    # walk outward from the threshold on the branch side so each polished
-    # pair seeds the next parameter value
-    on_side = [lam for lam in lams
-               if (lam > threshold) == (branch_side == "above") and lam != threshold]
-    on_side.sort(key=lambda lam: abs(lam - threshold))
-    branch_points = _walk_branch(space, tracked, path, threshold, on_side, spec)
     points: list[BranchPoint] = []
-    for lam in lams:
+    for lam in np.linspace(lam_range[0], lam_range[1], steps):
+        lam = float(lam)
         charges = path(lam)
         points.append(_aligned_branch_point(space, tracked, lam, charges, spec))
-        points.extend(branch_points.get(lam, ()))
+        if lam != threshold and (lam > threshold) == (branch_side == "above"):
+            points.extend(_mirror_pair(space, tracked, lam, charges, spec))
     return BranchDiagram(space.name, threshold, branch_side, tuple(points))
 
 
-def _off_axis(space: Space, charges: ChargeVector, seeds: list,
-              spec: PotentialSpec) -> list[CriticalPoint]:
-    """The critical points off the aligned configurations that the seeds
-    polish to."""
-    return [cp for cp in polish_candidates(space, charges, seeds, spec) if not cp.aligned]
-
-
-def _walk_branch(space: Space, tracked: int, path: ChargePath, threshold: float,
-                 targets: Sequence[float], spec: PotentialSpec,
-                 ) -> dict[float, list[BranchPoint]]:
-    """Continuation along the mirror-pair branch.
-
-    A predictor-corrector walk: the pair polished at the last parameter
-    (the carried pair) is the predictor, and polishing it alone at the
-    trial parameter is the corrector.  When that gives the mirror pair
-    (two off-axis points) they are the step's result.  Otherwise, and
-    on the first step, where nothing is carried yet, the branch is
-    acquired again from the carried configurations followed by seeds
-    nudged off the aligned point (``_kick_seeds``); the carried seeds
-    come first, so their points win the dedup.  When even that loses
-    the branch (Newton slides back to the aligned saddle) the step is
-    halved, down to a floor of 1e-6 in the parameter.  A target that
-    even the floor step cannot reach gets no points, and the walk goes
-    on to the next target from the last target reached, seeded with
-    the pair of the last successful polish.
-    """
-    out: dict[float, list[BranchPoint]] = {}
-    carried: list = []
-    current = threshold
-    for target in targets:
-        position = current
-        while position != target:
-            step = target - position
-            trial = target  # position + step may round one ulp off it
-            while True:
-                charges = path(trial)
-                offs = _off_axis(space, charges, carried, spec) if carried else []
-                if len(offs) == 2:
-                    break
-                seeds = carried + _kick_seeds(space, tracked, charges, spec,
-                                              abs(trial - threshold))
-                offs = _off_axis(space, charges, seeds, spec)
-                if offs or abs(step) < 1e-6:
-                    break
-                step *= 0.5
-                trial = position + step
-            if not offs:
-                break
-            position = trial
-            carried = [cp.config for cp in offs]
-        if position != target:
-            continue
-        current = target
-        # the last trial was the target: ``charges`` and ``offs`` are its own
-        control = tuple(float(v) for v in charges.normalized)
-        entries = sorted(((_amplitude(tracked, cp.config), cp) for cp in offs),
-                         key=lambda e: -e[0])
-        out[target] = [BranchPoint(target, control, "upper" if amp >= 0.0 else "lower",
-                                   amp, _stability(cp.degenerate, cp.morse_index == 0),
-                                   cp.energy)
-                       for amp, cp in entries[:2]]
-    return out
+def _mirror_pair(space: Space, tracked: int, lam: float, charges: ChargeVector,
+                 spec: PotentialSpec) -> list[BranchPoint]:
+    """The off-axis points of the census at one branch-side parameter
+    value, upper (amplitude >= 0) first: the mirror pair, or nothing
+    when the census has no off-axis point there.  Any other count is
+    not a pitchfork's pair and raises ``ValueError``."""
+    offs = [cp for cp in find_critical_points(space, charges, spec) if not cp.aligned]
+    if len(offs) not in (0, 2):
+        raise ValueError(f"census at lambda={lam!r} has {len(offs)} off-axis points, "
+                         "not a mirror pair")
+    control = tuple(float(v) for v in charges.normalized)
+    entries = sorted(((_amplitude(tracked, cp.config), cp) for cp in offs),
+                     key=lambda e: -e[0])
+    return [BranchPoint(lam, control, "upper" if amp >= 0.0 else "lower", amp,
+                        _stability(cp.degenerate, cp.morse_index == 0), cp.energy)
+            for amp, cp in entries]
 
 
 def fit_branch_exponent(diagram: BranchDiagram) -> float:
@@ -442,9 +369,9 @@ def fit_branch_exponent(diagram: BranchDiagram) -> float:
 
 def three_charge_equilibria(charges: ChargeVector,
                             spec: PotentialSpec = COULOMB) -> list[CriticalPoint]:
-    """All equilibria of three polygon charges via the closed-form seeds
+    """All equilibria of three polygon charges: the closed-form census
     (triangle pair plus the three collinear arrangements)."""
-    return polish_candidates(PolygonSpace(3), charges, closed_form_seeds(charges, spec), spec)
+    return find_critical_points(PolygonSpace(3), charges, spec)
 
 
 def count_polygon_minima(charges: ChargeVector,

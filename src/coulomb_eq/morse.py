@@ -129,20 +129,6 @@ def transverse_min_eigenvalues(rows: np.ndarray, charges: ChargeVector,
     return np.linalg.eigvalsh(aligned_blocks(rows, charges, spec)[1])[:, 0]
 
 
-def transverse_soft_directions(rows: np.ndarray, charges: ChargeVector,
-                               spec: PotentialSpec = COULOMB) -> np.ndarray:
-    """Unit eigenvector of the smallest eigenvalue of the transverse
-    Hessian block of each aligned polygon row of a stack ``(k, n, 2)``,
-    as vertex displacements ``(k, n, 2)``: vertex 0 stays pinned and
-    every x-component is zero."""
-    _, zy = pot.aligned_chart_basis(rows)
-    _, hyy, _ = aligned_blocks(rows, charges, spec)
-    soft = zy @ np.linalg.eigh(hyy)[1][:, :, :1]
-    directions = np.zeros(rows.shape)
-    directions[:, 1:] = soft.reshape(len(rows), -1, 2)
-    return directions
-
-
 def euler_count_check(points: Iterable["CriticalPoint"],
                       space: "Space") -> MorseSummary:
     """Tally Morse indices and test the space's alternating-count identity,

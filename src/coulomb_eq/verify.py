@@ -148,12 +148,11 @@ def check_pitchfork() -> CheckResult:
     """Threshold location and square-root growth of the branch amplitude."""
     path = bifurcation.charge_sweep_path([1.0, 1.0, 1.0], 1)
     space = PolygonSpace(3)
-    threshold = bifurcation.detect_threshold(space, path, (0.05, 0.6))
     diagram = bifurcation.trace_pitchfork(space, path, (0.05, 0.6), steps=48)
     exponent = bifurcation.fit_branch_exponent(diagram)
-    passed = abs(threshold - 0.25) < 1e-4 and 0.45 <= exponent <= 0.55
+    passed = abs(diagram.threshold - 0.25) < 1e-4 and 0.45 <= exponent <= 0.55
     return _result("pitchfork-quantitative", passed,
-                   threshold=threshold, exponent=exponent)
+                   threshold=diagram.threshold, exponent=exponent)
 
 
 def check_equal_radii_value() -> CheckResult:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,20 +17,22 @@ from coulomb_eq.bifurcation import (
     torus_bifurcation_set,
     trace_pitchfork,
 )
+from coulomb_eq.cli import main
 from coulomb_eq.inverse import intermediate_charge_limit
 from coulomb_eq.morse import aligned_blocks, torus_aligned_hessian_form
-from coulomb_eq.potentials import PoleError, PotentialSpec, hessian
+from coulomb_eq.potentials import COULOMB, PoleError, PotentialSpec, hessian
 from coulomb_eq.solver import (
     PolygonSpace,
     SolveSettings,
     TorusSpace,
     closed_form_seeds,
+    find_critical_points,
+    polish_candidates,
     solve_line_three,
     _polygon_seeds,
 )
 from coulomb_eq.spaces import (
     ChargeVector,
-    PolygonConfig,
     TORUS_ALIGNED_LABELS,
     TORUS_ALIGNED_ROWS,
     TorusConfig,
@@ -176,6 +179,22 @@ class TestThreshold:
         zero = -(coeffs[0] * 0.01 + coeffs[1] * 0.01) / coeffs[2]
         assert lam == pytest.approx(zero, abs=1e-4)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("space", [PolygonSpace(3), TorusSpace((1.0, 2.0, 3.0))],
+                             ids=["polygon", "torus"])
+    def test_threshold_scales_with_the_charges(self, space, scale):
+        # the coulomb energy is quadratic in the charges, so scaling every
+        # charge scales the threshold and leaves its relative error alone
+        if isinstance(space, PolygonSpace):
+            charges, sweep, lam_range, expected = [1.0, 1.0, 1.0], 1, (0.05, 0.6), 0.25
+        else:
+            coeffs = torus_aligned_hessian_form(space.radii, (PI, PI, 0.0))
+            charges, sweep, lam_range = [0.01, 0.01, 1.0], 2, (0.2, 2.0)
+            expected = -(coeffs[0] * 0.01 + coeffs[1] * 0.01) / coeffs[2]
+        path = charge_sweep_path([scale * q for q in charges], sweep)
+        lam = detect_threshold(space, path, (scale * lam_range[0], scale * lam_range[1]))
+        assert lam == pytest.approx(scale * expected, rel=1e-12)
+
     @pytest.mark.parametrize("kernel,lam_range,threshold", [
         ("power:2", (0.2, 8.0), 3.79),
         ("log", (0.05, 2.0), 0.19),
@@ -280,21 +299,23 @@ class TestAlignedSpectra:
 class TestClosedFormSeeds:
     @pytest.mark.parametrize("charges,count", [([1.0, 1.0, 1.0], 5),
                                                ([0.125, 1.0, 1.0], 3)])
-    def test_one_list_of_three_charge_seeds(self, monkeypatch, charges, count):
+    def test_one_list_of_three_charge_seeds(self, charges, count):
         q = ChargeVector.of(charges)
         expected = closed_form_seeds(q)
         assert len(expected) == count
-        polished = []
-        polish = bifurcation.polish_candidates
-        monkeypatch.setattr(bifurcation, "polish_candidates",
-                            lambda *args: polished.append(args[2]) or polish(*args))
-        three_charge_equilibria(q)
-        assert len(polished) == 1
-        # the rows go to the polish as they are
-        assert np.array_equal(polished[0], expected)
+        # the census is the polish of the closed-form rows, bit for bit
+        pts = three_charge_equilibria(q)
+        assert len(pts) == count
+        assert _bits(pts) == _bits(polish_candidates(PolygonSpace(3), q, expected))
         grid = _polygon_seeds(PolygonSpace(3), q, PotentialSpec.coulomb(),
                               SolveSettings(grid_density=8))
         assert np.array_equal(grid[:count], expected)
+
+
+def _bits(points):
+    """Every field of every critical point, the configuration as bytes."""
+    return [(cp.config.points.tobytes(), dataclasses.replace(cp, config=None))
+            for cp in points]
 
 
 @pytest.fixture(scope="module")
@@ -384,43 +405,58 @@ class TestTrace:
             trace_pitchfork(PolygonSpace(3), path, (0.05, 0.6), steps=steps)
 
 
-def _reference_trace():
-    return trace_pitchfork(PolygonSpace(3), charge_sweep_path([1.0, 1.0, 1.0], 1),
-                           (0.05, 0.6), steps=48)
+#: the benchmark's reference sweep and torus sweep
+SWEEPS = [
+    (PolygonSpace(3), [1.0, 1.0, 1.0], 1, (0.05, 0.6), 48),
+    (TorusSpace((1.0, 2.0, 3.0)), [0.01, 0.01, 1.0], 2, (0.2, 2.0), 40),
+]
 
 
-class TestContinuation:
-    def test_steps_after_the_first_polish_the_carried_pair_alone(self, monkeypatch):
-        calls = []
-        polish = bifurcation.polish_candidates
+class TestCensusBranch:
+    @pytest.mark.parametrize("space,charges,sweep,lam_range,steps", SWEEPS)
+    def test_branch_is_the_census_mirror_pair(self, space, charges, sweep,
+                                              lam_range, steps):
+        path = charge_sweep_path(charges, sweep)
+        diag = trace_pitchfork(space, path, lam_range, steps)
+        tracked = bifurcation._locate_crossing(space, path, lam_range, COULOMB)[0]
+        lams = [p.lam for p in diag.points if p.branch == "aligned"]
+        assert len(lams) == steps
+        paired = 0
+        for lam in lams:
+            offs = [p for p in diag.points if p.lam == lam and p.branch != "aligned"]
+            if (lam > diag.threshold) != (diag.branch_side == "above"):
+                assert offs == []
+                continue
+            census = [cp for cp in find_critical_points(space, path(lam)) if not cp.aligned]
+            assert len(census) == 2
+            expected = sorted(((bifurcation._amplitude(tracked, cp.config), cp.energy,
+                                "min" if cp.morse_index == 0 else "saddle")
+                               for cp in census), reverse=True)
+            assert [(p.amplitude, p.energy, p.stability) for p in offs] == expected
+            assert [p.branch for p in offs] == ["upper", "lower"]
+            paired += 1
+        assert paired > 1
 
-        def recording(*args):
-            calls.append((list(args[2]), polish(*args)))
-            return calls[-1][1]
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_census_without_one_mirror_pair_refused(self, monkeypatch, capsys,
+                                                    tmp_path, count):
+        census = bifurcation.find_critical_points
 
-        monkeypatch.setattr(bifurcation, "polish_candidates", recording)
-        diag = _reference_trace()
-        assert len(calls) == len(diag.branch_amplitudes("upper")) > 1
-        for (_, before), (seeds, _) in zip(calls, calls[1:]):
-            carried = [cp.config for cp in before if not cp.aligned]
-            assert len(seeds) == 2
-            assert all(seed is cfg for seed, cfg in zip(seeds, carried, strict=True))
+        def reshaped(*args):
+            pts = census(*args)
+            offs = [cp for cp in pts if not cp.aligned]
+            return [cp for cp in pts if cp.aligned] + (offs * 2)[:count]
 
-    def test_fallback_to_kicks_gives_the_same_diagram(self, monkeypatch):
-        expected = _reference_trace()
-        kinds = []
-        polish = bifurcation.polish_candidates
-
-        def carried_alone_fails(space, charges, seeds, spec):
-            carried_only = all(isinstance(seed, PolygonConfig) for seed in seeds)
-            kinds.append(carried_only)
-            return [] if carried_only else polish(space, charges, seeds, spec)
-
-        monkeypatch.setattr(bifurcation, "polish_candidates", carried_alone_fails)
-        assert _reference_trace() == expected
-        # every step after the first tried the carried pair, then fell back
-        steps = (len(kinds) - 1) // 2
-        assert steps > 1 and kinds == [False] + [True, False] * steps
+        monkeypatch.setattr(bifurcation, "find_critical_points", reshaped)
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        with pytest.raises(ValueError, match=f"lambda=.* has {count} off-axis points"):
+            trace_pitchfork(PolygonSpace(3), path, (0.05, 0.6), steps=8)
+        code = main(["bifurcate", "--space", "polygon:3", "--charges", "1,1,1",
+                     "--sweep", "2", "--range", "0.05:0.6", "--steps", "8",
+                     "--outdir", str(tmp_path)])
+        assert code == 2
+        assert f"has {count} off-axis points" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestFixingProbe:

@@ -170,7 +170,9 @@ class TestBifurcateCommand:
                              "--resolution", "64",
                              "--outdir", str(tmp_path)])
         assert code == 0
-        assert "threshold: 0.2500" in out
+        printed = [line for line in out.splitlines() if line.startswith("threshold: ")]
+        assert len(printed) == 1
+        assert float(printed[0].removeprefix("threshold: ")) == pytest.approx(0.25, abs=1e-12)
         branches = (tmp_path / "branches.csv").read_text().splitlines()
         assert branches[0] == "lambda,q1,q2,q3,branch,amplitude,stability,energy"
         curves = (tmp_path / "curves.csv").read_text().splitlines()

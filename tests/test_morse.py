@@ -12,15 +12,11 @@ from coulomb_eq.morse import (
     torus_aligned_hessian_form,
     torus_label_config,
     transverse_min_eigenvalues,
-    transverse_soft_directions,
 )
 from coulomb_eq.potentials import (
-    COULOMB,
     PotentialSpec,
     aligned_chart_basis,
     hessian,
-    polygon_derivatives,
-    retraction_hessian,
 )
 from coulomb_eq.solver import (
     PolygonSpace,
@@ -251,30 +247,6 @@ class TestFixingEffect:
         full = np.linalg.eigvalsh(hessian(cfg, q))
         assert int((full < 0).sum()) == 0
 
-    @pytest.mark.parametrize("charges", [[1.0, 1e-3, 1e-3, 1.0], [1.0, 2.0, 3.0, 4.0],
-                                         [0.7, 1.9, 1.1, 1.4]])
-    def test_soft_transverse_direction_at_four_charges(self, charges):
-        q = ChargeVector.of(charges)
-        cfg = line_config_from_positions(solve_line_interior(q)[0])
-        direction = transverse_soft_directions(cfg.points[None], q)[0]
-        assert direction.shape == (4, 2)
-        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-14)
-        assert (direction[:, 0] == 0.0).all() and (direction[0] == 0.0).all()
-        # its Rayleigh quotient under the retraction Hessian is the softest
-        # transverse eigenvalue
-        pts = cfg.points[None]
-        h = retraction_hessian(pts, polygon_derivatives(pts, q, COULOMB))[0]
-        v = direction[1:].ravel()
-        assert v @ h @ v == pytest.approx(transverse_min_eigenvalues(pts, q)[0],
-                                          rel=1e-10, abs=1e-12)
-
-    def test_soft_transverse_direction_at_three_charges_is_the_basis_column(self):
-        q = ChargeVector.of([1.0, 1.0, 1.0])
-        cfg = solve_line_three(q)[1]
-        _, zy = aligned_chart_basis(cfg.points[None])
-        direction = transverse_soft_directions(cfg.points[None], q)[0]
-        assert np.array_equal(direction[1:].ravel(), zy[0, :, 0])
-
     def test_large_interior_charge_breaks_transverse_rigidity(self):
         # a heavy intermediate charge wants off the line: transverse
         # direction turns unstable while the in-line problem stays minimal
@@ -324,13 +296,11 @@ class TestAlignedStacks:
         for q, rows in self.stacks():
             assert len(rows) == 3
             stacked = (*aligned_chart_basis(rows), *aligned_blocks(rows, q, spec),
-                       transverse_min_eigenvalues(rows, q, spec),
-                       transverse_soft_directions(rows, q, spec))
+                       transverse_min_eigenvalues(rows, q, spec))
             for i in range(len(rows)):
                 one = rows[i:i + 1]
                 alone = (*aligned_chart_basis(one), *aligned_blocks(one, q, spec),
-                         transverse_min_eigenvalues(one, q, spec),
-                         transverse_soft_directions(one, q, spec))
+                         transverse_min_eigenvalues(one, q, spec))
                 for batch, single in zip(stacked, alone, strict=True):
                     assert np.array_equal(batch[i], single[0])
 
