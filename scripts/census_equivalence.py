@@ -24,7 +24,7 @@ point of the other side with equal ``index``, ``aligned`` and
 point that moved.  Last it prints the line count of ``coulomb_eq/*.py``
 in each tree and the difference.
 
-The corpus (546 runs) is the torus-census jobs of the benchmark (seeds
+The corpus (547 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
 kernels, radii and charges, three torus censuses on odd grids (g 9 and
 25), whose column at pi is its own mirror image, a torus census with
@@ -38,9 +38,10 @@ runs), the coulomb polygon:3 census at grid density 48 of the
 region-boundary charges (1/9, 4/9, 4/9), where the aligned point with
 vertex 1 intermediate is degenerate, every job of the benchmark's
 polygon census (``p3-triangle``, ``p3-collinear``, ``p4``, ``p5``) for
-the same four seeds, twelve pitchfork sweeps (the benchmark's polygon
-reference sweep and torus sweep, and ten more: other charges, swept
-charges, ranges, radii and the power:2 and log kernels on both spaces),
+the same four seeds, thirteen pitchfork sweeps (the benchmark's polygon
+reference sweep and torus sweep, and eleven more: other charges, swept
+charges, ranges, radii and the power:2 and log kernels on both spaces,
+and an outer polygon charge whose mirror pair lives below its threshold),
 ``verify --suite quick`` and ``verify --suite full`` (the only run that
 reads the resolution-256 boundary curves and the four-charge fixing
 check), three ``inverse --sides`` cases (a unique ray, a collinear
@@ -71,13 +72,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
 import workloads  # noqa: E402  (the benchmark's seeded job lists)
+from coulomb_eq.bifurcation import charge_sweep_path, detect_threshold  # noqa: E402
+from coulomb_eq.solver import TorusSpace  # noqa: E402
 
 BENCHMARK_SEEDS = (1, 2, 3, workloads.HELD_OUT_SEED)
 
 #: the coulomb threshold of the benchmark's torus sweep, where the
 #: aligned (pi, pi, 0) buckles
-PITCHFORK = 0.8433333341
+PITCHFORK = detect_threshold(TorusSpace((1.0, 2.0, 3.0)),
+                             charge_sweep_path([0.01, 0.01, 1.0], 2), (0.2, 2.0))
 
 EXTRA_TORUS = [
     ("torus:1,2,3", "1,2,3", "log", 48),
@@ -127,8 +132,9 @@ def _sweep(space: str, charges: list[float], sweep: int, lo: float, hi: float,
 
 
 #: the benchmark's two sweeps, then other charges, swept charges, ranges,
-#: radii and kernels (the last two: the benchmark's torus sweep under the
-#: power:2 and log kernels, across their own thresholds)
+#: radii and kernels (the benchmark's torus sweep under the power:2 and
+#: log kernels, across their own thresholds), and last an outer charge
+#: swept against (0.2, 1), whose mirror pair lives below its threshold
 SWEEPS = (
     workloads.REFERENCE_SWEEP,
     workloads.TORUS_SWEEP,
@@ -142,6 +148,7 @@ SWEEPS = (
     _sweep("torus:1,2,3", [1.0, 0.01, 0.01], 1, 0.05, 5.0, 40),
     _sweep("torus:1,2,3", [0.01, 0.01, 1.0], 3, 0.2, 8.0, 40, "power:2"),
     _sweep("torus:1,2,3", [0.01, 0.01, 1.0], 3, 0.05, 2.0, 40, "log"),
+    _sweep("polygon:3", [1.0, 0.2, 1.0], 1, 0.2, 2.0, 40),
 )
 
 #: unique ray, collinear family, infeasible

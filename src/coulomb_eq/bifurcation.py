@@ -8,8 +8,8 @@ aligned-Hessian sign forms.  Crossing a boundary is a supercritical
 pitchfork: the aligned equilibrium sheds a mirror pair of minima whose
 transverse amplitude grows like the square root of the distance past
 the threshold, while the aligned point itself turns from minimum to
-saddle without moving (the fixing effect).  The trace bisects the
-aligned spectrum for the threshold and reads the mirror pair at each
+saddle without moving (the fixing effect).  The trace reads the
+threshold from these closed forms and the mirror pair at each
 branch-side sample from the census (``find_critical_points``), which is
 exact on both spaces it accepts.
 """
@@ -17,7 +17,7 @@ exact on both spaces it accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +41,6 @@ from .spaces import (
     reduce_angle,
 )
 
-ChargePath = Callable[[float], ChargeVector]
-
-#: samples of the coarse scan used to bracket threshold crossings
-SCAN_SAMPLES = 65
 #: distance past the threshold within which the amplitude exponent is fit
 FIT_WINDOW = 0.05
 
@@ -96,18 +92,22 @@ class BranchDiagram:
         return [(p.lam, p.amplitude) for p in self.points if p.branch == branch]
 
 
-def charge_sweep_path(base: Sequence[float], sweep_index: int) -> ChargePath:
+@dataclass(frozen=True)
+class ChargeSweep:
+    """Charge path that replaces charge ``index`` of ``base`` by the parameter."""
+
+    base: tuple[float, ...]
+    index: int
+
+    def __call__(self, lam: float) -> ChargeVector:
+        return ChargeVector.of([lam if i == self.index else q for i, q in enumerate(self.base)])
+
+
+def charge_sweep_path(base: Sequence[float], sweep_index: int) -> ChargeSweep:
     """Path that replaces one charge of ``base`` by the parameter."""
-    fixed = [float(v) for v in base]
-    if not 0 <= sweep_index < len(fixed):
+    if not 0 <= sweep_index < len(base):
         raise ValueError("sweep index out of range")
-
-    def path(lam: float) -> ChargeVector:
-        vals = list(fixed)
-        vals[sweep_index] = lam
-        return ChargeVector.of(vals)
-
-    return path
+    return ChargeSweep(tuple(float(v) for v in base), sweep_index)
 
 
 # ---------------------------------------------------------------------------
@@ -199,73 +199,64 @@ def _aligned(space: Space, charges: ChargeVector,
     return rows, np.linalg.eigvalsh(hess)[:, 0]
 
 
-def _tracked_eig(space: Space, path: ChargePath, tracked: int,
-                 spec: PotentialSpec) -> Callable[[float], float]:
-    """Softest eigenvalue of aligned configuration ``tracked`` (its index in
-    ``enumerate_aligned``) as a function of the path parameter."""
-    return lambda lam: float(_aligned(space, path(lam), spec)[1][tracked])
-
-
-def _locate_crossing(space: Space, path: ChargePath, lam_range: tuple[float, float],
-                     spec: PotentialSpec) -> tuple[int, float, float, str]:
-    """Find the unique aligned configuration whose softest eigenvalue
-    changes sign along the path.
-
-    Every scan sample evaluates the softest eigenvalues of every aligned
-    configuration in one ``_aligned`` call.  Returns ``(tracked, lo, hi,
-    branch_side)``: the index of the configuration in
-    ``enumerate_aligned``, the scan interval that brackets its sign
-    change, and ``"above"`` or ``"below"`` for the side of the threshold
-    where it is a saddle (the side that carries the mirror pair).
+def _row_thresholds(space: Space, path: ChargeSweep,
+                    spec: PotentialSpec) -> list[tuple[int, float, str]]:
+    """``(tracked, threshold, branch_side)`` of every ``enumerate_aligned``
+    row that buckles at a positive swept charge: its index, that charge,
+    and the side of it where the row is a saddle and carries the mirror
+    pair.  A polygon row buckles where ``q**-p`` of its intermediate
+    charge is the sum over the outer two; a torus row whose sign form has
+    one positive coefficient (a curve of ``torus_bifurcation_set``) where
+    the form, linear in the charges, is zero.
     """
+    q, s = path.base, path.index
+    found = []
+    if isinstance(space, TorusSpace):
+        for tracked, label in enumerate(TORUS_ALIGNED_LABELS):
+            c = morse.torus_aligned_hessian_form(space.radii, label, spec)
+            lam = -sum(c[i] * q[i] for i in range(3) if i != s) / c[s]
+            if (c > 0.0).sum() == 1 and lam > 0.0:
+                found.append((tracked, float(lam), "below" if c[s] > 0.0 else "above"))
+        return found
+    p = spec.ratio_exponent
+    # raising the intermediate charge or lowering an outer one buckles a row
+    for tracked in range(3):
+        if tracked == s:
+            outer = [q[i] for i in range(3) if i != s]
+            found.append((tracked, intermediate_charge_limit(*outer, spec), "above"))
+            continue
+        base = q[tracked] ** -p - q[3 - tracked - s] ** -p
+        if base > 0.0:
+            found.append((tracked, base ** (-1.0 / p), "below"))
+    return found
+
+
+def _locate_crossing(space: Space, path: ChargeSweep, lam_range: tuple[float, float],
+                     spec: PotentialSpec) -> tuple[int, float, str]:
+    """The unique aligned configuration that buckles inside the range,
+    ends included: ``(tracked, threshold, branch_side)`` of
+    ``_row_thresholds``."""
     lo, hi = lam_range
     if not lo < hi:
         raise ValueError("empty parameter range")
+    if not (0.0 < lo and hi < np.inf):
+        raise ValueError("parameter range must be positive and finite")
     if space.n != 3:
         raise ValueError("pitchfork tracing covers three charges only")
-    lams = np.linspace(lo, hi, SCAN_SAMPLES)
-    vals = np.array([_aligned(space, path(lam), spec)[1] for lam in lams])
-    # a sign change between two samples is one crossing, and so is a
-    # sample on the threshold exactly (its products with both neighbours
-    # are zero); its bracket is the sample alone
-    flips = [(start, tracked, start + 1)
-             for start, tracked in np.argwhere(vals[:-1] * vals[1:] < 0.0)]
-    flips += [(start, tracked, start) for start, tracked in np.argwhere(vals == 0.0)]
-    if not flips:
+    hits = [row for row in _row_thresholds(space, path, spec) if lo <= row[1] <= hi]
+    if not hits:
         raise ValueError("path does not cross any bifurcation curve in range")
-    if len(flips) != 1:
-        raise ValueError(f"path must cross exactly one bifurcation curve, found {len(flips)}")
-    start, tracked, end = flips[0]
-    branch_side = "above" if vals[-1, tracked] < 0.0 or vals[0, tracked] > 0.0 else "below"
-    return int(tracked), lams[start], lams[end], branch_side
+    if len(hits) != 1:
+        raise ValueError(f"path must cross exactly one bifurcation curve, found {len(hits)}")
+    return hits[0]
 
 
-def detect_threshold(space: Space, path: ChargePath,
+def detect_threshold(space: Space, path: ChargeSweep,
                      lam_range: tuple[float, float],
                      spec: PotentialSpec = COULOMB) -> float:
     """Parameter value where the tracked aligned configuration turns
-    degenerate, located by bisection on its smallest transverse eigenvalue."""
-    tracked, lo, hi, _ = _locate_crossing(space, path, lam_range, spec)
-    return _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
-
-
-def _bisect_crossing(eig: Callable[[float], float], lo: float, hi: float) -> float:
-    """Zero of ``eig`` inside the bracket ``[lo, hi]`` of a sign change."""
-    flo = eig(lo)
-    lo, hi = float(lo), float(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = eig(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        # relative: the parameter is a charge, which is positive
-        if hi - lo < 4.0 * np.finfo(float).eps * abs(hi):
-            break
-    return 0.5 * (lo + hi)
+    degenerate, from the closed forms of ``_row_thresholds``."""
+    return _locate_crossing(space, path, lam_range, spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +296,7 @@ def _aligned_branch_point(space: Space, tracked: int, lam: float,
     return BranchPoint(lam, control, "aligned", 0.0, stability, float(energy))
 
 
-def trace_pitchfork(space: Space, path: ChargePath,
+def trace_pitchfork(space: Space, path: ChargeSweep,
                     lam_range: tuple[float, float], steps: int = 40,
                     spec: PotentialSpec = COULOMB) -> BranchDiagram:
     """Sample the aligned branch and the off-axis mirror pair along a
@@ -315,11 +306,12 @@ def trace_pitchfork(space: Space, path: ChargePath,
     zero; its stability flips at the threshold); the mirror pair exists
     only on the side where the aligned point is a saddle.  There it is
     read from the census of each parameter value (``_mirror_pair``).
+    The threshold and that side are the closed forms of
+    ``detect_threshold``.
     """
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
-    tracked, lo, hi, branch_side = _locate_crossing(space, path, lam_range, spec)
-    threshold = _bisect_crossing(_tracked_eig(space, path, tracked, spec), lo, hi)
+    tracked, threshold, branch_side = _locate_crossing(space, path, lam_range, spec)
     points: list[BranchPoint] = []
     for lam in np.linspace(lam_range[0], lam_range[1], steps):
         lam = float(lam)

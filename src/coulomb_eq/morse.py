@@ -153,7 +153,7 @@ def euler_count_check(points: Iterable["CriticalPoint"],
     # poles count as maxima, so it must be 2 - 3 = -1
     poles, expected = (0, 0) if torus else (3, -1)
     exactness = torus and len(pts) == 4
-    if torus and max(space.radii) - min(space.radii) < 1e-12:
+    if torus and max(space.radii) - min(space.radii) < 1e-12 * max(space.radii):
         return MorseSummary(counts, poles, "not-applicable", exactness,
                             "energy has poles when radii coincide")
     if degenerate:

@@ -145,14 +145,19 @@ def check_degenerate_boundary() -> CheckResult:
 
 
 def check_pitchfork() -> CheckResult:
-    """Threshold location and square-root growth of the branch amplitude."""
+    """Threshold location, the aligned spectrum changing sign across it,
+    and square-root growth of the branch amplitude."""
     path = bifurcation.charge_sweep_path([1.0, 1.0, 1.0], 1)
     space = PolygonSpace(3)
     diagram = bifurcation.trace_pitchfork(space, path, (0.05, 0.6), steps=48)
     exponent = bifurcation.fit_branch_exponent(diagram)
-    passed = abs(diagram.threshold - 0.25) < 1e-4 and 0.45 <= exponent <= 0.55
-    return _result("pitchfork-quantitative", passed,
-                   threshold=diagram.threshold, exponent=exponent)
+    # the swept charge is intermediate in aligned row 1: a minimum below, a saddle above
+    eigs = [bifurcation._aligned(space, path(diagram.threshold * f), pot.COULOMB)[1][1]
+            for f in (1.0 - 1e-6, 1.0 + 1e-6)]
+    sign_change = bool(eigs[0] > 0.0 > eigs[1])
+    passed = abs(diagram.threshold - 0.25) < 1e-4 and sign_change and 0.45 <= exponent <= 0.55
+    return _result("pitchfork-quantitative", passed, threshold=diagram.threshold,
+                   aligned_sign_change=sign_change, exponent=exponent)
 
 
 def check_equal_radii_value() -> CheckResult:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomb_eq import bifurcation
+from coulomb_eq import bifurcation, verify
 from coulomb_eq.bifurcation import (
     ControlPoint,
     charge_sweep_path,
@@ -228,42 +228,88 @@ class TestThreshold:
 
 
 class TestLocateCrossing:
-    """The scan names the aligned configuration it tracks by its index in
-    ``enumerate_aligned``."""
+    """The crossing names the aligned configuration it tracks by its index
+    in ``enumerate_aligned``."""
 
     def test_reference_sweep_tracks_the_middle_vertex(self):
         path = charge_sweep_path([1.0, 1.0, 1.0], 1)
-        tracked, lo, hi, side = bifurcation._locate_crossing(
-            PolygonSpace(3), path, (0.05, 0.6), PotentialSpec.coulomb())
-        assert (tracked, side) == (1, "above")
-        assert lo < 0.25 < hi
+        assert bifurcation._locate_crossing(
+            PolygonSpace(3), path, (0.05, 0.6), PotentialSpec.coulomb()) == (1, 0.25, "above")
 
     def test_torus_sweep_tracks_the_first_label(self):
         path = charge_sweep_path([0.01, 0.01, 1.0], 2)
-        tracked, _, _, side = bifurcation._locate_crossing(
+        tracked, _, side = bifurcation._locate_crossing(
             TorusSpace((1.0, 2.0, 3.0)), path, (0.2, 2.0), PotentialSpec.coulomb())
         assert (tracked, side) == (0, "below")
         assert TORUS_ALIGNED_LABELS[tracked] == (PI, PI, 0.0)
 
-    def test_sample_on_the_threshold_brackets_itself(self):
-        # the middle one of the 65 samples over (0.125, 0.375) is 0.25, where
-        # the softest transverse eigenvalue is zero: one crossing, not two
+    def test_range_ends_are_included(self):
         path = charge_sweep_path([1.0, 1.0, 1.0], 1)
-        tracked, lo, hi, side = bifurcation._locate_crossing(
-            PolygonSpace(3), path, (0.125, 0.375), PotentialSpec.coulomb())
-        assert (tracked, lo, hi, side) == (1, 0.25, 0.25, "above")
+        for lam_range in ((0.25, 0.6), (0.05, 0.25)):
+            assert detect_threshold(PolygonSpace(3), path, lam_range) == 0.25
 
-    @pytest.mark.parametrize("space,path,lam_range", [
-        (PolygonSpace(3), charge_sweep_path([1.0, 1.0, 1.0], 1), (0.05, 0.6)),
-        (TorusSpace((1.0, 2.0, 3.0)), charge_sweep_path([0.01, 0.01, 1.0], 2), (0.2, 2.0)),
+    @pytest.mark.parametrize("lam_range,message", [
+        ((0.0, 0.6), "positive and finite"),
+        ((-0.1, 0.6), "positive and finite"),
+        ((0.05, math.inf), "positive and finite"),
+        ((0.6, 0.05), "empty parameter range"),
+        ((0.25, 0.25), "empty parameter range"),
+        ((math.nan, 0.6), "empty parameter range"),
+    ])
+    def test_range_beyond_positive_finite_charges_rejected(self, lam_range, message):
+        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
+        for trace in (detect_threshold, trace_pitchfork):
+            with pytest.raises(ValueError, match=message):
+                trace(PolygonSpace(3), path, lam_range)
+
+
+class TestChargeSweep:
+    def test_replaces_one_charge(self):
+        path = charge_sweep_path([1.0, 2.0, 3.0], 1)
+        assert path == bifurcation.ChargeSweep((1.0, 2.0, 3.0), 1)
+        assert path(0.5).q == (1.0, 0.5, 3.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path.index = 0
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="sweep index out of range"):
+            charge_sweep_path([1.0, 2.0, 3.0], index)
+
+
+class TestRowThresholds:
+    """Each closed-form threshold against the aligned spectra it predicts."""
+
+    # the charges buckle rows on both branch sides of either space (on the
+    # torus under coulomb, log and power:2.5)
+    @pytest.mark.parametrize("sweep", [0, 1, 2])
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5", "power:6"])
+    @pytest.mark.parametrize("space,charges", [
+        (PolygonSpace(3), [0.7, 1.9, 1.1]),
+        (TorusSpace((1.0, 2.0, 3.0)), [0.02, 1.0, 0.05]),
     ], ids=["polygon", "torus"])
-    def test_one_aligned_spectrum_per_scan_sample(self, monkeypatch, space, path, lam_range):
-        calls = []
-        aligned = bifurcation._aligned
-        monkeypatch.setattr(bifurcation, "_aligned",
-                            lambda *args: calls.append(args) or aligned(*args))
-        bifurcation._locate_crossing(space, path, lam_range, PotentialSpec.coulomb())
-        assert len(calls) == bifurcation.SCAN_SAMPLES
+    def test_threshold_is_the_sign_change_of_its_row(self, space, charges, kernel, sweep):
+        spec = PotentialSpec.parse(kernel)
+        path = charge_sweep_path(charges, sweep)
+        rows = bifurcation._row_thresholds(space, path, spec)
+        assert rows
+        for tracked, lam, side in rows:
+            below = bifurcation._aligned(space, path(lam * (1.0 - 1e-6)), spec)[1][tracked]
+            above = bifurcation._aligned(space, path(lam * (1.0 + 1e-6)), spec)[1][tracked]
+            assert (below < 0.0 < above) if side == "below" else (above < 0.0 < below)
+        # away from its threshold every row keeps the predicted sign, and a
+        # row without one never changes sign
+        lams = np.geomspace(1e-3, 1e3, 61)
+        eigs = np.array([bifurcation._aligned(space, path(lam), spec)[1] for lam in lams])
+        predicted = {tracked: (lam, side) for tracked, lam, side in rows}
+        for tracked, col in enumerate(eigs.T):
+            if tracked not in predicted:
+                assert (col < 0.0).all() or (col > 0.0).all()
+                continue
+            lam, side = predicted[tracked]
+            saddle = lams > lam if side == "above" else lams < lam
+            assert np.array_equal(col < 0.0, saddle)
+            assert (col != 0.0).all()
 
 
 class TestAlignedSpectra:
@@ -376,15 +422,24 @@ class TestTrace:
         for lam, amp in ups:
             assert abs(amp + downs[lam]) < 1e-8
 
-    def test_trace_scans_for_the_crossing_once(self, monkeypatch):
-        calls = []
-        locate = bifurcation._locate_crossing
-        monkeypatch.setattr(bifurcation, "_locate_crossing",
-                            lambda *args: calls.append(args) or locate(*args))
-        path = charge_sweep_path([1.0, 1.0, 1.0], 1)
-        diag = trace_pitchfork(PolygonSpace(3), path, (0.05, 0.6), steps=8)
-        assert len(calls) == 1
-        assert diag.threshold == detect_threshold(PolygonSpace(3), path, (0.05, 0.6))
+    def test_outer_charge_sweep_branches_below(self):
+        # sweeping outer charge 1 against (0.2, 1): the aligned point with the
+        # 0.2 between them is a saddle while 1/sqrt(0.2) < 1/sqrt(lam) + 1
+        path = charge_sweep_path([1.0, 0.2, 1.0], 0)
+        diag = trace_pitchfork(PolygonSpace(3), path, (0.2, 2.0), steps=40)
+        assert diag.branch_side == "below"
+        assert diag.threshold == pytest.approx((0.2 ** -0.5 - 1.0) ** -2, rel=1e-15)
+        assert diag.threshold == pytest.approx(0.6545, abs=1e-4)
+        ups = dict(diag.branch_amplitudes("upper"))
+        downs = dict(diag.branch_amplitudes("lower"))
+        assert set(ups) == set(downs)
+        assert set(ups) == {p.lam for p in diag.points
+                            if p.branch == "aligned" and p.lam < diag.threshold}
+        for lam in ups:
+            assert abs(ups[lam] + downs[lam]) < 1e-8
+        for p in diag.points:
+            if p.branch == "aligned":
+                assert p.stability == ("saddle" if p.lam < diag.threshold else "min")
 
     def test_path_crossing_twice_rejected(self):
         # with outer charges 1 and 25 the sweep leaves the middle-vertex
@@ -459,6 +514,23 @@ class TestCensusBranch:
         assert not any(tmp_path.iterdir())
 
 
+class TestVerifyPitchfork:
+    def test_aligned_spectrum_changes_sign_at_the_threshold(self):
+        check = verify.check_pitchfork()
+        assert check.passed
+        assert check.details["aligned_sign_change"] is True
+
+    def test_threshold_off_the_sign_change_fails(self, monkeypatch):
+        # 5e-5 off is inside the 1e-4 tolerance on the value, but both
+        # probes then sit on the saddle side
+        trace = bifurcation.trace_pitchfork
+        monkeypatch.setattr(bifurcation, "trace_pitchfork", lambda *args, **kw: (
+            dataclasses.replace(trace(*args, **kw), threshold=0.25 + 5e-5)))
+        check = verify.check_pitchfork()
+        assert check.details["aligned_sign_change"] is False
+        assert not check.passed
+
+
 class TestFixingProbe:
     @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
     @pytest.mark.parametrize("q1, q3", [(1.0, 1.0), (4.0, 1.0), (0.83, 1.37)])
@@ -466,7 +538,7 @@ class TestFixingProbe:
         spec = PotentialSpec.parse(kernel)
         res = fixing_effect_probe(q1, q3, [0.01], spec)
         assert res.threshold == intermediate_charge_limit(q1, q3, spec)
-        # the bisection on the aligned spectrum finds the same crossing
+        # the sweep of the intermediate charge crosses at the same value
         path = charge_sweep_path([q1, 1.0, q3], 1)
         found = detect_threshold(PolygonSpace(3), path,
                                  (0.5 * res.threshold, 1.35 * res.threshold), spec)

@@ -80,6 +80,16 @@ class TestSolveCommand:
         assert payload["summary"]["euler_check"] == "not-applicable"
         assert payload["summary"]["reason"] == "degenerate points present"
 
+    def test_tiny_distinct_radii_are_counted(self):
+        # the radii differ by 1e-13 but not relative to their size, so the
+        # count check applies; the census finds one point and fails it
+        code, out = run_cli(["solve", "--space", "torus:1e-13,2e-13,3e-13",
+                             "--charges", "1,2,3"])
+        assert code == 3
+        payload = json.loads(out)
+        assert len(payload["points"]) == 1
+        assert payload["summary"]["euler_check"] == "failed"
+
     def test_power_law_potential_flag(self):
         code, out = run_cli(["solve", "--space", "polygon:3",
                              "--charges", "1,1,1", "--potential", "power:2",
@@ -204,8 +214,8 @@ class TestBifurcateCommand:
         labels = {line.split(",")[0] for line in curves}
         assert labels == {"pi-pi-0", "0-pi-pi", "pi-0-pi"}
 
-    def test_scan_sample_on_the_threshold_is_one_crossing(self, tmp_path):
-        # the middle sample of the scan is the threshold 0.25 exactly
+    def test_range_centred_on_the_threshold_is_one_crossing(self, tmp_path):
+        # the midpoint of the range is the threshold 0.25 exactly
         code, out = run_cli(["bifurcate", "--space", "polygon:3",
                              "--charges", "1,1,1", "--sweep", "2",
                              "--range", "0.125:0.375", "--outdir", str(tmp_path)])

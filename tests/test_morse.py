@@ -172,6 +172,15 @@ class TestEulerCounts:
         assert summary.euler_check == "not-applicable"
         assert "pole" in summary.reason
 
+    @pytest.mark.parametrize("radii,verdict", [
+        ((1e-13, 1e-13, 1e-13), "not-applicable"),
+        ((1.0, 1.0, 1.0 + 1e-13), "not-applicable"),
+        ((1e-13, 2e-13, 3e-13), "passed"),
+    ])
+    def test_radii_coincide_relative_to_their_size(self, radii, verdict):
+        pts = find_critical_points(TorusSpace((1.0, 2.0, 3.0)), Q111)
+        assert euler_count_check(pts, TorusSpace(radii)).euler_check == verdict
+
     def test_larger_polygons_not_counted(self):
         space = PolygonSpace(4)
         pts = find_critical_points(space, ChargeVector.of([1.3, 0.6, 1.9, 1.1]),

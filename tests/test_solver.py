@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coulomb_eq import solver
-from coulomb_eq.bifurcation import charge_sweep_path
+from coulomb_eq.bifurcation import charge_sweep_path, detect_threshold
 from coulomb_eq.cli import solve_payload
 from coulomb_eq.morse import classify_spectrum, euler_count_check
 from coulomb_eq.potentials import PotentialSpec, fd_gradient
@@ -443,8 +443,10 @@ class TestFindCriticalPointsTorus:
         # the benchmark's torus sweep buckles the aligned (pi, pi, 0) at
         # lambda_c and sheds one mirror pair of minima below it, born next
         # to the aligned point
+        space = TorusSpace((1.0, 2.0, 3.0))
         path = charge_sweep_path((0.01, 0.01, 1.0), 2)
-        pts = find_critical_points(TorusSpace((1.0, 2.0, 3.0)), path(0.8433333341 + offset))
+        lam_c = detect_threshold(space, path, (0.2, 2.0))
+        pts = find_critical_points(space, path(lam_c + offset))
         assert len(pts) == count
         assert sum(cp.aligned for cp in pts) == 4
         assert all(cp.symmetry_partner is not None for cp in pts if not cp.aligned)
