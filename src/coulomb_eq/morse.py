@@ -132,7 +132,9 @@ def transverse_min_eigenvalues(rows: np.ndarray, charges: ChargeVector,
 def euler_count_check(points: Iterable["CriticalPoint"],
                       space: "Space") -> MorseSummary:
     """Tally Morse indices and test the space's alternating-count identity,
-    which an empty census fails: every space has aligned critical points."""
+    which an empty census fails (every space has aligned critical points)
+    and so does a torus census with no point of index 0 (the energy of
+    the compact torus attains its minimum)."""
     from .solver import TorusSpace  # local import, no cycle at runtime
 
     pts = list(points)
@@ -153,6 +155,8 @@ def euler_count_check(points: Iterable["CriticalPoint"],
     # poles count as maxima, so it must be 2 - 3 = -1
     poles, expected = (0, 0) if torus else (3, -1)
     exactness = torus and len(pts) == 4
+    if torus and not any(cp.morse_index == 0 for cp in pts):
+        return MorseSummary(counts, poles, "failed", exactness, "no minimum found")
     if torus and max(space.radii) - min(space.radii) < 1e-12 * max(space.radii):
         return MorseSummary(counts, poles, "not-applicable", exactness,
                             "energy has poles when radii coincide")

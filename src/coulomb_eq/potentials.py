@@ -419,14 +419,13 @@ class TorusConstants(NamedTuple):
 
 
 def torus_pair_slopes(constants: TorusConstants, spec: PotentialSpec,
-                      alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+                      alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair terms of the torus core at central angles ``alphas``, one
     row per row of ``constants`` (a pair's constants are ``rr[i:i + 1]``
     and so on): the slope ``u1 = q_a q_b phi'(d) r_a r_b sin(alpha) / d``
-    of each pair's energy in its own angle, the distances ``d``, and the
-    pieces ``(rr_cos, rr_sin, safe, dphi, ddphi, d1)`` its second
-    derivative takes.  Distances are clamped at the floor of
-    ``constants`` into ``safe``."""
+    of each pair's energy in its own angle, its derivative ``u2`` in that
+    angle and the distances ``d``, which the slopes take clamped at the
+    floor of ``constants``."""
     rr, qq, span, floor = constants
     cos_a = np.cos(alphas)
     sin_a = np.sin(alphas)
@@ -436,7 +435,8 @@ def torus_pair_slopes(constants: TorusConstants, spec: PotentialSpec,
     safe = np.maximum(d, floor)
     _, dphi, ddphi = kernel_terms(spec, safe)
     d1 = rr_sin / safe
-    return qq * dphi * d1, d, (rr_cos, rr_sin, safe, dphi, ddphi, d1)
+    d2 = rr_cos / safe - rr_sin * rr_sin / (safe * safe * safe)
+    return qq * dphi * d1, qq * (ddphi * d1 * d1 + dphi * d2), d
 
 
 def torus_columns(constants: TorusConstants,
@@ -453,10 +453,8 @@ def torus_columns(constants: TorusConstants,
     independent.  Pole-adjacent columns give finite garbage that callers
     reject by ``dmin``; a column off the poles is never clamped.
     """
-    u1, d, (rr_cos, rr_sin, safe, dphi, ddphi, d1) = torus_pair_slopes(
-        constants, spec, np.array([a0, a1, torus_third_angle(a0, a1)]))
-    d2 = rr_cos / safe - rr_sin * rr_sin / (safe * safe * safe)
-    u2 = constants.qq * (ddphi * d1 * d1 + dphi * d2)
+    u1, u2, d = torus_pair_slopes(constants, spec,
+                                  np.array([a0, a1, torus_third_angle(a0, a1)]))
     return (u1[0] - u1[2], u1[1] - u1[2], u2[0] + u2[2], u2[2], u2[1] + u2[2],
             np.minimum(np.minimum(d[0], d[1]), d[2]))
 
@@ -693,10 +691,12 @@ def stationarity_relation_residual(config: Config, charges: ChargeVector,
 def stationarity_relation_residuals(rows: np.ndarray,
                                     radii: tuple[float, float, float] | None,
                                     pairs: np.ndarray, charges: ChargeVector,
-                                    spec: PotentialSpec) -> np.ndarray:
+                                    spec: PotentialSpec,
+                                    aligned: np.ndarray | None = None) -> np.ndarray:
     """``stationarity_relation_residual`` of each configuration of a stack
     of polygon vertices ``(k, n, 2)`` (``radii`` is ``None``) or torus
-    chart points ``(k, 2)``, with their ``pair_distances`` ``pairs``.
+    chart points ``(k, 2)``, with their ``pair_distances`` ``pairs`` and,
+    when the caller has it, their ``alignment_defects(...) == 0`` mask.
 
     With the kernel exponent ``p`` (``spec.ratio_exponent``) the
     relations are: a triangle's side opposite vertex ``i`` to the power
@@ -725,4 +725,5 @@ def stationarity_relation_residuals(rows: np.ndarray,
     vals = sides ** (1.0 / p) * q
     mean = vals.mean(axis=1)
     triangle = np.abs(vals - mean[:, None]).max(axis=1) / mean
-    return np.where(alignment_defects(rows, pairs) == 0.0, collinear, triangle)
+    aligned = alignment_defects(rows, pairs) == 0.0 if aligned is None else aligned
+    return np.where(aligned, collinear, triangle)

@@ -8,7 +8,8 @@ each side (phi'' > 0), so there is no other critical point.  The torus
 census seeds from a level sweep (``_level_seeds``): each pair's term
 of the chart gradient depends on its own central angle only, so a
 critical point is a common level of the three terms, found on a
-one-dimensional sweep with no grid.  Larger polygons seed from
+one-dimensional sweep with no grid, whose inverse angles a safeguarded
+Newton finishes from one table of brackets.  Larger polygons seed from
 multistart pools.  Every seed runs through Newton polishing of the
 stationarity system: a Lagrange system with explicit perimeter
 constraint for polygons, the plain two-angle gradient for the torus.
@@ -41,7 +42,8 @@ smallest ``pair_distances`` entry is below ``spaces.pole_radius_of``.
 The grid density is the one setting of a census (``SolveSettings``);
 neither the three-charge polygon census nor the torus census reads
 it.  The Newton tolerance, the iteration cap, the dedup distance and
-the sample counts of the level sweep are module constants.
+the sample counts and the round cap of the level sweep are module
+constants.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ LEVEL_SAMPLES = 128
 #: 1e-12 of pi up to the first midpoint: a mirror pair born next to an
 #: aligned point sits that close to an end
 LEVEL_END_SAMPLES = 24
-#: halvings of the bisection that inverts a pair slope on one branch
-LEVEL_BISECTIONS = 60
+#: rounds of the safeguarded Newton that inverts a pair slope on one branch
+LEVEL_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -402,10 +404,10 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
 
 
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
-                   spec: PotentialSpec, settings: SolveSettings) -> list[np.ndarray]:
+                   spec: PotentialSpec, settings: SolveSettings) -> np.ndarray:
     n = space.n
     if n == 3:
-        return list(closed_form_seeds(charges, spec))
+        return closed_form_seeds(charges, spec)
     # n >= 4: aligned seeds for sweep orderings plus structured and
     # random convex shapes; coverage is heuristic at this size
     seeds: list[np.ndarray] = []
@@ -423,7 +425,8 @@ def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
     rng = np.random.default_rng(MULTISTART_SEED + n)
     pool = rng.uniform(-1.0, 1.0, size=(settings.grid_density ** 2, n, 2))
     seeds.extend(pool[pair_distances(pool).min(axis=1) > 1e-3])
-    return seeds
+    # a row that no configuration represents comes back NaN: the polish drops it
+    return gauge_fix(np.array(seeds))
 
 
 def _sweep_position_seeds(n: int) -> list[np.ndarray]:
@@ -510,37 +513,63 @@ def _level_seeds(space: TorusSpace, charges: ChargeVector,
     every angle in (0, pi) with sum 2 pi, and ``c > 0`` is the mirror,
     which the finalize's mirror closure restores.
 
-    The sweep walks the angle of the pair with the shallowest minimum over
-    ``_LEVEL_ANGLES``, which sets the level; inverts the other two pairs on
-    each monotone branch by one stacked bisection; and interpolates a seed
-    at each sign change of ``alpha_lim + alpha_j + alpha_k - 2 pi`` over
-    the four branch combinations.
+    One slope table over ``_LEVEL_ANGLES`` sets the level (the pair with
+    the shallowest minimum) and brackets each root of the other two pairs
+    on each monotone branch; a safeguarded Newton finishes all brackets as
+    one stack.  A seed is interpolated at each sign change of ``alpha_lim
+    + alpha_j + alpha_k - 2 pi`` over the four branch combinations.
     """
     constants = pot.TorusConstants.of(space.radii, charges)
     rr, qq, span, floor = constants
     star = _slope_minima(constants, spec)
-    lowest = pot.torus_pair_slopes(constants, spec, star)[0][:, 0]
-    lim = int(np.argmax(np.where(star[:, 0] > 0.0, lowest, -math.inf)))
+    knots = np.concatenate([[0.0], _LEVEL_ANGLES, [math.pi]])
+    u1, _, d = pot.torus_pair_slopes(constants, spec, np.hstack([star, np.tile(knots, (3, 1))]))
+    # a slope clamped at the distance floor stands for the pole's -inf
+    table = np.where(d < floor, -math.inf, u1)
+    lim = int(np.argmax(table[:, 0]))
     j, k = (lim + 1) % 3, (lim + 2) % 3
-
-    def pairs(rows: list[int]) -> pot.TorusConstants:
-        return pot.TorusConstants(rr[rows], qq[rows], span[rows], floor)
-
-    level = pot.torus_pair_slopes(pairs([lim]), spec, _LEVEL_ANGLES[None])[0]
-    # rows: pair j falling then rising, pair k falling then rising
+    level = table[lim, 2:-1]
+    # rows: pair j falling then rising, pair k falling then rising, each
+    # tabulated from its end at 0 or pi to its minimum and signed to rise
     rows = [j, j, k, k]
-    branch = pairs(rows)
     falling = np.array([[True], [False], [True], [False]])
-    lo = np.where(falling, 0.0, star[rows])
-    hi = np.where(falling, star[rows], math.pi)
-    for _ in range(LEVEL_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        right = (pot.torus_pair_slopes(branch, spec, mid)[0] > level) == falling
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    # a pair on equal radii has no falling branch
-    solved = np.where(falling & (star[rows] == 0.0), math.nan, 0.5 * (lo + hi))
-    alpha_j, alpha_k = solved[[0, 0, 1, 1]], solved[[2, 3, 2, 3]]
+    s, sign = star[rows], np.where(falling, -1.0, 1.0)
+    grid = np.where(falling, np.minimum(knots, s), np.maximum(knots, s))
+    values = sign * np.where(np.where(falling, knots < s, knots > s),
+                             table[rows, 1:], table[rows, :1])
+    key = sign * level
+    at = np.clip([np.searchsorted(v, c) for v, c in zip(values, key)], 1, knots.size - 1)
+    lo, hi, vlo, vhi = (np.take_along_axis(a, at - side, axis=1)
+                        for a in (grid, values) for side in (1, 0))
+    # start from the chord of the cell, or its midpoint next to the pole
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = lo + (key - vlo) / (vhi - vlo) * (hi - lo)
+    alpha = np.where((alpha >= lo) & (alpha <= hi), alpha, 0.5 * (lo + hi))
+    # a pair on equal radii has no falling branch, a clamped level no root
+    rootless = (level == -math.inf) | (falling & (s == 0.0))
+    # the resolution of LEVEL_ROUNDS halvings of the whole branch
+    resolution = np.where(falling, s, math.pi - s) * 2.0 ** -LEVEL_ROUNDS
+    branch = pot.TorusConstants(rr[rows], qq[rows], span[rows], floor)
+    live = ~rootless
+    for _ in range(LEVEL_ROUNDS):
+        u1, u2, d = pot.torus_pair_slopes(branch, spec, alpha)
+        miss = sign * u1 - key
+        lo, hi = np.where(miss < 0.0, alpha, lo), np.where(miss < 0.0, hi, alpha)
+        # a row stops where it stands once its residual is at the rounding
+        # floor of its level (d * d = span - 2 rr cos(alpha) cancels to
+        # span / (d * d) ulp) or its step within the halvings' resolution
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -miss / (sign * u2)
+            live &= ~((np.abs(miss) * d * d <= 4.0 * pot.EPS * np.abs(level) * branch.span)
+                      | (np.abs(step) <= np.maximum(resolution, 4.0 * np.spacing(alpha))))
+        # a Newton step onto or past an end of the bracket becomes a halving
+        inside = (alpha + step > lo) & (alpha + step < hi)
+        alpha = np.where(live, np.where(inside, alpha + step, 0.5 * (lo + hi)), alpha)
+        live &= hi - lo > 4.0 * np.spacing(hi)
+        if not live.any():
+            break
+    alpha = np.where(rootless, math.nan, alpha)
+    alpha_j, alpha_k = alpha[[0, 0, 1, 1]], alpha[[2, 3, 2, 3]]
     excess = _LEVEL_ANGLES + alpha_j + alpha_k - TWO_PI
     combo, at = np.nonzero(excess[:, :-1] * excess[:, 1:] < 0.0)
     w = excess[combo, at] / (excess[combo, at] - excess[combo, at + 1])
@@ -703,7 +732,8 @@ def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
         grad, hess = (np.concatenate(both) for both in zip((grad, hess), extra))
     rows, pairs = rows[regular], pairs[regular]
     grad_norm = _row_norms(grad)
-    residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec)
+    aligned = alignment_defects(plane_points(rows, radii), pairs) == 0.0
+    residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec, aligned)
     keep = np.flatnonzero((grad_norm <= NEWTON_TOL) & (residual <= RELATION_TOL)
                           & np.isfinite(hess).all(axis=(1, 2)))
     if not keep.size:
@@ -711,7 +741,6 @@ def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
     energy = pot.pair_energies(pairs[keep], charges, spec)
     eigs = np.linalg.eigvalsh(hess[keep])
     index, degenerate = classify_spectra(eigs)
-    aligned = alignment_defects(plane_points(rows[keep], radii), pairs[keep]) == 0.0
     # the rows are canonical already; canonicalize only keys them
     built = [canonicalize(row_config(row, radii)) for row in rows[keep]]
     order = sorted(range(keep.size), key=lambda i: (energy[i], built[i][1]))
@@ -720,7 +749,7 @@ def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
                           grad_norm=float(grad_norm[keep[i]]),
                           hessian_eigenvalues=tuple(eigs[i].tolist()),
                           morse_index=int(index[i]), degenerate=bool(degenerate[i]),
-                          aligned=bool(aligned[i]), key=built[i][1],
+                          aligned=bool(aligned[keep[i]]), key=built[i][1],
                           symmetry_partner=partner)
             for i, partner in zip(order, partners)]
 
@@ -779,10 +808,6 @@ def find_critical_points(space: Space, charges: ChargeVector,
     by their constrained Hessian spectrum and sorted by (energy, key).
     """
     pot._check_charges(space, charges)
-    if isinstance(space, TorusSpace):
-        seeds = _level_seeds(space, charges, spec)
-    else:
-        # a row that no configuration represents comes back NaN and
-        # fails the polish's first gate
-        seeds = gauge_fix(_polygon_seeds(space, charges, spec, settings))
+    seeds = (_level_seeds(space, charges, spec) if isinstance(space, TorusSpace)
+             else _polygon_seeds(space, charges, spec, settings))
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)

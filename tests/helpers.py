@@ -24,16 +24,19 @@ from coulomb_eq.solver import (
     CriticalPoint,
     PolygonSpace,
     TorusSpace,
+    _LEVEL_ANGLES,
     _close,
     _finalize,
     _point_rows,
     _representatives,
+    _slope_minima,
     closed_form_seeds,
     polish_candidates,
     solve_line_three,
 )
 from coulomb_eq.spaces import (
     TORUS_ALIGNED_ROWS,
+    TWO_PI,
     ChargeVector,
     Config,
     config_rows,
@@ -149,6 +152,41 @@ def full_grid_torus_census(space: TorusSpace, charges: ChargeVector,
     grid = np.column_stack([np.repeat(ticks, g), np.tile(ticks, g)])
     seeds = np.vstack([*_exact_torus_seeds(space), grid])
     return _finalize(space, _representatives(space, charges, spec, seeds), charges, spec)
+
+
+def bisection_level_seeds(space: TorusSpace, charges: ChargeVector,
+                          spec: PotentialSpec = COULOMB) -> np.ndarray:
+    """``solver._level_seeds`` with each branch inverted by 60 stacked
+    halvings of the whole branch, ``[0, alpha*]`` falling and
+    ``[alpha*, pi]`` rising: the oracle of its Newton finish."""
+    constants = pot.TorusConstants.of(space.radii, charges)
+    rr, qq, span, floor = constants
+    star = _slope_minima(constants, spec)
+    lowest = pot.torus_pair_slopes(constants, spec, star)[0][:, 0]
+    lim = int(np.argmax(np.where(star[:, 0] > 0.0, lowest, -math.inf)))
+    j, k = (lim + 1) % 3, (lim + 2) % 3
+    level = pot.torus_pair_slopes(pot.TorusConstants(rr[[lim]], qq[[lim]], span[[lim]], floor),
+                                  spec, _LEVEL_ANGLES[None])[0]
+    rows = [j, j, k, k]
+    branch = pot.TorusConstants(rr[rows], qq[rows], span[rows], floor)
+    falling = np.array([[True], [False], [True], [False]])
+    lo = np.where(falling, 0.0, star[rows])
+    hi = np.where(falling, star[rows], math.pi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        right = (pot.torus_pair_slopes(branch, spec, mid)[0] > level) == falling
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    solved = np.where(falling & (star[rows] == 0.0), math.nan, 0.5 * (lo + hi))
+    alpha_j, alpha_k = solved[[0, 0, 1, 1]], solved[[2, 3, 2, 3]]
+    excess = _LEVEL_ANGLES + alpha_j + alpha_k - TWO_PI
+    combo, at = np.nonzero(excess[:, :-1] * excess[:, 1:] < 0.0)
+    w = excess[combo, at] / (excess[combo, at] - excess[combo, at + 1])
+    seeds = np.empty((at.size, 3))
+    for pair, col in ((lim, np.broadcast_to(_LEVEL_ANGLES, excess.shape)),
+                      (j, alpha_j), (k, alpha_k)):
+        seeds[:, pair] = col[combo, at] + w * (col[combo, at + 1] - col[combo, at])
+    return np.vstack([TORUS_ALIGNED_ROWS, seeds[:, :2]])
 
 
 def same_census(a: Sequence[CriticalPoint], b: Sequence[CriticalPoint]) -> bool:

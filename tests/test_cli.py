@@ -67,18 +67,19 @@ class TestSolveCommand:
         # the exact aligned row (0, 0), whose sines are zero; no point
         # carries a NaN, so the artifact stays valid JSON.  That row is the
         # one point, and its spectrum, near 1e-149, reads as degenerate to
-        # the absolute test, so the count check does not apply
+        # the absolute test; it is the maximum, and a torus census with no
+        # minimum fails the count check
         code, out = run_cli(["solve", "--space", "torus:1e150,2e150,3e150",
                              "--charges", "1,2,3", "--grid-density", "8"])
-        assert code == 0
+        assert code == 3
         payload = json.loads(out)
         [point] = payload["points"]
         assert point["coords"]["angles"] == [0.0, 0.0]
         assert point["grad_norm"] == 0.0
         assert all(math.isfinite(e) and abs(e) < 1e-148 for e in point["eigenvalues"])
-        assert point["aligned"] and point["degenerate"]
-        assert payload["summary"]["euler_check"] == "not-applicable"
-        assert payload["summary"]["reason"] == "degenerate points present"
+        assert point["aligned"] and point["degenerate"] and point["index"] == 2
+        assert payload["summary"]["euler_check"] == "failed"
+        assert payload["summary"]["reason"] == "no minimum found"
 
     def test_tiny_distinct_radii_are_counted(self):
         # the radii differ by 1e-13 but not relative to their size, so the
@@ -89,6 +90,19 @@ class TestSolveCommand:
         payload = json.loads(out)
         assert len(payload["points"]) == 1
         assert payload["summary"]["euler_check"] == "failed"
+
+    def test_torus_census_without_a_minimum_exits_three(self):
+        # 2.3e-10 below the pitchfork of the benchmark's torus sweep the
+        # census misses the mirror pair of minima; the degenerate aligned
+        # point must not excuse that
+        code, out = run_cli(["solve", "--space", "torus:1,2,3",
+                             "--charges", "0.01,0.01,0.8433333331"])
+        assert code == 3
+        payload = json.loads(out)
+        assert sorted(p["index"] for p in payload["points"]) == [1, 1, 1, 2]
+        assert any(p["degenerate"] for p in payload["points"])
+        assert payload["summary"]["euler_check"] == "failed"
+        assert payload["summary"]["reason"] == "no minimum found"
 
     def test_power_law_potential_flag(self):
         code, out = run_cli(["solve", "--space", "polygon:3",

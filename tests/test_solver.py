@@ -60,6 +60,7 @@ from coulomb_eq.spaces import (
     triangle_vertices,
 )
 from helpers import (
+    bisection_level_seeds,
     configs_match,
     full_grid_torus_census,
     line_grad_hess,
@@ -336,6 +337,28 @@ class TestLevelSweep:
         assert np.array_equal(seeds[:4], TORUS_ALIGNED_ROWS)
         alphas = torus_alphas(seeds[4:])
         assert len(alphas) and ((alphas > 0.0) & (alphas < math.pi)).all()
+
+    @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5", "power:6"])
+    @pytest.mark.parametrize("radii", [(1.0, 2.0, 3.0), (1.0, 1.0, 1.0), (1.0, 1.0, 2.0),
+                                       (0.5, 1.7, 1.7)])
+    def test_newton_finish_matches_the_bisection_in_few_evaluations(self, radii, kernel,
+                                                                     monkeypatch):
+        # the 60-halving inversion is the oracle; a finish that falls back
+        # to halving takes more than 20 slope evaluations
+        space = TorusSpace(radii)
+        spec = PotentialSpec.parse(kernel)
+        slopes = pot.torus_pair_slopes
+        calls = []
+        monkeypatch.setattr(pot, "torus_pair_slopes",
+                            lambda *args: calls.append(args) or slopes(*args))
+        for charges in [*CROSS_CHECK_CHARGES, Q111.array]:
+            q = ChargeVector.of(charges)
+            oracle = bisection_level_seeds(space, q, spec)
+            calls.clear()
+            seeds = _level_seeds(space, q, spec)
+            assert len(calls) <= 20
+            assert seeds.shape == oracle.shape
+            assert np.abs(seeds - oracle).max() <= 1e-13
 
     @pytest.mark.parametrize("kernel", ["coulomb", "log", "power:2.5"])
     @pytest.mark.parametrize("radii", [(1.0, 1.0, 1.0), (1.5, 1.5, 1.5)])
@@ -892,7 +915,7 @@ class TestArrayFinalize:
             # of converged rows
             seeds = gauge_fix([*cell_seeds(q), *triangle_grid(grid)])
         else:
-            seeds = gauge_fix(_polygon_seeds(space, q, COULOMB, settings))
+            seeds = _polygon_seeds(space, q, COULOMB, settings)
         reps = _representatives(space, q, COULOMB, seeds)
         expected = per_point_finalize(space, reps[0], q)
         got = _finalize(space, reps, q, COULOMB)
