@@ -18,11 +18,12 @@ and, where they differ, the largest absolute difference of each
 floating-point field.  JSON outputs are compared field by field, CSV
 and plain-text outputs token by token.  For a census (``solve`` or a
 control cell) that differs it also reports whether the two point lists
-match as sets: the same count, and each point within ``SET_TOL`` of a
-point of the other side with equal ``index``, ``aligned`` and
-``degenerate``; this tells mirror partners that traded places from a
-point that moved.  Last it prints the line count of ``coulomb_eq/*.py``
-in each tree and the difference.
+match as sets: the same count, and each point within the larger match
+radius of the two (``_radius``) of a point of the other side with equal
+``index``, ``aligned`` and ``degenerate``; this tells mirror partners
+that traded places, or a soft point that slid within its Newton step,
+from a point that moved.  Last it prints the line count of
+``coulomb_eq/*.py`` in each tree and the difference.
 
 The corpus (550 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
@@ -177,7 +178,8 @@ ARTIFACTS = ("branches.csv", "curves.csv", "branches.json", "curves.json")
 
 #: seed of the analysis workload whose control-triangle cells are compared
 CELL_SEED = 1
-#: largest coordinate difference of two points that match as sets
+#: smallest match radius: the largest coordinate difference of two stiff
+#: points that match as sets
 SET_TOL = 1e-9
 
 WORKER = f"""
@@ -342,14 +344,24 @@ def _position(point: dict) -> list[float]:
     return [x for vertex in coords["points"] for x in vertex]
 
 
+def _radius(point: dict) -> float:
+    """A point's match radius, read from its record: its Newton step
+    ``grad_norm / min |eigenvalue|`` with a safety factor of 10, at least
+    ``SET_TOL``.  A soft point is fixed no better than that step."""
+    soft = min((abs(e) for e in point.get("eigenvalues", ())), default=0.0)
+    return max(SET_TOL, 10.0 * point.get("grad_norm", 0.0) / soft if soft else 0.0)
+
+
 def match_as_sets(old: list[dict], new: list[dict]) -> bool:
     """Whether two point lists hold the same points in any order: equal
-    counts, and each point within ``SET_TOL`` of a point of the other
-    list with the same ``index``, ``aligned`` and ``degenerate``."""
+    counts, and each point within the larger ``_radius`` of the two of a
+    point of the other list with the same ``index``, ``aligned`` and
+    ``degenerate``."""
     def found(point: dict, others: list[dict]) -> bool:
         here = _position(point)
         return any(all(point[k] == other[k] for k in ("index", "aligned", "degenerate"))
-                   and max(abs(x - y) for x, y in zip(here, _position(other))) <= SET_TOL
+                   and max(abs(x - y) for x, y in zip(here, _position(other)))
+                   <= max(_radius(point), _radius(other))
                    for other in others)
 
     return (len(old) == len(new) and all(found(p, new) for p in old)

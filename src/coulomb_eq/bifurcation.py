@@ -37,6 +37,7 @@ from .spaces import (
     Config,
     TorusConfig,
     TORUS_ALIGNED_LABELS,
+    norms,
     pair_distances,
     reduce_angle,
 )
@@ -273,7 +274,7 @@ def _amplitude(tracked: int, config: Config) -> float:
     outer = [i for i in range(3) if i != tracked]
     a, b = config.points[outer[0]], config.points[outer[1]]
     axis = b - a
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / norms(axis)
     rel = config.points[tracked] - a
     return float(axis[0] * rel[1] - axis[1] * rel[0])
 
@@ -411,8 +412,6 @@ def fixing_effect_probe(q1: float, q3: float, q2_samples: Sequence[float],
         charges = ChargeVector.of([q1, q2, q3])
         pts = three_charge_equilibria(charges, spec)
         best = min(pts, key=lambda cp: cp.energy)
-        d = best.config.points
-        d12 = float(np.linalg.norm(d[0] - d[1]))
-        d23 = float(np.linalg.norm(d[1] - d[2]))
+        d12, _, d23 = pair_distances(best.config.points[None])[0].tolist()
         included.append(FixingProbeSample(float(q2), d12, d23))
     return FixingProbeResult(threshold, tuple(included), tuple(excluded))

@@ -42,10 +42,12 @@ from .spaces import (
     TorusConfig,
     alignment_defects,
     config_rows,
+    norms,
     pair_distances,
     pair_indices,
     perimeter_value,
     pole_radius_of,
+    side_indices,
     torus_alphas,
     torus_third_angle,
 )
@@ -155,17 +157,6 @@ class EnergyReport:
     pole_flag: bool
 
 
-def energy_of_points(points: np.ndarray, charges: ChargeVector,
-                     spec: PotentialSpec = COULOMB) -> float:
-    """Energy of raw planar points (no perimeter normalization applied)."""
-    q = charges.array
-    total = 0.0
-    for i, j in zip(*pair_indices(points.shape[0])):
-        d = float(np.linalg.norm(points[i] - points[j]))
-        total += q[i] * q[j] * kernel_eval(spec, d)[0]
-    return total
-
-
 def energy(config: Config, charges: ChargeVector,
            spec: PotentialSpec = COULOMB) -> float:
     """Total pair energy; ``inf`` at a pole, ``ValueError`` on a non-finite distance."""
@@ -235,11 +226,11 @@ class PolygonDerivatives(NamedTuple):
 
 def _pair_geometry(points: np.ndarray, first: np.ndarray, second: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Separations, distances, unit vectors and their outer products of
-    the vertex pairs ``(first[p], second[p])`` of a stack ``(k, n, 2)``."""
+    """Separations, distances (``spaces.norms``, the bits of ``pair_distances``),
+    unit vectors and their outer products of the vertex pairs
+    ``(first[p], second[p])`` of a stack ``(k, n, 2)``."""
     delta = points[:, first] - points[:, second]
-    # vecdot rounds each distance like np.linalg.norm of the 2-vector
-    d = np.sqrt(np.vecdot(delta, delta))
+    d = norms(delta)
     u = delta / d[..., None]
     return delta, d, u, u[..., :, None] * u[..., None, :]
 
@@ -257,7 +248,7 @@ def _pair_plan(n: int, sides: bool) -> _PairPlan:
     order, ``sign[s]`` +1 where that vertex is the pair's first, else -1;
     ``off`` and ``diagonal`` are the flat ``(m, m)`` Hessian slots of the
     off-diagonal blocks of pairs ``pair`` and of the diagonal blocks."""
-    first, second = (np.arange(n), np.roll(np.arange(n), -1)) if sides else pair_indices(n)
+    first, second = side_indices(n) if sides else pair_indices(n)
     movable = np.arange(1, n)[:, None]
     touching = np.nonzero((first == movable) | (second == movable))[1].reshape(n - 1, -1).T
     sign = np.where(first[touching] == movable.T, 1.0, -1.0)[..., None]
@@ -298,7 +289,8 @@ def _perimeter_terms(points: np.ndarray,
     plan = _pair_plan(points.shape[1], True)
     _, d, u, uu = _pair_geometry(points, plan.first, plan.second)
     block = (_EYE2 - uu) / d[..., None, None]
-    return (d.sum(axis=1),) + _pair_sums(plan, u, block)
+    # the sides add up one by one, as in ``perimeter_value``, whatever the stack height
+    return (np.cumsum(d, axis=1)[:, -1],) + _pair_sums(plan, u, block)
 
 
 def polygon_derivatives(points: np.ndarray, charges: ChargeVector,
@@ -552,7 +544,7 @@ def _chart_probe(config: Config, charges: ChargeVector, spec: PotentialSpec,
             pts = base.copy()
             pts[1:] += (z @ u).reshape(-1, 2)
             pts /= perimeter_value(pts)
-            return energy_of_points(pts, charges, spec)
+            return float(pair_energies(pair_distances(pts[None]), charges, spec)[0])
 
         return probe, dim, config.diameter
     a1, a2 = config.angles

@@ -68,6 +68,7 @@ from .spaces import (
     config_rows,
     gauge_fix,
     mirror_rows,
+    norms,
     pair_distances,
     plane_points,
     pole_radius_of,
@@ -289,11 +290,6 @@ def enumerate_aligned(space: Space, charges: ChargeVector,
 # multistart machinery: polygon
 # ---------------------------------------------------------------------------
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    # vecdot rounds each row like np.linalg.norm of that row alone
-    return np.sqrt(np.vecdot(x, x))
-
-
 def _unpack(u: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
     """Vertex stacks ``(k, n, 2)`` from packed unknowns (the gauge-free
     coordinates of the movable vertices, then the multiplier)."""
@@ -356,7 +352,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
                        axis=1)
     res, jac = pot.polygon_stationarity(pts, lam, charges, spec, der)
     del der  # two Hessian stacks the Newton rounds no longer need
-    rnorm = _row_norms(res)
+    rnorm = norms(res)
     damping = np.zeros(len(u))
     running = np.ones(len(u), dtype=bool)
     killed = np.zeros(len(u), dtype=bool)
@@ -374,7 +370,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
         tried = solved & ~blocked
         res_t, jac_t = pot.polygon_stationarity(trial_pts[tried], trial[tried, -1],
                                                 charges, spec)
-        rnorm_t = _row_norms(res_t)
+        rnorm_t = norms(res_t)
         better = np.zeros(rows.size, dtype=bool)
         better[tried] = rnorm_t < rnorm[rows[tried]]
         won = better[tried]
@@ -399,7 +395,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
         done[moved[ok]] = gauge_fix(_unpack(u[ok & moved], n, keep))
     done = done[pair_distances(done).min(axis=1) >= pole_radius]
     grad, hess = pot.polygon_chart_derivatives(done, charges, spec)
-    ok = _row_norms(grad) <= NEWTON_TOL
+    ok = norms(grad) <= NEWTON_TOL
     return done[ok], grad[ok], hess[ok]
 
 
@@ -731,7 +727,7 @@ def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
         extra = pot.chart_derivatives(rows[count:][regular[count:]], radii, charges, spec)
         grad, hess = (np.concatenate(both) for both in zip((grad, hess), extra))
     rows, pairs = rows[regular], pairs[regular]
-    grad_norm = _row_norms(grad)
+    grad_norm = norms(grad)
     aligned = alignment_defects(plane_points(rows, radii), pairs) == 0.0
     residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec, aligned)
     keep = np.flatnonzero((grad_norm <= NEWTON_TOL) & (residual <= RELATION_TOL)

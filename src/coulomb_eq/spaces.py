@@ -16,8 +16,9 @@ distances, measure how far a configuration is from being collinear,
 and produce canonical representatives plus distance-multiset keys for
 deduplication.
 
-The torus geometry exists once: the derivative core takes ``torus_third_angle``
-and the chord rule of ``chord_distance``, so it sees the gates' distances.
+Each space's geometry exists once, so the derivative cores see the gates'
+distances bit for bit: the torus chord rule (``torus_third_angle``,
+``chord_distance``) and the polygon lengths (``norms``, ``side_indices``).
 
 The gauge fix, the mirror images, the pair distances and the
 alignment defect are array-first: they work row by row on stacks of
@@ -78,6 +79,22 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in pairs:
         a.setflags(write=False)
     return pairs
+
+
+@functools.cache
+def side_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(first, second)`` of the sides ``(i, i + 1 mod n)``
+    of an ``n``-gon, in vertex order (read-only)."""
+    sides = (np.arange(n), np.roll(np.arange(n), -1))
+    for a in sides:
+        a.setflags(write=False)
+    return sides
+
+
+def norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, the one length rule of the
+    polygon space: each rounds like ``np.linalg.norm`` of its vector alone."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def reduce_angles(angles: np.ndarray) -> np.ndarray:
@@ -330,13 +347,12 @@ def pole_radius_of(radii: Sequence[float] | None = None) -> float:
 def pair_distances(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.ndarray:
     """Pair distances ``(k, P)`` of a stack of polygon vertices
     ``(k, n, 2)`` or, with ``radii``, torus chart points ``(k, 2)``;
-    pairs ``i < j`` run in ``pair_indices`` order."""
+    pairs ``i < j`` run in ``pair_indices`` order, polygon lengths by ``norms``."""
     if radii is not None:
         # pairs (0, 1), (0, 2), (1, 2) are the sides opposite points 2, 1, 0
         return torus_side_distances(radii, torus_alphas(rows))[:, ::-1]
     first, second = pair_indices(rows.shape[1])
-    diff = rows[:, first] - rows[:, second]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    return norms(rows[:, first] - rows[:, second])
 
 
 def plane_points(rows: np.ndarray, radii: Sequence[float] | None = None) -> np.ndarray:
@@ -354,20 +370,13 @@ def pairwise_distances(config: Config) -> np.ndarray:
     return d
 
 
-@functools.cache
-def _cyclic_next(n: int) -> np.ndarray:
-    """Index (read-only) of the vertex after each of ``n`` cyclic vertices."""
-    nxt = np.roll(np.arange(n), -1)
-    nxt.setflags(write=False)
-    return nxt
-
-
 def perimeter_value(points: np.ndarray) -> np.ndarray:
     """Cyclic perimeter of the vertices ``(n, 2)``, or of each polygon of
-    a stack ``(k, n, 2)``: edge ``i`` runs from vertex ``i`` to ``i + 1``
-    (mod n) and the edge lengths add up in vertex order."""
-    edges = points.take(_cyclic_next(points.shape[-2]), axis=-2) - points
-    return np.sqrt((edges ** 2).sum(axis=-1)).sum(axis=-1)
+    a stack ``(k, n, 2)``: the ``norms`` of the edges from vertex ``i`` to
+    ``i + 1`` (mod n), added one by one in vertex order as ``polygon_derivatives`` does."""
+    edges = points.take(side_indices(points.shape[-2])[1], axis=-2) - points
+    # a running sum: from n = 8 numpy's ``sum`` adds pairwise or not by memory layout
+    return np.cumsum(norms(edges), axis=-1)[..., -1]
 
 
 def triangle_vertices(sides: Sequence[float], flip: bool = False) -> np.ndarray | None:

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from coulomb_eq.potentials import (
     PoleError,
     PotentialSpec,
+    _pair_geometry,
     aligned_chart_basis,
     chart_derivatives,
     dilation_derivative,
     energy,
-    energy_of_points,
     energy_report,
     fd_gradient,
     fd_hessian,
@@ -20,6 +20,7 @@ from coulomb_eq.potentials import (
     kernel_eval,
     kernel_terms,
     least_squares_multiplier,
+    pair_energies,
     polygon_chart_derivatives,
     polygon_derivatives,
     polygon_free_indices,
@@ -47,6 +48,8 @@ from coulomb_eq.spaces import (
     apply_involution,
     gauge_fix,
     pair_distances,
+    pair_indices,
+    perimeter_value,
     reduce_angles,
 )
 from helpers import multistart_census
@@ -233,7 +236,7 @@ class TestEnergy:
         q = ChargeVector.of([1.0, 2.0, 3.0])
         base = energy(cfg, q, COULOMB)
         for lam in np.linspace(0.5, 2.0, 7):
-            scaled = energy_of_points(lam * cfg.points, q, COULOMB)
+            scaled = pair_energies(pair_distances(lam * cfg.points[None]), q, COULOMB)[0]
             assert scaled * lam == pytest.approx(base, abs=1e-10)
 
 
@@ -563,6 +566,15 @@ class TestBatchedPolygonCore:
         lams = least_squares_multiplier(stack, q, COULOMB)
         full = der.energy_grad + lams[:, None] * der.perimeter_grad
         assert np.abs(np.vecdot(full, der.perimeter_grad)).max() < 1e-9
+
+    @given(st.integers(1, 5), st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200)
+    def test_core_lengths_are_the_gates_lengths_bit_for_bit(self, k, n, seed):
+        stack = np.random.default_rng(seed).normal(size=(k, n, 2))
+        der = polygon_derivatives(stack, ChargeVector.of(np.ones(n)), COULOMB)
+        assert der.perimeter.tobytes() == perimeter_value(stack).tobytes()
+        core = _pair_geometry(stack, *pair_indices(n))[1]
+        assert core.tobytes() == pair_distances(stack).tobytes()
 
 
 def torus_rows(rng, radii, k, min_gap=0.1):

@@ -61,15 +61,20 @@ def test_bench_pairs_summary():
 def test_census_equivalence_matches_point_lists_as_sets():
     match = runpy.run_path(str(SCRIPTS / "census_equivalence.py"))["match_as_sets"]
 
-    def point(angles, index=0, aligned=False):
+    def point(angles, index=0, aligned=False, eigenvalues=(1.0, 2.0), grad_norm=1e-12):
         return {"coords": {"space": "torus", "angles": angles, "radii": [1.0, 2.0, 3.0]},
-                "index": index, "aligned": aligned, "degenerate": False}
+                "index": index, "aligned": aligned, "degenerate": False,
+                "eigenvalues": list(eigenvalues), "grad_norm": grad_norm}
 
     pair = [point([1.0, 2.0]), point([-1.0, -2.0]), point([0.0, 0.0], 2, True)]
     # mirror partners that traded places, and angles a turn apart
     assert match(pair, [pair[1], pair[0], pair[2]])
     assert match([point([3.141592653589793, 0.0])], [point([-3.141592653589793, 0.0])])
-    # a point that moved, a changed index and a lost point
+    # a soft minimum (eigenvalue 7e-13, gradient 1e-18) that slid 5.3e-7
+    # within its Newton step, as two valid censuses next to a pitchfork put it
+    soft = dict(eigenvalues=(7e-13, 3.0), grad_norm=1e-18)
+    assert match([point([3.0, 3.0], **soft)], [point([3.0, 3.0 + 5.3e-7], **soft)])
+    # a stiff point that moved, a changed index and a lost point
     assert not match(pair, [point([1.0, 2.0 + 1e-6]), pair[1], pair[2]])
     assert not match(pair, [pair[0], pair[1], point([0.0, 0.0], 1, True)])
     assert not match(pair, pair[:2])
