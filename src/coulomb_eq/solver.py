@@ -19,25 +19,27 @@ Newton iteration as a single stack, and only live seeds iterate (the
 torus polish carries the live angles as two columns with their seed
 indices, evaluates them once per round through the pair-major torus
 core with the census constants taken once, and shrinks them with one
-gather each).  Converged points are deduplicated in one first-wins pass
-that compares every candidate row with the representative in one step.
-The representatives come with their chart gradients and Hessians: the
-polygon polish has them from its convergence gate, the torus takes
-them in one call on the reduced representatives.  The finalize works
-on that stack too: it closes it under the reflection involution by row
-comparisons, evaluates chart derivatives only for the mirrors it
-synthesizes, gates and classifies every row with one eigenvalue call,
-sorts, and pairs each point with its mirror by index.  A configuration
-object is built only for each reported point.  The representatives are
-canonical rows: a seed that took no Newton step keeps its row, polygon
-candidates are gauge-fixed as one stack (a no-op on a canonical row),
-and mirrors and reported points are built from the rows as they stand.
+gather each).  The rows that pass the census gate are deduplicated in
+one first-wins pass that compares every candidate row with the
+representative in one step, and keep the gate's chart derivatives and
+aligned flags.  The finalize evaluates no derivative: it closes that
+stack under the reflection involution by row comparisons (reflection is
+an isometry, so a mirror takes its source's Morse data), classifies
+with one eigenvalue call, sorts, and pairs each point with its mirror
+by index.  A configuration object is built only for each reported
+point.  The representatives are canonical rows: a seed that took no
+Newton step keeps its row, polygon candidates are gauge-fixed as one
+stack (a no-op on a canonical row), and mirrors and reported points
+are built from the rows as they stand.
 
 One rule makes each census decision.  Same point: rows whose
 ``_point_rows`` (gauge-fixed vertices, or angles on the circle) differ
 by less than ``DEDUP_TOL`` in every coordinate; the dedup, the mirror
 closure and the partner scan all compare so.  Pole: a row whose
 smallest ``pair_distances`` entry is below ``spaces.pole_radius_of``.
+Stationary: a chart gradient norm within ``NEWTON_TOL``, a relation
+residual within ``RELATION_TOL`` and a finite Hessian.  Each polished
+row is judged once, before the dedup (``_gate``).
 
 The grid density is the one setting of a census (``SolveSettings``);
 neither the three-charge polygon census nor the torus census reads
@@ -329,16 +331,16 @@ def _newton_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray,
     return steps, solved
 
 
-def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpec,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
+                    spec: PotentialSpec) -> np.ndarray:
     """Levenberg-damped Newton on the Lagrange stationarity system, run on
     a stack of gauge-fixed seeds ``(k, n, 2)`` at once.
 
     Every seed keeps its own damping, residual norm and iteration count,
     so it takes exactly the steps it would take alone.  Returns the
-    gauge-fixed vertices of the converged points in seed order with
-    their chart gradients and Hessians.  Only the seeds that stepped are
-    gauge-fixed again: a seed that took no step comes back as it went in.
+    gauge-fixed vertices of the converged points in seed order.  Only the
+    seeds that stepped are gauge-fixed again: a seed that took no step
+    comes back as it went in.
     """
     pts = np.asarray(seeds, dtype=float)
     n = pts.shape[1]
@@ -393,10 +395,7 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector, spec: PotentialSpe
     done = pts[ok]
     if (ok & moved).any():
         done[moved[ok]] = gauge_fix(_unpack(u[ok & moved], n, keep))
-    done = done[pair_distances(done).min(axis=1) >= pole_radius]
-    grad, hess = pot.polygon_chart_derivatives(done, charges, spec)
-    ok = norms(grad) <= NEWTON_TOL
-    return done[ok], grad[ok], hess[ok]
+    return done
 
 
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
@@ -669,34 +668,46 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
     return reps
 
 
+def _gate(rows: np.ndarray, radii: tuple[float, float, float] | None,
+          charges: ChargeVector, spec: PotentialSpec) -> tuple[np.ndarray, ...]:
+    """The rows of a stack that are off the poles and stationary, with
+    their chart gradients, Hessians and aligned flags."""
+    pairs = pair_distances(rows, radii)
+    # every gate is written so that NaN fails it; first the pole check
+    regular = pairs.min(axis=1) >= pole_radius_of(radii)
+    rows, pairs = rows[regular], pairs[regular]
+    grad, hess = pot.chart_derivatives(rows, radii, charges, spec)
+    aligned = alignment_defects(plane_points(rows, radii), pairs) == 0.0
+    residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec, aligned)
+    ok = ((norms(grad) <= NEWTON_TOL) & (residual <= RELATION_TOL)
+          & np.isfinite(hess).all(axis=(1, 2)))
+    return rows[ok], grad[ok], hess[ok], aligned[ok]
+
+
 def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
-                     seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Polish the seeds and keep one row per converged point: gauge-fixed
-    vertices ``(k, n, 2)`` or reduced angle pairs ``(k, 2)``, with their
-    chart gradients and Hessians."""
-    if isinstance(space, TorusSpace):
-        angles = _polish_torus_seeds(space, charges, spec, seeds)
-        reps = angles[_first_cover(_point_rows(angles, space.radii), DEDUP_TOL)]
-        return (reps, *pot.chart_derivatives(reps, space.radii, charges, spec))
-    vertices, grad, hess = _polish_polygon(seeds, charges, spec)
-    first = _first_cover(_point_rows(vertices, None), DEDUP_TOL)
-    return vertices[first], grad[first], hess[first]
+                     seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Polish the seeds, gate the converged rows and keep one row per point
+    that passed: gauge-fixed vertices ``(k, n, 2)`` or reduced angle pairs
+    ``(k, 2)``, with their chart gradients, Hessians and aligned flags."""
+    radii = space.radii if isinstance(space, TorusSpace) else None
+    gated = _gate(_polish_polygon(seeds, charges, spec) if radii is None
+                  else _polish_torus_seeds(space, charges, spec, seeds), radii, charges, spec)
+    first = _first_cover(_point_rows(gated[0], radii), DEDUP_TOL)
+    return tuple(part[first] for part in gated)
 
 
-def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None,
-                  ) -> np.ndarray:
-    """The mirror images that close a stack of representatives under the
-    reflection involution.
+def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None) -> np.ndarray:
+    """Indices of the rows whose mirror images close a stack of
+    representatives under the reflection involution.
 
     The mirror of a critical point is critical with the same spectrum.
     Each mirror, in row order, is kept unless it matches a row or a
     mirror kept before it: a first-wins dedup of the mirrors that match
     no row.
     """
-    mirrors = mirror_rows(rows, radii)
-    points = _point_rows(mirrors, radii)
+    points = _point_rows(mirror_rows(rows, radii), radii)
     fresh = np.flatnonzero(~_close(points, _point_rows(rows, radii)).any(axis=1))
-    return mirrors[fresh[_first_cover(points[fresh], DEDUP_TOL)]]
+    return fresh[_first_cover(points[fresh], DEDUP_TOL)]
 
 
 def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
@@ -708,44 +719,29 @@ def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
             for i, own in enumerate(match)]
 
 
-def _finalize(space: Space, reps: tuple[np.ndarray, np.ndarray, np.ndarray],
-              charges: ChargeVector, spec: PotentialSpec) -> list[CriticalPoint]:
-    """Mirror-close, gate, classify, sort and pair the deduplicated
-    representatives ``reps``: their rows, chart gradients and Hessians."""
+def _finalize(space: Space, reps: tuple[np.ndarray, ...], charges: ChargeVector,
+              spec: PotentialSpec) -> list[CriticalPoint]:
+    """Mirror-close, classify, sort and pair the gated representatives
+    ``reps`` (``_gate``'s four stacks).  A synthesized mirror takes its
+    source's gradient norm, spectrum and aligned flag, not its energy."""
     radii = space.radii if isinstance(space, TorusSpace) else None
-    rows, grad, hess = reps
-    count = len(rows)
-    rows = np.concatenate([rows, _mirror_close(rows, radii)])
-    pairs = pair_distances(rows, radii)
-    # every gate is written so that NaN fails it; first the pole check
-    regular = pairs.min(axis=1) >= pole_radius_of(radii)
-    if not regular.any():
-        return []
-    grad, hess = grad[regular[:count]], hess[regular[:count]]
-    if regular[count:].any():
-        # only the synthesized mirrors still need their derivatives
-        extra = pot.chart_derivatives(rows[count:][regular[count:]], radii, charges, spec)
-        grad, hess = (np.concatenate(both) for both in zip((grad, hess), extra))
-    rows, pairs = rows[regular], pairs[regular]
-    grad_norm = norms(grad)
-    aligned = alignment_defects(plane_points(rows, radii), pairs) == 0.0
-    residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec, aligned)
-    keep = np.flatnonzero((grad_norm <= NEWTON_TOL) & (residual <= RELATION_TOL)
-                          & np.isfinite(hess).all(axis=(1, 2)))
-    if not keep.size:
-        return []
-    energy = pot.pair_energies(pairs[keep], charges, spec)
-    eigs = np.linalg.eigvalsh(hess[keep])
+    rows, grad, hess, aligned = reps
+    sources = _mirror_close(rows, radii)
+    take = np.concatenate([np.arange(len(rows)), sources])
+    rows = np.concatenate([rows, mirror_rows(rows[sources], radii)])
+    energy = pot.pair_energies(pair_distances(rows, radii), charges, spec)
+    grad_norm, aligned = norms(grad)[take], aligned[take]
+    eigs = np.linalg.eigvalsh(hess)[take]
     index, degenerate = classify_spectra(eigs)
     # the rows are canonical already; canonicalize only keys them
-    built = [canonicalize(row_config(row, radii)) for row in rows[keep]]
-    order = sorted(range(keep.size), key=lambda i: (energy[i], built[i][1]))
-    partners = _partners(rows[keep[order]], radii)
+    built = [canonicalize(row_config(row, radii)) for row in rows]
+    order = sorted(range(len(rows)), key=lambda i: (energy[i], built[i][1]))
+    partners = _partners(rows[order], radii)
     return [CriticalPoint(config=built[i][0], energy=float(energy[i]),
-                          grad_norm=float(grad_norm[keep[i]]),
+                          grad_norm=float(grad_norm[i]),
                           hessian_eigenvalues=tuple(eigs[i].tolist()),
                           morse_index=int(index[i]), degenerate=bool(degenerate[i]),
-                          aligned=bool(aligned[keep[i]]), key=built[i][1],
+                          aligned=bool(aligned[i]), key=built[i][1],
                           symmetry_partner=partner)
             for i, partner in zip(order, partners)]
 

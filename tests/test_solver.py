@@ -28,6 +28,7 @@ from coulomb_eq.solver import (
     solve_line_three,
     _finalize,
     _first_cover,
+    _gate,
     _level_seeds,
     _mirror_close,
     _partners,
@@ -582,8 +583,7 @@ POLE_LOCKED = np.array([[0.0, 0.0], [1e-9, 0.0], [0.5, 0.0]])
 
 
 def polish(seeds, charges):
-    vertices, _, _ = _polish_polygon(np.array(seeds), charges, COULOMB)
-    return [PolygonConfig(v) for v in vertices]
+    return [PolygonConfig(v) for v in _polish_polygon(np.array(seeds), charges, COULOMB)]
 
 
 def mixed_seed_pool(n, charges):
@@ -625,10 +625,11 @@ class TestBatchedPolish:
                                          [0.7, 1.3, 1.0], [0.125, 1.0, 1.0]])
     def test_converged_canonical_seeds_come_back_bit_for_bit(self, charges):
         # the closed forms of a control-triangle cell take no Newton step
-        # and are not gauge-fixed again; their derivatives come along
+        # and are not gauge-fixed again; the gate carries their derivatives
         q = ChargeVector.of(charges)
         seeds = cell_seeds(q)
-        rows, grad, hess = _polish_polygon(seeds, q, COULOMB)
+        assert np.array_equal(_polish_polygon(seeds, q, COULOMB), seeds)
+        rows, grad, hess, _ = _representatives(PolygonSpace(3), q, COULOMB, seeds)
         assert np.array_equal(rows, seeds)
         fresh = pot.polygon_chart_derivatives(seeds, q, COULOMB)
         assert np.array_equal(grad, fresh[0]) and np.array_equal(hess, fresh[1])
@@ -821,7 +822,7 @@ class TestSamePointRule:
         rows = np.array([[a, 0.7], [a, -0.7]])
         # each row's mirror sits on the far side of +-pi from the other row
         assert abs(mirror_rows(rows, self.RADII)[0, 0] - rows[1, 0]) > 6.0
-        assert _mirror_close(rows, self.RADII).shape == (0, 2)
+        assert _mirror_close(rows, self.RADII).shape == (0,)
         assert _partners(rows, self.RADII) == [1, 0]
 
     def test_torus_mirror_closure_matches_sequential_scan(self):
@@ -830,7 +831,8 @@ class TestSamePointRule:
         base[:4, 0] = [math.pi - 1e-12, -math.pi + 1e-12, math.pi, 0.0]
         rows = near_mirror_pool(rng, base, self.RADII)
         got = _mirror_close(rows, self.RADII)
-        assert np.array_equal(got, sequential_mirror_close(rows, self.RADII))
+        assert np.array_equal(mirror_rows(rows, self.RADII)[got],
+                              sequential_mirror_close(rows, self.RADII))
         assert 0 < len(got) < len(rows)
 
     def test_polygon_mirror_closure_matches_sequential_scan(self):
@@ -838,7 +840,7 @@ class TestSamePointRule:
         base = gauge_fix(rng.uniform(-1.0, 1.0, (30, 4, 2)))
         rows = near_mirror_pool(rng, base, None)
         got = _mirror_close(rows, None)
-        assert np.array_equal(got, sequential_mirror_close(rows, None))
+        assert np.array_equal(mirror_rows(rows, None)[got], sequential_mirror_close(rows, None))
         assert 0 < len(got) < len(rows)
 
 
@@ -885,16 +887,10 @@ def coords(cfg):
 
 
 def finalize_rows(space, rows, charges):
-    """``_finalize`` of rows that come without their derivatives: those
-    are evaluated here, and NaN for a row that is not finite.  A row at a
-    pole gets infinite derivatives, which the finalize never reads."""
+    """``_finalize`` of rows that were neither polished nor deduplicated:
+    they go through the census gate first."""
     radii = space.radii if isinstance(space, TorusSpace) else None
-    dim = 2 * (space.n - 2)
-    grad, hess = np.full((len(rows), dim), np.nan), np.full((len(rows), dim, dim), np.nan)
-    finite = np.isfinite(rows).reshape(len(rows), -1).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad[finite], hess[finite] = pot.chart_derivatives(rows[finite], radii, charges, COULOMB)
-    return _finalize(space, (rows, grad, hess), charges, COULOMB)
+    return _finalize(space, _gate(rows, radii, charges, COULOMB), charges, COULOMB)
 
 
 class TestArrayFinalize:
@@ -982,6 +978,36 @@ class TestCarriedDerivatives:
             grad, hess = pot.chart_derivatives(*config_rows(cp.config), q, COULOMB)
             assert cp.grad_norm == float(np.linalg.norm(grad[0]))
             assert cp.hessian_eigenvalues == tuple(np.linalg.eigvalsh(hess[0]).tolist())
+
+
+class TestMirrorInheritance:
+    @pytest.mark.parametrize("space,charges", [
+        (TorusSpace((1.0, 2.0, 3.0)), [1.0, 2.0, 3.0]),
+        (PolygonSpace(4), [1.3, 0.6, 1.9, 1.1]),
+    ])
+    def test_a_synthesized_mirror_has_its_sources_morse_data(self, space, charges):
+        # partners polished from seeds of their own agree only to rounding;
+        # a mirror the finalize synthesized is the exact image of its
+        # source and carries the source's gradient norm and spectrum
+        q = ChargeVector.of(charges)
+        settings = SolveSettings(grid_density=8)
+        pts = find_critical_points(space, q, settings=settings)
+        exact = 0
+        for i, cp in enumerate(pts):
+            if cp.symmetry_partner is None:
+                continue
+            mate = pts[cp.symmetry_partner]
+            assert mate.symmetry_partner == i
+            rows, radii = config_rows(cp.config)
+            if np.array_equal(mirror_rows(rows, radii), config_rows(mate.config)[0]):
+                exact += 1
+                assert mate.grad_norm == cp.grad_norm
+                assert mate.hessian_eigenvalues == cp.hessian_eigenvalues
+        seeds = (_level_seeds(space, q, COULOMB) if isinstance(space, TorusSpace)
+                 else _polygon_seeds(space, q, COULOMB, settings))
+        reps = _representatives(space, q, COULOMB, seeds)[0]
+        synthesized = len(_mirror_close(reps, getattr(space, "radii", None)))
+        assert synthesized > 0 and exact == 2 * synthesized
 
 
 class TestClosedFourCharge:
