@@ -89,9 +89,6 @@ class BranchDiagram:
     branch_side: str  # "above" | "below": where the mirror pair lives
     points: tuple[BranchPoint, ...]
 
-    def branch_amplitudes(self, branch: str) -> list[tuple[float, float]]:
-        return [(p.lam, p.amplitude) for p in self.points if p.branch == branch]
-
 
 @dataclass(frozen=True)
 class ChargeSweep:

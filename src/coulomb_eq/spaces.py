@@ -142,35 +142,8 @@ class ChargeVector:
         return ChargeVector(tuple(factor * v for v in self.q))
 
 
-class _PairGeometry:
-    """Diameter, smallest separation and pole flag of a configuration,
-    read off its row of ``pair_distances``."""
-
-    @property
-    def _pairs(self) -> np.ndarray:
-        return pair_distances(*config_rows(self))[0]
-
-    @property
-    def diameter(self) -> float:
-        return float(self._pairs.max())
-
-    @property
-    def min_separation(self) -> float:
-        """Smallest distance between two points."""
-        return float(self._pairs.min())
-
-    @property
-    def pole_radius(self) -> float:
-        return pole_radius_of(config_rows(self)[1])
-
-    @property
-    def has_pole(self) -> bool:
-        # written so that NaN fails the regular side
-        return not self.min_separation >= self.pole_radius
-
-
 @dataclass(frozen=True)
-class PolygonConfig(_PairGeometry):
+class PolygonConfig:
     """Gauge-fixed point of the fixed-perimeter polygon space.
 
     Invariants: the first vertex is the origin, the gauge vertex
@@ -220,15 +193,13 @@ class PolygonConfig(_PairGeometry):
     def perimeter(self) -> float:
         return float(perimeter_value(self.points))
 
-    def pole_pairs(self) -> list[tuple[int, int]]:
-        """Vertex pairs closer than the pole radius (energy diverges there)."""
-        first, second = pair_indices(self.n)
-        close = self._pairs < self.pole_radius
-        return list(zip(first[close].tolist(), second[close].tolist()))
+    @property
+    def diameter(self) -> float:
+        return float(pair_distances(self.points[None]).max())
 
 
 @dataclass(frozen=True)
-class TorusConfig(_PairGeometry):
+class TorusConfig:
     """Central-angle chart point of the concentric-circle space.
 
     ``angles`` stores (alpha1, alpha2) reduced to (-pi, pi]; the third
@@ -259,18 +230,6 @@ class TorusConfig(_PairGeometry):
     @property
     def alphas(self) -> tuple[float, float, float]:
         return tuple(torus_alphas(np.array([self.angles]))[0].tolist())
-
-    def side_distances(self) -> tuple[float, float, float]:
-        """(d1, d2, d3) where d_i is the distance of the pair opposite point i.
-
-        Each side comes from the cosine rule on its own central angle,
-        e.g. ``d3**2 = r1**2 + r2**2 - 2*r1*r2*cos(alpha3)``.
-        """
-        return tuple(self._pairs[::-1].tolist())
-
-    def embedded_points(self) -> np.ndarray:
-        """Plane embedding with the first point on the positive x-axis."""
-        return torus_plane_points(self.radii, torus_alphas(np.array([self.angles])))[0]
 
 
 def chord_distance(ra, rb, angle) -> np.ndarray:

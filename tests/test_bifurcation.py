@@ -370,6 +370,11 @@ def polygon_diagram():
     return trace_pitchfork(PolygonSpace(3), path, (0.05, 0.6), steps=40)
 
 
+def branch(diagram, name):
+    """Amplitude by parameter of the points of one branch of a diagram."""
+    return {p.lam: p.amplitude for p in diagram.points if p.branch == name}
+
+
 class TestTrace:
     def test_branches_exist_only_past_threshold(self, polygon_diagram):
         diag = polygon_diagram
@@ -379,8 +384,8 @@ class TestTrace:
                 assert p.lam > diag.threshold
 
     def test_mirror_amplitudes_cancel(self, polygon_diagram):
-        ups = dict(polygon_diagram.branch_amplitudes("upper"))
-        downs = dict(polygon_diagram.branch_amplitudes("lower"))
+        ups = branch(polygon_diagram, "upper")
+        downs = branch(polygon_diagram, "lower")
         assert set(ups) == set(downs) and ups
         for lam in ups:
             assert abs(ups[lam] + downs[lam]) < 1e-8
@@ -414,12 +419,12 @@ class TestTrace:
         path = charge_sweep_path([0.01, 0.01, 1.0], 2)
         diag = trace_pitchfork(space, path, (0.2, 2.0), steps=24)
         assert diag.branch_side == "below"
-        ups = diag.branch_amplitudes("upper")
+        ups = branch(diag, "upper")
         expect = sum(1 for p in diag.points
                      if p.branch == "aligned" and p.lam < diag.threshold)
         assert len(ups) == expect
-        downs = dict(diag.branch_amplitudes("lower"))
-        for lam, amp in ups:
+        downs = branch(diag, "lower")
+        for lam, amp in ups.items():
             assert abs(amp + downs[lam]) < 1e-8
 
     def test_outer_charge_sweep_branches_below(self):
@@ -430,8 +435,8 @@ class TestTrace:
         assert diag.branch_side == "below"
         assert diag.threshold == pytest.approx((0.2 ** -0.5 - 1.0) ** -2, rel=1e-15)
         assert diag.threshold == pytest.approx(0.6545, abs=1e-4)
-        ups = dict(diag.branch_amplitudes("upper"))
-        downs = dict(diag.branch_amplitudes("lower"))
+        ups = branch(diag, "upper")
+        downs = branch(diag, "lower")
         assert set(ups) == set(downs)
         assert set(ups) == {p.lam for p in diag.points
                             if p.branch == "aligned" and p.lam < diag.threshold}

@@ -25,6 +25,7 @@ from coulomb_eq.potentials import (
     polygon_derivatives,
     polygon_free_indices,
     polygon_stationarity,
+    regular_pairs,
     stationarity_relation_residual,
     TorusConstants,
     torus_columns,
@@ -46,10 +47,12 @@ from coulomb_eq.spaces import (
     TorusConfig,
     alignment_defect,
     apply_involution,
+    config_rows,
     gauge_fix,
     pair_distances,
     pair_indices,
     perimeter_value,
+    pole_radius_of,
     reduce_angles,
 )
 from helpers import multistart_census
@@ -190,18 +193,21 @@ class TestEnergy:
     def test_energy_report_refuses_nan_distances(self):
         # inf - inf in the cosine rule: every distance is NaN
         cfg = TorusConfig((1e200, 2e200, 3e200), (0.5, 0.5))
-        assert np.isnan(cfg._pairs).all()
+        assert np.isnan(pair_distances(*config_rows(cfg))).all()
         with pytest.raises(ValueError, match="^pair distances are not finite$"):
             energy_report(cfg, UNIT_Q3)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("angles, pole", [
-        ((0.5, 0.5), True), ((2.0405577597527302, 1.9166509607975102), False),
+    @pytest.mark.parametrize("angles", [
+        (0.5, 0.5), (2.0405577597527302, 1.9166509607975102),
     ], ids=["nan", "inf"])
-    def test_has_pole_on_non_finite_distances(self, angles, pole):
-        # a NaN distance is not a regular one; an infinite one is no
-        # coincidence of two charges
-        assert TorusConfig((1e200, 2e200, 3e200), angles).has_pole is pole
+    def test_pole_gate_on_non_finite_distances(self, angles):
+        # a NaN or infinite distance is refused as not finite, never read
+        # as a coincidence of two charges
+        rows, radii = config_rows(TorusConfig((1e200, 2e200, 3e200), angles))
+        with pytest.raises(ValueError, match="^pair distances are not finite$") as info:
+            regular_pairs(rows, radii)
+        assert not isinstance(info.value, PoleError)
 
     def test_gradient_raises_at_pole(self):
         cfg = PolygonConfig.from_points([[0, 0], [1e-9, 0], [0.5, 0]])
@@ -219,7 +225,9 @@ class TestEnergy:
         apart = TorusConfig(radii, (1.0, -1.0 + 2e-7))
         value = function(apart, UNIT_Q3, COULOMB)
         assert np.isfinite(value).all()
-        assert near.has_pole and not apart.has_pole
+        with pytest.raises(PoleError):
+            regular_pairs(*config_rows(near))
+        assert regular_pairs(*config_rows(apart)).min() >= pole_radius_of(radii)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_reflection_symmetry(self, spec):
@@ -582,7 +590,7 @@ def torus_rows(rng, radii, k, min_gap=0.1):
     out = []
     while len(out) < k:
         a = rng.uniform(-math.pi, math.pi, 2)
-        if min(TorusConfig(radii, tuple(a)).side_distances()) > min_gap:
+        if pair_distances(a[None], radii).min() > min_gap:
             out.append(a)
     return np.array(out)
 
@@ -598,7 +606,7 @@ class TestTorusCore:
         h = 1e-5
         for r, a in enumerate(angles):
             assert dmin[r] == pytest.approx(
-                min(TorusConfig(radii, tuple(a)).side_distances()), rel=1e-12)
+                pair_distances(a[None], radii).min(), rel=1e-12)
             scale = max(1.0, np.abs(hess[r]).max())
             for c, e in enumerate(h * np.eye(2)):
                 fd_g = (energy(TorusConfig(radii, tuple(a + e)), q, spec)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from coulomb_eq.potentials import PoleError, regular_pairs
 from coulomb_eq.solver import TorusSpace
 from coulomb_eq.spaces import (
     KEY_DECIMALS,
@@ -24,6 +25,8 @@ from coulomb_eq.spaces import (
     pair_distances,
     pairwise_distances,
     perimeter_value,
+    plane_points,
+    pole_radius_of,
     reduce_angle,
     reduce_angles,
     row_config,
@@ -87,8 +90,9 @@ class TestPolygonConfig:
     def test_coincident_vertices_flagged_not_rejected(self):
         eps = 1e-9
         cfg = PolygonConfig.from_points([[0, 0], [eps, 0], [0.5, 0.0]])
-        assert cfg.has_pole
-        assert (0, 1) in cfg.pole_pairs()
+        with pytest.raises(PoleError):
+            regular_pairs(cfg.points[None], None)
+        assert pairwise_distances(cfg)[0, 1] < pole_radius_of(None)
 
     def test_gauge_falls_back_when_second_vertex_at_origin(self):
         cfg = PolygonConfig.from_points([[0, 0], [0, 0], [0.3, 0.4]])
@@ -174,7 +178,7 @@ class TestDistances:
 
     def test_opposite_ray_distances_are_radius_sums(self):
         cfg = TorusConfig((1, 2, 3), (math.pi, math.pi))
-        d1, d2, d3 = cfg.side_distances()
+        d3, d2, d1 = pair_distances(*config_rows(cfg))[0]
         assert d1 == pytest.approx(5.0, abs=1e-14)
         assert d2 == pytest.approx(4.0, abs=1e-14)
         assert d3 == pytest.approx(1.0, abs=1e-14)
@@ -188,7 +192,7 @@ class TestDistances:
     @settings(max_examples=60)
     def test_chart_matches_embedding(self, angles):
         cfg = TorusConfig((1.0, 2.0, 3.0), angles)
-        emb = cfg.embedded_points()
+        emb = plane_points(*config_rows(cfg))[0]
         d = pairwise_distances(cfg)
         for (i, j), side in (((1, 2), 0), ((0, 2), 1), ((0, 1), 2)):
             direct = float(np.linalg.norm(emb[i] - emb[j]))
@@ -310,7 +314,7 @@ class TestCanonicalize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             key = distance_key(cfg)
-        assert key == tuple(round(d * 10 ** KEY_DECIMALS) for d in sorted(cfg.side_distances()))
+        assert key == tuple(round(d * 10 ** KEY_DECIMALS) for d in sorted(pair_distances(*config_rows(cfg))[0].tolist()))
         assert min(key) > 2 ** 63 and len(set(key)) == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -358,7 +362,9 @@ class TestCanonicalRows:
         assert same_bits(stacked[0], gauge_fix(other))
         assert same_bits(stacked[1], expected)
         cfg = PolygonConfig.from_points(raw)
-        assert cfg.has_pole and same_bits(cfg.points, expected)
+        assert same_bits(cfg.points, expected)
+        with pytest.raises(PoleError):
+            regular_pairs(cfg.points[None], None)
 
     @given(raw_polygon_stacks)
     @settings(max_examples=200, deadline=None)
