@@ -151,15 +151,15 @@ def euler_count_check(points: Iterable["CriticalPoint"],
     if not torus and space.n != 3:
         return MorseSummary(counts, 0, "not-applicable", False,
                             "sphere-level count is defined for three charges only")
-    # the alternating count must be 0 on the torus; on the sphere the three
+    # the alternating count must be 0 on the torus, and 2 when the three
+    # radii coincide: the poles are then three circles through one point,
+    # whose complement has Euler characteristic 2; on the sphere the three
     # poles count as maxima, so it must be 2 - 3 = -1
-    poles, expected = (0, 0) if torus else (3, -1)
+    equal = torus and max(space.radii) - min(space.radii) < 1e-12 * max(space.radii)
+    poles, expected = (0, 2 if equal else 0) if torus else (3, -1)
     exactness = torus and len(pts) == 4
     if torus and not any(cp.morse_index == 0 for cp in pts):
         return MorseSummary(counts, poles, "failed", exactness, "no minimum found")
-    if torus and max(space.radii) - min(space.radii) < 1e-12 * max(space.radii):
-        return MorseSummary(counts, poles, "not-applicable", exactness,
-                            "energy has poles when radii coincide")
     if degenerate:
         return MorseSummary(counts, poles, "not-applicable", exactness,
                             "degenerate points present")

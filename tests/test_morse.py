@@ -166,15 +166,19 @@ class TestEulerCounts:
         assert summary.euler_check == "not-applicable"
         assert "degenerate" in summary.reason
 
-    def test_equal_radii_torus_not_applicable(self):
-        pts = find_critical_points(TorusSpace((1.0, 1.0, 1.0)), Q111)
-        summary = euler_count_check(pts, TorusSpace((1.0, 1.0, 1.0)))
-        assert summary.euler_check == "not-applicable"
-        assert "pole" in summary.reason
+    @pytest.mark.parametrize("charges", [[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+    def test_equal_radii_torus_counts_to_two(self, charges):
+        # the poles are three circles through one point, whose complement
+        # has Euler characteristic 2
+        space = TorusSpace((1.0, 1.0, 1.0))
+        summary = euler_count_check(find_critical_points(space, ChargeVector.of(charges)), space)
+        assert (summary.euler_check, summary.reason) == ("passed", "")
+        assert sum((-1) ** k * c for k, c in summary.counts.items()) == 2
 
     @pytest.mark.parametrize("radii,verdict", [
-        ((1e-13, 1e-13, 1e-13), "not-applicable"),
-        ((1.0, 1.0, 1.0 + 1e-13), "not-applicable"),
+        # the census of distinct radii counts to 0, which coinciding radii fail
+        ((1e-13, 1e-13, 1e-13), "failed"),
+        ((1.0, 1.0, 1.0 + 1e-13), "failed"),
         ((1e-13, 2e-13, 3e-13), "passed"),
     ])
     def test_radii_coincide_relative_to_their_size(self, radii, verdict):
