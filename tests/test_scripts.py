@@ -78,3 +78,30 @@ def test_census_equivalence_matches_point_lists_as_sets():
     assert not match(pair, [point([1.0, 2.0 + 1e-6]), pair[1], pair[2]])
     assert not match(pair, [pair[0], pair[1], point([0.0, 0.0], 1, True)])
     assert not match(pair, pair[:2])
+
+
+def test_census_equivalence_tells_a_reorder_from_a_change():
+    judge = runpy.run_path(str(SCRIPTS / "census_equivalence.py"))["judge"]
+
+    def point(angles, partner, index=0, aligned=False):
+        return {"coords": {"space": "torus", "angles": angles, "radii": [1.0, 2.0, 3.0]},
+                "energy": 1.0, "grad_norm": 1e-12, "eigenvalues": [1.0, 2.0],
+                "index": index, "aligned": aligned, "degenerate": False, "partner": partner}
+
+    def run(points):
+        return {"code": 0, "stdout": {"points": points, "summary": {}}, "files": {}}
+
+    # a point and an aligned point whose energies tie traded places; the
+    # partner of the mirror image follows its point
+    old = [point([1.0, 2.0], 2), point([0.0, 0.0], None, 1, True), point([-1.0, -2.0], 0)]
+    new = [old[1], dict(old[0]), dict(old[2], partner=1)]
+    diffs, mismatches, reordered = judge(run(old), run(new))
+    assert (mismatches, reordered) == ([], True)
+    assert not any(diffs.values())
+    # the same swap with a partner index that points at the wrong point
+    wrong = [old[1], dict(old[0]), dict(old[2], partner=0)]
+    diffs, mismatches, reordered = judge(run(old), run(wrong))
+    assert mismatches and not reordered
+    # a point list that differs as a set is not reordered either
+    lost = [old[1], dict(old[0]), dict(old[2], partner=1, index=1)]
+    assert judge(run(old), run(lost))[1]
