@@ -37,9 +37,9 @@ One rule makes each census decision.  Same point: rows whose
 by less than ``DEDUP_TOL`` in every coordinate; the dedup, the mirror
 closure and the partner scan all compare so.  Pole: a row whose
 smallest ``pair_distances`` entry is below ``spaces.pole_radius_of``.
-Stationary: a chart gradient norm within ``NEWTON_TOL``, a relation
-residual within ``RELATION_TOL`` and a finite Hessian.  Each polished
-row is judged once, before the dedup (``_gate``).
+Stationary, judged once per polished row before the dedup: a chart
+gradient within ``NEWTON_TOL``, a relation residual within
+``RELATION_TOL`` and a finite Hessian.
 
 The grid density is the one setting of a census (``SolveSettings``);
 neither the three-charge polygon census nor the torus census reads
@@ -629,8 +629,7 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
 # dedup, reflection pairing, classification
 # ---------------------------------------------------------------------------
 
-def _point_rows(rows: np.ndarray, radii: tuple[float, float, float] | None,
-                ) -> np.ndarray:
+def _point_rows(rows: np.ndarray, radii: tuple[float, float, float] | None) -> np.ndarray:
     """The coordinates the same-point rule compares, one flat row per
     canonical row: the gauge-fixed vertices ``(k, n, 2)`` as they stand
     (``radii`` is ``None``), or the angle pairs ``(k, 2)`` embedded on the
@@ -668,10 +667,14 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
     return reps
 
 
-def _gate(rows: np.ndarray, radii: tuple[float, float, float] | None,
-          charges: ChargeVector, spec: PotentialSpec) -> tuple[np.ndarray, ...]:
-    """The rows of a stack that are off the poles and stationary, with
-    their chart gradients, Hessians and aligned flags."""
+def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
+                     seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Polish the seeds, gate the converged rows and keep one row per point
+    that passed: gauge-fixed vertices ``(k, n, 2)`` or reduced angle pairs
+    ``(k, 2)``, with their chart gradients, Hessians and aligned flags."""
+    radii = space.radii if isinstance(space, TorusSpace) else None
+    rows = (_polish_polygon(seeds, charges, spec) if radii is None
+            else _polish_torus_seeds(space, charges, spec, seeds))
     pairs = pair_distances(rows, radii)
     # every gate is written so that NaN fails it; first the pole check
     regular = pairs.min(axis=1) >= pole_radius_of(radii)
@@ -679,21 +682,10 @@ def _gate(rows: np.ndarray, radii: tuple[float, float, float] | None,
     grad, hess = pot.chart_derivatives(rows, radii, charges, spec)
     aligned = alignment_defects(plane_points(rows, radii), pairs) == 0.0
     residual = pot.stationarity_relation_residuals(rows, radii, pairs, charges, spec, aligned)
-    ok = ((norms(grad) <= NEWTON_TOL) & (residual <= RELATION_TOL)
-          & np.isfinite(hess).all(axis=(1, 2)))
-    return rows[ok], grad[ok], hess[ok], aligned[ok]
-
-
-def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
-                     seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Polish the seeds, gate the converged rows and keep one row per point
-    that passed: gauge-fixed vertices ``(k, n, 2)`` or reduced angle pairs
-    ``(k, 2)``, with their chart gradients, Hessians and aligned flags."""
-    radii = space.radii if isinstance(space, TorusSpace) else None
-    gated = _gate(_polish_polygon(seeds, charges, spec) if radii is None
-                  else _polish_torus_seeds(space, charges, spec, seeds), radii, charges, spec)
-    first = _first_cover(_point_rows(gated[0], radii), DEDUP_TOL)
-    return tuple(part[first] for part in gated)
+    ok = np.flatnonzero((norms(grad) <= NEWTON_TOL) & (residual <= RELATION_TOL)
+                        & np.isfinite(hess).all(axis=(1, 2)))
+    first = ok[_first_cover(_point_rows(rows[ok], radii), DEDUP_TOL)]
+    return rows[first], grad[first], hess[first], aligned[first]
 
 
 def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None) -> np.ndarray:
@@ -710,8 +702,7 @@ def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None) ->
     return fresh[_first_cover(points[fresh], DEDUP_TOL)]
 
 
-def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
-              ) -> list[int | None]:
+def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None) -> list[int | None]:
     """Index of the first other row each row's mirror matches; ``None``
     for a row that is its own mirror image or has no partner."""
     match = _close(_point_rows(mirror_rows(rows, radii), radii), _point_rows(rows, radii))
@@ -721,8 +712,8 @@ def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
 
 def _finalize(space: Space, reps: tuple[np.ndarray, ...], charges: ChargeVector,
               spec: PotentialSpec) -> list[CriticalPoint]:
-    """Mirror-close, classify, sort and pair the gated representatives
-    ``reps`` (``_gate``'s four stacks).  A synthesized mirror takes its
+    """Mirror-close, classify, sort and pair the representatives ``reps``
+    (``_representatives``' four stacks).  A synthesized mirror takes its
     source's gradient norm, spectrum and aligned flag, not its energy."""
     radii = space.radii if isinstance(space, TorusSpace) else None
     rows, grad, hess, aligned = reps

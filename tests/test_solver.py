@@ -28,7 +28,6 @@ from coulomb_eq.solver import (
     solve_line_three,
     _finalize,
     _first_cover,
-    _gate,
     _level_seeds,
     _mirror_close,
     _partners,
@@ -886,11 +885,14 @@ def coords(cfg):
     return cfg.points if isinstance(cfg, PolygonConfig) else np.array(cfg.angles)
 
 
-def finalize_rows(space, rows, charges):
-    """``_finalize`` of rows that were neither polished nor deduplicated:
-    they go through the census gate first."""
-    radii = space.radii if isinstance(space, TorusSpace) else None
-    return _finalize(space, _gate(rows, radii, charges, COULOMB), charges, COULOMB)
+def finalize_rows(monkeypatch, space, rows, charges):
+    """``_finalize`` of rows taken as polished: each row goes through the
+    census gate of ``_representatives`` on its own, so no dedup joins two
+    of them."""
+    monkeypatch.setattr(solver, "_polish_polygon", lambda seeds, charges, spec: seeds)
+    monkeypatch.setattr(solver, "_polish_torus_seeds", lambda space, charges, spec, seeds: seeds)
+    parts = [_representatives(space, charges, COULOMB, rows[i:i + 1]) for i in range(len(rows))]
+    return _finalize(space, tuple(map(np.concatenate, zip(*parts))), charges, COULOMB)
 
 
 class TestArrayFinalize:
@@ -924,13 +926,13 @@ class TestArrayFinalize:
                 ref["index"], ref["degenerate"], ref["aligned"], ref["key"])
             assert cp.symmetry_partner == ref["partner"]
 
-    def test_mirror_is_checked_against_mirrors_added_before_it(self):
+    def test_mirror_is_checked_against_mirrors_added_before_it(self, monkeypatch):
         # two rows closer than DEDUP_TOL (the finalize does not dedup) have
         # matching mirrors: only the first mirror is added
         tri = critical_triangle(Q111).points
         near = gauge_fix(tri + np.array([[0.0, 0.0], [0.0, 0.0], [1e-13, 0.0]]))
         rows = np.stack([tri, near])
-        got = finalize_rows(PolygonSpace(3), rows, Q111)
+        got = finalize_rows(monkeypatch, PolygonSpace(3), rows, Q111)
         expected = per_point_finalize(PolygonSpace(3), rows, Q111)
         assert len(got) == len(expected) == 3
         for cp, ref in zip(got, expected):
@@ -946,16 +948,16 @@ class TestArrayFinalize:
                                    settings=SolveSettings(grid_density=8))
         assert all(np.isfinite(cp.hessian_eigenvalues).all() for cp in pts)
 
-    def test_nan_and_pole_rows_are_dropped(self):
+    def test_nan_and_pole_rows_are_dropped(self, monkeypatch):
         tri = critical_triangle(Q111).points
         rows = np.stack([np.full((3, 2), np.nan), gauge_fix(POLE_LOCKED), tri])
-        pts = finalize_rows(PolygonSpace(3), rows, Q111)
+        pts = finalize_rows(monkeypatch, PolygonSpace(3), rows, Q111)
         # the triangle and its synthesized mirror image
         assert len(pts) == 2 and pts[0].symmetry_partner == 1
         assert all(math.isfinite(cp.energy) for cp in pts)
         # torus:1,1,2 has a pole at the (pi, pi, 0) label
         rows = np.array([[math.pi, math.pi], [math.nan, 0.5], [0.0, math.pi]])
-        pts = finalize_rows(TorusSpace((1.0, 1.0, 2.0)), rows, Q111)
+        pts = finalize_rows(monkeypatch, TorusSpace((1.0, 1.0, 2.0)), rows, Q111)
         assert [cp.config.angles for cp in pts] == [(0.0, math.pi)]
 
 
