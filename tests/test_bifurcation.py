@@ -371,8 +371,9 @@ def polygon_diagram():
 
 
 def branch(diagram, name):
-    """Amplitude by parameter of the points of one branch of a diagram."""
-    return {p.lam: p.amplitude for p in diagram.points if p.branch == name}
+    """The (parameter, amplitude) pairs of the points of one branch of a
+    diagram, one pair per point."""
+    return [(p.lam, p.amplitude) for p in diagram.points if p.branch == name]
 
 
 class TestTrace:
@@ -384,8 +385,8 @@ class TestTrace:
                 assert p.lam > diag.threshold
 
     def test_mirror_amplitudes_cancel(self, polygon_diagram):
-        ups = branch(polygon_diagram, "upper")
-        downs = branch(polygon_diagram, "lower")
+        ups = dict(branch(polygon_diagram, "upper"))
+        downs = dict(branch(polygon_diagram, "lower"))
         assert set(ups) == set(downs) and ups
         for lam in ups:
             assert abs(ups[lam] + downs[lam]) < 1e-8
@@ -423,8 +424,8 @@ class TestTrace:
         expect = sum(1 for p in diag.points
                      if p.branch == "aligned" and p.lam < diag.threshold)
         assert len(ups) == expect
-        downs = branch(diag, "lower")
-        for lam, amp in ups.items():
+        downs = dict(branch(diag, "lower"))
+        for lam, amp in ups:
             assert abs(amp + downs[lam]) < 1e-8
 
     def test_outer_charge_sweep_branches_below(self):
@@ -435,8 +436,8 @@ class TestTrace:
         assert diag.branch_side == "below"
         assert diag.threshold == pytest.approx((0.2 ** -0.5 - 1.0) ** -2, rel=1e-15)
         assert diag.threshold == pytest.approx(0.6545, abs=1e-4)
-        ups = branch(diag, "upper")
-        downs = branch(diag, "lower")
+        ups = dict(branch(diag, "upper"))
+        downs = dict(branch(diag, "lower"))
         assert set(ups) == set(downs)
         assert set(ups) == {p.lam for p in diag.points
                             if p.branch == "aligned" and p.lam < diag.threshold}
