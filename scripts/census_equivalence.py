@@ -22,12 +22,12 @@ match as sets: the same count, and each point within the larger match
 radius of the two (``_radius``) of a point of the other side with equal
 ``index``, ``aligned`` and ``degenerate``; this tells mirror partners
 that traded places, or a soft point that slid within its Newton step,
-from a point that moved.  When the lists match as sets and every
+from a point that moved.  When the lists have one length and every
 mismatch that is not a float lies in the point list, the new points
-are put in the old order by that match, their ``partner`` indices
-mapped along, and compared again: points whose energies tie within an
-ulp may trade places, and such a run is "reordered", not structural,
-unless a mismatch remains.  Last it prints the line count of
+are put in the old order by a one-to-one match of such points, their
+``partner`` indices mapped along, and compared again: points whose
+energies tie within an ulp may trade places, and such a run is
+"reordered", not structural, unless a mismatch remains.  Last it prints the line count of
 ``coulomb_eq/*.py`` in each tree and the difference.
 
 The corpus (550 runs) is the torus-census jobs of the benchmark (seeds
@@ -388,28 +388,31 @@ def in_old_order(old: list[dict], new: list[dict]) -> list[dict] | None:
     return [dict(new[j], partner=where.get(new[j].get("partner"))) for j in perm]
 
 
-def judge(va: dict, vb: dict) -> tuple[dict[str, float], list[str], bool]:
+def judge(va: dict, vb: dict) -> tuple[dict[str, float], list[str], bool, bool | None]:
     """The float differences and the other mismatches of two parsed runs
-    (``view``), and whether they hold after the new census's points were
-    put in the old order (``in_old_order``).  That is tried only when the
-    point lists match as sets and every mismatch lies in the point list;
-    the reordered comparison stands when no mismatch remains in it."""
+    (``view``), whether they are those left after the new census's points
+    were put in the old order (``in_old_order``), and whether the point
+    lists match as sets (``None`` for a run that is no census).  The
+    reorder is tried only on lists of one length when every mismatch lies
+    in the point list; it stands when no mismatch remains after it."""
     diffs: dict[str, float] = {}
     mismatches: list[str] = []
     compare(va, vb, "", diffs, mismatches)
     old, new = census_points(va["stdout"]), census_points(vb["stdout"])
-    if not mismatches or old is None or new is None or not match_as_sets(old, new):
-        return diffs, mismatches, False
+    if old is None or new is None:
+        return diffs, mismatches, False, None
     listed = isinstance(vb["stdout"], list)
     prefix = ".stdout[]" if listed else ".stdout.points[]"
-    moved = in_old_order(old, new)
-    if moved is None or not all(m.startswith(prefix) for m in mismatches):
-        return diffs, mismatches, False
-    stdout = moved if listed else dict(vb["stdout"], points=moved)
-    again_diffs: dict[str, float] = {}
-    again: list[str] = []
-    compare(va, dict(vb, stdout=stdout), "", again_diffs, again)
-    return (diffs, mismatches, False) if again else (again_diffs, again, True)
+    if mismatches and len(old) == len(new) and all(m.startswith(prefix) for m in mismatches):
+        moved = in_old_order(old, new)
+        if moved is not None:
+            # a one-to-one match: the lists match as sets
+            stdout = moved if listed else dict(vb["stdout"], points=moved)
+            again_diffs: dict[str, float] = {}
+            again: list[str] = []
+            compare(va, dict(vb, stdout=stdout), "", again_diffs, again)
+            return (diffs, mismatches, False, True) if again else (again_diffs, [], True, True)
+    return diffs, mismatches, False, match_as_sets(old, new)
 
 
 def source_lines(src: Path) -> int:
@@ -446,12 +449,10 @@ def main() -> int:
             print(f"identical  {name}")
             continue
         va, vb = view(a), view(b)
-        diffs, mismatches, reordered = judge(va, vb)
+        diffs, mismatches, reordered, matched = judge(va, vb)
         structural += bool(mismatches)
         sets = "; reordered" if reordered else ""
-        old_points, new_points = census_points(va["stdout"]), census_points(vb["stdout"])
-        if old_points is not None and new_points is not None:
-            matched = match_as_sets(old_points, new_points)
+        if matched is not None:
             as_sets[0] += matched
             as_sets[1] += 1
             sets += "; points match as sets" if matched else "; points differ as sets"

@@ -95,13 +95,14 @@ def test_census_equivalence_tells_a_reorder_from_a_change():
     # partner of the mirror image follows its point
     old = [point([1.0, 2.0], 2), point([0.0, 0.0], None, 1, True), point([-1.0, -2.0], 0)]
     new = [old[1], dict(old[0]), dict(old[2], partner=1)]
-    diffs, mismatches, reordered = judge(run(old), run(new))
-    assert (mismatches, reordered) == ([], True)
+    diffs, mismatches, reordered, sets = judge(run(old), run(new))
+    assert (mismatches, reordered, sets) == ([], True, True)
     assert not any(diffs.values())
     # the same swap with a partner index that points at the wrong point
     wrong = [old[1], dict(old[0]), dict(old[2], partner=0)]
-    diffs, mismatches, reordered = judge(run(old), run(wrong))
-    assert mismatches and not reordered
+    diffs, mismatches, reordered, sets = judge(run(old), run(wrong))
+    assert mismatches and not reordered and sets
     # a point list that differs as a set is not reordered either
     lost = [old[1], dict(old[0]), dict(old[2], partner=1, index=1)]
-    assert judge(run(old), run(lost))[1]
+    diffs, mismatches, reordered, sets = judge(run(old), run(lost))
+    assert mismatches and not reordered and sets is False
