@@ -629,7 +629,8 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
 # dedup, reflection pairing, classification
 # ---------------------------------------------------------------------------
 
-def _point_rows(rows: np.ndarray, radii: tuple[float, float, float] | None) -> np.ndarray:
+def _point_rows(rows: np.ndarray, radii: tuple[float, float, float] | None,
+                ) -> np.ndarray:
     """The coordinates the same-point rule compares, one flat row per
     canonical row: the gauge-fixed vertices ``(k, n, 2)`` as they stand
     (``radii`` is ``None``), or the angle pairs ``(k, 2)`` embedded on the
@@ -702,7 +703,8 @@ def _mirror_close(rows: np.ndarray, radii: tuple[float, float, float] | None) ->
     return fresh[_first_cover(points[fresh], DEDUP_TOL)]
 
 
-def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None) -> list[int | None]:
+def _partners(rows: np.ndarray, radii: tuple[float, float, float] | None,
+              ) -> list[int | None]:
     """Index of the first other row each row's mirror matches; ``None``
     for a row that is its own mirror image or has no partner."""
     match = _close(_point_rows(mirror_rows(rows, radii), radii), _point_rows(rows, radii))
