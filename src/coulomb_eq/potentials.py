@@ -196,7 +196,7 @@ def regular_pairs(rows: np.ndarray, radii: tuple[float, float, float] | None,
 
     The one pole gate of the entries that evaluate the configurations
     they are given (a single one is ``config_rows`` of it); the solver's
-    polish and finalize drop pole rows instead."""
+    census gate (``solver._representatives``) drops pole rows instead."""
     pairs = pair_distances(rows, radii)
     if not np.isfinite(pairs).all():
         raise ValueError("pair distances are not finite")

@@ -39,7 +39,8 @@ closure and the partner scan all compare so.  Pole: a row whose
 smallest ``pair_distances`` entry is below ``spaces.pole_radius_of``.
 Stationary, judged once per polished row before the dedup: a chart
 gradient within ``NEWTON_TOL``, a relation residual within
-``RELATION_TOL`` and a finite Hessian.
+``RELATION_TOL`` and a finite Hessian.  The polishes only decide when a
+seed stops stepping and return a row for every seed they iterate.
 
 The grid density is the one setting of a census (``SolveSettings``);
 neither the three-charge polygon census nor the torus census reads
@@ -337,10 +338,11 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
     a stack of gauge-fixed seeds ``(k, n, 2)`` at once.
 
     Every seed keeps its own damping, residual norm and iteration count,
-    so it takes exactly the steps it would take alone.  Returns the
-    gauge-fixed vertices of the converged points in seed order.  Only the
-    seeds that stepped are gauge-fixed again: a seed that took no step
-    comes back as it went in.
+    so it takes exactly the steps it would take alone, and stops at a
+    residual below ``POLISH_TARGET`` or a damping past 1e14.  Returns the
+    last vertices of every seed off a pole in seed order, for the census
+    gate to judge.  Only the seeds that stepped are gauge-fixed again: a
+    seed that took no step comes back as it went in.
     """
     pts = np.asarray(seeds, dtype=float)
     n = pts.shape[1]
@@ -357,7 +359,6 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
     rnorm = norms(res)
     damping = np.zeros(len(u))
     running = np.ones(len(u), dtype=bool)
-    killed = np.zeros(len(u), dtype=bool)
     moved = np.zeros(len(u), dtype=bool)
     for _ in range(MAX_ITERS):
         running &= ~(rnorm < POLISH_TARGET)
@@ -388,14 +389,10 @@ def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
         failed = solved & ~better
         grow = rows[~better]
         damping[grow] = np.maximum(damping[grow] * 10.0, 1e-8)
-        over = failed & (damping[rows] > 1e14)
-        killed[rows[over & blocked]] = True
-        running[rows[over]] = False
-    ok = ~killed & (rnorm <= math.sqrt(NEWTON_TOL))
-    done = pts[ok]
-    if (ok & moved).any():
-        done[moved[ok]] = gauge_fix(_unpack(u[ok & moved], n, keep))
-    return done
+        running[rows[failed & (damping[rows] > 1e14)]] = False
+    if moved.any():
+        pts[moved] = gauge_fix(_unpack(u[moved], n, keep))
+    return pts
 
 
 def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
@@ -582,39 +579,32 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
     The iteration carries the angles of the live seeds as two columns
     with their seed indices ``live``.  Each round evaluates them through
     ``potentials.torus_columns`` with the census constants taken once,
-    writes the seeds that converged into the result by seed index and
-    shrinks the columns, in one gather each, to the seeds it steps.  A
-    seed that converged, hit a pole or met a singular Hessian is never
+    shrinks the columns, in one gather each, to the seeds it steps and
+    writes their new angles into the result by seed index.  A seed stops
+    stepping once its gradient is within ``POLISH_TARGET``, or it sits
+    inside the pole radius or meets a singular Hessian, and is never
     evaluated again, so every seed takes exactly the steps it would take
-    alone.  Returns the converged angle pairs in seed order, reduced to
-    (-pi, pi].
+    alone.  The polish judges no row: it returns every seed's last angle
+    pair in seed order, reduced to (-pi, pi], for the census gate.
     """
     angles = np.array(seeds, dtype=float).reshape(-1, 2)
     constants = pot.TorusConstants.of(space.radii, charges)
     pole_radius = pole_radius_of(space.radii)
-    converged = np.zeros(angles.shape[0], dtype=bool)
     live = np.arange(angles.shape[0])
     a0, a1 = angles[:, 0].copy(), angles[:, 1].copy()
-    for rounds in range(MAX_ITERS + 1):
+    for _ in range(MAX_ITERS):
         g0, g1, h00, h01, h11, dmin = pot.torus_columns(constants, spec, a0, a1)
         gnorm = np.sqrt(g0 * g0 + g1 * g1)
         # every gate is written so that NaN fails it
-        regular = dmin >= pole_radius
-        last = rounds == MAX_ITERS
-        done = regular & (gnorm <= (NEWTON_TOL if last else POLISH_TARGET))
-        hit = live[done]
-        angles[hit, 0] = a0[done]
-        angles[hit, 1] = a1[done]
-        converged[hit] = True
-        todo = regular & (gnorm > POLISH_TARGET)
-        if last or not todo.any():
+        todo = (dmin >= pole_radius) & (gnorm > POLISH_TARGET)
+        if not todo.any():
             break
         # rows that stop here may divide by zero or overflow; their steps
         # are dropped with them
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             det = h00 * h11 - h01 * h01
             scale = np.maximum(np.maximum(np.abs(h00), np.abs(h01)), np.abs(h11))
-            # drop seeds with a singular Hessian, clamp wild steps
+            # stop seeds with a singular Hessian, clamp wild steps
             keep = todo & (np.abs(det) > 1e-14 * np.maximum(1.0, scale ** 2))
             s0 = (-g0 * h11 + g1 * h01) / det
             s1 = (-g1 * h00 + g0 * h01) / det
@@ -622,7 +612,8 @@ def _polish_torus_seeds(space: TorusSpace, charges: ChargeVector,
             a0 += s0 * clamp
             a1 += s1 * clamp
         live, a0, a1 = live[keep], a0[keep], a1[keep]
-    return reduce_angles(angles[converged])
+        angles[live, 0], angles[live, 1] = a0, a1
+    return reduce_angles(angles)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +661,7 @@ def _first_cover(rows: np.ndarray, tol: float) -> list[int]:
 
 def _representatives(space: Space, charges: ChargeVector, spec: PotentialSpec,
                      seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Polish the seeds, gate the converged rows and keep one row per point
+    """Polish the seeds, gate the polished rows and keep one row per point
     that passed: gauge-fixed vertices ``(k, n, 2)`` or reduced angle pairs
     ``(k, 2)``, with their chart gradients, Hessians and aligned flags."""
     radii = space.radii if isinstance(space, TorusSpace) else None
@@ -760,9 +751,9 @@ def polish_candidates(space: Space, charges: ChargeVector,
     Candidates are vertex arrays / configs (polygon) or angle pairs /
     configs (torus), a configuration taken as the row it holds.  The
     polygon rows are gauge-fixed as one stack, which leaves a canonical
-    row as it is, bit for bit.  Non-convergent candidates are dropped and
-    the survivors go through the same dedup / mirror / classify pipeline
-    as the full search.
+    row as it is, bit for bit.  Candidates that fail the census gate are
+    dropped and the survivors go through the same dedup / mirror /
+    classify pipeline as the full search.
     """
     pot._check_charges(space, charges)
     if not len(candidates):
@@ -785,12 +776,13 @@ def find_critical_points(space: Space, charges: ChargeVector,
     rows and the level-sweep seeds on the torus (``_level_seeds``; their
     mirrors come back by mirror closure), else multistart seeds.  They
     are polished by damped Newton on the stationarity system, all seeds
-    of the space as one batch in which only live seeds iterate; runs
-    that do not converge are dropped.  The survivors are deduplicated
-    modulo the rotation gauge on their raw coordinate rows (the first
-    seed of each point wins), closed under the reflection involution
-    (both members of a mirror pair are reported and linked), classified
-    by their constrained Hessian spectrum and sorted by (energy, key).
+    of the space as one batch in which only live seeds iterate; the
+    census gate drops every row that is not stationary.  The survivors
+    are deduplicated modulo the rotation gauge on their raw coordinate
+    rows (the first seed of each point wins), closed under the reflection
+    involution (both members of a mirror pair are reported and linked),
+    classified by their constrained Hessian spectrum and sorted by
+    (energy, key).
     """
     pot._check_charges(space, charges)
     seeds = (_level_seeds(space, charges, spec) if isinstance(space, TorusSpace)

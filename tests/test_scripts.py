@@ -106,3 +106,12 @@ def test_census_equivalence_tells_a_reorder_from_a_change():
     lost = [old[1], dict(old[0]), dict(old[2], partner=1, index=1)]
     diffs, mismatches, reordered, sets = judge(run(old), run(lost))
     assert mismatches and not reordered and sets is False
+
+
+def test_census_ledger_is_deterministic():
+    ledger = runpy.run_path(str(SCRIPTS / "census_ledger.py"))["ledger"]
+    first = ledger(20)
+    assert ledger(20) == first
+    # every job of each family's 20-job slice is tallied once
+    for family in ("equal-radii", "wide-torus"):
+        assert sum(int(line.split()[-1]) for line in first if line.startswith(family)) == 20
