@@ -22,13 +22,15 @@ match as sets: the same count, and each point within the larger match
 radius of the two (``_radius``) of a point of the other side with equal
 ``index``, ``aligned`` and ``degenerate``; this tells mirror partners
 that traded places, or a soft point that slid within its Newton step,
-from a point that moved.  When the lists have one length and every
-mismatch that is not a float lies in the point list, the new points
-are put in the old order by a one-to-one match of such points, their
-``partner`` indices mapped along, and compared again: points whose
-energies tie within an ulp may trade places, and such a run is
-"reordered", not structural, unless a mismatch remains.  Last it prints the line count of
-``coulomb_eq/*.py`` in each tree and the difference.
+from a point that moved; for lists that differ as sets it prints the
+point count and the aligned count of each side.  When the lists have
+one length and every mismatch that is not a float lies in the point
+list, the new points are put in the old order by a one-to-one match of
+such points, their ``partner`` indices mapped along, and compared
+again: points whose energies tie within an ulp may trade places, and
+such a run is "reordered", not structural, unless a mismatch remains.
+Last it prints the line count of ``coulomb_eq/*.py`` in each tree and
+the difference.
 
 The corpus (550 runs) is the torus-census jobs of the benchmark (seeds
 1, 2, 3 and the held-out seed, 52 runs), five torus censuses over other
@@ -455,7 +457,11 @@ def main() -> int:
         if matched is not None:
             as_sets[0] += matched
             as_sets[1] += 1
-            sets += "; points match as sets" if matched else "; points differ as sets"
+            sets += "; points match as sets" if matched else (
+                "; points differ as sets ("
+                + " -> ".join(f"{len(pts)} points, {sum(p['aligned'] for p in pts)} aligned"
+                              for pts in (census_points(va["stdout"]),
+                                          census_points(vb["stdout"]))) + ")")
         for field, d in diffs.items():
             overall[field] = max(overall.get(field, 0.0), d)
         fields = ", ".join(f"{f} {d:.2g}" for f, d in sorted(diffs.items()) if d)

@@ -134,7 +134,8 @@ def euler_count_check(points: Iterable["CriticalPoint"],
     """Tally Morse indices and test the space's alternating-count identity,
     which an empty census fails (every space has aligned critical points)
     and so does a torus census with no point of index 0 (the energy of
-    the compact torus attains its minimum)."""
+    the compact torus attains its minimum); a missed identity names the
+    count and its target."""
     from .solver import TorusSpace  # local import, no cycle at runtime
 
     pts = list(points)
@@ -164,5 +165,7 @@ def euler_count_check(points: Iterable["CriticalPoint"],
         return MorseSummary(counts, poles, "not-applicable", exactness,
                             "degenerate points present")
     alternating = sum((-1) ** idx * c for idx, c in counts.items())
-    verdict = "passed" if alternating == expected else "failed"
-    return MorseSummary(counts, poles, verdict, exactness)
+    if alternating != expected:
+        return MorseSummary(counts, poles, "failed", exactness,
+                            f"alternating count {alternating}, expected {expected}")
+    return MorseSummary(counts, poles, "passed", exactness)

@@ -9,10 +9,13 @@ census seeds from a level sweep (``_level_seeds``): each pair's term
 of the chart gradient depends on its own central angle only, so a
 critical point is a common level of the three terms, found on a
 one-dimensional sweep with no grid, whose inverse angles a safeguarded
-Newton finishes from one table of brackets.  Larger polygons seed from
-multistart pools.  Every seed runs through Newton polishing of the
-stationarity system: a Lagrange system with explicit perimeter
-constraint for polygons, the plain two-angle gradient for the torus.
+Newton finishes from one table of brackets.  Larger polygons seed one
+collinear row per line ordering modulo reversal, each holding one
+aligned point (``grid_density**2`` random orderings where there are
+more), then two rings and a random pool.  Every seed runs through
+Newton polishing of the stationarity system: a Lagrange system with
+explicit perimeter constraint for polygons, the plain two-angle
+gradient for the torus.
 The search is array-first from seed to report.  Polygon seeds are
 gauge-fixed as one stack; all seeds of a search go through one damped
 Newton iteration as a single stack, and only live seeds iterate (the
@@ -42,15 +45,16 @@ gradient within ``NEWTON_TOL``, a relation residual within
 ``RELATION_TOL`` and a finite Hessian.  The polishes only decide when a
 seed stops stepping and return a row for every seed they iterate.
 
-The grid density is the one setting of a census (``SolveSettings``);
-neither the three-charge polygon census nor the torus census reads
-it.  The Newton tolerance, the iteration cap, the dedup distance and
-the sample counts and the round cap of the level sweep are module
-constants.
+The grid density is the one setting of a census (``SolveSettings``):
+its square sizes the random pool and caps the line orderings; neither
+the three-charge polygon census nor the torus census reads it.  The
+Newton tolerance, the iteration cap, the dedup distance and the sample
+counts and the round cap of the level sweep are module constants.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
@@ -141,8 +145,8 @@ Space = PolygonSpace | TorusSpace
 
 @dataclass(frozen=True)
 class SolveSettings:
-    """The one setting of a census: multistart seeds per chart dimension
-    of a polygon with four or more vertices."""
+    """The one setting of a census: its square is the random pool and
+    the cap on line orderings of a polygon with four or more vertices."""
 
     grid_density: int = 24
 
@@ -400,61 +404,25 @@ def _polygon_seeds(space: PolygonSpace, charges: ChargeVector,
     n = space.n
     if n == 3:
         return closed_form_seeds(charges, spec)
-    # n >= 4: aligned seeds for sweep orderings plus structured and
-    # random convex shapes; coverage is heuristic at this size
-    seeds: list[np.ndarray] = []
-    try:
-        xs, _ = solve_line_interior(charges, spec)
-        seeds.append(np.column_stack([xs, np.zeros(n)]))
-    except RuntimeError:
-        pass
-    for positions in _sweep_position_seeds(n):
-        seeds.append(np.column_stack([positions - positions.min(), np.zeros(n)]))
+    # n >= 4: one collinear seed per line ordering modulo reversal (each
+    # holds one aligned point; grid_density**2 random ones when there are
+    # more), two rings and a random pool; coverage is heuristic
     base = TWO_PI * np.arange(n) / n
-    for phase in (0.0, math.pi / n):
-        ring = np.column_stack([np.cos(base + phase), np.sin(base + phase)])
-        seeds.append(ring)
+    rings = [np.column_stack([np.cos(base + phase), np.sin(base + phase)])
+             for phase in (0.0, math.pi / n)]
+    count = settings.grid_density ** 2
     rng = np.random.default_rng(MULTISTART_SEED + n)
-    pool = rng.uniform(-1.0, 1.0, size=(settings.grid_density ** 2, n, 2))
-    seeds.extend(pool[pair_distances(pool).min(axis=1) > 1e-3])
+    pool = rng.uniform(-1.0, 1.0, size=(count, n, 2))
+    if math.factorial(n) // 2 <= count:
+        orders = [o for o in itertools.permutations(range(n)) if o[0] < o[-1]]
+    else:
+        orders = [rng.permutation(n) for _ in range(count)]
+    # vertex order[k] at x = k
+    x = np.argsort(orders, axis=1).astype(float)
+    lines = np.stack([x, np.zeros_like(x)], axis=2)
     # a row that no configuration represents comes back NaN: the polish drops it
-    return gauge_fix(np.array(seeds))
-
-
-def _sweep_position_seeds(n: int) -> list[np.ndarray]:
-    """Seed positions for every collinear stratum whose cyclic tour is a
-    single sweep (span equal to half the perimeter).
-
-    A stratum is fixed by the choice of leftmost and rightmost vertex:
-    the cycle arc from one to the other ascends, the complementary arc
-    descends.  Interior vertices start evenly spaced.
-    """
-    seeds = []
-    seen = set()
-    for lo in range(n):
-        for hi in range(n):
-            if lo == hi:
-                continue
-            rising = [(lo + k) % n for k in range(1, (hi - lo) % n)]
-            falling = [(hi + k) % n for k in range(1, (lo - hi) % n)]
-            positions = np.empty(n)
-            positions[lo] = 0.0
-            positions[hi] = 0.5
-            for ascending, verts in ((True, rising), (False, falling)):
-                ticks = np.linspace(0.0, 0.5, len(verts) + 2)[1:-1]
-                if not ascending:
-                    # stagger the descending arc so the two arcs never
-                    # start on top of each other
-                    ticks = ticks[::-1] * 0.85 + 0.04
-                for t, v in zip(ticks, verts):
-                    positions[v] = t
-            key = tuple(np.argsort(positions))
-            mirror = tuple(np.argsort(-positions))
-            if key in seen or mirror in seen:
-                continue
-            seen.add(key)
-            seeds.append(positions)
-    return seeds
+    return gauge_fix(np.concatenate([lines, rings,
+                                     pool[pair_distances(pool).min(axis=1) > 1e-3]]))
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +601,13 @@ def _point_rows(rows: np.ndarray, radii: tuple[float, float, float] | None,
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether each point row of ``a`` is the same point as each of ``b``
-    (``max|delta| < DEDUP_TOL``), as a ``(len(a), len(b))`` mask."""
-    return np.abs(a[:, None] - b[None, :]).max(axis=2) < DEDUP_TOL
+    (``max|delta| < DEDUP_TOL``), as a ``(len(a), len(b))`` mask, taken
+    128 rows of ``a`` at a time so that the temporary holds at most
+    ``128 * len(b)`` point rows."""
+    out = np.empty((len(a), len(b)), dtype=bool)
+    for i in range(0, len(a), 128):
+        out[i:i + 128] = np.abs(a[i:i + 128, None] - b[None, :]).max(axis=2) < DEDUP_TOL
+    return out
 
 
 def _first_cover(rows: np.ndarray, tol: float) -> list[int]:

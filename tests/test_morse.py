@@ -194,8 +194,8 @@ class TestEulerCounts:
 
     @pytest.mark.parametrize("case,verdict,poles,exact,reason", [
         ("empty", "failed", 0, False, "no critical points found"),
-        ("torus-missing-point", "failed", 0, False, ""),
-        ("polygon3-missing-point", "failed", 3, False, ""),
+        ("torus-missing-point", "failed", 0, False, "alternating count -1, expected 0"),
+        ("polygon3-missing-point", "failed", 3, False, "alternating count 0, expected -1"),
         ("polygon4", "not-applicable", 0, False,
          "sphere-level count is defined for three charges only"),
     ])

@@ -115,3 +115,11 @@ def test_census_ledger_is_deterministic():
     # every job of each family's 20-job slice is tallied once
     for family in ("equal-radii", "wide-torus"):
         assert sum(int(line.split()[-1]) for line in first if line.startswith(family)) == 20
+    # the benchmark polygon family: 10 censuses of each job size, each
+    # closing or missing its count, and at most n!/2 aligned points each
+    bench = {" ".join(line.split()[1:-1]): int(line.split()[-1])
+             for line in first if line.startswith("bench-polygon")}
+    assert bench["p4 closes the count 2"] + bench["p4 misses the count 2"] == 10
+    assert bench["p5 closes the count -6"] + bench["p5 misses the count -6"] == 10
+    assert bench["p4 aligned points found, of 120"] <= 120
+    assert bench["p5 aligned points found, of 600"] <= 600

@@ -1036,6 +1036,12 @@ class TestClosedFourCharge:
     @pytest.mark.parametrize("charges,counts", [
         ([1.0, 1.0, 1.0, 1.0], {0: 6, 1: 16, 2: 12}),
         ([1.3, 0.6, 1.9, 1.1], {0: 2, 1: 10, 2: 10}),
+        # the benchmark's polygon:4 jobs of seeds 4 and 12, which close
+        # only once every line ordering is seeded
+        ([0.7641228592601382, 1.5454937929353603, 1.1702826032135452, 1.8969707276389987],
+         {0: 2, 1: 10, 2: 10}),
+        ([0.6847964957696969, 1.80704659511688, 1.5163276694584606, 1.0104922983386904],
+         {0: 2, 1: 12, 2: 12}),
     ])
     def test_grid_16_census(self, charges, counts):
         pts = find_critical_points(PolygonSpace(4), ChargeVector.of(charges),
@@ -1043,6 +1049,26 @@ class TestClosedFourCharge:
         summary = euler_count_check(pts, PolygonSpace(4))
         assert dict(summary.counts) == counts
         assert sum((-1) ** k * c for k, c in counts.items()) == 2
+
+
+class TestPolygonSeeds:
+    @staticmethod
+    def line_orderings(n, grid):
+        """The vertex orderings of the collinear seeds, each taken modulo
+        reversal."""
+        seeds = _polygon_seeds(PolygonSpace(n), ChargeVector.of([1.0] * n), COULOMB,
+                               SolveSettings(grid_density=grid))
+        lines = seeds[(seeds[:, :, 1] == 0.0).all(axis=1)]
+        return [min(tuple(o), tuple(o[::-1])) for o in np.argsort(lines[:, :, 0], axis=1)]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_collinear_seed_per_line_ordering(self, n):
+        orders = self.line_orderings(n, 8)
+        assert len(orders) == len(set(orders)) == math.factorial(n) // 2
+
+    def test_orderings_are_capped_by_the_grid_density(self):
+        # 7!/2 = 2520 orderings, of which grid_density**2 are drawn
+        assert len(self.line_orderings(7, 8)) == 64
 
 
 class TestSettings:
