@@ -43,15 +43,15 @@ from typing import Iterator
 
 import numpy as np
 
-from coulomb_eq.morse import euler_count_check
-from coulomb_eq.potentials import PotentialSpec
-from coulomb_eq.solver import PolygonSpace, SolveSettings, TorusSpace, find_critical_points
-from coulomb_eq.spaces import ChargeVector
-
-# the benchmark's seeded job lists; appended, so that PYTHONPATH picks
-# the source tree under test
-sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+# this tree's package and the benchmark's seeded job lists; appended, so
+# that PYTHONPATH picks the source tree under test
+ROOT = Path(__file__).resolve().parents[1]
+sys.path += [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
+from coulomb_eq.morse import euler_count_check  # noqa: E402
+from coulomb_eq.potentials import PotentialSpec  # noqa: E402
+from coulomb_eq.solver import PolygonSpace, SolveSettings, TorusSpace, find_critical_points  # noqa: E402
+from coulomb_eq.spaces import ChargeVector  # noqa: E402
 
 KERNELS = ("coulomb", "log", "power:2.5", "power:6")
 VERDICTS = ("passed", "failed", "not-applicable")

@@ -12,13 +12,14 @@ one-dimensional sweep with no grid, whose inverse angles a safeguarded
 Newton finishes from one table of brackets.  Larger polygons seed one
 collinear row per line ordering modulo reversal, each holding one
 aligned point (``grid_density**2`` random orderings where there are
-more), then two rings and a random pool.  Every seed runs through
-Newton polishing of the stationarity system: a Lagrange system with
-explicit perimeter constraint for polygons, the plain two-angle
-gradient for the torus.
+more), then two rings and a random pool.  Every seed runs through a
+Newton polish of its stationarity system: for polygons the bordered
+Lagrange system at the least-squares perimeter multiplier, with the
+gauge fix as the retraction onto the perimeter-one set and step halving
+on the residual norm; for the torus the plain two-angle gradient.
 The search is array-first from seed to report.  Polygon seeds are
-gauge-fixed as one stack; all seeds of a search go through one damped
-Newton iteration as a single stack, and only live seeds iterate (the
+gauge-fixed as one stack; all seeds of a search go through one Newton
+iteration as a single stack, and only live seeds iterate (the
 torus polish carries the live angles as two columns with their seed
 indices, evaluates them once per round through the pair-major torus
 core with the census constants taken once, and shrinks them with one
@@ -48,8 +49,9 @@ seed stops stepping and return a row for every seed they iterate.
 The grid density is the one setting of a census (``SolveSettings``):
 its square sizes the random pool and caps the line orderings; neither
 the three-charge polygon census nor the torus census reads it.  The
-Newton tolerance, the iteration cap, the dedup distance and the sample
-counts and the round cap of the level sweep are module constants.
+Newton tolerance, the iteration cap, the dedup distance, the step
+radius, stall window and step floor of the polygon polish, and the
+sample counts and the round cap of the level sweep are module constants.
 """
 
 from __future__ import annotations
@@ -94,6 +96,12 @@ MAX_ITERS = 100
 DEDUP_TOL = 1e-7
 #: gradient size at which a Newton polish stops stepping
 POLISH_TARGET = 1e-13
+#: longest coordinate step of the polygon polish
+STEP_RADIUS = 0.1
+#: rounds a polygon polish row may go without halving its residual
+STALL_ROUNDS = 20
+#: step fraction below which a polygon polish row stops halving
+STEP_FLOOR = 2.0 ** -10
 #: deterministic seed for the low-discrepancy multistart pools
 MULTISTART_SEED = 20160
 #: midpoint samples of the torus level sweep over (0, pi)
@@ -297,40 +305,28 @@ def enumerate_aligned(space: Space, charges: ChargeVector,
 # multistart machinery: polygon
 # ---------------------------------------------------------------------------
 
-def _unpack(u: np.ndarray, n: int, keep: np.ndarray) -> np.ndarray:
-    """Vertex stacks ``(k, n, 2)`` from packed unknowns (the gauge-free
-    coordinates of the movable vertices, then the multiplier)."""
-    flat = np.zeros((u.shape[0], 2 * n))
-    flat[:, 2 + keep] = u[:, :-1]
-    return flat.reshape(-1, n, 2)
+def _lagrange_system(pts: np.ndarray, charges: ChargeVector,
+                     spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``polygon_stationarity`` of a stack of polygons at their
+    ``least_squares_multiplier``, from one derivative evaluation."""
+    der = pot.polygon_derivatives(pts, charges, spec)
+    lam = pot.least_squares_multiplier(pts, charges, spec, der)
+    return pot.polygon_stationarity(pts, lam, charges, spec, der)
 
 
-def _newton_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps where the damping is zero, Levenberg-Marquardt steps
-    elsewhere, from one stacked solve.  Returns the steps and a mask of
-    the systems that were not singular."""
-    a = jac.copy()
-    b = -res
-    lm = damping > 0.0
-    if lm.any():
-        j = jac[lm]
-        jt = np.swapaxes(j, 1, 2)
-        normal = jt @ j
-        diag = np.arange(normal.shape[1])
-        normal[:, diag, diag] += damping[lm, None]
-        a[lm] = normal
-        b[lm] = -(jt @ res[lm][..., None])[..., 0]
-    solved = np.ones(len(a), dtype=bool)
+def _newton_steps(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps of a stack of bordered systems from one stacked solve.
+    Returns the steps and a mask of the systems that were not singular."""
+    solved = np.ones(len(jac), dtype=bool)
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0], solved
+        return np.linalg.solve(jac, -res[..., None])[..., 0], solved
     except np.linalg.LinAlgError:
         pass
     # some system of the batch is singular: solve the seeds one by one
-    steps = np.zeros_like(b)
-    for r in range(len(a)):
+    steps = np.zeros_like(res)
+    for r in range(len(jac)):
         try:
-            steps[r] = np.linalg.solve(a[r], b[r][:, None])[:, 0]
+            steps[r] = np.linalg.solve(jac[r], -res[r][:, None])[:, 0]
         except np.linalg.LinAlgError:
             solved[r] = False
     return steps, solved
@@ -338,64 +334,65 @@ def _newton_steps(jac: np.ndarray, res: np.ndarray, damping: np.ndarray,
 
 def _polish_polygon(seeds: np.ndarray, charges: ChargeVector,
                     spec: PotentialSpec) -> np.ndarray:
-    """Levenberg-damped Newton on the Lagrange stationarity system, run on
-    a stack of gauge-fixed seeds ``(k, n, 2)`` at once.
+    """Newton on the bordered Lagrange system with step halving, run on a
+    stack of gauge-fixed seeds ``(k, n, 2)`` at once.
 
-    Every seed keeps its own damping, residual norm and iteration count,
-    so it takes exactly the steps it would take alone, and stops at a
-    residual below ``POLISH_TARGET`` or a damping past 1e14.  Returns the
+    A row carries its vertices, its residual ``grad E + lam grad P`` over
+    the kept coordinates (and the perimeter defect) at the multiplier
+    ``lam`` of ``least_squares_multiplier``, and its bordered Jacobian from
+    ``polygon_stationarity``.  Each round a row tries the one point
+    ``gauge_fix(x + t * step)`` (the gauge fix is the scaling retraction
+    onto the perimeter-one set), where ``step`` is the coordinate part of
+    its Newton step clamped to ``STEP_RADIUS``.  A lower residual norm is
+    accepted, ``t`` doubles up to one and the step is solved again there;
+    otherwise ``t`` halves and the step is kept.  A row stops at a residual
+    below ``POLISH_TARGET``, a singular system, ``t`` below ``STEP_FLOOR``,
+    ``STALL_ROUNDS`` rounds without halving its residual or ``MAX_ITERS``
+    rounds, and takes exactly the steps it would take alone.  Returns the
     last vertices of every seed off a pole in seed order, for the census
-    gate to judge.  Only the seeds that stepped are gauge-fixed again: a
-    seed that took no step comes back as it went in.
+    gate to judge; a seed that took no step comes back as it went in.
     """
     pts = np.asarray(seeds, dtype=float)
     n = pts.shape[1]
     pole_radius = pole_radius_of(None)
     # every gate is written so that NaN fails it
     pts = pts[pair_distances(pts).min(axis=1) >= pole_radius]
-    keep = pot.polygon_free_indices(n)
-    der = pot.polygon_derivatives(pts, charges, spec)
-    lam = pot.least_squares_multiplier(pts, charges, spec, der)
-    u = np.concatenate([pts[:, 1:].reshape(-1, 2 * (n - 1))[:, keep], lam[:, None]],
-                       axis=1)
-    res, jac = pot.polygon_stationarity(pts, lam, charges, spec, der)
-    del der  # two Hessian stacks the Newton rounds no longer need
+    cols = 2 + pot.polygon_free_indices(n)
+    res, jac = _lagrange_system(pts, charges, spec)
     rnorm = norms(res)
-    damping = np.zeros(len(u))
-    running = np.ones(len(u), dtype=bool)
-    moved = np.zeros(len(u), dtype=bool)
-    for _ in range(MAX_ITERS):
+    # each row's step, step fraction, and residual and round at its last halving
+    step, t, anchor = np.zeros((len(pts), 2 * n)), np.ones(len(pts)), rnorm.copy()
+    halved_at = np.full(len(pts), -1)
+    running, fresh = np.ones((2, len(pts)), dtype=bool)
+    for it in range(MAX_ITERS):
         running &= ~(rnorm < POLISH_TARGET)
+        new = np.flatnonzero(running & fresh)
+        if new.size:
+            sol, solved = _newton_steps(jac[new], res[new])
+            size = norms(sol[:, :-1])
+            # a step that overflows stops its row like a singular system
+            solved &= np.isfinite(size)
+            running[new[~solved]] = False
+            fresh[new] = False
+            step[np.ix_(new[solved], cols)] = (sol[solved, :-1]
+                                               * np.minimum(1.0, STEP_RADIUS / size[solved, None]))
         rows = np.flatnonzero(running)
         if not rows.size:
             break
-        step, solved = _newton_steps(jac[rows], res[rows], damping[rows])
-        trial = u[rows] + step
-        trial_pts = _unpack(trial, n, keep)
-        blocked = solved & ((pair_distances(trial_pts).min(axis=1) < pole_radius)
-                            | ~np.isfinite(trial_pts).all(axis=(1, 2)))
-        tried = solved & ~blocked
-        res_t, jac_t = pot.polygon_stationarity(trial_pts[tried], trial[tried, -1],
-                                                charges, spec)
+        trial = gauge_fix(pts[rows] + t[rows, None, None] * step[rows].reshape(-1, n, 2))
+        tried = pair_distances(trial).min(axis=1) >= pole_radius
+        res_t, jac_t = _lagrange_system(trial[tried], charges, spec)
         rnorm_t = norms(res_t)
         better = np.zeros(rows.size, dtype=bool)
         better[tried] = rnorm_t < rnorm[rows[tried]]
         won = better[tried]
-        acc = rows[better]
-        u[acc] = trial[better]
-        moved[acc] = True
-        res[acc] = res_t[won]
-        jac[acc] = jac_t[won]
-        rnorm[acc] = rnorm_t[won]
-        damping[acc] = np.where(rnorm_t[won] < 1e-6, 0.0, damping[acc] / 3.0)
-        # a singular system, a trial at a pole and a rejected step all
-        # raise the damping; past 1e14 the last two end the seed's run
-        failed = solved & ~better
-        grow = rows[~better]
-        damping[grow] = np.maximum(damping[grow] * 10.0, 1e-8)
-        running[rows[failed & (damping[rows] > 1e14)]] = False
-    if moved.any():
-        pts[moved] = gauge_fix(_unpack(u[moved], n, keep))
+        acc, rej = rows[better], rows[~better]
+        pts[acc] = trial[better]
+        res[acc], jac[acc], rnorm[acc] = res_t[won], jac_t[won], rnorm_t[won]
+        t[acc], t[rej], fresh[acc] = np.minimum(1.0, 2.0 * t[acc]), 0.5 * t[rej], True
+        halved = acc[rnorm[acc] <= 0.5 * anchor[acc]]
+        anchor[halved], halved_at[halved] = rnorm[halved], it
+        running[rows[(t[rows] < STEP_FLOOR) | (it - halved_at[rows] >= STALL_ROUNDS)]] = False
     return pts
 
 
@@ -748,7 +745,7 @@ def find_critical_points(space: Space, charges: ChargeVector,
     The seeds are the closed forms for three polygon charges, the aligned
     rows and the level-sweep seeds on the torus (``_level_seeds``; their
     mirrors come back by mirror closure), else multistart seeds.  They
-    are polished by damped Newton on the stationarity system, all seeds
+    are polished by Newton on the stationarity system, all seeds
     of the space as one batch in which only live seeds iterate; the
     census gate drops every row that is not stationary.  The survivors
     are deduplicated modulo the rotation gauge on their raw coordinate

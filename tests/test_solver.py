@@ -655,6 +655,46 @@ class TestBatchedPolish:
         assert polish_candidates(PolygonSpace(3), Q111, locked) == []
 
 
+#: the charges of the benchmark's polygon:5 jobs of seeds 1, 3, 4 and 90210
+BENCH_P5 = {
+    1: [1.7736497045181197, 1.0359363852026282, 1.1375767898648956, 1.4165045372508698,
+        0.7102661273701236],
+    3: [0.5570437804716416, 0.9185041237575593, 1.2274339240800307, 1.5459677434889687,
+        1.879383875050583],
+    4: [0.5168698107828429, 1.0289530821718835, 1.9422703228590295, 1.658291761750765,
+        1.1880130788331549],
+    90210: [0.992550886223516, 1.1411616704088818, 1.9538381052956404, 1.5419373063360298,
+            0.5471215354616847],
+}
+
+
+class TestPolygonPolishBudget:
+    def test_seed_stack_stops_in_tens_of_rounds(self, monkeypatch):
+        # a Levenberg-Marquardt polish evaluated about 6.4k rows over 101
+        # calls on this stack and ran every call to the round cap
+        q = ChargeVector.of(BENCH_P5[1])
+        seeds = _polygon_seeds(PolygonSpace(5), q, COULOMB, SolveSettings(grid_density=8))
+        rows = []
+        core = pot.polygon_stationarity
+
+        def counted(points, *args, **kwargs):
+            rows.append(len(points))
+            return core(points, *args, **kwargs)
+
+        monkeypatch.setattr(pot, "polygon_stationarity", counted)
+        _polish_polygon(seeds, q, COULOMB)
+        # one evaluation of the seeds, then one per round
+        assert len(rows) - 1 < MAX_ITERS
+        assert sum(rows) <= 3200
+
+    @pytest.mark.parametrize("seed", [3, 4, 90210])
+    def test_every_aligned_point_of_the_bench_p5_jobs(self, seed):
+        # one aligned point per line ordering modulo reversal: 5!/2 = 60
+        pts = find_critical_points(PolygonSpace(5), ChargeVector.of(BENCH_P5[seed]),
+                                   settings=SolveSettings(grid_density=8))
+        assert sum(cp.aligned for cp in pts) == 60
+
+
 def singular_hessian_seed(space, charges):
     """An angle pair on the zero set of the Hessian determinant: the first
     sign change along a grid line, bisected down to neighbouring floats."""
@@ -1011,6 +1051,16 @@ class TestMirrorInheritance:
         q = ChargeVector.of(charges)
         settings = SolveSettings(grid_density=8)
         pts = find_critical_points(space, q, settings=settings)
+        if isinstance(space, TorusSpace):
+            seeds = _level_seeds(space, q, COULOMB)
+        else:
+            # the polygon census finds both members of every pair from
+            # seeds of its own: polish one member of a non-aligned pair
+            # alone, so the finalize synthesizes the other
+            one = next(cp.config for cp in pts
+                       if not cp.aligned and cp.symmetry_partner is not None)
+            seeds = config_rows(one)[0]
+            pts = polish_candidates(space, q, [one])
         exact = 0
         for i, cp in enumerate(pts):
             if cp.symmetry_partner is None:
@@ -1022,8 +1072,6 @@ class TestMirrorInheritance:
                 exact += 1
                 assert mate.grad_norm == cp.grad_norm
                 assert mate.hessian_eigenvalues == cp.hessian_eigenvalues
-        seeds = (_level_seeds(space, q, COULOMB) if isinstance(space, TorusSpace)
-                 else _polygon_seeds(space, q, COULOMB, settings))
         reps = _representatives(space, q, COULOMB, seeds)[0]
         synthesized = len(_mirror_close(reps, getattr(space, "radii", None)))
         assert synthesized > 0 and exact == 2 * synthesized
